@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .neuron import NeuronConfig
-from .sim_engine import EncoderConfig, SolverConfig, SpikeTrain, Waveform, transient
+from .sim_engine import EncoderConfig, SolverConfig, SpikeTrain, spike_count_dc
 from .transconductor import TransconductorConfig, effective_gm
 
 __all__ = [
@@ -152,14 +152,7 @@ def _fit_line(vs: np.ndarray, rates: np.ndarray) -> tuple[float, float]:
 def _count_spikes_at_dc(args) -> int:
     """Pool-friendly worker: spike count over the measure gate at one bias."""
     encoder, v, settle_time, t_end, solver = args
-    res = transient(
-        encoder,
-        Waveform(kind="dc", offset=v),
-        t_end,
-        solver=solver,
-        trace_every=10**9,
-    )
-    return sum(1 for t in res.spikes.times if settle_time <= t < t_end)
+    return spike_count_dc(encoder, v, settle_time, t_end, solver)
 
 
 def _curve_from_rates(
@@ -216,13 +209,17 @@ def vf_curve(
 ) -> VFCurve:
     """Measure rate at each dc input and fit a line over the window.
 
-    Each grid point runs its own transient; the settle interval is
-    discarded and the rate comes from the spike count over the measure
-    window, so rate quantization is 1/measure_time. Points inside the
-    window with fewer than 5 spikes are flagged and left out of the fit;
-    the midpoint of the window must produce at least 20 spikes or the
-    protocol itself is rejected as underpowered. Grid points are
-    independent, so jobs > 1 fans them out over worker processes.
+    Each grid point starts from rest and its rate is the spike count over
+    the measure window after the settle interval, divided by
+    measure_time, so rate quantization is 1/measure_time. The count comes
+    from ``spike_count_dc``, which steps one interval and the periods at
+    the window end and counts the periodic train in between in closed
+    form; it equals the count of a full transient (see its tie rule for
+    spikes on the window edges). Points inside the window with fewer than
+    5 spikes are flagged and left out of the fit; the midpoint of the
+    window must produce at least 20 spikes or the protocol itself is
+    rejected as underpowered. Grid points are independent, so jobs > 1
+    fans them out over worker processes.
     """
     grid = [float(v) for v in v_grid]
     if len(grid) < 2:

@@ -21,9 +21,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import UndersampledError, _curve_from_rates, power_estimate, vf_curve
+from .analysis import (
+    UndersampledError,
+    _count_spikes_at_dc,
+    _curve_from_rates,
+    power_estimate,
+    vf_curve,
+)
 from .neuron import tau_m
-from .sim_engine import EncoderConfig, SolverConfig, Waveform, transient
+from .sim_engine import EncoderConfig, SolverConfig
 
 __all__ = [
     "TuneSpec",
@@ -122,24 +128,6 @@ def _cheap_solver(neuron) -> SolverConfig:
     return SolverConfig(dt=dt, event_tol=min(1e-9, 0.1 * dt))
 
 
-def _measure_rates(
-    encoder: EncoderConfig,
-    grid,
-    settle_time: float,
-    measure_time: float,
-    solver: SolverConfig | None,
-) -> tuple[list[float], list[int]]:
-    solver = solver if solver is not None else _cheap_solver(encoder.neuron)
-    t_end = settle_time + measure_time
-    counts = []
-    for v in grid:
-        res = transient(
-            encoder, Waveform(kind="dc", offset=v), t_end, solver=solver, trace_every=10**9
-        )
-        counts.append(sum(1 for t in res.spikes.times if settle_time <= t < t_end))
-    return [n / measure_time for n in counts], counts
-
-
 def objective_linearity(
     encoder: EncoderConfig,
     settle_time: float = _SETTLE_TIME,
@@ -192,7 +180,12 @@ def objective_negative_linear_range(
     the run's top) stays within max_deviation. Returns 0.0 when nothing
     qualifies, so wider linear ranges always score lower.
     """
-    rates, counts = _measure_rates(encoder, _RANGE_GRID, settle_time, measure_time, solver)
+    solver = solver if solver is not None else _cheap_solver(encoder.neuron)
+    t_end = settle_time + measure_time
+    counts = [
+        _count_spikes_at_dc((encoder, v, settle_time, t_end, solver)) for v in _RANGE_GRID
+    ]
+    rates = [n / measure_time for n in counts]
     best = 0.0
     n = len(_RANGE_GRID)
     for i in range(n):

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import power_estimate, small_signal, thd, vf_curve
-from .bias_tuner import TuneSpec, tune
+from .bias_tuner import _TUNABLE, TuneSpec, tune
 from .device_model import DeviceParams
 from .neuron import NeuronConfig, neuron_biases_from_voltages
 from .sim_engine import EncoderConfig, SolverConfig, Waveform, transient
@@ -502,7 +502,7 @@ def _cmd_tune(cp, args) -> int:
     # bounds keys for every tunable are declarable; only the selected
     # variables' bounds are required
     schema = {"variables": str, "objective": str, "budget": int, "seed": int}
-    for name in ("i_ref", "i_g", "i_r", "i_th", "t_rf"):
+    for name in _TUNABLE:
         suffix = "s" if name == "t_rf" else "a"
         schema[f"{name}_lo_{suffix}"] = float
         schema[f"{name}_hi_{suffix}"] = float

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device_model import DeviceParams
+from .device_model import DeviceParams, SaturationError
 
 __all__ = [
     "TransconductorConfig",
@@ -203,7 +203,9 @@ def _solve_node_arg(cfg: TransconductorConfig, input_arg: float, warm_start: flo
     The residual r(a) = sinh(a) + s*a - d*sinh(b - a) is strictly increasing
     with r -> -inf / +inf at the bracket ends, so bisection is safe. With a
     symmetric bracket and an odd residual the iterates for -b mirror those
-    for +b exactly, which keeps the transfer bit-exactly odd.
+    for +b exactly, which keeps the transfer bit-exactly odd. A residual
+    that overflows a double (a tiny thermal voltage stretches the bracket
+    past sinh's range) raises ``SaturationError``.
     """
     s = cfg.node_shunt_ratio
     d = cfg.drive_ratio
@@ -211,7 +213,13 @@ def _solve_node_arg(cfg: TransconductorConfig, input_arg: float, warm_start: flo
     arg_cap = _BRACKET_V / two_nut
 
     def residual(a: float) -> float:
-        return math.sinh(a) + s * a - d * math.sinh(input_arg - a)
+        try:
+            return math.sinh(a) + s * a - d * math.sinh(input_arg - a)
+        except OverflowError:
+            raise SaturationError(
+                f"node equation overflows at argument {a:.4g} (input argument "
+                f"{input_arg:.4g}); device is outside the weak-inversion model range"
+            ) from None
 
     def rel_residual(a: float, r: float) -> float:
         scale = abs(math.sinh(a)) + s * abs(a) + d * abs(math.sinh(input_arg - a))
@@ -286,8 +294,9 @@ def solve_operating_point(
     """Solve the correction network at input ``v_id`` (differential volts).
 
     Raises ``ValueError`` for invalid inputs, ``SolverError`` if the
-    iteration budget is exhausted, and a ``ValueError`` if a branch current
-    underflows to zero (bias far outside the model's validity).
+    iteration budget is exhausted, ``SaturationError`` if the node equation
+    overflows, and a ``ValueError`` if a branch current underflows to zero
+    (bias far outside the model's validity).
     """
     _check_v_id(v_id)
     dev = cfg.dev

@@ -84,6 +84,23 @@ class TestExitCodes:
         assert code == 4
         assert "runtime failure" in capsys.readouterr().err
 
+    def test_overflowing_node_equation_is_saturation(self, tmp_path, capsys):
+        # a 0.1 mV thermal voltage puts sinh of the +/-0.5 V bracket end
+        # beyond a double's range
+        code = main(
+            [
+                "dc-sweep",
+                "--config",
+                DEFAULT_INI,
+                "--out",
+                str(tmp_path / "d.csv"),
+                "--set",
+                "device.u_t_v=1e-4",
+            ]
+        )
+        assert code == 3
+        assert "overflows" in capsys.readouterr().err
+
     def test_bad_jobs_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ENCODER_SIM_JOBS", "many")
         code = main(

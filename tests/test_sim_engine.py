@@ -9,7 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from encoder_sim.bias_tuner import _cheap_solver
 from encoder_sim.neuron import NeuronConfig, NeuronState, analytic_rate, tau_m
 from encoder_sim.sim_engine import (
     EncoderConfig,
@@ -20,6 +23,7 @@ from encoder_sim.sim_engine import (
     _waveform_eval_array,
     default_solver_config,
     oracle_transient,
+    spike_count_dc,
     transient,
     waveform_eval,
 )
@@ -370,3 +374,90 @@ class TestSimulationErrorType:
         err = SimulationError("boom", 1.5e-6)
         assert err.t == 1.5e-6
         assert isinstance(err, RuntimeError)
+
+
+def stepped_count(encoder, v, t0, t1, solver=None):
+    """The reference: a full transient over [0, t1], filtered to [t0, t1)."""
+    res = transient(encoder, Waveform(kind="dc", offset=v), t1, solver, trace_every=10**9)
+    return sum(t0 <= t < t1 for t in res.spikes.times)
+
+
+# Stock nonlinear neuron (fires about 9 kHz at 0.25 V, silent at 0 V).
+NONLIN = NeuronConfig()
+
+
+@pytest.fixture(scope="module")
+def long_train():
+    enc = EncoderConfig(transconductor=TC, neuron=NONLIN)
+    t1 = 15e-3
+    return enc, t1, transient(enc, Waveform(kind="dc", offset=0.25), t1).spikes.times
+
+
+class TestSpikeCountDc:
+    @given(
+        mode=st.sampled_from(["linear", "nonlinear"]),
+        i_th=st.floats(min_value=20e-12, max_value=150e-12),
+        i_pf_gain=st.sampled_from([0.0, 0.5, 2.0]),
+        t_rf=st.sampled_from([0.0, 5e-6, 20e-6, 100e-6]),
+        pole=st.sampled_from([None, 1e-12]),
+        cheap=st.booleans(),
+        v=st.floats(min_value=-0.5, max_value=0.5),
+        t1=st.floats(min_value=3e-4, max_value=1.5e-3),
+        t0_frac=st.one_of(
+            st.just(0.0), st.floats(min_value=0.0, max_value=0.9), st.floats(0.97, 0.999)
+        ),
+    )
+    @example("nonlinear", 72e-12, 0.0, 20e-6, None, False, 0.0, 1e-3, 0.2)  # silent bias
+    @example("linear", 30e-12, 0.0, 0.0, None, False, 0.0, 1e-3, 0.0)  # t_rf = 0, t0 = 0
+    @example("nonlinear", 72e-12, 2.0, 20e-6, 1e-12, True, 0.3, 1.2e-3, 0.98)  # pole, short window
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_matches_stepping_loop(self, mode, i_th, i_pf_gain, t_rf, pole, cheap, v, t1, t0_frac):
+        neuron = NeuronConfig(i_th=i_th, i_pf_gain=i_pf_gain, t_rf=t_rf, mode=mode)
+        enc = EncoderConfig(transconductor=TC, neuron=neuron, input_pole_capacitance=pole)
+        solver = _cheap_solver(neuron) if cheap else None
+        t0 = t0_frac * t1
+        assert spike_count_dc(enc, v, t0, t1, solver) == stepped_count(enc, v, t0, t1, solver)
+
+    def test_silent_bias_counts_zero(self):
+        enc = EncoderConfig(transconductor=TC, neuron=NONLIN)
+        assert stepped_count(enc, 0.0, 0.0, 2e-3) == 0
+        assert spike_count_dc(enc, 0.0, 0.0, 2e-3) == 0
+        assert spike_count_dc(enc, -0.5, 0.0, 1.0) == 0
+
+    def test_long_window_matches_stepping_loop(self):
+        enc = EncoderConfig(transconductor=TC, neuron=NONLIN)
+        assert spike_count_dc(enc, 0.25, 2e-3, 22e-3) == stepped_count(enc, 0.25, 2e-3, 22e-3)
+
+    @pytest.mark.parametrize("offset_tols", [0.0, 0.25, 0.5, 0.999, 1.0])
+    @pytest.mark.parametrize("k", [0, 2, 9])
+    def test_window_end_within_event_tol_after_a_spike(self, k, offset_tols):
+        # Tie rule at t1: the stepped final periods give the stepping
+        # loop's own verdict on a spike cut by the last, truncated step.
+        enc = EncoderConfig(transconductor=TC, neuron=NONLIN)
+        solver = default_solver_config(NONLIN)
+        times = transient(enc, Waveform(kind="dc", offset=0.25), 1.5e-3, solver).spikes.times
+        t1 = times[k] + offset_tols * solver.event_tol
+        assert spike_count_dc(enc, 0.25, 0.0, t1, solver) == stepped_count(enc, 0.25, 0.0, t1, solver)
+
+    @pytest.mark.parametrize("k", [0, 1, 40, 120, -1])
+    def test_window_start_on_a_spike_counts_it(self, k, long_train):
+        # Tie rule at t0: a spike at exactly t0, as transient reports it,
+        # lies inside the window, whether its time comes from the stepped
+        # first interval, the closed form or the stepped final periods.
+        enc, t1, times = long_train
+        assert len(times) > 130
+        t0 = times[k]
+        expected = len(times) - k % len(times)
+        assert stepped_count(enc, 0.25, t0, t1) == expected
+        assert spike_count_dc(enc, 0.25, t0, t1) == expected
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, 0.0), (2e-3, 1e-3), (-1e-3, 1e-3), (0.0, math.inf)])
+    def test_rejects_bad_window(self, t0, t1):
+        with pytest.raises(ValueError, match="window"):
+            spike_count_dc(lin_encoder(), 0.0, t0, t1)
+
+    def test_rejects_euler_method(self):
+        with pytest.raises(ValueError, match="method"):
+            spike_count_dc(
+                lin_encoder(), 0.0, 0.0, 1e-3, SolverConfig(1e-7, 1e-9, method="euler-oracle")
+            )

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from encoder_sim.device_model import DeviceParams, SaturationError
 from encoder_sim.transconductor import (
     LinearizationSolution,
     SolverError,
@@ -125,6 +126,14 @@ class TestSolveOperatingPoint:
     def test_out_of_range_input_rejected(self, bad):
         with pytest.raises(ValueError):
             solve_operating_point(CFG, bad)
+
+    @pytest.mark.parametrize("v", [0.5, -0.5, 0.0])
+    def test_overflowing_node_equation_is_saturation(self, v):
+        # a 0.1 mV thermal voltage puts the +/-0.5 V bracket end far past
+        # the range of sinh
+        cfg = TransconductorConfig(dev=DeviceParams(u_t=1e-4))
+        with pytest.raises(SaturationError, match="overflows"):
+            solve_operating_point(cfg, v)
 
     @given(v=st.floats(min_value=-0.5, max_value=0.5), i_ref=st.floats(min_value=1e-10, max_value=1e-7))
     @settings(max_examples=150, deadline=None)
