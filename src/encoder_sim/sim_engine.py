@@ -7,6 +7,14 @@ are an artifact of the bench load), so the only dynamic state is the
 neuron's membrane current plus, optionally, a single-pole filter on the
 injected current for fidelity studies.
 
+The drive current of a dc input is solved once, exactly, with
+``neuron_input_current``. Any other input reads the transconductor's
+node-argument table (``transconductor.node_arg_table``), a cubic Hermite
+interpolant built once per config whose drive current lies within 1e-10 of
+the output quiescent current (or of the output half-swing, where larger)
+of the exact bisection root. The drive is then a pure function of t,
+evaluated once per RK4 stage time, and dc runs never build a table.
+
 Integration is fixed-step RK4. A threshold crossing inside a step is
 located by bisecting the substep length, which keeps spike times
 deterministic to the event tolerance without adaptive stepping. The
@@ -38,8 +46,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .neuron import NeuronConfig, NeuronState, membrane_derivative, tau_m
-from .transconductor import TransconductorConfig, effective_gm, solve_operating_point
+from .device_model import SaturationError
+from .neuron import NeuronConfig, NeuronState, tau_m
+from .transconductor import (
+    TransconductorConfig,
+    effective_gm,
+    neuron_input_current,
+    node_arg_table,
+)
 
 __all__ = [
     "Waveform",
@@ -238,26 +252,19 @@ class EncoderConfig:
                 raise ValueError(f"input_pole_capacitance must be positive, got {c!r}")
 
 
-class _InputCurrent:
-    """Warm-started quasi-static evaluation of the neuron drive current."""
+def _make_drive(encoder: EncoderConfig, input_wave: Waveform):
+    """Neuron drive current as a function of time, A.
 
-    def __init__(self, encoder: EncoderConfig, input_wave: Waveform) -> None:
-        self._tc = encoder.transconductor
-        self._wave = input_wave
-        self._last_node_arg: float | None = None
-        self._dc_value: float | None = None
-        if input_wave.kind == "dc":
-            self._dc_value = self._solve(waveform_eval(input_wave, 0.0))
-
-    def _solve(self, v_id: float) -> float:
-        sol = solve_operating_point(self._tc, v_id, self._last_node_arg)
-        self._last_node_arg = sol.beta - sol.alpha
-        return max(self._tc.output_quiescent + 0.5 * sol.i_out_diff, 0.0)
-
-    def __call__(self, t: float) -> float:
-        if self._dc_value is not None:
-            return self._dc_value
-        return self._solve(waveform_eval(self._wave, t))
+    A dc input is solved once, exactly. Any other input reads the
+    transconductor's node-argument table, built once per config, so the
+    drive is a pure function of t.
+    """
+    tc = encoder.transconductor
+    if input_wave.kind == "dc":
+        i_dc = neuron_input_current(tc, input_wave.offset)
+        return lambda t: i_dc
+    current = node_arg_table(tc).input_current
+    return lambda t: current(waveform_eval(input_wave, t))
 
 
 def _time_eps(t_end: float) -> float:
@@ -283,21 +290,12 @@ def _locate_crossing(crossed, h: float, event_tol: float) -> float:
     return hi
 
 
-def _rk4_step(deriv, t: float, y: float, h: float) -> float:
-    k1 = deriv(t, y)
-    k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = deriv(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _make_deriv(neuron: NeuronConfig):
+    """Membrane derivative as a function of (i_mem, i_in), A/s.
 
-
-def _make_constant_drive_step(neuron: NeuronConfig, i_in: float):
-    """Inlined RK4 step for a constant drive current.
-
-    Replicates ``membrane_derivative`` operation for operation so results
-    are bit-identical to the generic path; the inlining only removes the
-    per-stage state construction, which dominates the runtime of long
-    constant-input runs (the bias tuner issues thousands of them).
+    Replicates ``membrane_derivative`` operation for operation, with the
+    parameters bound once and no per-stage state construction; both
+    arguments must already be clamped at zero.
     """
     tau = tau_m(neuron)
     i_r = neuron.i_r
@@ -307,25 +305,61 @@ def _make_constant_drive_step(neuron: NeuronConfig, i_in: float):
 
     if neuron.mode == "linear":
 
-        def deriv(m: float) -> float:
+        def deriv(m: float, i_in: float) -> float:
             return (gain * i_in - m) / tau
 
     else:
 
-        def deriv(m: float) -> float:
+        def deriv(m: float, i_in: float) -> float:
             drive = i_in * (m / i_r) / (1.0 + m / i_g)
             i_pf = pf * m
             loss = m * (1.0 - i_pf / i_r)
             return (drive - loss) / tau
 
+    return deriv
+
+
+def _make_constant_drive_step(neuron: NeuronConfig, i_in: float):
+    """RK4 step of the membrane under a constant drive current."""
+    deriv = _make_deriv(neuron)
+
     def step(t: float, y: float, h: float) -> float:
-        k1 = deriv(y if y > 0.0 else 0.0)
+        k1 = deriv(y if y > 0.0 else 0.0, i_in)
         y2 = y + 0.5 * h * k1
-        k2 = deriv(y2 if y2 > 0.0 else 0.0)
+        k2 = deriv(y2 if y2 > 0.0 else 0.0, i_in)
         y3 = y + 0.5 * h * k2
-        k3 = deriv(y3 if y3 > 0.0 else 0.0)
+        k3 = deriv(y3 if y3 > 0.0 else 0.0, i_in)
         y4 = y + h * k3
-        k4 = deriv(y4 if y4 > 0.0 else 0.0)
+        k4 = deriv(y4 if y4 > 0.0 else 0.0, i_in)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return step
+
+
+def _make_varying_step(neuron: NeuronConfig, drive):
+    """RK4 step of the membrane under the drive current ``drive(t)``.
+
+    Stages 2 and 3 share one lookup of the drive at the half step, and a
+    step that starts where the previous one ended reuses its end value;
+    ``drive`` is a pure function of t, so the reuse changes no bit.
+    """
+    deriv = _make_deriv(neuron)
+    t_stop, i_stop = math.nan, 0.0
+
+    def step(t: float, y: float, h: float) -> float:
+        nonlocal t_stop, i_stop
+        half = 0.5 * h
+        i_start = i_stop if t == t_stop else drive(t)
+        i_mid = drive(t + half)
+        t_stop = t + h
+        i_stop = drive(t_stop)
+        k1 = deriv(y if y > 0.0 else 0.0, i_start)
+        y2 = y + half * k1
+        k2 = deriv(y2 if y2 > 0.0 else 0.0, i_mid)
+        y3 = y + half * k2
+        k3 = deriv(y3 if y3 > 0.0 else 0.0, i_mid)
+        y4 = y + h * k3
+        k4 = deriv(y4 if y4 > 0.0 else 0.0, i_stop)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     return step
@@ -356,7 +390,7 @@ def transient(
     if solver.method != "rk4":
         raise ValueError(f"transient integrates with rk4, got method {solver.method!r}")
 
-    i_in = _InputCurrent(encoder, input_wave)
+    i_in = _make_drive(encoder, input_wave)
     if encoder.input_pole_capacitance is not None:
         return _transient_with_pole(
             encoder, input_wave, t_end, solver, initial_state, trace_every, i_in
@@ -365,17 +399,7 @@ def transient(
     if input_wave.kind == "dc":
         step = _make_constant_drive_step(neuron, i_in(0.0))
     else:
-
-        def mem_deriv(tt: float, y: float) -> float:
-            drive = i_in(tt)
-            return membrane_derivative(
-                neuron,
-                NeuronState(i_mem=y if y > 0.0 else 0.0),
-                drive if drive > 0.0 else 0.0,
-            )
-
-        def step(t0: float, y0: float, h: float) -> float:
-            return _rk4_step(mem_deriv, t0, y0, h)
+        step = _make_varying_step(neuron, i_in)
 
     state = initial_state if initial_state is not None else NeuronState(i_mem=neuron.i_reset)
     i_mem = state.i_mem
@@ -441,24 +465,27 @@ def _transient_with_pole(
     solver: SolverConfig,
     initial_state: NeuronState | None,
     trace_every: int,
-    i_in: _InputCurrent,
+    i_in,
 ) -> SimResult:
     """Two-state variant: membrane current plus the filtered drive."""
     neuron = encoder.neuron
     pole_omega = effective_gm(encoder.transconductor) / encoder.input_pole_capacitance
-
-    def deriv2(tt: float, m: float, f: float) -> tuple[float, float]:
-        dm = membrane_derivative(
-            neuron, NeuronState(i_mem=m if m > 0.0 else 0.0), f if f > 0.0 else 0.0
-        )
-        df = pole_omega * (i_in(tt) - f)
-        return dm, df
+    deriv = _make_deriv(neuron)
 
     def step2(t0: float, m0: float, f0: float, h: float) -> tuple[float, float]:
-        k1m, k1f = deriv2(t0, m0, f0)
-        k2m, k2f = deriv2(t0 + 0.5 * h, m0 + 0.5 * h * k1m, f0 + 0.5 * h * k1f)
-        k3m, k3f = deriv2(t0 + 0.5 * h, m0 + 0.5 * h * k2m, f0 + 0.5 * h * k2f)
-        k4m, k4f = deriv2(t0 + h, m0 + h * k3m, f0 + h * k3f)
+        half = 0.5 * h
+        i_mid = i_in(t0 + half)
+        k1m = deriv(m0 if m0 > 0.0 else 0.0, f0 if f0 > 0.0 else 0.0)
+        k1f = pole_omega * (i_in(t0) - f0)
+        m2, f2 = m0 + half * k1m, f0 + half * k1f
+        k2m = deriv(m2 if m2 > 0.0 else 0.0, f2 if f2 > 0.0 else 0.0)
+        k2f = pole_omega * (i_mid - f2)
+        m3, f3 = m0 + half * k2m, f0 + half * k2f
+        k3m = deriv(m3 if m3 > 0.0 else 0.0, f3 if f3 > 0.0 else 0.0)
+        k3f = pole_omega * (i_mid - f3)
+        m4, f4 = m0 + h * k3m, f0 + h * k3f
+        k4m = deriv(m4 if m4 > 0.0 else 0.0, f4 if f4 > 0.0 else 0.0)
+        k4f = pole_omega * (i_in(t0 + h) - f4)
         return (
             m0 + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m),
             f0 + (h / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f),
@@ -562,7 +589,7 @@ def spike_count_dc(
     wave = Waveform(kind="dc", offset=v)
     # With a dc drive the optional input pole's filter state never moves,
     # so the plain dc step is exact for both encoder kinds.
-    step = _make_constant_drive_step(neuron, _InputCurrent(encoder, wave)(0.0))
+    step = _make_constant_drive_step(neuron, neuron_input_current(encoder.transconductor, v))
     i_th = neuron.i_th
     t_rf = neuron.t_rf
     dt = solver.dt
@@ -618,7 +645,8 @@ def _vectorized_input_current(
 
     Pure bisection on the internal node equation, vectorized over all
     samples: 80 halvings of the bracket take the node differential below
-    1e-12 V, well inside the comparison tolerances of the oracle tests.
+    1e-12 V, well inside the comparison tolerances of the oracle tests. A
+    residual that overflows a double raises ``SaturationError``.
     """
     tc = encoder.transconductor
     dev = tc.dev
@@ -626,12 +654,16 @@ def _vectorized_input_current(
     input_arg = (dev.n - 1.0) * v / (2.0 * dev.n * dev.u_t)
     s = tc.node_shunt_ratio
     d = tc.drive_ratio
-    arg_cap = 0.5 / (2.0 * dev.n * dev.u_t)
-    lo = np.full_like(input_arg, -arg_cap)
-    hi = np.full_like(input_arg, arg_cap)
+    # the root lies between 0 and input_arg, past the 0.5 V end when n > 2
+    arg_cap = np.maximum(0.5 / (2.0 * dev.n * dev.u_t), np.abs(input_arg))
+    lo = -arg_cap
+    hi = arg_cap
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        r = np.sinh(mid) + s * mid - d * np.sinh(input_arg - mid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.sinh(mid) + s * mid - d * np.sinh(input_arg - mid)
+        if not np.all(np.isfinite(r)):
+            raise SaturationError("oracle node equation overflows a double")
         below = r <= 0.0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)

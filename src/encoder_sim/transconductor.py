@@ -24,11 +24,19 @@ Both sides of the loop are odd under a joint sign flip of input and node
 arguments, and every float operation involved preserves that symmetry
 bit-exactly, so the solved transfer is odd to the last bit, not merely to
 solver tolerance.
+
+A time-varying transient needs the node argument at every integration
+stage, so ``node_arg_table`` builds, once per config, a cubic Hermite table
+of it over the full input range from the vectorized bisection
+``solve_node_args``; ``NodeArgTable.input_current`` is then a polynomial
+lookup instead of a scalar solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,14 +51,18 @@ __all__ = [
     "node_residual",
     "output_current",
     "neuron_input_current",
+    "NodeArgTable",
+    "solve_node_args",
+    "node_arg_table",
     "raw_pair_output_current",
     "effective_gm",
     "linearity_constraint_margin",
     "dc_sweep",
 ]
 
-# Bisection bracket for the node differential voltage, in volts. The root
-# always lies strictly inside: |node voltage| < (n-1)*|v_id| <= 0.1 V.
+# Supply bound on |v_id| and the half-width of the node solver's bracket,
+# in volts. The root lies between 0 and the input argument, so the bracket
+# is widened to |input_arg| where (n-1)*|v_id| exceeds it (n > 2).
 _BRACKET_V = 0.5
 
 _MAX_EVALS = 200
@@ -197,20 +209,22 @@ def node_residual(cfg: TransconductorConfig, v_id, v_node_diff):
     return residual
 
 
-def _solve_node_arg(cfg: TransconductorConfig, input_arg: float, warm_start: float | None = None):
+def _solve_node_arg(cfg: TransconductorConfig, input_arg: float):
     """Root of the normalized node equation, as (node_arg, rel_residual).
 
-    The residual r(a) = sinh(a) + s*a - d*sinh(b - a) is strictly increasing
-    with r -> -inf / +inf at the bracket ends, so bisection is safe. With a
-    symmetric bracket and an odd residual the iterates for -b mirror those
-    for +b exactly, which keeps the transfer bit-exactly odd. A residual
-    that overflows a double (a tiny thermal voltage stretches the bracket
-    past sinh's range) raises ``SaturationError``.
+    The residual r(a) = sinh(a) + s*a - d*sinh(b - a) is strictly increasing,
+    and r(0) and r(b) have opposite signs, so the root lies between 0 and b.
+    The bracket +/-max(0.5 V/(2*n*u_t), |b|) therefore holds it for any n;
+    for n <= 2 it is the fixed +/-0.5 V bracket. With a symmetric bracket
+    and an odd residual the iterates for -b mirror those for +b exactly,
+    which keeps the transfer bit-exactly odd. A residual that overflows a
+    double (a tiny thermal voltage stretches the bracket past sinh's range)
+    raises ``SaturationError``.
     """
     s = cfg.node_shunt_ratio
     d = cfg.drive_ratio
     two_nut = 2.0 * cfg.dev.n * cfg.dev.u_t
-    arg_cap = _BRACKET_V / two_nut
+    arg_cap = max(_BRACKET_V / two_nut, abs(input_arg))
 
     def residual(a: float) -> float:
         try:
@@ -222,33 +236,14 @@ def _solve_node_arg(cfg: TransconductorConfig, input_arg: float, warm_start: flo
             ) from None
 
     def rel_residual(a: float, r: float) -> float:
+        # Below the smallest normal double the residual is quantized in
+        # steps comparable to the terms themselves, so the scale is floored.
         scale = abs(math.sinh(a)) + s * abs(a) + d * abs(math.sinh(input_arg - a))
-        return abs(r) / scale if scale > 0.0 else abs(r)
-
-    evals = 0
-
-    # A warm start (previous time step's solution) usually lands within a
-    # few Newton steps of the root; fall back to the full bracket if it
-    # wanders or the budget for the cheap attempt runs out.
-    if warm_start is not None and abs(warm_start) < arg_cap:
-        a = warm_start
-        for _ in range(12):
-            r = residual(a)
-            evals += 1
-            if rel_residual(a, r) < _RESIDUAL_REL_TOL:
-                return a, rel_residual(a, r)
-            slope = math.cosh(a) + s + d * math.cosh(input_arg - a)
-            step = r / slope
-            a_next = a - step
-            if abs(a_next) >= arg_cap:
-                break
-            if abs(step) * two_nut < _X_TOL_V:
-                return a_next, rel_residual(a_next, residual(a_next))
-            a = a_next
+        return abs(r) / max(scale, sys.float_info.min)
 
     lo, hi = -arg_cap, arg_cap
     r_lo = residual(lo)
-    evals += 1
+    evals = 1
     if r_lo > 0.0:
         raise SolverError("node equation has no sign change on the bracket", rel_residual(lo, r_lo))
 
@@ -288,9 +283,7 @@ def _solve_node_arg(cfg: TransconductorConfig, input_arg: float, warm_start: flo
 _NODE_COMMON_MODE_V = 0.25
 
 
-def solve_operating_point(
-    cfg: TransconductorConfig, v_id: float, _warm_start_arg: float | None = None
-) -> LinearizationSolution:
+def solve_operating_point(cfg: TransconductorConfig, v_id: float) -> LinearizationSolution:
     """Solve the correction network at input ``v_id`` (differential volts).
 
     Raises ``ValueError`` for invalid inputs, ``SolverError`` if the
@@ -301,7 +294,7 @@ def solve_operating_point(
     _check_v_id(v_id)
     dev = cfg.dev
     input_arg = _input_argument(cfg, v_id)
-    node_arg, _ = _solve_node_arg(cfg, input_arg, _warm_start_arg)
+    node_arg, _ = _solve_node_arg(cfg, input_arg)
     out_arg = input_arg - node_arg
 
     i_nd = cfg.branch_quiescent
@@ -337,17 +330,170 @@ def output_current(cfg: TransconductorConfig, v_id: float) -> float:
     return solve_operating_point(cfg, v_id).i_out_diff
 
 
-def neuron_input_current(
-    cfg: TransconductorConfig, v_id: float, _warm_start_arg: float | None = None
-) -> float:
+def neuron_input_current(cfg: TransconductorConfig, v_id: float) -> float:
     """Single-ended current delivered to the neuron, A.
 
     One output branch is mirrored onto the neuron input, so the neuron sees
     the quiescent output current plus half the differential swing, floored
     at zero (the mirror cannot pull current out of the node).
     """
-    sol = solve_operating_point(cfg, v_id, _warm_start_arg)
+    sol = solve_operating_point(cfg, v_id)
     return max(cfg.output_quiescent + 0.5 * sol.i_out_diff, 0.0)
+
+
+def solve_node_args(cfg: TransconductorConfig, beta) -> np.ndarray:
+    """Node arguments for an array of input arguments, by bisection.
+
+    Solves sinh(a) + s*a = d*sinh(beta - a) elementwise. Each root is
+    bracketed on [min(0, beta), max(0, beta)], solved at |beta| with its
+    sign restored afterwards, and halved until the bracket ends are
+    adjacent doubles, so the result is odd in ``beta`` bit for bit. A
+    residual that overflows a double raises ``SaturationError``.
+    """
+    b = np.asarray(beta, dtype=float)
+    s = cfg.node_shunt_ratio
+    d = cfg.drive_ratio
+    b_abs = np.abs(b)
+    lo = np.zeros_like(b)
+    hi = b_abs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_EVALS):
+            mid = 0.5 * (lo + hi)
+            if np.all((mid == lo) | (mid == hi)):
+                break
+            r = np.sinh(mid) + s * mid - d * np.sinh(b_abs - mid)
+            if not np.all(np.isfinite(r)):
+                raise SaturationError(
+                    f"node equation overflows for input arguments up to {np.max(b_abs):.4g}; "
+                    "device is outside the weak-inversion model range"
+                )
+            below = r <= 0.0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        else:
+            raise SolverError(f"node bisection did not close within {_MAX_EVALS} halvings", 0.0)
+    return np.copysign(0.5 * (lo + hi), b)
+
+
+# Drive-table accuracy rule: the worst error of sinh(beta - alpha) at the
+# interval midpoints, in units of the output quiescent current or of the
+# output half-swing where that is larger, and the interval counts tried.
+_TABLE_TOL = 1e-10
+_TABLE_MIN_INTERVALS = 256
+_TABLE_MAX_INTERVALS = 2**16
+
+
+@dataclass(frozen=True)
+class NodeArgTable:
+    """Cubic Hermite table of the node argument over the full input range.
+
+    Interval k covers |beta| in [k, k+1] / ``scale`` and holds the
+    coefficients of alpha = c0 + u*(c1 + u*(c2 + u*c3)) in its local
+    coordinate u. Build it with ``node_arg_table``.
+    """
+
+    n1: float  # n - 1
+    two_nut: float  # 2*n*u_t
+    output_quiescent: float
+    scale: float  # intervals per unit of |beta|
+    coeffs: tuple[tuple[float, float, float, float], ...]
+
+    def node_arg(self, beta: float) -> float:
+        """Interpolated node argument; evaluated at |beta|, so odd bit for bit."""
+        x = abs(beta) * self.scale
+        k = min(int(x), len(self.coeffs) - 1)
+        u = x - k
+        c0, c1, c2, c3 = self.coeffs[k]
+        a = c0 + u * (c1 + u * (c2 + u * c3))
+        return -a if beta < 0.0 else a
+
+    def input_current(self, v_id: float) -> float:
+        """``neuron_input_current`` from the table; |v_id| <= 0.5 V, unchecked.
+
+        Equals max(i_q + i_q*sinh(beta - node_arg(beta)), 0) bit for bit;
+        the lookup is written out because this runs on every RK4 stage.
+        """
+        beta = self.n1 * v_id / self.two_nut
+        x = abs(beta) * self.scale
+        k = min(int(x), len(self.coeffs) - 1)
+        u = x - k
+        c0, c1, c2, c3 = self.coeffs[k]
+        a = c0 + u * (c1 + u * (c2 + u * c3))
+        i_q = self.output_quiescent
+        return max(i_q + i_q * math.sinh(beta + a if beta < 0.0 else beta - a), 0.0)
+
+
+def _hermite_coeffs(cfg: TransconductorConfig, beta, alpha, step: float) -> np.ndarray:
+    """Per-interval Hermite coefficients, one row (c0, c1, c2, c3) each.
+
+    Node slopes come from the implicit derivative of the node equation,
+    d alpha/d beta = d*cosh(beta - alpha)/(cosh(alpha) + s + d*cosh(beta - alpha)).
+    """
+    d = cfg.drive_ratio
+    pull = d * np.cosh(beta - alpha)
+    hm = step * pull / (np.cosh(alpha) + cfg.node_shunt_ratio + pull)
+    rise = np.diff(alpha)
+    return np.column_stack(
+        (
+            alpha[:-1],
+            hm[:-1],
+            3.0 * rise - 2.0 * hm[:-1] - hm[1:],
+            -2.0 * rise + hm[:-1] + hm[1:],
+        )
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def node_arg_table(cfg: TransconductorConfig) -> NodeArgTable:
+    """The node-argument table of ``cfg`` over |v_id| <= 0.5 V.
+
+    Nodes are uniform in |beta|. Starting from 256 intervals, the count is
+    doubled until the interpolant, checked at every interval midpoint
+    against ``solve_node_args``, gives sinh(beta - alpha) within 1e-10 of
+    max(1, |sinh(beta - alpha)|): within 1e-10 of ``output_quiescent`` in
+    the neuron drive current, or of the half-swing where that is larger,
+    since a double carries no absolute 1e-10 once sinh exceeds about 1e5.
+    Past 2**16 intervals it raises ``SolverError``; an overflowing node
+    equation raises ``SaturationError``.
+    """
+    beta_max = _input_argument(cfg, _BRACKET_V)
+    n = _TABLE_MIN_INTERVALS
+    nodes = np.arange(n + 1) * (beta_max / n)
+    alpha = solve_node_args(cfg, nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            step = beta_max / n
+            mids = np.arange(1, 2 * n, 2) * (beta_max / (2 * n))
+            alpha_mid = solve_node_args(cfg, mids)
+            coeffs = _hermite_coeffs(cfg, nodes, alpha, step)
+            c0, c1, c2, c3 = coeffs.T
+            exact = np.sinh(mids - alpha_mid)
+            err = np.abs(np.sinh(mids - (c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * c3)))) - exact)
+            worst = np.max(err / np.maximum(1.0, np.abs(exact)))
+            if not np.isfinite(worst):
+                raise SaturationError(
+                    f"drive table overflows at input argument {beta_max:.4g}; "
+                    "device is outside the weak-inversion model range"
+                )
+            if worst <= _TABLE_TOL:
+                break
+            if 2 * n > _TABLE_MAX_INTERVALS:
+                raise SolverError(
+                    f"drive table misses its {_TABLE_TOL:g} bound at {n} intervals", worst
+                )
+            # The midpoints of this grid are the odd nodes of the next one.
+            nodes = np.arange(2 * n + 1) * (beta_max / (2 * n))
+            merged = np.empty(2 * n + 1)
+            merged[0::2], merged[1::2] = alpha, alpha_mid
+            alpha = merged
+            n *= 2
+    return NodeArgTable(
+        n1=cfg.dev.n - 1.0,
+        two_nut=2.0 * cfg.dev.n * cfg.dev.u_t,
+        output_quiescent=cfg.output_quiescent,
+        scale=n / beta_max,
+        coeffs=tuple(map(tuple, coeffs.tolist())),
+    )
 
 
 def raw_pair_output_current(cfg: TransconductorConfig, v_id: float) -> float:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from encoder_sim import sim_engine
 from encoder_sim.cli import (
     apply_overrides,
     build_encoder,
@@ -96,6 +97,46 @@ class TestExitCodes:
                 str(tmp_path / "d.csv"),
                 "--set",
                 "device.u_t_v=1e-4",
+            ]
+        )
+        assert code == 3
+        assert "overflows" in capsys.readouterr().err
+
+    def test_node_root_outside_the_half_volt_bracket(self, tmp_path):
+        # at n = 3 the node root for +/-0.5 V lies past 0.5 V/(2*n*u_t)
+        code = main(
+            [
+                "dc-sweep",
+                "--config",
+                DEFAULT_INI,
+                "--out",
+                str(tmp_path / "d.csv"),
+                "--quiet",
+                "--set",
+                "device.n=3",
+            ]
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize("v", ["0.5", "-0.5"])
+    def test_mirror_inputs_saturate_alike(self, tmp_path, capsys, v):
+        code = main(
+            [
+                "transient",
+                "--config",
+                DEFAULT_INI,
+                "--out",
+                str(tmp_path / "t.csv"),
+                "--set",
+                "device.n=3",
+                "--set",
+                "device.u_t_v=2e-4",
+                "--set",
+                "transient.kind=dc",
+                "--set",
+                "transient.amplitude_v=0",
+                "--set",
+                f"transient.offset_v={v}",
             ]
         )
         assert code == 3
@@ -249,6 +290,31 @@ class TestGoldenFiles:
         )
         assert code == 0
         assert out.read_bytes() == (GOLDEN / "vf_curve_default.csv").read_bytes()
+
+
+class TestDcRunsBuildNoTable:
+    def test_dc_commands(self, tmp_path, monkeypatch):
+        def no_table(cfg):
+            raise AssertionError("a dc run built a node-argument table")
+
+        monkeypatch.setattr(sim_engine, "node_arg_table", no_table)
+        common = ["--config", DEFAULT_INI, "--quiet"]
+        dc_transient = [
+            "transient",
+            "--out",
+            str(tmp_path / "t.csv"),
+            "--set",
+            "transient.kind=dc",
+            "--set",
+            "transient.amplitude_v=0",
+            "--set",
+            "transient.t_end_s=1e-3",
+        ]
+        assert main(dc_transient + common) == 0
+        assert main(["vf-curve", "--out", str(tmp_path / "v.csv"), "--jobs", "1"] + common) == 0
+        tune = ["tune", "--out", str(tmp_path / "u.csv")]
+        tune += ["--set", "tune.variables=i_th", "--set", "tune.budget=6"]
+        assert main(tune + common) == 0
 
 
 class TestTuneCommand:

@@ -6,20 +6,33 @@ independent Euler oracle instead.
 """
 
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from encoder_sim import sim_engine
 from encoder_sim.bias_tuner import _cheap_solver
-from encoder_sim.neuron import NeuronConfig, NeuronState, analytic_rate, tau_m
+from encoder_sim.device_model import DeviceParams, SaturationError
+from encoder_sim.neuron import (
+    NeuronConfig,
+    NeuronState,
+    analytic_rate,
+    membrane_derivative,
+    tau_m,
+)
 from encoder_sim.sim_engine import (
     EncoderConfig,
     SimulationError,
     SolverConfig,
     SpikeTrain,
     Waveform,
+    _make_drive,
+    _make_varying_step,
+    _vectorized_input_current,
     _waveform_eval_array,
     default_solver_config,
     oracle_transient,
@@ -325,6 +338,29 @@ class TestOracleAgreement:
         for ta, tb in zip(rk.spikes.times, eu.spikes.times):
             assert abs(ta - tb) <= 1e-3 * tb
 
+    def test_oracle_drive_matches_exact_solve(self):
+        # n = 3 puts the node root for |v| near 0.5 V past 0.5 V/(2*n*u_t)
+        for n in (1.2, 3.0):
+            tc = TransconductorConfig(dev=DeviceParams(n=n))
+            enc = EncoderConfig(transconductor=tc, neuron=LIN)
+            wave = Waveform(kind="pwl", breakpoints=((0.0, -0.5), (1.0, 0.5)))
+            times = np.linspace(0.0, 1.0, 21)
+            drive = _vectorized_input_current(enc, wave, times)
+            for t, got in zip(times, drive):
+                want = neuron_input_current(tc, float(t) - 0.5)
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-12 * tc.output_quiescent)
+
+    def test_oracle_overflow_is_saturation(self):
+        # a 0.1 mV thermal voltage overflows sinh inside the oracle's
+        # bisection; that must be a typed error, not a numpy warning
+        tc = TransconductorConfig(dev=DeviceParams(u_t=1e-4))
+        enc = EncoderConfig(transconductor=tc, neuron=LIN)
+        wave = Waveform(kind="sine", amplitude=0.2, offset=0.0, frequency=1e4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SaturationError, match="overflows"):
+                oracle_transient(enc, wave, 1e-4, 1e-7)
+
     def test_oracle_rejects_pole(self):
         enc = EncoderConfig(transconductor=TC, neuron=LIN, input_pole_capacitance=1e-12)
         with pytest.raises(ValueError, match="pole"):
@@ -367,6 +403,62 @@ class TestInputPole:
         flat = transient(lin_encoder(), Waveform(kind="dc", offset=0.0), 4e-4)
         assert filtered.spikes.times[0] == pytest.approx(flat.spikes.times[0], rel=1e-3)
         assert abs(strong.spikes.times[0] - flat.spikes.times[0]) > 1e-3 * flat.spikes.times[0]
+
+
+class TestDrive:
+    def test_varying_drive_is_a_pure_function_of_time(self):
+        enc = lin_encoder()
+        wave = Waveform(kind="triangle", amplitude=0.3, offset=0.1, frequency=750.0)
+        times = [k * 1.37e-6 for k in range(400)]
+        drive = _make_drive(enc, wave)
+        in_order = [drive(t) for t in times]
+        shuffled = list(enumerate(times))
+        random.Random(3).shuffle(shuffled)
+        drive = _make_drive(enc, wave)
+        again = {k: drive(t) for k, t in shuffled}
+        assert [again[k] for k in range(len(times))] == in_order
+
+    def test_trace_reports_the_drive_it_integrates(self):
+        enc = lin_encoder()
+        wave = Waveform(kind="sine", amplitude=0.2, offset=0.05, frequency=3000.0)
+        res = transient(enc, wave, 4e-4, trace_every=3)
+        drive = _make_drive(enc, wave)
+        assert [row[2] for row in res.trace] == [drive(row[0]) for row in res.trace]
+
+    def test_varying_step_is_plain_rk4(self):
+        # The step reuses the drive at its start when the previous step
+        # ended there; any call order must give the textbook RK4 bits.
+        neuron = NeuronConfig(i_pf_gain=0.5)
+        enc = EncoderConfig(transconductor=TC, neuron=neuron)
+        drive = _make_drive(enc, Waveform(kind="sine", amplitude=0.3, frequency=4e3))
+        step = _make_varying_step(neuron, drive)
+
+        def f(t, y):
+            return membrane_derivative(neuron, NeuronState(i_mem=max(y, 0.0)), drive(t))
+
+        def rk4(t, y, h):
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = f(t + h, y + h * k3)
+            return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        calls = [(0.0, 1e-12, 1e-6), (1e-6, 9e-12, 1e-6), (1e-6, 9e-12, 3e-7), (1e-6, 9e-12, 1e-6)]
+        calls += [(2e-6, 3e-11, 1e-6), (5e-6, 0.0, 2e-6), (7e-6, 7e-11, 1e-6)]
+        for t, y, h in calls:
+            assert step(t, y, h) == rk4(t, y, h)
+
+    def test_dc_drive_is_the_exact_solve(self, monkeypatch):
+        def no_table(cfg):
+            raise AssertionError("a dc drive built a node-argument table")
+
+        monkeypatch.setattr(sim_engine, "node_arg_table", no_table)
+        enc = lin_encoder(LIN_RF)
+        assert _make_drive(enc, Waveform(kind="dc", offset=0.2))(1e-3) == (
+            neuron_input_current(TC, 0.2)
+        )
+        assert len(transient(enc, Waveform(kind="dc", offset=0.2), 3e-4).spikes) > 3
+        assert spike_count_dc(enc, 0.2, 1e-4, 3e-4) > 0
 
 
 class TestSimulationErrorType:

@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from encoder_sim import transconductor
 from encoder_sim.device_model import DeviceParams, SaturationError
 from encoder_sim.transconductor import (
     LinearizationSolution,
@@ -23,9 +24,11 @@ from encoder_sim.transconductor import (
     effective_gm,
     linearity_constraint_margin,
     neuron_input_current,
+    node_arg_table,
     node_residual,
     output_current,
     raw_pair_output_current,
+    solve_node_args,
     solve_operating_point,
 )
 
@@ -115,12 +118,6 @@ class TestSolveOperatingPoint:
             assert neg.i_out_diff == pytest.approx(-pos.i_out_diff, rel=1e-12)
             assert neg.i_3a == pytest.approx(pos.i_3b, rel=1e-12)
             assert neg.i_4a == pytest.approx(pos.i_4b, rel=1e-12)
-
-    def test_warm_start_matches_cold_start(self):
-        for v in np.linspace(-0.45, 0.45, 19):
-            cold = solve_operating_point(CFG, float(v))
-            warm = solve_operating_point(CFG, float(v), _warm_start_arg=0.8 * cold.beta)
-            assert warm.i_out_diff == pytest.approx(cold.i_out_diff, rel=1e-9, abs=1e-24)
 
     @pytest.mark.parametrize("bad", [0.51, -0.6, math.nan, math.inf])
     def test_out_of_range_input_rejected(self, bad):
@@ -310,3 +307,96 @@ def test_property_solution_internally_consistent(v):
     i_drv = CFG.drive_ratio * CFG.branch_quiescent
     assert sol.i_4a == pytest.approx(i_drv * math.exp(sol.alpha), rel=1e-9)
     assert sol.i_4b == pytest.approx(i_drv * math.exp(-sol.alpha), rel=1e-9)
+
+
+def _input_arg(cfg, v):
+    return (cfg.dev.n - 1.0) * v / (2.0 * cfg.dev.n * cfg.dev.u_t)
+
+
+class TestSolveNodeArgs:
+    def test_matches_scalar_solver_and_is_odd(self):
+        v = np.linspace(-0.5, 0.5, 41)
+        beta = _input_arg(CFG, v)
+        alpha = solve_node_args(CFG, beta)
+        assert np.array_equal(solve_node_args(CFG, -beta), -alpha)
+        assert alpha[20] == 0.0
+        for vk, bk, ak in zip(v, beta, alpha):
+            sol = solve_operating_point(CFG, float(vk))
+            assert ak == pytest.approx(bk - sol.alpha, rel=1e-9, abs=1e-15)
+            if bk:
+                assert 0.0 < ak / bk < 1.0  # the root lies between 0 and beta
+
+    def test_root_to_adjacent_doubles(self):
+        # bisection runs until the bracket cannot shrink, so the residual
+        # changes sign within one ulp of the returned root
+        beta = np.array([1e-6, 0.3, 1.7, 20.0])
+        alpha = solve_node_args(CFG, beta)
+        s, d = CFG.node_shunt_ratio, CFG.drive_ratio
+        for b, a in zip(beta, alpha):
+            lo, hi = np.nextafter(a, -np.inf), np.nextafter(a, np.inf)
+            r = lambda x: math.sinh(x) + s * x - d * math.sinh(b - x)  # noqa: E731
+            assert r(lo) <= 0.0 <= r(hi)
+
+    def test_overflow_is_saturation(self):
+        with pytest.raises(SaturationError, match="overflows"):
+            solve_node_args(CFG, np.array([0.1, 3000.0]))
+
+
+class TestNodeArgTable:
+    def test_default_config_needs_the_starting_grid(self):
+        table = node_arg_table(CFG)
+        assert len(table.coeffs) == 256
+        assert node_arg_table(CFG) is table
+
+    def test_drive_overflow_is_saturation(self):
+        # n = 3 at 0.1 mV puts beta near 1667 at 0.5 V, and the root near
+        # beta/2 is past sinh's range
+        cfg = TransconductorConfig(dev=DeviceParams(n=3.0, u_t=1e-4))
+        with pytest.raises(SaturationError, match="overflows"):
+            node_arg_table(cfg)
+
+    def test_bound_never_met_is_solver_error(self, monkeypatch):
+        monkeypatch.setattr(transconductor, "_TABLE_TOL", 0.0)
+        cfg = TransconductorConfig(i_ref=7e-9)
+        node_arg_table.cache_clear()
+        try:
+            with pytest.raises(SolverError, match="65536 intervals"):
+                node_arg_table(cfg)
+        finally:
+            node_arg_table.cache_clear()
+
+    @given(
+        n=st.floats(min_value=1.0, max_value=3.0, exclude_min=True),
+        u_t=st.floats(min_value=5e-3, max_value=40e-3),
+        drive_ratio=st.floats(min_value=0.05, max_value=200.0),
+        node_shunt_ratio=st.floats(min_value=0.0, max_value=100.0),
+        v=st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=8, max_size=8),
+    )
+    @example(3.0, 5e-3, 0.05, 0.0, [0.5, 0.31, 0.02, -1e-9, 0.0, -0.25, 0.49, -0.37])
+    @example(3.0, 5e-3, 200.0, 100.0, [0.5, 0.31, 0.02, -1e-9, 0.0, -0.25, 0.49, -0.37])
+    @example(2.5, 5e-3, 6.368, 1.0, [0.5, 0.31, 0.02, -1e-9, 0.0, -0.25, 0.49, -0.37])
+    @example(1.2, 25e-3, 6.368, 1.0, [0.3, -0.3, 0.15, -0.1, 1e-3, 0.0, 0.45, -0.05])
+    @example(2.0, 0.0234375, 1.0, 0.0, [0.0] * 7 + [5e-324])  # subnormal input, no shunt
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_property_table_accuracy(self, n, u_t, drive_ratio, node_shunt_ratio, v):
+        cfg = TransconductorConfig(
+            dev=DeviceParams(n=n, u_t=u_t),
+            drive_ratio=drive_ratio,
+            node_shunt_ratio=node_shunt_ratio,
+        )
+        table = node_arg_table(cfg)
+        i_q = cfg.output_quiescent
+        beta = _input_arg(cfg, np.array(v + [0.5, -0.5]))
+        exact = np.sinh(beta - solve_node_args(cfg, beta))
+        for vk, bk, ek in zip(v + [0.5, -0.5], beta.tolist(), exact.tolist()):
+            a = table.node_arg(bk)
+            # odd to the last bit, in node argument
+            assert table.node_arg(-bk) == -a
+            # the hot-loop lookup is the node_arg formula, bit for bit
+            got = table.input_current(vk)
+            assert got == max(i_q + i_q * math.sinh(bk - a), 0.0)
+            # within the table's own bound of the vectorized root, and of
+            # the scalar solver, whose 1e-9 residual tolerance dominates
+            scale = max(1.0, abs(ek))
+            assert abs(math.sinh(bk - a) - ek) <= 1e-10 * scale
+            assert abs(got - neuron_input_current(cfg, vk)) <= 1e-8 * i_q * scale
