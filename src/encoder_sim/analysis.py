@@ -9,7 +9,6 @@ model split into static bias branches and a capacitive switching term.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,12 +148,6 @@ def _fit_line(vs: np.ndarray, rates: np.ndarray) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def _count_spikes_at_dc(args) -> int:
-    """Pool-friendly worker: spike count over the measure gate at one bias."""
-    encoder, v, settle_time, t_end, solver = args
-    return spike_count_dc(encoder, v, settle_time, t_end, solver)
-
-
 def _curve_from_rates(
     grid: list[float],
     rates: list[float],
@@ -205,7 +198,6 @@ def vf_curve(
     measure_time: float,
     window: tuple[float, float],
     solver: SolverConfig | None = None,
-    jobs: int = 1,
 ) -> VFCurve:
     """Measure rate at each dc input and fit a line over the window.
 
@@ -218,8 +210,7 @@ def vf_curve(
     spikes on the window edges). Points inside the window with fewer than
     5 spikes are flagged and left out of the fit; the midpoint of the
     window must produce at least 20 spikes or the protocol itself is
-    rejected as underpowered. Grid points are independent, so jobs > 1
-    fans them out over worker processes.
+    rejected as underpowered.
     """
     grid = [float(v) for v in v_grid]
     if len(grid) < 2:
@@ -233,16 +224,9 @@ def vf_curve(
     v_lo, v_hi = float(window[0]), float(window[1])
     if not v_lo < v_hi:
         raise ValueError(f"window must satisfy v_lo < v_hi, got {window!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
 
     t_end = settle_time + measure_time
-    tasks = [(encoder, v, settle_time, t_end, solver) for v in grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            counts = list(pool.map(_count_spikes_at_dc, tasks))
-    else:
-        counts = [_count_spikes_at_dc(t) for t in tasks]
+    counts = [spike_count_dc(encoder, v, settle_time, t_end, solver) for v in grid]
     rates = [n / measure_time for n in counts]
     return _curve_from_rates(grid, rates, counts, (v_lo, v_hi))
 

@@ -23,13 +23,12 @@ import numpy as np
 
 from .analysis import (
     UndersampledError,
-    _count_spikes_at_dc,
     _curve_from_rates,
     power_estimate,
     vf_curve,
 )
 from .neuron import tau_m
-from .sim_engine import EncoderConfig, SolverConfig
+from .sim_engine import EncoderConfig, SolverConfig, spike_count_dc
 
 __all__ = [
     "TuneSpec",
@@ -182,9 +181,7 @@ def objective_negative_linear_range(
     """
     solver = solver if solver is not None else _cheap_solver(encoder.neuron)
     t_end = settle_time + measure_time
-    counts = [
-        _count_spikes_at_dc((encoder, v, settle_time, t_end, solver)) for v in _RANGE_GRID
-    ]
+    counts = [spike_count_dc(encoder, v, settle_time, t_end, solver) for v in _RANGE_GRID]
     rates = [n / measure_time for n in counts]
     best = 0.0
     n = len(_RANGE_GRID)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -194,6 +193,13 @@ def build_encoder(cp: configparser.ConfigParser) -> EncoderConfig:
     tc = TransconductorConfig(dev=dev, **tc_kw)
 
     neuron_raw = _read_section(cp, "neuron", _NEURON_SCHEMA)
+    # The neuron's devices are the transconductor's: [device] sets n and
+    # u_t for both, and a [neuron] value may only repeat it.
+    for key, shared in (("n", dev.n), ("u_t_v", dev.u_t)):
+        if neuron_raw.setdefault(key, shared) != shared:
+            raise ValueError(
+                f"neuron.{key} = {neuron_raw[key]!r} differs from device.{key} = {shared!r}"
+            )
     voltage_keys = [k for k in _VOLTAGE_BIAS_KEYS if k in neuron_raw]
     if voltage_keys:
         if len(voltage_keys) != len(_VOLTAGE_BIAS_KEYS):
@@ -371,7 +377,6 @@ def _cmd_vf_curve(cp, args) -> int:
         sec["measure_time_s"],
         window,
         solver=_build_solver(cp),
-        jobs=_resolve_jobs(args),
     )
     flagged = set(curve.flagged)
     rows = [
@@ -548,23 +553,6 @@ _COMMAND_FNS = {
 }
 
 
-def _resolve_jobs(args) -> int:
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        env = os.environ.get("ENCODER_SIM_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError as exc:
-                raise UsageError(f"ENCODER_SIM_JOBS={env!r} is not an integer") from exc
-        else:
-            jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="encoder-sim",
@@ -582,13 +570,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override a declared config key (repeatable)",
     )
     parser.add_argument("--out", help="output CSV path (default: <command>.csv)")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for per-point sweeps "
-        "(default: ENCODER_SIM_JOBS or the logical core count)",
-    )
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
     return parser
 

@@ -15,6 +15,19 @@ the output quiescent current (or of the output half-swing, where larger)
 of the exact bisection root. The drive is then a pure function of t,
 evaluated once per RK4 stage time, and dc runs never build a table.
 
+A run of consecutive full steps reads its drive in blocks: once the run
+is 16 steps long, one bulk call evaluates the drive at the start and the
+midpoint of each of the next steps, as many as the run has had, up to
+256. The block's step times are summed in sequence by
+``np.add.accumulate``, exactly as the loop's ``t += h`` sums them. The
+bulk evaluators (``_waveform_eval_bulk``, ``NodeArgTable.input_currents``)
+repeat the scalar operations in the same order, with numpy only for what
+IEEE rounds correctly (arithmetic, floor, comparisons, where, indexing)
+and sin and sinh taken per element with ``math``, since numpy's may round
+differently. So a block holds the scalar drive bit for bit, and the
+blocks change no result. Bisection substeps, the step cut short at the
+end, the first steps of a run and the trace rows call the scalar drive.
+
 Integration is fixed-step RK4. A threshold crossing inside a step is
 located by bisecting the substep length, which keeps spike times
 deterministic to the event tolerance without adaptive stepping. The
@@ -73,6 +86,13 @@ _KINDS = ("dc", "sine", "triangle", "pwl")
 _SUPPLY_V = 0.5
 # trace_every large enough that a run keeps only its first and final sample
 _NO_TRACE = 10**9
+# Drive blocks: a run of consecutive full RK4 steps reads its drive from
+# blocks once it is _DRIVE_BLOCK_MIN steps long, each block as long as the
+# run so far and at most _DRIVE_BLOCK_STEPS. A shorter block costs more per
+# step than the scalar drive, and a cap of 64 or 1024 was slower than 256
+# on a triangle transient.
+_DRIVE_BLOCK_MIN = 16
+_DRIVE_BLOCK_STEPS = 256
 
 
 class SimulationError(RuntimeError):
@@ -156,6 +176,38 @@ def waveform_eval(w: Waveform, t: float) -> float:
     t0, v0 = w.breakpoints[k]
     t1, v1 = w.breakpoints[k + 1]
     return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+
+def _waveform_eval_bulk(w: Waveform, t: np.ndarray) -> np.ndarray:
+    """``waveform_eval`` at every element of ``t``, bit for bit; not for dc.
+
+    Repeats its operations in the same order, with numpy only where IEEE
+    rounds correctly and sin taken per element with ``math.sin``. Times
+    must be finite and nonnegative; only the pwl start is checked. The
+    oracle keeps its own ``_waveform_eval_array``, so that it shares no
+    code with this production path.
+    """
+    if w.kind == "pwl":
+        times = np.array([bp[0] for bp in w.breakpoints])
+        volts = np.array([bp[1] for bp in w.breakpoints])
+        if np.any(t < times[0]):
+            raise ValueError(f"a time precedes the first pwl breakpoint at {times[0]!r}")
+        if len(times) == 1:
+            return np.full(t.shape, volts[0])
+        k = np.minimum(np.searchsorted(times, t, side="right") - 1, len(times) - 2)
+        t0, v0, t1, v1 = times[k], volts[k], times[k + 1], volts[k + 1]
+        return np.where(t >= times[-1], volts[-1], v0 + (v1 - v0) * (t - t0) / (t1 - t0))
+    phase = t * w.frequency
+    phase -= np.floor(phase)
+    if w.kind == "sine":
+        angle = (2.0 * math.pi * phase).tolist()
+        return w.offset + w.amplitude * np.fromiter(map(math.sin, angle), float, len(angle))
+    shape = np.where(
+        phase < 0.25,
+        4.0 * phase,
+        np.where(phase < 0.75, 2.0 - 4.0 * phase, 4.0 * phase - 4.0),
+    )
+    return w.offset + w.amplitude * shape
 
 
 def _waveform_eval_array(w: Waveform, t: np.ndarray) -> np.ndarray:
@@ -267,6 +319,18 @@ def _make_drive(encoder: EncoderConfig, input_wave: Waveform):
     return lambda t: current(waveform_eval(input_wave, t))
 
 
+def _make_drive_block(encoder: EncoderConfig, input_wave: Waveform):
+    """Bulk form of ``_make_drive``: the drive at an array of times, A.
+
+    Equals ``_make_drive``'s drive at every element bit for bit. None for a
+    dc input, whose drive is one constant.
+    """
+    if input_wave.kind == "dc":
+        return None
+    currents = node_arg_table(encoder.transconductor).input_currents
+    return lambda times: currents(_waveform_eval_bulk(input_wave, times))
+
+
 def _time_eps(t_end: float) -> float:
     """Time below which a leftover refractory period or step is dropped."""
     return 1e-15 * max(t_end, 1.0)
@@ -336,23 +400,82 @@ def _make_constant_drive_step(neuron: NeuronConfig, i_in: float):
     return step
 
 
-def _make_varying_step(neuron: NeuronConfig, drive):
-    """RK4 step of the membrane under the drive current ``drive(t)``.
+def _make_stage_drive(drive, drive_block, dt: float, t_end: float):
+    """The drive at the start, middle and end of an RK4 step.
 
-    Stages 2 and 3 share one lookup of the drive at the half step, and a
-    step that starts where the previous one ended reuses its end value;
-    ``drive`` is a pure function of t, so the reuse changes no bit.
+    Returns ``stage_drive(t, h) -> (drive(t), drive(t + h/2), drive(t + h))``.
+    Full steps (h == dt) that each start where the previous step ended form
+    a run. Once a run is ``_DRIVE_BLOCK_MIN`` steps long, its next steps
+    read a block: the drive at the next full steps, as many as the run so
+    far, at most ``_DRIVE_BLOCK_STEPS`` and no further than t_end,
+    evaluated in one ``drive_block`` call. A block thus grows with its run,
+    and a spike, which ends the run, wastes at most as many steps as the
+    run had. The block's step times come from ``np.add.accumulate``, which
+    sums in sequence like the loop's ``t += h``, so they are the loop's
+    times bit for bit, and so is every drive value, ``drive_block`` being
+    ``drive`` in bulk. Any other step (a bisection substep, the step cut
+    short at t_end, a step early in its run) calls ``drive``, reusing the
+    value at its start when the previous step started or ended there.
+    Without ``drive_block`` every step does so.
     """
-    deriv = _make_deriv(neuron)
+    if drive_block is None:
+        dt = math.nan  # no step is a full step
+    half_dt = 0.5 * dt
+    min_span = _DRIVE_BLOCK_MIN * dt
+    times: list[float] = []
+    at: list[float] = []
+    mid: list[float] = []
+    n = 0  # full steps in the block
+    j = 0  # block entry of the next full step
+    t_run = 0.0  # where the current run of full steps began
+    t_start, i_start = math.nan, 0.0
     t_stop, i_stop = math.nan, 0.0
 
-    def step(t: float, y: float, h: float) -> float:
-        nonlocal t_stop, i_stop
-        half = 0.5 * h
-        i_start = i_stop if t == t_stop else drive(t)
-        i_mid = drive(t + half)
+    def stage_drive(t: float, h: float) -> tuple[float, float, float]:
+        nonlocal times, at, mid, n, j, t_run, t_start, i_start, t_stop, i_stop
+        if h == dt and t == t_stop:
+            if j < n and t == times[j]:
+                j += 1
+                t_stop, i_stop = times[j], at[j]
+                return at[j - 1], mid[j - 1], i_stop
+            if t - t_run >= min_span:
+                n = min(int((t - t_run) / dt), _DRIVE_BLOCK_STEPS, int((t_end - t) / dt) + 1)
+                steps = np.full(n + 1, dt)
+                steps[0] = t
+                steps = np.add.accumulate(steps)
+                currents = drive_block(np.concatenate((steps, steps[:-1] + half_dt))).tolist()
+                times, at, mid, j = steps.tolist(), currents[: n + 1], currents[n + 1 :], 1
+                t_stop, i_stop = times[1], at[1]
+                return at[0], mid[0], i_stop
+        else:
+            t_run = t
+        if t == t_stop:
+            t_start, i_start = t, i_stop
+        elif t != t_start:
+            t_start, i_start = t, drive(t)
         t_stop = t + h
         i_stop = drive(t_stop)
+        return i_start, drive(t + 0.5 * h), i_stop
+
+    return stage_drive
+
+
+def _make_varying_step(
+    neuron: NeuronConfig, drive, drive_block=None, dt: float = math.nan, t_end: float = 0.0
+):
+    """RK4 step of the membrane under the drive current ``drive(t)``.
+
+    Stages 2 and 3 share one drive value at the half step; the stage drives
+    come from ``_make_stage_drive``, in blocks when ``drive_block`` is
+    given. ``drive`` is a pure function of t, so neither the reuse nor the
+    blocks change a bit.
+    """
+    deriv = _make_deriv(neuron)
+    stage_drive = _make_stage_drive(drive, drive_block, dt, t_end)
+
+    def step(t: float, y: float, h: float) -> float:
+        half = 0.5 * h
+        i_start, i_mid, i_stop = stage_drive(t, h)
         k1 = deriv(y if y > 0.0 else 0.0, i_start)
         y2 = y + half * k1
         k2 = deriv(y2 if y2 > 0.0 else 0.0, i_mid)
@@ -391,15 +514,16 @@ def transient(
         raise ValueError(f"transient integrates with rk4, got method {solver.method!r}")
 
     i_in = _make_drive(encoder, input_wave)
+    i_in_block = _make_drive_block(encoder, input_wave)
     if encoder.input_pole_capacitance is not None:
         return _transient_with_pole(
-            encoder, input_wave, t_end, solver, initial_state, trace_every, i_in
+            encoder, input_wave, t_end, solver, initial_state, trace_every, i_in, i_in_block
         )
 
     if input_wave.kind == "dc":
         step = _make_constant_drive_step(neuron, i_in(0.0))
     else:
-        step = _make_varying_step(neuron, i_in)
+        step = _make_varying_step(neuron, i_in, i_in_block, solver.dt, t_end)
 
     state = initial_state if initial_state is not None else NeuronState(i_mem=neuron.i_reset)
     i_mem = state.i_mem
@@ -466,17 +590,19 @@ def _transient_with_pole(
     initial_state: NeuronState | None,
     trace_every: int,
     i_in,
+    i_in_block,
 ) -> SimResult:
     """Two-state variant: membrane current plus the filtered drive."""
     neuron = encoder.neuron
     pole_omega = effective_gm(encoder.transconductor) / encoder.input_pole_capacitance
     deriv = _make_deriv(neuron)
+    stage_drive = _make_stage_drive(i_in, i_in_block, solver.dt, t_end)
 
     def step2(t0: float, m0: float, f0: float, h: float) -> tuple[float, float]:
         half = 0.5 * h
-        i_mid = i_in(t0 + half)
+        i_start, i_mid, i_stop = stage_drive(t0, h)
         k1m = deriv(m0 if m0 > 0.0 else 0.0, f0 if f0 > 0.0 else 0.0)
-        k1f = pole_omega * (i_in(t0) - f0)
+        k1f = pole_omega * (i_start - f0)
         m2, f2 = m0 + half * k1m, f0 + half * k1f
         k2m = deriv(m2 if m2 > 0.0 else 0.0, f2 if f2 > 0.0 else 0.0)
         k2f = pole_omega * (i_mid - f2)
@@ -485,7 +611,7 @@ def _transient_with_pole(
         k3f = pole_omega * (i_mid - f3)
         m4, f4 = m0 + h * k3m, f0 + h * k3f
         k4m = deriv(m4 if m4 > 0.0 else 0.0, f4 if f4 > 0.0 else 0.0)
-        k4f = pole_omega * (i_in(t0 + h) - f4)
+        k4f = pole_omega * (i_stop - f4)
         return (
             m0 + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m),
             f0 + (h / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f),

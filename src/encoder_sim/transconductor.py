@@ -29,7 +29,8 @@ A time-varying transient needs the node argument at every integration
 stage, so ``node_arg_table`` builds, once per config, a cubic Hermite table
 of it over the full input range from the vectorized bisection
 ``solve_node_args``; ``NodeArgTable.input_current`` is then a polynomial
-lookup instead of a scalar solve.
+lookup instead of a scalar solve, and ``NodeArgTable.input_currents`` the
+same lookup over an array, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -397,6 +398,7 @@ class NodeArgTable:
     output_quiescent: float
     scale: float  # intervals per unit of |beta|
     coeffs: tuple[tuple[float, float, float, float], ...]
+    coeff_rows: np.ndarray = field(compare=False, repr=False)  # ``coeffs`` as an array
 
     def node_arg(self, beta: float) -> float:
         """Interpolated node argument; evaluated at |beta|, so odd bit for bit."""
@@ -421,6 +423,25 @@ class NodeArgTable:
         a = c0 + u * (c1 + u * (c2 + u * c3))
         i_q = self.output_quiescent
         return max(i_q + i_q * math.sinh(beta + a if beta < 0.0 else beta - a), 0.0)
+
+    def input_currents(self, v_id: np.ndarray) -> np.ndarray:
+        """``input_current`` at every element of ``v_id``, bit for bit.
+
+        Repeats its operations in the same order. numpy does only what
+        IEEE rounds correctly (arithmetic, comparisons, indexing); sinh is
+        taken per element with ``math.sinh``, because ``np.sinh`` may round
+        differently.
+        """
+        beta = self.n1 * v_id / self.two_nut
+        x = np.abs(beta) * self.scale
+        k = np.minimum(x.astype(np.intp), len(self.coeffs) - 1)
+        u = x - k
+        c0, c1, c2, c3 = self.coeff_rows[k].T
+        a = c0 + u * (c1 + u * (c2 + u * c3))
+        arg = np.where(beta < 0.0, beta + a, beta - a)
+        sinh = np.fromiter(map(math.sinh, arg.tolist()), float, arg.size)
+        i_q = self.output_quiescent
+        return np.maximum(i_q + i_q * sinh, 0.0)
 
 
 def _hermite_coeffs(cfg: TransconductorConfig, beta, alpha, step: float) -> np.ndarray:
@@ -493,6 +514,7 @@ def node_arg_table(cfg: TransconductorConfig) -> NodeArgTable:
         output_quiescent=cfg.output_quiescent,
         scale=n / beta_max,
         coeffs=tuple(map(tuple, coeffs.tolist())),
+        coeff_rows=coeffs,
     )
 
 

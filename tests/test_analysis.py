@@ -245,13 +245,6 @@ class TestVfCurveMeasured:
         # standalone recompute agrees with the stored metric
         assert linearity_error(curve) == pytest.approx(curve.max_deviation_fraction, rel=1e-12)
 
-    def test_parallel_matches_serial(self):
-        grid = [0.1, 0.25, 0.4]
-        kw = dict(settle_time=1e-3, measure_time=4e-3, window=(0.1, 0.4))
-        serial = vf_curve(EncoderConfig(), grid, **kw)
-        fanned = vf_curve(EncoderConfig(), grid, jobs=2, **kw)
-        assert fanned == serial
-
     def test_silent_point_flagged_and_excluded(self):
         # v = -0.3 V sits far below the firing onset of the default encoder.
         curve = vf_curve(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from encoder_sim import sim_engine
+from encoder_sim import cli, sim_engine
 from encoder_sim.cli import (
     apply_overrides,
     build_encoder,
@@ -14,6 +14,7 @@ from encoder_sim.cli import (
     main,
     serialize_config,
 )
+from encoder_sim.neuron import NeuronConfig, tau_m
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_INI = str(REPO / "configs" / "default.ini")
@@ -142,14 +143,6 @@ class TestExitCodes:
         assert code == 3
         assert "overflows" in capsys.readouterr().err
 
-    def test_bad_jobs_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ENCODER_SIM_JOBS", "many")
-        code = main(
-            ["vf-curve", "--config", DEFAULT_INI, "--out", str(tmp_path / "v.csv")]
-        )
-        assert code == 2
-        assert "ENCODER_SIM_JOBS" in capsys.readouterr().err
-
 
 class TestConfigHandling:
     def test_round_trip(self, tmp_path):
@@ -184,6 +177,34 @@ class TestConfigHandling:
         cp.remove_option("neuron", "v_th_v")
         with pytest.raises(ValueError, match="all of"):
             build_encoder(cp)
+
+    def test_neuron_takes_n_and_u_t_from_device(self, tmp_path, monkeypatch):
+        built = []
+        run = cli.transient
+
+        def spy(enc, *args, **kwargs):
+            built.append(enc)
+            return run(enc, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "transient", spy)
+        args = ["transient", "--config", DEFAULT_INI, "--out", str(tmp_path / "t.csv")]
+        args += ["--quiet", "--set", "transient.t_end_s=1e-4"]
+        assert main(args + ["--set", "device.n=1.3", "--set", "device.u_t_v=0.03"]) == 0
+        neuron = built[0].neuron
+        assert (neuron.n, neuron.u_t) == (1.3, 0.03)
+        assert tau_m(neuron) == tau_m(NeuronConfig(n=1.3, u_t=0.03))
+
+    def test_neuron_device_conflict(self, tmp_path, capsys):
+        ini = tmp_path / "shared.ini"
+        text = Path(DEFAULT_INI).read_text()
+        ini.write_text(text.replace("[neuron]\n", "[neuron]\nn = 1.2\nu_t_v = 0.025\n"))
+        out = ["--out", str(tmp_path / "d.csv"), "--quiet"]
+        # repeating the device values is allowed
+        assert main(["dc-sweep", "--config", str(ini)] + out) == 0
+        for key in ("n=1.3", "u_t_v=0.03"):
+            code = main(["dc-sweep", "--config", str(ini), "--set", f"device.{key}"] + out)
+            assert code == 3
+            assert "differs from device" in capsys.readouterr().err
 
     def test_unknown_section_key_rejected(self):
         cp = load_config(DEFAULT_INI)
@@ -276,19 +297,7 @@ class TestGoldenFiles:
 
     def test_vf_curve_matches_golden(self, tmp_path):
         out = tmp_path / "g.csv"
-        code = main(
-            [
-                "vf-curve",
-                "--config",
-                DEFAULT_INI,
-                "--out",
-                str(out),
-                "--quiet",
-                "--jobs",
-                "2",
-            ]
-        )
-        assert code == 0
+        assert main(["vf-curve", "--config", DEFAULT_INI, "--out", str(out), "--quiet"]) == 0
         assert out.read_bytes() == (GOLDEN / "vf_curve_default.csv").read_bytes()
 
 
@@ -311,7 +320,7 @@ class TestDcRunsBuildNoTable:
             "transient.t_end_s=1e-3",
         ]
         assert main(dc_transient + common) == 0
-        assert main(["vf-curve", "--out", str(tmp_path / "v.csv"), "--jobs", "1"] + common) == 0
+        assert main(["vf-curve", "--out", str(tmp_path / "v.csv")] + common) == 0
         tune = ["tune", "--out", str(tmp_path / "u.csv")]
         tune += ["--set", "tune.variables=i_th", "--set", "tune.budget=6"]
         assert main(tune + common) == 0

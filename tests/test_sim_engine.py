@@ -40,7 +40,7 @@ from encoder_sim.sim_engine import (
     transient,
     waveform_eval,
 )
-from encoder_sim.transconductor import TransconductorConfig, neuron_input_current
+from encoder_sim.transconductor import TransconductorConfig, neuron_input_current, node_arg_table
 
 TC = TransconductorConfig()  # quiescent output 4 nA
 
@@ -448,6 +448,39 @@ class TestDrive:
         for t, y, h in calls:
             assert step(t, y, h) == rk4(t, y, h)
 
+    def test_block_step_is_plain_rk4(self):
+        # runs long enough to read blocks, bisection substeps inside a
+        # block, a jump in t and a final step cut short
+        neuron = NeuronConfig(i_pf_gain=0.5)
+        enc = EncoderConfig(transconductor=TC, neuron=neuron)
+        wave = Waveform(kind="triangle", amplitude=0.3, offset=0.1, frequency=4e3)
+        drive = _make_drive(enc, wave)
+        dt, t_end = 1e-7, 8.2e-6
+        step = _make_varying_step(neuron, drive, sim_engine._make_drive_block(enc, wave), dt, t_end)
+
+        def f(t, y):
+            return membrane_derivative(neuron, NeuronState(i_mem=max(y, 0.0)), drive(t))
+
+        def rk4(t, y, h):
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = f(t + h, y + h * k3)
+            return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        def run(t, n):
+            for _ in range(n):
+                assert step(t, 2e-11, dt) == rk4(t, 2e-11, dt)
+                t += dt
+            return t
+
+        t = run(0.0, 50)
+        for s in (dt, 0.5 * dt, 0.75 * dt, 0.625 * dt):
+            assert step(t, 2e-11, s) == rk4(t, 2e-11, s)
+        t = run(run(t, 1) + 0.3 * dt, 30)
+        assert 0.0 < t_end - t < dt
+        assert step(t, 2e-11, t_end - t) == rk4(t, 2e-11, t_end - t)
+
     def test_dc_drive_is_the_exact_solve(self, monkeypatch):
         def no_table(cfg):
             raise AssertionError("a dc drive built a node-argument table")
@@ -459,6 +492,127 @@ class TestDrive:
         )
         assert len(transient(enc, Waveform(kind="dc", offset=0.2), 3e-4).spikes) > 3
         assert spike_count_dc(enc, 0.2, 1e-4, 3e-4) > 0
+
+
+def block_times(t0, dt, n):
+    """The times of n full steps from t0 and their midpoints, as blocks sum them."""
+    steps = np.full(n + 1, dt)
+    steps[0] = t0
+    steps = np.add.accumulate(steps)
+    return np.concatenate((steps, steps[:-1] + 0.5 * dt))
+
+
+def pwl_wave(knots, volts):
+    return Waveform(kind="pwl", breakpoints=tuple(zip(knots, volts)))
+
+
+class TestDriveBlock:
+    @given(
+        t0=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+        dt=st.floats(min_value=1e-9, max_value=1e-5),
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    def test_block_times_are_the_loop_times(self, t0, dt):
+        t, loop = t0, [t0]
+        for _ in range(5000):
+            t += dt
+            loop.append(t)
+        assert block_times(t0, dt, 5000)[:5001].tolist() == loop
+
+    @given(
+        n=st.floats(min_value=1.0, max_value=3.0, exclude_min=True),
+        u_t=st.floats(min_value=5e-3, max_value=40e-3),
+        drive_ratio=st.floats(min_value=0.05, max_value=200.0),
+        node_shunt_ratio=st.floats(min_value=0.0, max_value=100.0),
+        kind=st.sampled_from(["sine", "triangle", "pwl"]),
+        amplitude=st.floats(min_value=-0.3, max_value=0.3),
+        offset=st.floats(min_value=-0.2, max_value=0.2),
+        frequency=st.floats(min_value=1.0, max_value=1e5),
+        knots=st.lists(st.floats(min_value=1e-6, max_value=2e-3), min_size=1, max_size=6),
+        t0=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3e-3)),
+        dt=st.floats(min_value=1e-9, max_value=2e-6),
+        steps=st.integers(min_value=1, max_value=300),
+    )
+    @example(1.2, 25e-3, 6.368, 1.0, "pwl", 0.0, 0.0, 1.0, [1e-6, 2e-6, 3e-6], 0.0, 5e-7, 8)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_bulk_drive_is_the_scalar_drive(
+        self, n, u_t, drive_ratio, node_shunt_ratio, kind, amplitude, offset, frequency,
+        knots, t0, dt, steps,
+    ):
+        tc = TransconductorConfig(
+            dev=DeviceParams(n=n, u_t=u_t),
+            drive_ratio=drive_ratio,
+            node_shunt_ratio=node_shunt_ratio,
+        )
+        enc = EncoderConfig(transconductor=tc, neuron=LIN)
+        times = block_times(t0, dt, steps)
+        if kind == "pwl":
+            # times exactly on every breakpoint and past the last one
+            knots = sorted(set(knots))
+            volts = [0.5 * math.sin(7.0 * k + amplitude) for k in range(len(knots))]
+            wave = pwl_wave([0.0] + knots, [offset] + volts)
+            times = np.concatenate((times, knots, [knots[-1] + dt, 1.0]))
+        else:
+            wave = Waveform(kind=kind, amplitude=amplitude, offset=offset, frequency=frequency)
+        volts = sim_engine._waveform_eval_bulk(wave, times)
+        assert volts.tolist() == [waveform_eval(wave, t) for t in times.tolist()]
+        drive = _make_drive(enc, wave)
+        bulk = sim_engine._make_drive_block(enc, wave)(times)
+        assert bulk.tolist() == [drive(t) for t in times.tolist()]
+        # the table's array method at the supply ends, zero and inside
+        table = node_arg_table(tc)
+        v = np.concatenate((volts, [0.5, -0.5, 0.0, -0.0, 5e-324, -1e-300]))
+        assert table.input_currents(v).tolist() == [table.input_current(x) for x in v.tolist()]
+
+    def test_dc_has_no_block(self):
+        assert sim_engine._make_drive_block(lin_encoder(), Waveform(kind="dc")) is None
+
+    def test_pwl_before_the_first_breakpoint(self):
+        wave = pwl_wave([1e-3, 2e-3], [0.0, 0.1])
+        with pytest.raises(ValueError, match="precedes"):
+            sim_engine._waveform_eval_bulk(wave, np.array([1e-3, 5e-4]))
+
+
+# The rate of the stock nonlinear neuron swings with the input across the
+# drive's range, so a spike lands inside blocks as well as at their ends.
+FIRING = EncoderConfig(transconductor=TC, neuron=NeuronConfig())
+FIRING_POLE = EncoderConfig(transconductor=TC, neuron=NeuronConfig(), input_pole_capacitance=3e-13)
+FIRING_DT = default_solver_config(FIRING.neuron).dt
+RAMPS = Waveform(kind="triangle", amplitude=0.3, offset=0.1, frequency=900.0)
+SINE = Waveform(kind="sine", amplitude=0.1, offset=0.2, frequency=3e3)
+
+
+class TestBlockPathChangesNothing:
+    """``transient`` with drive blocks equals ``transient`` without them."""
+
+    @pytest.mark.parametrize(
+        "encoder, wave, t_end, min_spikes",
+        [
+            (FIRING, RAMPS, 3e-3, 10),
+            (FIRING_POLE, SINE, 2e-3, 10),
+            # t_end falls mid-block, in the first block and in a later one
+            (FIRING, SINE, 77.3 * FIRING_DT, 0),
+            (FIRING, SINE, 2901.7 * FIRING_DT, 3),
+            (FIRING, pwl_wave([0.0, 4e-4, 9e-4, 1.3e-3], [0.3, -0.1, 0.4, 0.25]), 2e-3, 10),
+        ],
+        ids=["triangle", "input-pole", "end-in-first-block", "end-mid-block", "pwl"],
+    )
+    def test_equals_the_scalar_drive(self, monkeypatch, encoder, wave, t_end, min_spikes):
+        make_block = sim_engine._make_drive_block
+        blocks = []
+
+        def counted(enc, w):
+            bulk = make_block(enc, w)
+            return lambda times: blocks.append(len(times)) or bulk(times)
+
+        monkeypatch.setattr(sim_engine, "_make_drive_block", counted)
+        got = transient(encoder, wave, t_end, trace_every=7)
+        monkeypatch.setattr(sim_engine, "_make_drive_block", lambda enc, w: None)
+        want = transient(encoder, wave, t_end, trace_every=7)
+        assert blocks
+        assert got.spikes == want.spikes
+        assert got.trace == want.trace
+        assert len(want.spikes) >= min_spikes
 
 
 class TestSimulationErrorType:
