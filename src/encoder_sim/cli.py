@@ -194,12 +194,9 @@ def build_encoder(cp: configparser.ConfigParser) -> EncoderConfig:
 
     neuron_raw = _read_section(cp, "neuron", _NEURON_SCHEMA)
     # The neuron's devices are the transconductor's: [device] sets n and
-    # u_t for both, and a [neuron] value may only repeat it.
-    for key, shared in (("n", dev.n), ("u_t_v", dev.u_t)):
-        if neuron_raw.setdefault(key, shared) != shared:
-            raise ValueError(
-                f"neuron.{key} = {neuron_raw[key]!r} differs from device.{key} = {shared!r}"
-            )
+    # u_t for both, and EncoderConfig rejects a [neuron] value that differs.
+    neuron_raw.setdefault("n", dev.n)
+    neuron_raw.setdefault("u_t_v", dev.u_t)
     voltage_keys = [k for k in _VOLTAGE_BIAS_KEYS if k in neuron_raw]
     if voltage_keys:
         if len(voltage_keys) != len(_VOLTAGE_BIAS_KEYS):

@@ -28,6 +28,25 @@ differently. So a block holds the scalar drive bit for bit, and the
 blocks change no result. Bisection substeps, the step cut short at the
 end, the first steps of a run and the trace rows call the scalar drive.
 
+Every full step of the single-state membrane runs in one loop,
+``_make_full_steps``, with the membrane derivative written out inline and
+no function call per stage. It reads a dc drive as its one constant and
+a time-varying drive from the blocks, one step at a time from the scalar
+drive where a run has no block yet, and returns to the per-step loop of
+``transient`` before the next trace row, before the step that t_end cuts
+short and before the step that reaches threshold or is not finite; the
+per-step loop takes that step, its bisection and the refractory time.
+The loop repeats the scalar step's operations in the same order, with
+the same clamps at zero and the same time sum ``t += dt``, so it changes
+no bit: the first stage needs no clamp, since a step never starts from a
+negative membrane, and with ``i_pf_gain`` = 0 the loss term
+m*(1 - 0*m/i_r) is m exactly, so that loop computes it as m. The
+two-state input-pole path steps one step at a time.
+
+A run is refused before its first step, with ``SimulationError``, when
+ceil(t_end/dt) exceeds 2**26 steps or the trace it implies exceeds 2**20
+rows.
+
 Integration is fixed-step RK4. A threshold crossing inside a step is
 located by bisecting the substep length, which keeps spike times
 deterministic to the event tolerance without adaptive stepping. The
@@ -93,6 +112,10 @@ _NO_TRACE = 10**9
 # on a triangle transient.
 _DRIVE_BLOCK_MIN = 16
 _DRIVE_BLOCK_STEPS = 256
+# A transient refuses to start when ceil(t_end/dt) or the trace rows that
+# implies exceed these, instead of running for hours or filling memory.
+_STEP_BUDGET = 2**26
+_TRACE_BUDGET = 2**20
 
 
 class SimulationError(RuntimeError):
@@ -298,6 +321,14 @@ class EncoderConfig:
     input_pole_capacitance: float | None = None
 
     def __post_init__(self) -> None:
+        dev = self.transconductor.dev
+        for name in ("n", "u_t"):
+            if getattr(self.neuron, name) != getattr(dev, name):
+                raise ValueError(
+                    f"neuron.{name} = {getattr(self.neuron, name)!r} differs from "
+                    f"device.{name} = {getattr(dev, name)!r}: the neuron shares the "
+                    "transconductor's devices"
+                )
         if self.input_pole_capacitance is not None:
             c = self.input_pole_capacitance
             if not (math.isfinite(c) and c > 0.0):
@@ -329,6 +360,22 @@ def _make_drive_block(encoder: EncoderConfig, input_wave: Waveform):
         return None
     currents = node_arg_table(encoder.transconductor).input_currents
     return lambda times: currents(_waveform_eval_bulk(input_wave, times))
+
+
+def _check_budget(t_end: float, dt: float, trace_every: int) -> None:
+    """Refuse a run longer than the step budget or the trace budget."""
+    if t_end / dt > _STEP_BUDGET:
+        raise SimulationError(
+            f"t_end = {t_end!r} s at dt = {dt!r} s exceeds the budget of {_STEP_BUDGET} steps",
+            0.0,
+        )
+    rows = -(-math.ceil(t_end / dt) // trace_every) + 1
+    if rows > _TRACE_BUDGET:
+        raise SimulationError(
+            f"{rows} trace rows (trace_every = {trace_every}) exceed the budget of "
+            f"{_TRACE_BUDGET} rows",
+            0.0,
+        )
 
 
 def _time_eps(t_end: float) -> float:
@@ -401,9 +448,10 @@ def _make_constant_drive_step(neuron: NeuronConfig, i_in: float):
 
 
 def _make_stage_drive(drive, drive_block, dt: float, t_end: float):
-    """The drive at the start, middle and end of an RK4 step.
+    """The drive at the start, middle and end of an RK4 step, and its blocks.
 
-    Returns ``stage_drive(t, h) -> (drive(t), drive(t + h/2), drive(t + h))``.
+    Returns ``(stage_drive, take_block)``, with
+    ``stage_drive(t, h) -> (drive(t), drive(t + h/2), drive(t + h))``.
     Full steps (h == dt) that each start where the previous step ended form
     a run. Once a run is ``_DRIVE_BLOCK_MIN`` steps long, its next steps
     read a block: the drive at the next full steps, as many as the run so
@@ -417,11 +465,20 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float):
     short at t_end, a step early in its run) calls ``drive``, reusing the
     value at its start when the previous step started or ended there.
     Without ``drive_block`` every step does so.
+
+    ``take_block(t, steps)`` hands the drives of up to ``steps`` full
+    steps from t to ``_make_full_steps`` as ``(at, mid, j, stop)``: the
+    k-th step reads ``at[j + k]``, ``mid[j + k]`` and ``at[j + k + 1]``
+    for j + k < stop. These are the entries a pending block holds for the
+    steps from t, marked read; otherwise the one-step block of
+    ``stage_drive(t, dt)``, which may start a new block. Entries handed
+    out but not stepped are skipped: the next step from there calls
+    ``drive`` as any step outside a block.
     """
-    if drive_block is None:
-        dt = math.nan  # no step is a full step
+    # without blocks no step counts as a full step
+    full = dt if drive_block is not None else math.nan
     half_dt = 0.5 * dt
-    min_span = _DRIVE_BLOCK_MIN * dt
+    min_span = _DRIVE_BLOCK_MIN * full
     times: list[float] = []
     at: list[float] = []
     mid: list[float] = []
@@ -431,22 +488,24 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float):
     t_start, i_start = math.nan, 0.0
     t_stop, i_stop = math.nan, 0.0
 
+    def refill(t: float) -> bool:
+        """A new block from t, as long as the run so far; returns True."""
+        nonlocal times, at, mid, n, j
+        n = min(int((t - t_run) / dt), _DRIVE_BLOCK_STEPS, int((t_end - t) / dt) + 1)
+        steps = np.full(n + 1, dt)
+        steps[0] = t
+        steps = np.add.accumulate(steps)
+        currents = drive_block(np.concatenate((steps, steps[:-1] + half_dt))).tolist()
+        times, at, mid, j = steps.tolist(), currents[: n + 1], currents[n + 1 :], 0
+        return True
+
     def stage_drive(t: float, h: float) -> tuple[float, float, float]:
-        nonlocal times, at, mid, n, j, t_run, t_start, i_start, t_stop, i_stop
-        if h == dt and t == t_stop:
-            if j < n and t == times[j]:
+        nonlocal j, t_run, t_start, i_start, t_stop, i_stop
+        if h == full and t == t_stop:
+            if (j < n and t == times[j]) or (t - t_run >= min_span and refill(t)):
                 j += 1
                 t_stop, i_stop = times[j], at[j]
                 return at[j - 1], mid[j - 1], i_stop
-            if t - t_run >= min_span:
-                n = min(int((t - t_run) / dt), _DRIVE_BLOCK_STEPS, int((t_end - t) / dt) + 1)
-                steps = np.full(n + 1, dt)
-                steps[0] = t
-                steps = np.add.accumulate(steps)
-                currents = drive_block(np.concatenate((steps, steps[:-1] + half_dt))).tolist()
-                times, at, mid, j = steps.tolist(), currents[: n + 1], currents[n + 1 :], 1
-                t_stop, i_stop = times[1], at[1]
-                return at[0], mid[0], i_stop
         else:
             t_run = t
         if t == t_stop:
@@ -457,21 +516,27 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float):
         i_stop = drive(t_stop)
         return i_start, drive(t + 0.5 * h), i_stop
 
-    return stage_drive
+    def take_block(t: float, steps: int):
+        nonlocal j, t_stop, i_stop
+        if t == t_stop and j < n and t == times[j]:
+            first = j
+            j = min(n, j + steps)
+            t_stop, i_stop = times[j], at[j]
+            return at, mid, first, j
+        i0, im, i1 = stage_drive(t, dt)
+        return (i0, i1), (im,), 0, 1
+
+    return stage_drive, take_block
 
 
-def _make_varying_step(
-    neuron: NeuronConfig, drive, drive_block=None, dt: float = math.nan, t_end: float = 0.0
-):
-    """RK4 step of the membrane under the drive current ``drive(t)``.
+def _make_varying_step(neuron: NeuronConfig, stage_drive):
+    """RK4 step of the membrane under the stage drives ``stage_drive(t, h)``.
 
     Stages 2 and 3 share one drive value at the half step; the stage drives
-    come from ``_make_stage_drive``, in blocks when ``drive_block`` is
-    given. ``drive`` is a pure function of t, so neither the reuse nor the
-    blocks change a bit.
+    come from ``_make_stage_drive``. The drive is a pure function of t, so
+    neither its reuse nor its blocks change a bit.
     """
     deriv = _make_deriv(neuron)
-    stage_drive = _make_stage_drive(drive, drive_block, dt, t_end)
 
     def step(t: float, y: float, h: float) -> float:
         half = 0.5 * h
@@ -488,6 +553,109 @@ def _make_varying_step(
     return step
 
 
+def _make_full_steps(neuron: NeuronConfig, take_block, dt: float, t_end: float):
+    """Runs of full RK4 steps (h == dt) in one loop, with no call per stage.
+
+    Returns ``full_steps(t, y, steps) -> (t, y, taken, i_new)``. From the
+    membrane current y at t it takes up to ``steps`` full steps, reading
+    the stage drives from the blocks that ``take_block(t, steps_left)``
+    hands out, and stops before a step that t_end would cut short (or
+    that would start within the time tolerance of t_end) and before the
+    first step that reaches i_th or is not finite. ``i_new`` is that
+    step's result, for the caller to act on, and None when the loop
+    stopped for another reason. The caller's t must leave room for one
+    full step, so the loop takes it or refuses it.
+
+    ``_make_deriv``'s derivative is written out inline for each stage, in
+    the same operation order, with the same clamps at zero, step
+    arithmetic and time sum ``t += dt`` as the scalar steps, so a step
+    taken here and the same step taken by ``_make_varying_step`` or
+    ``_make_constant_drive_step`` give the same bits. Two operations are
+    left out because they cannot change a bit: the clamp of the first
+    stage, since y is never negative (a caller's membrane never is, and
+    each step's result is clamped), and, when ``i_pf_gain`` is 0, the
+    factor (1 - 0*m/i_r) of the loss, which is 1 for every finite m.
+    """
+    tau = tau_m(neuron)
+    i_r = neuron.i_r
+    i_g = neuron.i_g
+    pf = neuron.i_pf_gain
+    gain = neuron.gain
+    linear = neuron.mode == "linear"
+    i_th = neuron.i_th
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    t_last = t_end - _time_eps(t_end)
+    inf = math.inf
+
+    def full_steps(t: float, y: float, steps: int):
+        taken = 0
+        while taken < steps and t < t_last and t_end - t >= dt:
+            at, mid, j, stop = take_block(t, steps - taken)
+            first = j
+            if linear:
+                while j < stop and t < t_last and t_end - t >= dt:
+                    i0, im, i1 = at[j], mid[j], at[j + 1]
+                    k1 = (gain * i0 - y) / tau
+                    y2 = y + half * k1
+                    m = y2 if y2 > 0.0 else 0.0
+                    k2 = (gain * im - m) / tau
+                    y3 = y + half * k2
+                    m = y3 if y3 > 0.0 else 0.0
+                    k3 = (gain * im - m) / tau
+                    y4 = y + dt * k3
+                    m = y4 if y4 > 0.0 else 0.0
+                    k4 = (gain * i1 - m) / tau
+                    i_new = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    if not -inf < i_new < i_th:
+                        return t, y, taken + j - first, i_new
+                    t += dt
+                    y = i_new if i_new > 0.0 else 0.0
+                    j += 1
+            elif pf == 0.0:
+                while j < stop and t < t_last and t_end - t >= dt:
+                    i0, im, i1 = at[j], mid[j], at[j + 1]
+                    k1 = (i0 * (y / i_r) / (1.0 + y / i_g) - y) / tau
+                    y2 = y + half * k1
+                    m = y2 if y2 > 0.0 else 0.0
+                    k2 = (im * (m / i_r) / (1.0 + m / i_g) - m) / tau
+                    y3 = y + half * k2
+                    m = y3 if y3 > 0.0 else 0.0
+                    k3 = (im * (m / i_r) / (1.0 + m / i_g) - m) / tau
+                    y4 = y + dt * k3
+                    m = y4 if y4 > 0.0 else 0.0
+                    k4 = (i1 * (m / i_r) / (1.0 + m / i_g) - m) / tau
+                    i_new = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    if not -inf < i_new < i_th:
+                        return t, y, taken + j - first, i_new
+                    t += dt
+                    y = i_new if i_new > 0.0 else 0.0
+                    j += 1
+            else:
+                while j < stop and t < t_last and t_end - t >= dt:
+                    i0, im, i1 = at[j], mid[j], at[j + 1]
+                    k1 = (i0 * (y / i_r) / (1.0 + y / i_g) - y * (1.0 - pf * y / i_r)) / tau
+                    y2 = y + half * k1
+                    m = y2 if y2 > 0.0 else 0.0
+                    k2 = (im * (m / i_r) / (1.0 + m / i_g) - m * (1.0 - pf * m / i_r)) / tau
+                    y3 = y + half * k2
+                    m = y3 if y3 > 0.0 else 0.0
+                    k3 = (im * (m / i_r) / (1.0 + m / i_g) - m * (1.0 - pf * m / i_r)) / tau
+                    y4 = y + dt * k3
+                    m = y4 if y4 > 0.0 else 0.0
+                    k4 = (i1 * (m / i_r) / (1.0 + m / i_g) - m * (1.0 - pf * m / i_r)) / tau
+                    i_new = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    if not -inf < i_new < i_th:
+                        return t, y, taken + j - first, i_new
+                    t += dt
+                    y = i_new if i_new > 0.0 else 0.0
+                    j += 1
+            taken += j - first
+        return t, y, taken, None
+
+    return full_steps
+
+
 def transient(
     encoder: EncoderConfig,
     input_wave: Waveform,
@@ -501,7 +669,9 @@ def transient(
     Spike events are located inside the step by bisection to the solver's
     event tolerance; the refractory period is then consumed in exact time
     before integration resumes. Zero spikes is a valid outcome. The trace
-    keeps every ``trace_every``-th loop step plus the final time point.
+    keeps every ``trace_every``-th loop step plus the final time point. A
+    run over the step or trace budget raises ``SimulationError`` before
+    its first step.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be positive, got {t_end!r}")
@@ -513,6 +683,8 @@ def transient(
     if solver.method != "rk4":
         raise ValueError(f"transient integrates with rk4, got method {solver.method!r}")
 
+    _check_budget(t_end, solver.dt, trace_every)
+
     i_in = _make_drive(encoder, input_wave)
     i_in_block = _make_drive_block(encoder, input_wave)
     if encoder.input_pole_capacitance is not None:
@@ -521,9 +693,18 @@ def transient(
         )
 
     if input_wave.kind == "dc":
-        step = _make_constant_drive_step(neuron, i_in(0.0))
+        i_dc = i_in(0.0)
+        step = _make_constant_drive_step(neuron, i_dc)
+        # a dc drive needs no block: every entry of this one is i_dc
+        dc_row = [i_dc] * (_DRIVE_BLOCK_STEPS + 1)
+
+        def take_block(t: float, steps: int):
+            return dc_row, dc_row, 0, min(steps, _DRIVE_BLOCK_STEPS)
+
     else:
-        step = _make_varying_step(neuron, i_in, i_in_block, solver.dt, t_end)
+        stage_drive, take_block = _make_stage_drive(i_in, i_in_block, solver.dt, t_end)
+        step = _make_varying_step(neuron, stage_drive)
+    full_steps = _make_full_steps(neuron, take_block, solver.dt, t_end)
 
     state = initial_state if initial_state is not None else NeuronState(i_mem=neuron.i_reset)
     i_mem = state.i_mem
@@ -564,7 +745,17 @@ def transient(
             continue
 
         h = min(dt, t_end - t)
-        i_new = step(t, i_mem, h)
+        if h == dt:
+            # full steps up to the next trace row, in one loop
+            t, i_mem, taken, i_new = full_steps(
+                t, i_mem, trace_every - (step_index - 1) % trace_every
+            )
+            if i_new is None:
+                step_index += taken - 1
+                continue
+            step_index += taken
+        else:
+            i_new = step(t, i_mem, h)
         if not math.isfinite(i_new):
             raise SimulationError("non-finite membrane current after step", t)
 
@@ -596,7 +787,7 @@ def _transient_with_pole(
     neuron = encoder.neuron
     pole_omega = effective_gm(encoder.transconductor) / encoder.input_pole_capacitance
     deriv = _make_deriv(neuron)
-    stage_drive = _make_stage_drive(i_in, i_in_block, solver.dt, t_end)
+    stage_drive, _ = _make_stage_drive(i_in, i_in_block, solver.dt, t_end)
 
     def step2(t0: float, m0: float, f0: float, h: float) -> tuple[float, float]:
         half = 0.5 * h

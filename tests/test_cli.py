@@ -2,6 +2,7 @@
 byte-exact CSV output against committed golden files."""
 
 import configparser
+import time
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,25 @@ class TestExitCodes:
         )
         assert code == 3
         assert "overflows" in capsys.readouterr().err
+
+    def test_transient_over_the_step_budget(self, tmp_path, capsys):
+        # about 5.6e9 steps: refused before the first one, not run for hours
+        start = time.perf_counter()
+        code = main(
+            [
+                "transient",
+                "--config",
+                DEFAULT_INI,
+                "--out",
+                str(tmp_path / "t.csv"),
+                "--set",
+                "transient.t_end_s=1e3",
+            ]
+        )
+        assert code == 4
+        assert time.perf_counter() - start < 1.0
+        assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestConfigHandling:

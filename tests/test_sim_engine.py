@@ -8,6 +8,7 @@ independent Euler oracle instead.
 import math
 import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from encoder_sim.sim_engine import (
     SpikeTrain,
     Waveform,
     _make_drive,
+    _make_stage_drive,
     _make_varying_step,
     _vectorized_input_current,
     _waveform_eval_array,
@@ -305,6 +307,28 @@ class TestTransientLinear:
         with pytest.raises(ValueError, match="input_pole_capacitance"):
             EncoderConfig(transconductor=TC, neuron=LIN, input_pole_capacitance=0.0)
 
+    @pytest.mark.parametrize("field, value", [("n", 1.3), ("u_t", 0.026)])
+    def test_neuron_shares_the_device(self, field, value):
+        tc = TransconductorConfig(dev=DeviceParams(**{field: value}))
+        with pytest.raises(ValueError, match=f"neuron.{field} = .* differs from device"):
+            EncoderConfig(transconductor=tc, neuron=LIN)
+        EncoderConfig(transconductor=tc, neuron=replace(LIN, **{field: value}))
+
+    def test_step_and_trace_budget(self, monkeypatch):
+        enc, wave = lin_encoder(), Waveform(kind="dc", offset=0.0)
+        dt = 2.0**-24  # t_end/dt is exact
+        solver = SolverConfig(dt=dt, event_tol=dt / 64)
+        monkeypatch.setattr(sim_engine, "_STEP_BUDGET", 1000)
+        monkeypatch.setattr(sim_engine, "_TRACE_BUDGET", 11)
+        transient(enc, wave, 1000 * dt, solver, trace_every=100)  # 1000 steps, 11 rows
+        with pytest.raises(SimulationError, match="budget of 1000 steps") as err:
+            transient(enc, wave, 1000.5 * dt, solver, trace_every=10**9)
+        assert err.value.t == 0.0
+        with pytest.raises(SimulationError, match="12 trace rows"):
+            transient(enc, wave, 1000 * dt, solver, trace_every=99)
+        with pytest.raises(SimulationError, match="budget of 1000 steps"):
+            transient(enc, wave, 1e300, SolverConfig(dt=1e-300, event_tol=1e-301))
+
 
 class TestOracleAgreement:
     def test_linear_constant_drive(self):
@@ -342,7 +366,7 @@ class TestOracleAgreement:
         # n = 3 puts the node root for |v| near 0.5 V past 0.5 V/(2*n*u_t)
         for n in (1.2, 3.0):
             tc = TransconductorConfig(dev=DeviceParams(n=n))
-            enc = EncoderConfig(transconductor=tc, neuron=LIN)
+            enc = EncoderConfig(transconductor=tc, neuron=replace(LIN, n=n))
             wave = Waveform(kind="pwl", breakpoints=((0.0, -0.5), (1.0, 0.5)))
             times = np.linspace(0.0, 1.0, 21)
             drive = _vectorized_input_current(enc, wave, times)
@@ -354,7 +378,7 @@ class TestOracleAgreement:
         # a 0.1 mV thermal voltage overflows sinh inside the oracle's
         # bisection; that must be a typed error, not a numpy warning
         tc = TransconductorConfig(dev=DeviceParams(u_t=1e-4))
-        enc = EncoderConfig(transconductor=tc, neuron=LIN)
+        enc = EncoderConfig(transconductor=tc, neuron=replace(LIN, u_t=1e-4))
         wave = Waveform(kind="sine", amplitude=0.2, offset=0.0, frequency=1e4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -431,7 +455,7 @@ class TestDrive:
         neuron = NeuronConfig(i_pf_gain=0.5)
         enc = EncoderConfig(transconductor=TC, neuron=neuron)
         drive = _make_drive(enc, Waveform(kind="sine", amplitude=0.3, frequency=4e3))
-        step = _make_varying_step(neuron, drive)
+        step = _make_varying_step(neuron, _make_stage_drive(drive, None, math.nan, 0.0)[0])
 
         def f(t, y):
             return membrane_derivative(neuron, NeuronState(i_mem=max(y, 0.0)), drive(t))
@@ -456,7 +480,8 @@ class TestDrive:
         wave = Waveform(kind="triangle", amplitude=0.3, offset=0.1, frequency=4e3)
         drive = _make_drive(enc, wave)
         dt, t_end = 1e-7, 8.2e-6
-        step = _make_varying_step(neuron, drive, sim_engine._make_drive_block(enc, wave), dt, t_end)
+        stage_drive, _ = _make_stage_drive(drive, sim_engine._make_drive_block(enc, wave), dt, t_end)
+        step = _make_varying_step(neuron, stage_drive)
 
         def f(t, y):
             return membrane_derivative(neuron, NeuronState(i_mem=max(y, 0.0)), drive(t))
@@ -544,7 +569,7 @@ class TestDriveBlock:
             drive_ratio=drive_ratio,
             node_shunt_ratio=node_shunt_ratio,
         )
-        enc = EncoderConfig(transconductor=tc, neuron=LIN)
+        enc = EncoderConfig(transconductor=tc, neuron=replace(LIN, n=n, u_t=u_t))
         times = block_times(t0, dt, steps)
         if kind == "pwl":
             # times exactly on every breakpoint and past the last one
@@ -613,6 +638,204 @@ class TestBlockPathChangesNothing:
         assert got.spikes == want.spikes
         assert got.trace == want.trace
         assert len(want.spikes) >= min_spikes
+
+
+# The stock neuron crosses threshold on the last step of a block under
+# both inputs: the 256th step of a dc row, and a varying block's last step
+# with trace_every 7 or 10**9.
+DC_EDGE = Waveform(kind="dc", offset=0.236)
+TRI_EDGE = Waveform(kind="triangle", amplitude=0.3, offset=-0.03, frequency=900.0)
+FIRING_PF = EncoderConfig(transconductor=TC, neuron=NeuronConfig(i_pf_gain=0.5))
+FIRING_LIN = lin_encoder(LIN_RF)
+
+
+def stepwise_transient(encoder, wave, t_end, solver=None, initial_state=None, trace_every=10):
+    """``transient`` as one plain RK4 step per loop iteration, the reference.
+
+    The event loop ``transient`` had before full steps ran in one loop,
+    with every step a ``_make_varying_step`` step under the scalar drive.
+    """
+    neuron = encoder.neuron
+    solver = solver or default_solver_config(neuron)
+    drive = _make_drive(encoder, wave)
+    step = _make_varying_step(neuron, lambda t, h: (drive(t), drive(t + 0.5 * h), drive(t + h)))
+    state = initial_state or NeuronState(i_mem=neuron.i_reset)
+    i_mem, refr = state.i_mem, state.refractory_remaining
+    dt, time_eps = solver.dt, sim_engine._time_eps(t_end)
+    t, step_index, trace, spikes = 0.0, 0, [], []
+    while t < t_end - time_eps:
+        if step_index % trace_every == 0:
+            t_c = min(t, t_end)
+            trace.append((t, waveform_eval(wave, t_c), drive(t_c), i_mem))
+        step_index += 1
+        if refr > 0.0:
+            consume = min(refr, dt, t_end - t)
+            t += consume
+            refr -= consume
+            refr = 0.0 if refr < time_eps else refr
+            i_mem = neuron.i_reset
+            continue
+        if i_mem >= neuron.i_th:
+            spikes.append(t)
+            i_mem, refr = neuron.i_reset, neuron.t_rf
+            continue
+        h = min(dt, t_end - t)
+        i_new = step(t, i_mem, h)
+        if i_new >= neuron.i_th:
+            t0, m0 = t, i_mem
+            t += sim_engine._locate_crossing(
+                lambda s: step(t0, m0, s) >= neuron.i_th, h, solver.event_tol
+            )
+            spikes.append(t)
+            i_mem, refr = neuron.i_reset, neuron.t_rf
+        else:
+            t += h
+            i_mem = i_new if i_new > 0.0 else 0.0
+    trace.append((t_end, waveform_eval(wave, t_end), drive(t_end), i_mem))
+    return sim_engine.SimResult(trace=tuple(trace), spikes=SpikeTrain(times=tuple(spikes)))
+
+
+def with_and_without_full_steps(monkeypatch, encoder, wave, t_end, **kwargs):
+    """``transient``, ``stepwise_transient`` and a log of the full-step loop.
+
+    The log has one entry per call of the loop: (the blocks it was handed,
+    as (entries, block length, whether the entries end the block), steps
+    taken, refused step).
+    """
+    make = sim_engine._make_full_steps
+    log = []
+
+    def logged(neuron, take_block, dt, t_end):
+        handed = []
+
+        def take(t, steps):
+            at, mid, j, stop = block = take_block(t, steps)
+            handed.append((stop - j, len(at) - 1, stop == len(at) - 1))
+            return block
+
+        full_steps = make(neuron, take, dt, t_end)
+
+        def run(t, y, steps):
+            handed.clear()
+            out = full_steps(t, y, steps)
+            log.append((list(handed), out[2], out[3]))
+            return out
+
+        return run
+
+    monkeypatch.setattr(sim_engine, "_make_full_steps", logged)
+    got = transient(encoder, wave, t_end, **kwargs)
+    return got, stepwise_transient(encoder, wave, t_end, **kwargs), log
+
+
+class TestFullStepsChangeNothing:
+    """``transient`` equals ``stepwise_transient`` bit for bit."""
+
+    @pytest.mark.parametrize("trace_every", [1, 7, 10**9])
+    @pytest.mark.parametrize("wave", [DC_EDGE, TRI_EDGE], ids=["dc", "triangle"])
+    @pytest.mark.parametrize(
+        "encoder", [FIRING, FIRING_PF, FIRING_LIN], ids=["nonlinear", "pf", "linear"]
+    )
+    def test_equals_single_steps(self, monkeypatch, encoder, wave, trace_every):
+        t_end = 1.5e-3
+        got, want, log = with_and_without_full_steps(
+            monkeypatch, encoder, wave, t_end, trace_every=trace_every
+        )
+        assert got.spikes == want.spikes
+        assert got.trace == want.trace
+        assert len(want.spikes) >= 3
+        dt = default_solver_config(encoder.neuron).dt
+        assert sum(taken for _, taken, _ in log) > 0.25 * t_end / dt
+
+    @pytest.mark.parametrize("trace_every", [7, 10**9])
+    @pytest.mark.parametrize(
+        "wave, t_end",
+        [
+            (TRI_EDGE, 75.3 * FIRING_DT),
+            (TRI_EDGE, 2901.7 * FIRING_DT),
+            (DC_EDGE, 2901.7 * FIRING_DT),
+        ],
+        ids=["triangle-end-in-first-block", "triangle-end-mid-block", "dc-end-mid-row"],
+    )
+    def test_end_mid_block(self, monkeypatch, wave, t_end, trace_every):
+        got, want, log = with_and_without_full_steps(
+            monkeypatch, FIRING, wave, t_end, trace_every=trace_every
+        )
+        assert got.spikes == want.spikes
+        assert got.trace == want.trace
+        # a call stops short of its entries without a crossing: at t_end
+        assert any(
+            refused is None and taken < sum(entries for entries, _, _ in blocks)
+            for blocks, taken, refused in log
+        )
+
+    @pytest.mark.parametrize("trace_every", [7, 10**9])
+    @pytest.mark.parametrize("wave", [DC_EDGE, TRI_EDGE], ids=["dc", "triangle"])
+    def test_refractory_pending(self, monkeypatch, wave, trace_every):
+        refr = 123.4 * FIRING_DT
+        got, want, _ = with_and_without_full_steps(
+            monkeypatch, FIRING, wave, 1e-3,
+            initial_state=NeuronState(i_mem=5e-11, refractory_remaining=refr),
+            trace_every=trace_every,
+        )
+        assert got.spikes == want.spikes
+        assert got.trace == want.trace
+        assert want.spikes.times[0] > refr
+
+    @pytest.mark.parametrize(
+        "wave, trace_every",
+        [(DC_EDGE, 10**9), (TRI_EDGE, 10**9), (TRI_EDGE, 7)],
+        ids=["dc", "triangle", "triangle-traced"],
+    )
+    def test_crossing_on_the_last_step_of_a_block(self, monkeypatch, wave, trace_every):
+        got, want, log = with_and_without_full_steps(
+            monkeypatch, FIRING, wave, 1.5e-3, trace_every=trace_every
+        )
+        assert got.spikes == want.spikes
+        assert got.trace == want.trace
+        # the refused step reads the last entry of a block of many steps
+        assert any(
+            refused is not None
+            and blocks[-1][1] > 1
+            and blocks[-1][2]
+            and taken - sum(entries for entries, _, _ in blocks[:-1]) == blocks[-1][0] - 1
+            for blocks, taken, refused in log
+        )
+
+
+class TestFullStepsKernel:
+    @pytest.mark.parametrize("mode, i_pf_gain", [("linear", 0.0), ("nonlinear", 0.0), ("nonlinear", 0.5)])
+    @given(
+        y0=st.floats(min_value=0.0, max_value=72e-12),
+        drives=st.lists(st.floats(min_value=0.0, max_value=2e-8), min_size=3, max_size=41),
+        dt_over_tau=st.floats(min_value=1e-3, max_value=20.0),
+    )
+    @example(y0=5e-11, drives=[0.0, 0.0, 0.0], dt_over_tau=4.0)  # decay below zero
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_steps_are_the_scalar_steps(self, mode, i_pf_gain, y0, drives, dt_over_tau):
+        # One test per loop of the kernel. Steps up to 20 tau long drive
+        # stage values below zero, so every clamp decides some bits.
+        neuron = NeuronConfig(mode=mode, i_pf_gain=i_pf_gain)
+        dt = dt_over_tau * tau_m(neuron)
+        n = (len(drives) - 1) // 2
+        at, mid = drives[: n + 1], drives[n + 1 : 2 * n + 1]
+        full_steps = sim_engine._make_full_steps(
+            neuron, lambda t, steps: (at, mid, 0, min(steps, n)), dt, 1e3 * n * dt
+        )
+        got = full_steps(0.0, y0, n)
+        k = 0
+        step = _make_varying_step(neuron, lambda t, h: (at[k], mid[k], at[k + 1]))
+        t, y = 0.0, y0
+        while k < n:
+            i_new = step(t, y, dt)
+            if not -math.inf < i_new < neuron.i_th:
+                assert got[:3] == (t, y, k)
+                assert got[3] == i_new or math.isnan(got[3]) and math.isnan(i_new)
+                return
+            t += dt
+            y = i_new if i_new > 0.0 else 0.0
+            k += 1
+        assert got == (t, y, n, None)
 
 
 class TestSimulationErrorType:
@@ -707,3 +930,4 @@ class TestSpikeCountDc:
             spike_count_dc(
                 lin_encoder(), 0.0, 0.0, 1e-3, SolverConfig(1e-7, 1e-9, method="euler-oracle")
             )
+
