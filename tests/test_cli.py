@@ -221,10 +221,11 @@ class TestConfigHandling:
         out = ["--out", str(tmp_path / "d.csv"), "--quiet"]
         # repeating the device values is allowed
         assert main(["dc-sweep", "--config", str(ini)] + out) == 0
-        for key in ("n=1.3", "u_t_v=0.03"):
-            code = main(["dc-sweep", "--config", str(ini), "--set", f"device.{key}"] + out)
+        for key, value in (("n", 1.3), ("u_t_v", 0.03)):
+            code = main(["dc-sweep", "--config", str(ini), "--set", f"device.{key}={value}"] + out)
             assert code == 3
-            assert "differs from device" in capsys.readouterr().err
+            # the message names the config key
+            assert f"neuron.{key} = " in capsys.readouterr().err
 
     def test_unknown_section_key_rejected(self):
         cp = load_config(DEFAULT_INI)

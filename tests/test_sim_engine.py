@@ -33,7 +33,7 @@ from encoder_sim.sim_engine import (
     Waveform,
     _make_drive,
     _make_stage_drive,
-    _make_varying_step,
+    _make_step,
     _vectorized_input_current,
     _waveform_eval_array,
     default_solver_config,
@@ -307,10 +307,11 @@ class TestTransientLinear:
         with pytest.raises(ValueError, match="input_pole_capacitance"):
             EncoderConfig(transconductor=TC, neuron=LIN, input_pole_capacitance=0.0)
 
-    @pytest.mark.parametrize("field, value", [("n", 1.3), ("u_t", 0.026)])
-    def test_neuron_shares_the_device(self, field, value):
+    @pytest.mark.parametrize("field, key, value", [("n", "n", 1.3), ("u_t", "u_t_v", 0.026)])
+    def test_neuron_shares_the_device(self, field, key, value):
+        # the message names the config key
         tc = TransconductorConfig(dev=DeviceParams(**{field: value}))
-        with pytest.raises(ValueError, match=f"neuron.{field} = .* differs from device"):
+        with pytest.raises(ValueError, match=rf"neuron\.{key} = .* differs from device\.{key} = "):
             EncoderConfig(transconductor=tc, neuron=LIN)
         EncoderConfig(transconductor=tc, neuron=replace(LIN, **{field: value}))
 
@@ -455,7 +456,7 @@ class TestDrive:
         neuron = NeuronConfig(i_pf_gain=0.5)
         enc = EncoderConfig(transconductor=TC, neuron=neuron)
         drive = _make_drive(enc, Waveform(kind="sine", amplitude=0.3, frequency=4e3))
-        step = _make_varying_step(neuron, _make_stage_drive(drive, None, math.nan, 0.0)[0])
+        step = _make_step(neuron, _make_stage_drive(drive, None, math.nan, 0.0)[0])
 
         def f(t, y):
             return membrane_derivative(neuron, NeuronState(i_mem=max(y, 0.0)), drive(t))
@@ -481,7 +482,7 @@ class TestDrive:
         drive = _make_drive(enc, wave)
         dt, t_end = 1e-7, 8.2e-6
         stage_drive, _ = _make_stage_drive(drive, sim_engine._make_drive_block(enc, wave), dt, t_end)
-        step = _make_varying_step(neuron, stage_drive)
+        step = _make_step(neuron, stage_drive)
 
         def f(t, y):
             return membrane_derivative(neuron, NeuronState(i_mem=max(y, 0.0)), drive(t))
@@ -653,12 +654,12 @@ def stepwise_transient(encoder, wave, t_end, solver=None, initial_state=None, tr
     """``transient`` as one plain RK4 step per loop iteration, the reference.
 
     The event loop ``transient`` had before full steps ran in one loop,
-    with every step a ``_make_varying_step`` step under the scalar drive.
+    with every step a ``_make_step`` step under the scalar drive.
     """
     neuron = encoder.neuron
     solver = solver or default_solver_config(neuron)
     drive = _make_drive(encoder, wave)
-    step = _make_varying_step(neuron, lambda t, h: (drive(t), drive(t + 0.5 * h), drive(t + h)))
+    step = _make_step(neuron, lambda t, h: (drive(t), drive(t + 0.5 * h), drive(t + h)))
     state = initial_state or NeuronState(i_mem=neuron.i_reset)
     i_mem, refr = state.i_mem, state.refractory_remaining
     dt, time_eps = solver.dt, sim_engine._time_eps(t_end)
@@ -813,8 +814,9 @@ class TestFullStepsKernel:
     @example(y0=5e-11, drives=[0.0, 0.0, 0.0], dt_over_tau=4.0)  # decay below zero
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     def test_steps_are_the_scalar_steps(self, mode, i_pf_gain, y0, drives, dt_over_tau):
-        # One test per loop of the kernel. Steps up to 20 tau long drive
-        # stage values below zero, so every clamp decides some bits.
+        # Both loops of the kernel, the nonlinear one with and without
+        # feedback. Steps up to 20 tau long drive stage values below zero,
+        # so every clamp decides some bits.
         neuron = NeuronConfig(mode=mode, i_pf_gain=i_pf_gain)
         dt = dt_over_tau * tau_m(neuron)
         n = (len(drives) - 1) // 2
@@ -824,7 +826,7 @@ class TestFullStepsKernel:
         )
         got = full_steps(0.0, y0, n)
         k = 0
-        step = _make_varying_step(neuron, lambda t, h: (at[k], mid[k], at[k + 1]))
+        step = _make_step(neuron, lambda t, h: (at[k], mid[k], at[k + 1]))
         t, y = 0.0, y0
         while k < n:
             i_new = step(t, y, dt)
