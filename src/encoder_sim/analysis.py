@@ -204,10 +204,12 @@ def vf_curve(
     Each grid point starts from rest and its rate is the spike count over
     the measure window after the settle interval, divided by
     measure_time, so rate quantization is 1/measure_time. The count comes
-    from ``spike_count_dc``, which steps one interval and the periods at
-    the window end and counts the periodic train in between in closed
-    form; it equals the count of a full transient (see its tie rule for
-    spikes on the window edges). Points inside the window with fewer than
+    from ``spike_count_dc``, which returns 0 without a step for a bias
+    whose dc equilibrium lies below threshold, and otherwise steps one
+    interval and counts the periodic train in closed form, stepping the
+    last period only when a spike lies within the event tolerance of the
+    window end; it equals the count of a full transient (see its tie rule
+    for spikes on the window edges). Points inside the window with fewer than
     5 spikes are flagged and left out of the fit; the midpoint of the
     window must produce at least 20 spikes or the protocol itself is
     rejected as underpowered.

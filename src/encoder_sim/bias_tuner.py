@@ -100,12 +100,17 @@ class TuneSpec:
 
 @dataclass(frozen=True)
 class TuneResult:
-    """Best point found plus the full evaluation record."""
+    """Best point found plus the full evaluation record.
+
+    ``failures`` holds (evaluation index, point, reason) for every
+    evaluation that failed and scored +inf in the trace.
+    """
 
     best_point: dict[str, float]
     best_objective: float
     evaluations: int
     trace: tuple[tuple[dict[str, float], float], ...]
+    failures: tuple[tuple[int, dict[str, float], str], ...] = ()
 
     def __post_init__(self) -> None:
         if self.evaluations != len(self.trace):
@@ -257,7 +262,7 @@ class _Evaluator:
         self.objective_fn = objective_fn
         self.budget = budget
         self.trace: list[tuple[dict[str, float], float]] = []
-        self.failures: list[tuple[dict[str, float], str]] = []
+        self.failures: list[tuple[int, dict[str, float], str]] = []
 
     def __call__(self, z: np.ndarray) -> float:
         if len(self.trace) >= self.budget:
@@ -273,7 +278,7 @@ class _Evaluator:
             if math.isnan(value):
                 raise ValueError("objective returned NaN")
         except (ValueError, RuntimeError, OverflowError) as exc:
-            self.failures.append((point, repr(exc)))
+            self.failures.append((len(self.trace), point, repr(exc)))
             value = math.inf
         self.trace.append((point, value))
         return value
@@ -285,8 +290,9 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
     The template's own operating point (projected into the box) is the
     first vertex, so the result can never be worse than the starting
     configuration as scored by the objective. Failed evaluations (invalid
-    configs, solver breakdowns) score +inf and stay in the trace; the
-    search only errors out when nothing at all evaluated cleanly.
+    configs, solver breakdowns) score +inf and stay in the trace, with
+    their reasons in ``failures``; the search only errors out when nothing
+    at all evaluated cleanly.
     objective_fn overrides the named objective, mainly for tests; it
     receives a fully-built EncoderConfig.
     """
@@ -315,13 +321,14 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
             raise TunerError("search ended before any evaluation")
         best_point, best_value = min(evaluate.trace, key=lambda entry: entry[1])
         if not math.isfinite(best_value):
-            log = "; ".join(f"{p} -> {msg}" for p, msg in evaluate.failures[:8])
+            log = "; ".join(f"{p} -> {msg}" for _, p, msg in evaluate.failures[:8])
             raise TunerError(f"all {len(evaluate.trace)} evaluations failed: {log}")
         return TuneResult(
             best_point=dict(best_point),
             best_objective=best_value,
             evaluations=len(evaluate.trace),
             trace=tuple((dict(p), f) for p, f in evaluate.trace),
+            failures=tuple((k, dict(p), msg) for k, p, msg in evaluate.failures),
         )
 
     d = len(free)

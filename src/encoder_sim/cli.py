@@ -536,6 +536,14 @@ def _cmd_tune(cp, args) -> int:
         f"tune: best objective {result.best_objective:.6f} after "
         f"{result.evaluations} evaluations at {best} -> {out}",
     )
+    if result.failures:
+        failed = out.with_name(out.name + ".failures")
+        rows = [
+            (str(k), *(point[name] for name in order), '"' + reason.replace('"', '""') + '"')
+            for k, point, reason in result.failures
+        ]
+        _write_csv(failed, ("evaluation", *order, "reason"), rows)
+        _say(args, f"tune: {len(result.failures)} evaluations failed -> {failed}")
     return 0
 
 

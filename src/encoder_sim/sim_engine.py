@@ -44,10 +44,11 @@ input-pole path steps one step at a time.
 
 A run is refused before its first step, with ``SimulationError``, when
 its nominal step count ceil(t_end/dt) exceeds 2**26 or the trace rows
-those steps imply exceed 2**20. The budget bounds the nominal count only:
-each spike adds a few loop steps (the step split at the crossing, the
-refractory time), so a neuron that fires many times per dt takes more
-steps and writes more rows than the check counted.
+those steps imply exceed 2**20. Each spike adds a few loop steps (the
+step split at the crossing, the refractory time), so a neuron that fires
+many times per dt takes more steps and writes more rows than that check
+counted; the loop itself raises ``SimulationError`` once its steps or
+rows pass four times the budget.
 
 Integration is fixed-step RK4. A threshold crossing inside a step is
 located by bisecting the substep length, which keeps spike times
@@ -55,16 +56,22 @@ deterministic to the event tolerance without adaptive stepping. The
 refractory period is consumed in exact time (no grid rounding), so
 inter-spike gaps are exactly t_rf plus the integration time.
 
-``spike_count_dc`` counts the spikes a dc bias fires in a window without
-stepping every period. A dc drive makes the membrane equation autonomous,
-and every interval restarts from the reset floor with the same sequence of
-steps, so the train is strictly periodic: spike k sits at
-t_first + k*(t_rf + t_first), up to float accumulation of the time. The
-counter steps the first interval, counts whole periods in closed form and
-hands the last two to three periods before the window end to ``transient``
-itself. Its tie rule: a spike counts when t0 <= t < t1; at t1 this is the
-stepping loop's own verdict, and at t0 a spike whose computed time falls
-short of t0 by no more than the accumulated rounding still counts.
+``spike_count_dc`` counts the spikes a dc bias fires in a window with work
+proportional to one interval. A dc drive makes the membrane equation
+autonomous, and every interval restarts from the reset floor with the same
+sequence of steps, so the train is strictly periodic: spike k sits at
+t_first + k*(t_rf + t_first), up to float accumulation of the time. A bias
+whose dc equilibrium lies below threshold, at a step small enough that RK4
+is an increasing map with that equilibrium as its fixed point, counts 0
+without a step. Otherwise the counter steps the first interval in the fused
+loop and counts every period up to the window end in closed form. It hands
+the last periods to ``transient`` itself only where the step cut short by
+the window end can change the verdict: when a spike lies within two event
+tolerances of the window end (or of its start, for a window that short), or
+when a period is shorter than a step. Its tie rule: a spike counts when
+t0 <= t < t1; at a t1 next to a spike this is the stepping loop's own
+verdict, and at t0 a spike whose computed time falls short of t0 by no more
+than the accumulated rounding still counts.
 
 ``oracle_transient`` is a deliberately naive forward-Euler integrator with
 per-sample threshold checks. It shares nothing with the RK4 path except the
@@ -116,9 +123,12 @@ _DRIVE_BLOCK_MIN = 16
 _DRIVE_BLOCK_STEPS = 256
 # A transient refuses to start when its nominal step count ceil(t_end/dt)
 # or the trace rows that implies exceed these, instead of running for
-# hours or filling memory. Spikes add steps beyond the nominal count.
+# hours or filling memory. Spikes add steps beyond the nominal count, so
+# a run also stops once its loop steps or trace rows pass
+# _BUDGET_OVERRUN times these.
 _STEP_BUDGET = 2**26
 _TRACE_BUDGET = 2**20
+_BUDGET_OVERRUN = 4
 
 
 class SimulationError(RuntimeError):
@@ -382,6 +392,13 @@ def _check_budget(t_end: float, dt: float, trace_every: int) -> None:
         )
 
 
+def _overrun(count: int, what: str, budget: int, t: float) -> SimulationError:
+    """The error of a run whose loop steps or trace rows overran the budget."""
+    return SimulationError(
+        f"{count} {what} overran {_BUDGET_OVERRUN} times the budget of {budget}", t
+    )
+
+
 def _time_eps(t_end: float) -> float:
     """Time below which a leftover refractory period or step is dropped."""
     return 1e-15 * max(t_end, 1.0)
@@ -540,6 +557,26 @@ def _make_step(neuron: NeuronConfig, stage_drive):
     return step
 
 
+def _make_dc_step(neuron: NeuronConfig, i_dc: float):
+    """``_make_step`` under the constant drive i_dc."""
+    dc_stages = (i_dc, i_dc, i_dc)
+    return _make_step(neuron, lambda t, h: dc_stages)
+
+
+def _dc_take_block(i_dc: float):
+    """``take_block`` of a dc drive for ``_make_full_steps``.
+
+    A dc drive needs no block: every stage drive is i_dc, so one constant
+    row serves every call.
+    """
+    row = [i_dc] * (_DRIVE_BLOCK_STEPS + 1)
+
+    def take_block(t: float, steps: int):
+        return row, row, 0, min(steps, _DRIVE_BLOCK_STEPS)
+
+    return take_block
+
+
 def _make_full_steps(neuron: NeuronConfig, take_block, dt: float, t_end: float):
     """Runs of full RK4 steps (h == dt) in one loop, with no call per stage.
 
@@ -663,14 +700,8 @@ def transient(
 
     if input_wave.kind == "dc":
         i_dc = i_in(0.0)
-        dc_stages = (i_dc, i_dc, i_dc)
-        step = _make_step(neuron, lambda t, h: dc_stages)
-        # a dc drive needs no block: every entry of this one is i_dc
-        dc_row = [i_dc] * (_DRIVE_BLOCK_STEPS + 1)
-
-        def take_block(t: float, steps: int):
-            return dc_row, dc_row, 0, min(steps, _DRIVE_BLOCK_STEPS)
-
+        step = _make_dc_step(neuron, i_dc)
+        take_block = _dc_take_block(i_dc)
     else:
         stage_drive, take_block = _make_stage_drive(i_in, i_in_block, solver.dt, t_end)
         step = _make_step(neuron, stage_drive)
@@ -691,11 +722,18 @@ def transient(
     step_index = 0
     time_eps = _time_eps(t_end)
 
+    step_cap = _BUDGET_OVERRUN * _STEP_BUDGET
+    row_cap = _BUDGET_OVERRUN * _TRACE_BUDGET
+
     while t < t_end - time_eps:
         if step_index % trace_every == 0:
             t_c = min(t, t_end)
             trace.append((t, waveform_eval(input_wave, t_c), i_in(t_c), i_mem))
+            if len(trace) > row_cap:
+                raise _overrun(len(trace), "trace rows", _TRACE_BUDGET, t)
         step_index += 1
+        if step_index > step_cap:
+            raise _overrun(step_index, "loop steps", _STEP_BUDGET, t)
 
         if refr > 0.0:
             consume = min(refr, dt, t_end - t)
@@ -792,10 +830,17 @@ def _transient_with_pole(
     step_index = 0
     time_eps = _time_eps(t_end)
 
+    step_cap = _BUDGET_OVERRUN * _STEP_BUDGET
+    row_cap = _BUDGET_OVERRUN * _TRACE_BUDGET
+
     while t < t_end - time_eps:
         if step_index % trace_every == 0:
             trace.append((t, waveform_eval(input_wave, min(t, t_end)), i_filt, i_mem))
+            if len(trace) > row_cap:
+                raise _overrun(len(trace), "trace rows", _TRACE_BUDGET, t)
         step_index += 1
+        if step_index > step_cap:
+            raise _overrun(step_index, "loop steps", _STEP_BUDGET, t)
 
         if refr > 0.0:
             consume = min(refr, dt, t_end - t)
@@ -837,6 +882,44 @@ def _transient_with_pole(
     return SimResult(trace=tuple(trace), spikes=SpikeTrain(times=tuple(spikes)))
 
 
+def _silent_at_dc(neuron: NeuronConfig, i_in: float, dt: float) -> bool:
+    """Whether RK4 at step dt provably never brings a dc drive to threshold.
+
+    The membrane derivative f has a zero I* that bounds the trajectory
+    from i_reset: for I > 0, f > 0 below I* and f < 0 above it. Linear
+    mode: I* = gain*i_in. Nonlinear mode without feedback:
+    I* = i_g*(i_in/i_r - 1), negative when the leak outweighs the drive at
+    every level. With feedback f has the sign of the quadratic
+    pf*I**2 + (pf*i_g - i_r)*I + (i_in - i_r)*i_g, and I* is its smaller
+    root when that lies above i_reset (otherwise this returns False).
+    L = (i_in/i_r + 1 + 2*pf*i_th/i_r)/tau, or 1/tau in linear mode,
+    bounds |df/dI| on [0, i_th]. With dt*L <= 1/2 no RK4 stage carries the
+    membrane past I* and the step is an increasing map with I* as its
+    fixed point, so a membrane that starts below I* stays below it, and
+    one above it falls. I* below i_th*(1 - 1e-9) is then never crossed;
+    the margin covers the rounding of the steps around I*.
+    """
+    tau = tau_m(neuron)
+    if neuron.mode == "linear":
+        i_eq = neuron.gain * i_in
+        lipschitz = 1.0 / tau
+    else:
+        pf = neuron.i_pf_gain
+        lipschitz = (i_in / neuron.i_r + 1.0 + 2.0 * pf * neuron.i_th / neuron.i_r) / tau
+        if pf == 0.0:
+            i_eq = neuron.i_g * (i_in / neuron.i_r - 1.0)
+        else:
+            b = pf * neuron.i_g - neuron.i_r
+            c = (i_in - neuron.i_r) * neuron.i_g
+            disc = b * b - 4.0 * pf * c
+            if b >= 0.0 or disc < 0.0:
+                return False
+            i_eq = 2.0 * c / (math.sqrt(disc) - b)  # the smaller root, without cancellation
+            if not i_eq > neuron.i_reset:
+                return False
+    return i_eq < neuron.i_th * (1.0 - 1e-9) and dt * lipschitz <= 0.5
+
+
 def spike_count_dc(
     encoder: EncoderConfig,
     v: float,
@@ -847,24 +930,36 @@ def spike_count_dc(
     """Number of spikes in [t0, t1) for a dc input ``v``, from rest.
 
     Gives the count that ``transient`` over [0, t1] yields inside the
-    window, starting at i_reset with no refractory time pending, without
-    stepping every period. The first interval is stepped with the dc step
-    and threshold bisection ``transient`` uses; whole periods of
-    t_rf + t_first are then counted in closed form, and the last two to
-    three periods before t1 are run by ``transient`` from the reset state,
-    so the step cut short by t1 and its bisection behave as in a full run.
-    A membrane below threshold whose step does not raise it never fires,
-    since an autonomous scalar trajectory is monotone; such biases return
-    0 after a few steps. A window that closes inside the first interval is
-    finished by ``transient`` from the membrane state reached so far.
+    window, starting at i_reset with no refractory time pending, with work
+    proportional to one firing interval rather than to the window:
+
+    - A silent bias returns 0 without a step: its dc equilibrium lies
+      below i_th*(1 - 1e-9) and dt is small enough that RK4 cannot step
+      past it (``_silent_at_dc``).
+    - The first interval is stepped by ``_make_full_steps`` in chunks of
+      ``_DRIVE_BLOCK_STEPS`` steps, exactly as ``transient`` steps it, and
+      its crossing is bisected with the scalar step as there. A chunk that
+      ends no higher than it began means 0: the RK4 map of an autonomous
+      scalar equation is monotone, so the membrane never rises again.
+    - Every later spike sits at t_first + k*(t_rf + t_first), up to float
+      accumulation of the time, and is counted in closed form. A crossing
+      step that t1 cuts short is bisected on a shorter span, which can
+      move its spike by up to event_tol. So when such a spike lies within
+      band = 2*event_tol + ``slack`` of t1 or t0, or when periods are too
+      short for only one crossing step to reach past t1, ``transient``
+      runs the last periods from the reset state to give the stepping
+      loop's own verdict.
+
+    A window that closes inside the first interval is finished by
+    ``transient`` from the membrane state reached so far.
 
     Tie rule: a spike at time t counts when t0 <= t < t1. Closed-form and
     hand-over times differ from the stepping loop's accumulated times only
     by rounding, bounded here by ``slack`` (about 1.4e-12 s for the 22 ms
-    vf-curve run of the default encoder at 0.25 V). At t1 the stepped final periods decide exactly as a full run
-    does. At t0 a spike counts when its computed time is at least
-    t0 - slack, so a t0 taken from ``transient``'s own spike times counts
-    that spike, as the stepping loop does.
+    vf-curve run of the default encoder at 0.25 V). At t0 a spike counts
+    when its computed time is at least t0 - slack, so a t0 taken from
+    ``transient``'s own spike times counts that spike, as the stepping
+    loop does.
     """
     if not (math.isfinite(t0) and math.isfinite(t1) and 0.0 <= t0 < t1):
         raise ValueError(f"window must satisfy 0 <= t0 < t1, got {t0!r}, {t1!r}")
@@ -873,58 +968,76 @@ def spike_count_dc(
         solver = default_solver_config(neuron)
     if solver.method != "rk4":
         raise ValueError(f"spike_count_dc integrates with rk4, got method {solver.method!r}")
-    wave = Waveform(kind="dc", offset=v)
     # With a dc drive the optional input pole's filter state never moves,
     # so the plain dc step is exact for both encoder kinds.
     i_dc = neuron_input_current(encoder.transconductor, v)
-    dc_stages = (i_dc, i_dc, i_dc)
-    step = _make_step(neuron, lambda t, h: dc_stages)
     i_th = neuron.i_th
     t_rf = neuron.t_rf
     dt = solver.dt
+    if _silent_at_dc(neuron, i_dc, dt):
+        return 0
+
+    wave = Waveform(kind="dc", offset=v)
 
     def stepped(t_start: float, state: NeuronState, t_lo: float) -> int:
         t_end = t1 - t_start
         res = transient(encoder, wave, t_end, solver, initial_state=state, trace_every=_NO_TRACE)
         return sum(1 for t in res.spikes.times if t < t_end and t_start + t >= t_lo)
 
+    full_steps = _make_full_steps(neuron, _dc_take_block(i_dc), dt, t1)
     t = 0.0
     i_mem = neuron.i_reset
     n_steps = 0
     while True:
-        if t1 - t < dt:
+        i_start = i_mem
+        t, i_mem, taken, i_new = full_steps(t, i_mem, _DRIVE_BLOCK_STEPS)
+        n_steps += taken
+        if i_new is not None:
+            break
+        if taken < _DRIVE_BLOCK_STEPS:
             # Less than a whole step is left: transient takes the last one.
             return stepped(t, NeuronState(i_mem=i_mem), t0) if t < t1 else 0
-        i_new = step(t, i_mem, dt)
-        if not math.isfinite(i_new):
-            raise SimulationError("non-finite membrane current after step", t)
-        if i_new >= i_th:
-            break
-        if i_new <= i_mem:
+        if i_mem <= i_start:
             return 0
-        t += dt
-        i_mem = i_new
-        n_steps += 1
+    if not math.isfinite(i_new):
+        raise SimulationError("non-finite membrane current after step", t)
+    step = _make_dc_step(neuron, i_dc)
     t_first = t + _locate_crossing(lambda s: step(t, i_mem, s) >= i_th, dt, solver.event_tol)
     if not t_first < t1:
         return 0
 
     period = t_rf + t_first
-    last = max(int((t1 - t_first) / period) - 2, 0)  # last spike counted in closed form
+    n_periods = int((t1 - t_first) / period)
     # Every loop iteration rounds the time once, and a refractory period
     # may end up to one time_eps early; the closed form drifts likewise.
     per_period = n_steps + 2 + math.ceil(t_rf / dt)
-    slack = 2.0 * (last + 3) * (per_period * math.ulp(t1) + _time_eps(t1))
+    slack = 2.0 * max(n_periods + 1, 3) * (per_period * math.ulp(t1) + _time_eps(t1))
     t_lo = t0 - slack
-    # First closed-form spike at or after t_lo; the loops settle the
-    # rounding of the division against the spike times themselves.
-    k = min(max(math.ceil((t_lo - t_first) / period), 0), last + 1)
-    while k > 0 and t_first + (k - 1) * period >= t_lo:
-        k -= 1
-    while k <= last and t_first + k * period < t_lo:
-        k += 1
+    band = 2.0 * solver.event_tol + slack
+
+    def first_at(x: float) -> int:
+        """Index of the first closed-form spike at or after x."""
+        k = max(math.ceil((x - t_first) / period), 0)
+        # settle the rounding of the division against the spike times
+        while k > 0 and t_first + (k - 1) * period >= x:
+            k -= 1
+        while t_first + k * period < x:
+            k += 1
+        return k
+
+    # Spikes before k_hi end their crossing step before t1; spike 0 is the
+    # stepped one. A cut step moves its spike, and every later one, so
+    # with periods longer than dt + 2*band only spike k_hi can move.
+    k_hi = max(first_at(t1 - dt - band), 1)
+
+    def spike_near(x: float) -> bool:
+        return t_first + max(first_at(x - band), k_hi) * period <= x + band
+
+    if period > dt + 2.0 * band and not (spike_near(t1) or spike_near(t0)):
+        return max(first_at(t1) - first_at(t_lo), 0)
     refractory = NeuronState(i_mem=neuron.i_reset, refractory_remaining=t_rf)
-    return last + 1 - k + stepped(t_first + last * period, refractory, t_lo)
+    count = max(k_hi - first_at(t_lo), 0)
+    return count + stepped(t_first + (k_hi - 1) * period, refractory, t_lo)
 
 
 def _vectorized_input_current(
@@ -934,8 +1047,11 @@ def _vectorized_input_current(
 
     Pure bisection on the internal node equation, vectorized over all
     samples: 80 halvings of the bracket take the node differential below
-    1e-12 V, well inside the comparison tolerances of the oracle tests. A
-    residual that overflows a double raises ``SaturationError``.
+    1e-12 V, well inside the comparison tolerances of the oracle tests.
+    Where sinh overflows at the ends of the +/-cap bracket but not at the
+    half-width 0.5 V/(2*n*u_t), a sample is bracketed on
+    [min(0, b), max(0, b)] instead. A residual that overflows a double
+    raises ``SaturationError``.
     """
     tc = encoder.transconductor
     dev = tc.dev
@@ -944,9 +1060,14 @@ def _vectorized_input_current(
     s = tc.node_shunt_ratio
     d = tc.drive_ratio
     # the root lies between 0 and input_arg, past the 0.5 V end when n > 2
-    arg_cap = np.maximum(0.5 / (2.0 * dev.n * dev.u_t), np.abs(input_arg))
-    lo = -arg_cap
-    hi = arg_cap
+    half_width = 0.5 / (2.0 * dev.n * dev.u_t)
+    arg_cap = np.maximum(half_width, np.abs(input_arg))
+    with np.errstate(over="ignore"):
+        narrow = np.isfinite(np.sinh(half_width)) & ~np.isfinite(
+            np.sinh(arg_cap + np.abs(input_arg))
+        )
+    lo = np.where(narrow, np.minimum(input_arg, 0.0), -arg_cap)
+    hi = np.where(narrow, np.maximum(input_arg, 0.0), arg_cap)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         with np.errstate(over="ignore", invalid="ignore"):

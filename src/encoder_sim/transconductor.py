@@ -65,6 +65,9 @@ __all__ = [
 # in volts. The root lies between 0 and the input argument, so the bracket
 # is widened to |input_arg| where (n-1)*|v_id| exceeds it (n > 2).
 _BRACKET_V = 0.5
+# Largest argument at which sinh is finite. A device whose 0.5 V half-width
+# 0.5 V/(2*n*u_t) passes it cannot represent the supply swing.
+_SINH_ARG_MAX = math.asinh(sys.float_info.max)
 
 _MAX_EVALS = 200
 _X_TOL_V = 1e-12
@@ -216,16 +219,24 @@ def _solve_node_arg(cfg: TransconductorConfig, input_arg: float):
     The residual r(a) = sinh(a) + s*a - d*sinh(b - a) is strictly increasing,
     and r(0) and r(b) have opposite signs, so the root lies between 0 and b.
     The bracket +/-max(0.5 V/(2*n*u_t), |b|) therefore holds it for any n;
-    for n <= 2 it is the fixed +/-0.5 V bracket. With a symmetric bracket
-    and an odd residual the iterates for -b mirror those for +b exactly,
-    which keeps the transfer bit-exactly odd. A residual that overflows a
-    double (a tiny thermal voltage stretches the bracket past sinh's range)
-    raises ``SaturationError``.
+    for n <= 2 it is the fixed +/-0.5 V bracket. Where sinh would overflow
+    at that bracket's ends but not at the half-width 0.5 V/(2*n*u_t) (a
+    small thermal voltage or a large n), the bracket is
+    [min(0, b), max(0, b)] instead. Either bracket mirrors under b -> -b,
+    and with an odd residual the iterates for -b mirror those for +b
+    exactly, which keeps the transfer bit-exactly odd. A residual that
+    overflows a double raises ``SaturationError``, as it does at the
+    bracket end of a device whose half-width itself overflows sinh.
     """
     s = cfg.node_shunt_ratio
     d = cfg.drive_ratio
     two_nut = 2.0 * cfg.dev.n * cfg.dev.u_t
-    arg_cap = max(_BRACKET_V / two_nut, abs(input_arg))
+    half_width = _BRACKET_V / two_nut
+    arg_cap = max(half_width, abs(input_arg))
+    if half_width <= _SINH_ARG_MAX < arg_cap + abs(input_arg):
+        lo, hi = min(0.0, input_arg), max(0.0, input_arg)
+    else:
+        lo, hi = -arg_cap, arg_cap
 
     def residual(a: float) -> float:
         try:
@@ -242,7 +253,6 @@ def _solve_node_arg(cfg: TransconductorConfig, input_arg: float):
         scale = abs(math.sinh(a)) + s * abs(a) + d * abs(math.sinh(input_arg - a))
         return abs(r) / max(scale, sys.float_info.min)
 
-    lo, hi = -arg_cap, arg_cap
     r_lo = residual(lo)
     evals = 1
     if r_lo > 0.0:
@@ -475,8 +485,16 @@ def node_arg_table(cfg: TransconductorConfig) -> NodeArgTable:
     the neuron drive current, or of the half-swing where that is larger,
     since a double carries no absolute 1e-10 once sinh exceeds about 1e5.
     Past 2**16 intervals it raises ``SolverError``; an overflowing node
-    equation raises ``SaturationError``.
+    equation, or a device whose half-width 0.5 V/(2*n*u_t) overflows sinh
+    (whose node equation ``_solve_node_arg`` cannot solve), raises
+    ``SaturationError``.
     """
+    half_width = _BRACKET_V / (2.0 * cfg.dev.n * cfg.dev.u_t)
+    if not half_width <= _SINH_ARG_MAX:
+        raise SaturationError(
+            f"node equation overflows at the half-width argument {half_width:.4g}; "
+            "device is outside the weak-inversion model range"
+        )
     beta_max = _input_argument(cfg, _BRACKET_V)
     n = _TABLE_MIN_INTERVALS
     nodes = np.arange(n + 1) * (beta_max / n)

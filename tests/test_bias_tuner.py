@@ -206,6 +206,22 @@ class TestFailureHandling:
         assert abs(result.best_point["i_g"] - 1.2e-11) < 1e-13
         assert any(math.isinf(v) for _, v in result.trace)
 
+    def test_failures_name_each_failed_evaluation(self):
+        def hook(encoder):
+            if encoder.neuron.i_g > 1.5e-11:
+                raise ValueError("upper half poisoned")
+            return (encoder.neuron.i_g - 1.2e-11) ** 2 / 1e-22
+
+        spec = TuneSpec(variables={"i_g": (1e-11, 2e-11)}, budget=30, seed=1)
+        result = tune(EncoderConfig(), spec, objective_fn=hook)
+        failed = [k for k, (_, value) in enumerate(result.trace) if math.isinf(value)]
+        assert failed and [k for k, _, _ in result.failures] == failed
+        for k, point, reason in result.failures:
+            assert point == result.trace[k][0]
+            assert reason == "ValueError('upper half poisoned')"
+        clean = tune(EncoderConfig(), spec, objective_fn=lambda enc: enc.neuron.i_g * 1e11)
+        assert clean.failures == ()
+
     def test_nan_objective_counts_as_failure(self):
         def hook(encoder):
             return float("nan")

@@ -2,12 +2,13 @@
 byte-exact CSV output against committed golden files."""
 
 import configparser
+import csv
 import time
 from pathlib import Path
 
 import pytest
 
-from encoder_sim import cli, sim_engine
+from encoder_sim import bias_tuner, cli, sim_engine
 from encoder_sim.cli import (
     apply_overrides,
     build_encoder,
@@ -143,6 +144,20 @@ class TestExitCodes:
         )
         assert code == 3
         assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("u_t, code", [("1e-4", 3), ("3e-4", 0)])
+    def test_thermal_voltage_verdict_agrees(self, tmp_path, u_t, code):
+        # At 0.1 mV the 0.5 V half-width overflows sinh, so no command can
+        # solve the devices; at 0.3 mV only the +/-cap bracket ends do, and
+        # every command solves on the narrow bracket.
+        codes = [
+            main(
+                [cmd, "--config", DEFAULT_INI, "--out", str(tmp_path / f"{cmd}.csv"), "--quiet"]
+                + ["--set", f"device.u_t_v={u_t}", "--set", "transient.t_end_s=1e-3"]
+            )
+            for cmd in ("dc-sweep", "transient", "vf-curve")
+        ]
+        assert codes == [code] * 3
 
     def test_transient_over_the_step_budget(self, tmp_path, capsys):
         # about 5.6e9 steps: refused before the first one, not run for hours
@@ -373,3 +388,34 @@ class TestTuneCommand:
         assert lines[0] == "evaluation,i_th,objective"
         # header plus at most budget evaluations, at least the simplex
         assert 3 <= len(lines) - 1 <= 6
+
+    @pytest.mark.parametrize("poisoned", [False, True])
+    def test_failed_evaluations_file(self, tmp_path, capsys, monkeypatch, poisoned):
+        def objective(encoder):
+            i_th = encoder.neuron.i_th
+            if poisoned and i_th > 85e-12:
+                raise ValueError(f"poisoned at {i_th!r}, here")
+            return (i_th - 80e-12) ** 2 / 1e-22
+
+        monkeypatch.setitem(bias_tuner._OBJECTIVE_FNS, "linearity_error", objective)
+        out = tmp_path / "t.csv"
+        args = ["tune", "--config", DEFAULT_INI, "--out", str(out)]
+        for key, value in (("variables", "i_th"), ("i_th_lo_a", "50e-12"), ("budget", "12")):
+            args += ["--set", f"tune.{key}={value}"]
+        assert main(args) == 0
+        failed = tmp_path / "t.csv.failures"
+        assert failed.exists() == poisoned
+        if not poisoned:
+            assert "evaluations failed" not in capsys.readouterr().out
+            return
+        rows = list(csv.reader(failed.open(encoding="utf-8")))
+        trace = list(csv.reader(out.open(encoding="utf-8")))[1:]
+        assert rows[0] == ["evaluation", "i_th", "reason"]
+        assert len(rows) > 1
+        # each row names an evaluation that scored inf, its point and reason
+        for k, i_th, reason in rows[1:]:
+            assert trace[int(k)][1:] == [i_th, "inf"]
+            point = float(reason.removeprefix("ValueError('poisoned at ").removesuffix(", here')"))
+            assert point == pytest.approx(float(i_th), rel=1e-8)
+        assert sum(row[2] == "inf" for row in trace) == len(rows) - 1
+        assert f"{len(rows) - 1} evaluations failed" in capsys.readouterr().out

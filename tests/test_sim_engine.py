@@ -331,6 +331,24 @@ class TestTransientLinear:
             transient(enc, wave, 1e300, SolverConfig(dt=1e-300, event_tol=1e-301))
 
 
+    def test_loop_budget(self, monkeypatch):
+        # t_rf = 0 and i_th = 1.5 pA fire many times per dt, and every spike
+        # adds loop steps and trace rows that the nominal check does not count
+        enc, wave = lin_encoder(replace(LIN, i_th=1.5e-12)), Waveform(kind="dc", offset=0.0)
+        dt = 2.0**-18
+        solver = SolverConfig(dt=dt, event_tol=dt / 64)
+        assert len(transient(enc, wave, 100 * dt, solver, trace_every=10**9).spikes) > 400
+        monkeypatch.setattr(sim_engine, "_STEP_BUDGET", 100)
+        over = "loop steps overran 4 times the budget of 100"
+        with pytest.raises(SimulationError, match=over) as err:
+            transient(enc, wave, 100 * dt, solver, trace_every=10**9)
+        assert 0.0 < err.value.t < 100 * dt
+        monkeypatch.setattr(sim_engine, "_STEP_BUDGET", 10**6)
+        monkeypatch.setattr(sim_engine, "_TRACE_BUDGET", 11)
+        with pytest.raises(SimulationError, match="trace rows overran 4 times the budget of 11"):
+            transient(enc, wave, 100 * dt, solver, trace_every=10)  # 11 rows nominal
+
+
 class TestOracleAgreement:
     def test_linear_constant_drive(self):
         enc = lin_encoder(LIN_RF)
@@ -374,6 +392,20 @@ class TestOracleAgreement:
             for t, got in zip(times, drive):
                 want = neuron_input_current(tc, float(t) - 0.5)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12 * tc.output_quiescent)
+
+    def test_oracle_drive_on_the_narrow_bracket(self):
+        # at 0.3 mV sinh overflows at the +/-cap bracket ends for |v| above
+        # about 0.1 V, but not at the 0.5 V half-width: both solvers then
+        # bracket on [min(0, b), max(0, b)]
+        tc = TransconductorConfig(dev=DeviceParams(u_t=3e-4))
+        enc = EncoderConfig(transconductor=tc, neuron=replace(LIN, u_t=3e-4))
+        wave = Waveform(kind="pwl", breakpoints=((0.0, -0.5), (1.0, 0.5)))
+        times = np.linspace(0.0, 1.0, 21)
+        drive = _vectorized_input_current(enc, wave, times)
+        assert np.max(drive) > 1e15
+        for t, got in zip(times, drive):
+            want = neuron_input_current(tc, float(t) - 0.5)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12 * tc.output_quiescent)
 
     def test_oracle_overflow_is_saturation(self):
         # a 0.1 mV thermal voltage overflows sinh inside the oracle's
@@ -857,6 +889,35 @@ def stepped_count(encoder, v, t0, t1, solver=None):
 NONLIN = NeuronConfig()
 
 
+def equilibrium(neuron, i_in):
+    """The dc fixed point of the membrane, from the model equation."""
+    if neuron.mode == "linear":
+        return neuron.gain * i_in
+    pf, i_g, i_r = neuron.i_pf_gain, neuron.i_g, neuron.i_r
+    if pf == 0.0:
+        return i_g * (i_in / i_r - 1.0)
+    # the smaller root of pf*I**2 + (pf*i_g - i_r)*I + (i_in - i_r)*i_g
+    b, c = pf * i_g - i_r, (i_in - i_r) * i_g
+    return (-b - math.sqrt(b * b - 4.0 * pf * c)) / (2.0 * pf)
+
+
+def slope_bound(neuron, i_in):
+    """L, the bound on |df/dI| over [0, i_th] that the silent-bias guard uses."""
+    if neuron.mode == "linear":
+        return 1.0 / tau_m(neuron)
+    return (i_in / neuron.i_r + 1.0 + 2.0 * neuron.i_pf_gain * neuron.i_th / neuron.i_r) / tau_m(
+        neuron
+    )
+
+
+# Silent at 0 V: equilibria of 70, 40 and 76.6 pA against these thresholds.
+SILENT = {
+    "nonlinear": NONLIN,
+    "linear": replace(LIN, i_th=50e-12),
+    "feedback": replace(NONLIN, i_pf_gain=0.5, i_th=80e-12),
+}
+
+
 @pytest.fixture(scope="module")
 def long_train():
     enc = EncoderConfig(transconductor=TC, neuron=NONLIN)
@@ -877,15 +938,20 @@ class TestSpikeCountDc:
         t0_frac=st.one_of(
             st.just(0.0), st.floats(min_value=0.0, max_value=0.9), st.floats(0.97, 0.999)
         ),
+        dt_scale=st.sampled_from([1, 20, 100, 300]),
     )
-    @example("nonlinear", 72e-12, 0.0, 20e-6, None, False, 0.0, 1e-3, 0.2)  # silent bias
-    @example("linear", 30e-12, 0.0, 0.0, None, False, 0.0, 1e-3, 0.0)  # t_rf = 0, t0 = 0
-    @example("nonlinear", 72e-12, 2.0, 20e-6, 1e-12, True, 0.3, 1.2e-3, 0.98)  # pole, short window
+    @example("nonlinear", 72e-12, 0.0, 20e-6, None, False, 0.0, 1e-3, 0.2, 1)  # silent bias
+    @example("linear", 30e-12, 0.0, 0.0, None, False, 0.0, 1e-3, 0.0, 1)  # t_rf = 0, t0 = 0
+    @example("nonlinear", 72e-12, 2.0, 20e-6, 1e-12, True, 0.3, 1.2e-3, 0.98, 1)  # pole, short
+    @example("nonlinear", 72e-12, 0.0, 20e-6, None, False, 0.0, 1e-3, 0.2, 300)  # silent, coarse
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    def test_matches_stepping_loop(self, mode, i_th, i_pf_gain, t_rf, pole, cheap, v, t1, t0_frac):
+    def test_matches_stepping_loop(
+        self, mode, i_th, i_pf_gain, t_rf, pole, cheap, v, t1, t0_frac, dt_scale
+    ):
         neuron = NeuronConfig(i_th=i_th, i_pf_gain=i_pf_gain, t_rf=t_rf, mode=mode)
         enc = EncoderConfig(transconductor=TC, neuron=neuron, input_pole_capacitance=pole)
-        solver = _cheap_solver(neuron) if cheap else None
+        base = _cheap_solver(neuron) if cheap else default_solver_config(neuron)
+        solver = SolverConfig(dt=base.dt * dt_scale, event_tol=base.event_tol)
         t0 = t0_frac * t1
         assert spike_count_dc(enc, v, t0, t1, solver) == stepped_count(enc, v, t0, t1, solver)
 
@@ -921,6 +987,112 @@ class TestSpikeCountDc:
         expected = len(times) - k % len(times)
         assert stepped_count(enc, 0.25, t0, t1) == expected
         assert spike_count_dc(enc, 0.25, t0, t1) == expected
+
+    @pytest.mark.parametrize("kind", SILENT)
+    def test_silent_bias_under_the_guard_takes_no_step(self, monkeypatch, kind):
+        neuron = SILENT[kind]
+        enc = EncoderConfig(transconductor=TC, neuron=neuron)
+        i_in = neuron_input_current(TC, 0.0)
+        assert equilibrium(neuron, i_in) < neuron.i_th
+        assert default_solver_config(neuron).dt * slope_bound(neuron, i_in) <= 0.5
+        assert stepped_count(enc, 0.0, 0.0, 2e-3) == 0
+
+        def no_step(*args):
+            raise AssertionError("a silent bias under the guard took a step")
+
+        monkeypatch.setattr(sim_engine, "_make_full_steps", no_step)
+        monkeypatch.setattr(sim_engine, "_make_step", no_step)
+        assert spike_count_dc(enc, 0.0, 0.0, 2e-3) == 0
+        assert spike_count_dc(enc, 0.0, 0.0, 10.0) == 0
+        assert spike_count_dc(enc, -0.5, 0.0, 10.0) == 0
+
+    @pytest.mark.parametrize("dt_scale", [20, 100, 300])
+    @pytest.mark.parametrize(
+        "neuron, v", [(NONLIN, 0.0), (NONLIN, 0.25), (SILENT["feedback"], 0.0)]
+    )
+    def test_past_the_guard_matches_stepping_loop(self, neuron, v, dt_scale):
+        base = default_solver_config(neuron)
+        solver = SolverConfig(dt=base.dt * dt_scale, event_tol=base.event_tol)
+        assert solver.dt * slope_bound(neuron, neuron_input_current(TC, v)) > 0.5
+        enc = EncoderConfig(transconductor=TC, neuron=neuron)
+        assert spike_count_dc(enc, v, 0.0, 2e-3, solver) == stepped_count(enc, v, 0.0, 2e-3, solver)
+
+    def test_silent_bias_past_the_guard_stops_stepping(self, monkeypatch):
+        # a chunk of steps that does not raise the membrane ends the count,
+        # long before a 1 s window would hand its end to transient
+        base = default_solver_config(NONLIN)
+        solver = SolverConfig(dt=20 * base.dt, event_tol=base.event_tol)
+        enc = EncoderConfig(transconductor=TC, neuron=NONLIN)
+
+        def no_transient(*args, **kwargs):
+            raise AssertionError("stepped a silent bias to the window end")
+
+        monkeypatch.setattr(sim_engine, "transient", no_transient)
+        assert spike_count_dc(enc, 0.0, 0.0, 1.0, solver) == 0
+
+    @pytest.mark.parametrize("i_reset, fires", [(150e-12, False), (250e-12, True)])
+    def test_feedback_reset_between_or_above_the_roots(self, i_reset, fires):
+        # with i_pf_gain = 1.5 at 0 V the derivative vanishes at 108.7 and
+        # 215 pA: from between them the membrane falls, from above it grows
+        neuron = NeuronConfig(i_pf_gain=1.5, i_reset=i_reset, i_th=300e-12)
+        enc = EncoderConfig(transconductor=TC, neuron=neuron)
+        count = stepped_count(enc, 0.0, 0.0, 2e-3)
+        assert (count > 0) == fires
+        assert spike_count_dc(enc, 0.0, 0.0, 2e-3) == count
+
+    @pytest.mark.parametrize("eps", [1e-3, -1e-3, 1e-6, -1e-6, 1e-9, -1e-9, 1e-12, -1e-12, 0.0])
+    @pytest.mark.parametrize(
+        "neuron",
+        [NONLIN, replace(NONLIN, mode="linear"), replace(NONLIN, i_pf_gain=0.5)],
+        ids=["nonlinear", "linear", "feedback"],
+    )
+    def test_threshold_at_the_equilibrium(self, neuron, eps):
+        # i_th = I*(1 + eps): on either side of the guard's margin, and on
+        # the fixed point itself, the count is the stepping loop's
+        i_in = neuron_input_current(TC, 0.0)
+        neuron = replace(neuron, i_th=equilibrium(neuron, i_in) * (1.0 + eps))
+        enc = EncoderConfig(transconductor=TC, neuron=neuron)
+        assert spike_count_dc(enc, 0.0, 0.0, 3e-3) == stepped_count(enc, 0.0, 0.0, 3e-3)
+
+    @pytest.mark.parametrize("k", [0, 1, 40, 120])
+    def test_window_end_far_from_spikes_runs_no_transient(self, monkeypatch, k, long_train):
+        enc, _, times = long_train
+
+        def no_transient(*args, **kwargs):
+            raise AssertionError("transient ran for a window end far from every spike")
+
+        monkeypatch.setattr(sim_engine, "transient", no_transient)
+        t1 = 0.5 * (times[k] + times[k + 1])
+        assert spike_count_dc(enc, 0.25, 0.0, t1) == k + 1
+        if k > 0:
+            assert spike_count_dc(enc, 0.25, 0.5 * (times[0] + times[1]), t1) == k
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_window_of_one_spike_cut_by_t1(self, k):
+        # t1 cuts the crossing step of the spike at t0 and moves it below t0
+        neuron = NeuronConfig(i_th=7.5081753161587e-11, t_rf=5e-6, i_pf_gain=2.0)
+        enc, v = EncoderConfig(transconductor=TC, neuron=neuron), -0.09043415378772257
+        tol = default_solver_config(neuron).event_tol
+        t0 = transient(enc, Waveform(kind="dc", offset=v), 1e-3).spikes.times[k]
+        spans = (0.5, 1.5, 2.5, 5.0, 400.0)  # in event_tol; dt is 180
+        counts = [stepped_count(enc, v, t0, t0 + f * tol) for f in spans]
+        assert 0 in counts and 1 in counts
+        for f, count in zip(spans, counts):
+            assert spike_count_dc(enc, v, t0, t0 + f * tol) == count
+
+    def test_periods_shorter_than_a_step(self):
+        # t_rf = 0 and dt = 2 tau: several crossing steps reach past t1, and
+        # each step t1 cuts short moves its spike and every later one
+        neuron = NeuronConfig(i_th=2.1813486126177943e-11, t_rf=0.0, mode="linear")
+        enc, v = EncoderConfig(transconductor=TC, neuron=neuron), -0.07607940729329993
+        solver = SolverConfig(dt=2.0 * tau_m(neuron), event_tol=1e-9)
+        times = transient(enc, Waveform(kind="dc", offset=v), 1e-3, solver).spikes.times
+        assert times[1] - times[0] < solver.dt / 4
+        for t_s in times[60:64]:
+            for f in (0.5, 1.0, 1.07, 1.5, 2.1, 3.0):
+                t1 = t_s + f * solver.event_tol
+                want = stepped_count(enc, v, 0.0, t1, solver)
+                assert spike_count_dc(enc, v, 0.0, t1, solver) == want
 
     @pytest.mark.parametrize("t0, t1", [(0.0, 0.0), (2e-3, 1e-3), (-1e-3, 1e-3), (0.0, math.inf)])
     def test_rejects_bad_window(self, t0, t1):

@@ -124,6 +124,19 @@ class TestSolveOperatingPoint:
         with pytest.raises(ValueError):
             solve_operating_point(CFG, bad)
 
+    @pytest.mark.parametrize("v", [0.5, 0.3, 0.1, 0.05])
+    def test_narrow_bracket_where_the_wide_one_overflows(self, v):
+        # at 0.3 mV sinh overflows at the +/-cap bracket ends (cap = 694)
+        # for |b| above 16, but the root lies on [0, b]; the narrow bracket
+        # keeps the transfer odd and the node equation balanced
+        cfg = TransconductorConfig(dev=DeviceParams(u_t=3e-4))
+        sol = solve_operating_point(cfg, v)
+        assert solve_operating_point(cfg, -v).i_out_diff == -sol.i_out_diff
+        assert 0.0 < sol.beta - sol.alpha < sol.beta
+        assert abs(node_residual(cfg, v, sol.v_b - sol.v_a)) <= 1e-9 * cfg.branch_quiescent * (
+            math.sinh(sol.beta - sol.alpha) * cfg.drive_ratio
+        )
+
     @pytest.mark.parametrize("v", [0.5, -0.5, 0.0])
     def test_overflowing_node_equation_is_saturation(self, v):
         # a 0.1 mV thermal voltage puts the +/-0.5 V bracket end far past
