@@ -207,12 +207,11 @@ def vf_curve(
     from ``spike_count_dc``, which returns 0 without a step for a bias
     whose dc equilibrium lies below threshold, and otherwise steps one
     interval and counts the periodic train in closed form, stepping the
-    last period only when a spike lies within the event tolerance of the
-    window end; it equals the count of a full transient (see its tie rule
-    for spikes on the window edges). Points inside the window with fewer than
-    5 spikes are flagged and left out of the fit; the midpoint of the
-    window must produce at least 20 spikes or the protocol itself is
-    rejected as underpowered.
+    last period only when a spike lies near the window end; it equals the
+    count of a full transient but for the edge cases of its tie rule.
+    Points inside the window with fewer than 5 spikes are flagged and
+    left out of the fit; the midpoint of the window must produce at least
+    20 spikes or the protocol itself is rejected as underpowered.
     """
     grid = [float(v) for v in v_grid]
     if len(grid) < 2:

@@ -52,13 +52,6 @@ _DEVICE_SCHEMA = {
     "u_t_v": float,
     "v_t0_v": float,
 }
-_DEVICE_FIELDS = {
-    "i_spec_a": "i_spec",
-    "w_over_l": "w_over_l",
-    "n": "n",
-    "u_t_v": "u_t",
-    "v_t0_v": "v_t0",
-}
 _TC_SCHEMA = {
     "i_ref_a": float,
     "mirror_to_branch": float,
@@ -66,14 +59,6 @@ _TC_SCHEMA = {
     "epsilon": float,
     "drive_ratio": float,
     "node_shunt_ratio": float,
-}
-_TC_FIELDS = {
-    "i_ref_a": "i_ref",
-    "mirror_to_branch": "mirror_to_branch",
-    "mirror_to_output": "mirror_to_output",
-    "epsilon": "epsilon",
-    "drive_ratio": "drive_ratio",
-    "node_shunt_ratio": "node_shunt_ratio",
 }
 _NEURON_SCHEMA = {
     "c_m_f": float,
@@ -91,19 +76,8 @@ _NEURON_SCHEMA = {
     "v_lk_v": float,
     "v_th_v": float,
 }
-_NEURON_FIELDS = {
-    "c_m_f": "c_m",
-    "i_g_a": "i_g",
-    "i_r_a": "i_r",
-    "i_th_a": "i_th",
-    "i_reset_a": "i_reset",
-    "t_rf_s": "t_rf",
-    "n": "n",
-    "u_t_v": "u_t",
-    "mode": "mode",
-    "i_pf_gain": "i_pf_gain",
-    "gain_convention": "gain_convention",
-}
+# amperes, volts, farads, seconds: a config key names its field and unit
+_UNIT_SUFFIXES = ("_a", "_v", "_f", "_s")
 _VOLTAGE_BIAS_KEYS = ("v_tu_v", "v_lk_v", "v_th_v")
 _CURRENT_BIAS_KEYS = ("i_g_a", "i_r_a", "i_th_a")
 
@@ -179,17 +153,14 @@ def _read_section(cp, name: str, schema: dict[str, type], required=()) -> dict:
     return out
 
 
-def build_encoder(cp: configparser.ConfigParser) -> EncoderConfig:
-    dev_kw = {
-        _DEVICE_FIELDS[k]: v
-        for k, v in _read_section(cp, "device", _DEVICE_SCHEMA).items()
-    }
-    dev = DeviceParams(**dev_kw)
+def _fields(section: dict) -> dict:
+    """Dataclass keywords of a section: a key is its field plus a unit suffix."""
+    return {k[:-2] if k[-2:] in _UNIT_SUFFIXES else k: v for k, v in section.items()}
 
-    tc_kw = {
-        _TC_FIELDS[k]: v
-        for k, v in _read_section(cp, "transconductor", _TC_SCHEMA).items()
-    }
+
+def build_encoder(cp: configparser.ConfigParser) -> EncoderConfig:
+    dev = DeviceParams(**_fields(_read_section(cp, "device", _DEVICE_SCHEMA)))
+    tc_kw = _fields(_read_section(cp, "transconductor", _TC_SCHEMA))
     tc = TransconductorConfig(dev=dev, **tc_kw)
 
     neuron_raw = _read_section(cp, "neuron", _NEURON_SCHEMA)
@@ -216,7 +187,7 @@ def build_encoder(cp: configparser.ConfigParser) -> EncoderConfig:
             neuron_raw.pop("v_th_v"),
         )
         neuron_raw.update({"i_g_a": i_g, "i_r_a": i_r, "i_th_a": i_th})
-    neuron = NeuronConfig(**{_NEURON_FIELDS[k]: v for k, v in neuron_raw.items()})
+    neuron = NeuronConfig(**_fields(neuron_raw))
 
     enc_raw = _read_section(cp, "encoder", {"input_pole_capacitance_f": float})
     return EncoderConfig(
@@ -241,9 +212,14 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    # "%.8e" % x == _fmt(x) for every float, nan and inf included
+    floats = ",".join(["%.8e"] * len(header))
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
+        try:
+            lines.append(floats % tuple(row))
+        except TypeError:  # a row holding a str
+            lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
 
 
@@ -329,9 +305,8 @@ def _cmd_transient(cp, args) -> int:
     out = _out_path(args)
     _write_csv(out, ("t_s", "v_id_v", "i_in_a", "i_mem_a"), res.trace)
     spikes_path = out.with_suffix(".spikes")
-    spikes_path.write_text(
-        "".join(_fmt(t) + "\n" for t in res.spikes.times), encoding="ascii", newline=""
-    )
+    times = res.spikes.times
+    spikes_path.write_text("%.8e\n" * len(times) % times, encoding="ascii", newline="")
     n = len(res.spikes)
     mean_rate = n / sec["t_end_s"]
     _say(

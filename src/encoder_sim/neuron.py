@@ -11,6 +11,10 @@ are simplest in the current variable. Two dynamics modes are provided:
 - ``linear``: the first-order approximation valid when the membrane current
   sits well above ``i_g``: a plain RC-style relaxation toward ``gain*i_in``.
 
+The expression strings of ``DERIVATIVES`` state the membrane derivative
+once per variant; the simulation engine compiles every RK4 kernel and
+``membrane_derivative`` from them (only its Euler oracle keeps a copy).
+
 Spiking is abstracted to a threshold test on the membrane current plus an
 instantaneous reset and a fixed refractory period; the regenerative spike
 waveform itself is not modeled. Threshold crossing inside an integration
@@ -32,6 +36,8 @@ __all__ = [
     "NeuronConfig",
     "NeuronState",
     "tau_m",
+    "DERIVATIVES",
+    "derivative_variant",
     "membrane_derivative",
     "spike_check",
     "reset",
@@ -151,6 +157,29 @@ def tau_m(cfg: NeuronConfig) -> float:
     return cfg.n * cfg.u_t * cfg.c_m / cfg.i_r
 
 
+# The membrane derivative, A/s, once per variant: a Python expression in
+# the membrane current {m} and the drive current {i_in}, both clamped at
+# zero, over the constants of ``derivative_variant``. Without feedback
+# the loss m*(1 - pf*m/i_r) is plain m, which gives the same bits for every
+# finite m >= 0 (-0.0 included) at pf = 0.0 or -0.0; at m = inf the drive
+# term is inf/inf, so both forms give nan.
+DERIVATIVES = {
+    "linear": "(gain * {i_in} - {m}) / tau",
+    "nonlinear": (
+        "({i_in} * ({m} / i_r) / (1.0 + {m} / i_g) - {m} * (1.0 - pf * {m} / i_r)) / tau"
+    ),
+    "nonlinear_no_feedback": "({i_in} * ({m} / i_r) / (1.0 + {m} / i_g) - {m}) / tau",
+}
+
+
+def derivative_variant(cfg: NeuronConfig) -> tuple[str, dict[str, float]]:
+    """The ``DERIVATIVES`` key of cfg's dynamics and the constants it names."""
+    constants = dict(tau=tau_m(cfg), gain=cfg.gain, i_r=cfg.i_r, i_g=cfg.i_g, pf=cfg.i_pf_gain)
+    if cfg.mode == "linear":
+        return "linear", constants
+    return ("nonlinear" if cfg.i_pf_gain != 0.0 else "nonlinear_no_feedback"), constants
+
+
 def membrane_derivative(cfg: NeuronConfig, state: NeuronState, i_in: float) -> float:
     """Time derivative of the membrane current, A/s.
 
@@ -158,18 +187,14 @@ def membrane_derivative(cfg: NeuronConfig, state: NeuronState, i_in: float) -> f
     (I_mem/i_r)/(1 + I_mem/i_g), which rises from zero, crosses gain/2 at
     I_mem = i_g and saturates at the gain i_g/i_r; the loss term is the
     plain leak minus the optional positive feedback. Linear mode is the
-    saturated-regime approximation.
+    saturated-regime approximation. Evaluates cfg's ``DERIVATIVES``
+    expression as the engine compiles it.
     """
     if not math.isfinite(i_in) or i_in < 0.0:
         raise ValueError(f"i_in must be nonnegative and finite, got {i_in!r}")
-    tau = tau_m(cfg)
-    i_mem = state.i_mem
-    if cfg.mode == "linear":
-        return (cfg.gain * i_in - i_mem) / tau
-    drive = i_in * (i_mem / cfg.i_r) / (1.0 + i_mem / cfg.i_g)
-    i_pf = cfg.i_pf_gain * i_mem
-    loss = i_mem * (1.0 - i_pf / cfg.i_r)
-    return (drive - loss) / tau
+    from .sim_engine import _make_deriv  # the engine imports this module
+
+    return _make_deriv(cfg)(state.i_mem, i_in)
 
 
 def spike_check(cfg: NeuronConfig, state: NeuronState) -> bool:

@@ -15,32 +15,29 @@ the output quiescent current (or of the output half-swing, where larger)
 of the exact bisection root. The drive is then a pure function of t,
 evaluated once per RK4 stage time, and dc runs never build a table.
 
-A run of consecutive full steps reads its drive in blocks: once the run
-is 16 steps long, one bulk call evaluates the drive at the start and the
-midpoint of each of the next steps, as many as the run has had, up to
-256. The block's step times are summed in sequence by
-``np.add.accumulate``, exactly as the loop's ``t += h`` sums them. The
-bulk evaluators (``_waveform_eval_bulk``, ``NodeArgTable.input_currents``)
-repeat the scalar operations in the same order, with numpy only for what
-IEEE rounds correctly (arithmetic, floor, comparisons, where, indexing)
-and sin and sinh taken per element with ``math``, since numpy's may round
-differently. So a block holds the scalar drive bit for bit, and the
-blocks change no result. Bisection substeps, the step cut short at the
-end, the first steps of a run and the trace rows call the scalar drive.
+A run of consecutive full steps reads its input and drive in blocks of up
+to 256 steps (``_make_stage_drive``). The block's step times are summed in
+sequence by ``np.add.accumulate``, exactly as the loop's ``t += h`` sums
+them, and the bulk evaluators (``_waveform_eval_bulk``,
+``NodeArgTable.input_currents``) repeat the scalar operations in the same
+order, with numpy only for what IEEE rounds correctly (arithmetic, floor,
+comparisons, where, indexing) and sin and sinh taken per element with
+``math``. So a block holds the scalar values bit for bit and changes no
+result. A trace row takes its input and drive from the pending block, or
+the drive from the end of the last step, where its time is one of those;
+other rows and steps call the scalar drive.
 
-Every full step of the single-state membrane runs in one loop,
-``_make_full_steps``, with the membrane derivative written out inline and
-no function call per stage. It reads a dc drive as its one constant and
-a time-varying drive from the blocks, one step at a time from the scalar
-drive where a run has no block yet, and returns to the per-step loop of
-``transient`` before the next trace row, before the step that t_end cuts
-short and before the step that reaches threshold or is not finite; the
-per-step loop takes that step with the scalar step ``_make_step``, its
-bisection and the refractory time. The loop repeats the scalar step's
-operations in the same order, with the same clamps at zero and the same
-time sum ``t += dt``, so it changes no bit; the first stage needs no
-clamp, since a step never starts from a negative membrane. The two-state
-input-pole path steps one step at a time.
+The membrane derivative of each neuron variant is one expression string in
+``neuron.DERIVATIVES``. ``_compile_kernels`` compiles it, once per process
+and variant, into the derivative of the scalar and input-pole steps and
+into the loop of ``_make_full_steps``, with the expression written out in
+each RK4 stage. Every full step of the single-state membrane runs in that
+loop, with no function call per stage; it hands back to the per-step loop
+of ``transient`` for a trace row, for the step that t_end cuts short and
+for the step that reaches threshold or is not finite, which the scalar
+step ``_make_step`` takes with its bisection and the refractory time. The
+loop repeats the scalar step's operations in the same order, so it changes
+no bit. The two-state input-pole path steps one step at a time.
 
 A run is refused before its first step, with ``SimulationError``, when
 its nominal step count ceil(t_end/dt) exceeds 2**26 or the trace rows
@@ -58,20 +55,13 @@ inter-spike gaps are exactly t_rf plus the integration time.
 
 ``spike_count_dc`` counts the spikes a dc bias fires in a window with work
 proportional to one interval. A dc drive makes the membrane equation
-autonomous, and every interval restarts from the reset floor with the same
-sequence of steps, so the train is strictly periodic: spike k sits at
-t_first + k*(t_rf + t_first), up to float accumulation of the time. A bias
-whose dc equilibrium lies below threshold, at a step small enough that RK4
-is an increasing map with that equilibrium as its fixed point, counts 0
-without a step. Otherwise the counter steps the first interval in the fused
-loop and counts every period up to the window end in closed form. It hands
-the last periods to ``transient`` itself only where the step cut short by
-the window end can change the verdict: when a spike lies within two event
-tolerances of the window end (or of its start, for a window that short), or
-when a period is shorter than a step. Its tie rule: a spike counts when
-t0 <= t < t1; at a t1 next to a spike this is the stepping loop's own
-verdict, and at t0 a spike whose computed time falls short of t0 by no more
-than the accumulated rounding still counts.
+autonomous, so the train is strictly periodic: spike k sits at
+t_first + k*(t_rf + t_first), up to float accumulation of the time. The
+counter returns 0 without a step for a bias that provably stays below
+threshold, steps the first interval in the full-step loop, counts the
+later periods in closed form, and hands the last periods to ``transient``
+only where the step cut short by the window end can change the verdict.
+Its docstring states the tie rule at the window edges.
 
 ``oracle_transient`` is a deliberately naive forward-Euler integrator with
 per-sample threshold checks. It shares nothing with the RK4 path except the
@@ -82,13 +72,16 @@ it is orders of magnitude slower and not meant for production runs.
 from __future__ import annotations
 
 import bisect as _bisect
+import functools
+import linecache
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .device_model import SaturationError
-from .neuron import NeuronConfig, NeuronState, tau_m
+from .neuron import DERIVATIVES, NeuronConfig, NeuronState, derivative_variant, tau_m
 from .transconductor import (
     TransconductorConfig,
     effective_gm,
@@ -365,15 +358,21 @@ def _make_drive(encoder: EncoderConfig, input_wave: Waveform):
 
 
 def _make_drive_block(encoder: EncoderConfig, input_wave: Waveform):
-    """Bulk form of ``_make_drive``: the drive at an array of times, A.
+    """Bulk form of ``_make_drive``: the input and drive at an array of times.
 
-    Equals ``_make_drive``'s drive at every element bit for bit. None for a
-    dc input, whose drive is one constant.
+    Returns ``(volts, currents)``, equal to ``waveform_eval`` and to
+    ``_make_drive``'s drive at every element bit for bit. None for a dc
+    input, whose drive is one constant.
     """
     if input_wave.kind == "dc":
         return None
     currents = node_arg_table(encoder.transconductor).input_currents
-    return lambda times: currents(_waveform_eval_bulk(input_wave, times))
+
+    def drive_block(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        volts = _waveform_eval_bulk(input_wave, times)
+        return volts, currents(volts)
+
+    return drive_block
 
 
 def _check_budget(t_end: float, dt: float, trace_every: int) -> None:
@@ -422,68 +421,111 @@ def _locate_crossing(crossed, h: float, event_tol: float) -> float:
     return hi
 
 
+# The RK4 kernels of a neuron variant, each F(m, i_in) its ``DERIVATIVES``
+# expression: ``make_deriv`` makes the derivative, ``make_full_steps`` the
+# loop of ``_make_full_steps``. Constants come in as arguments, never as
+# text, and the loop copies them into locals at every call.
+_KERNEL_TEXT = """\
+def make_deriv(CONSTANTS, **_):
+    def deriv(m, i_in):
+        return F(m, i_in)
+    return deriv
+
+def make_full_steps(loop, CONSTANTS, **_):
+    args = (*loop, CONSTANTS)
+    def full_steps(t, y, steps):
+        take_block, dt, half, sixth, t_end, t_last, i_th, neg_inf, CONSTANTS = args
+        taken = 0
+        while taken < steps and t < t_last and t_end - t >= dt:
+            at, mid, j, stop = take_block(t, steps - taken)
+            first = j
+            while j < stop and t < t_last and t_end - t >= dt:
+                i0, im, i1 = at[j], mid[j], at[j + 1]
+                k1 = F(y, i0)
+                y2 = y + half * k1
+                m = y2 if y2 > 0.0 else 0.0
+                k2 = F(m, im)
+                y3 = y + half * k2
+                m = y3 if y3 > 0.0 else 0.0
+                k3 = F(m, im)
+                y4 = y + dt * k3
+                m = y4 if y4 > 0.0 else 0.0
+                k4 = F(m, i1)
+                i_new = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not neg_inf < i_new < i_th:
+                    return t, y, taken + j - first, i_new
+                t += dt
+                y = i_new if i_new > 0.0 else 0.0
+                j += 1
+            taken += j - first
+        return t, y, taken, None
+    return full_steps
+"""
+
+
+@functools.cache
+def _compile_kernels(variant: str):
+    """``(make_deriv, make_full_steps)`` of a neuron variant, compiled once.
+
+    The text goes into ``linecache`` under its ``<...>`` filename, so that
+    profiles, ``inspect.getsource`` and ``traceback`` show its lines.
+    """
+    f = DERIVATIVES[variant]
+    names = sorted(set(re.findall(r"\b[a-z_]\w*", re.sub(r"{\w+}", "", f))))
+    text = re.sub(r"F\((\w+), (\w+)\)", lambda c: f.format(m=c[1], i_in=c[2]), _KERNEL_TEXT)
+    text = text.replace("CONSTANTS", ", ".join(names))
+    filename = f"<rk4 kernel: {variant}>"
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    namespace = {"__name__": __name__}
+    exec(compile(text, filename, "exec"), namespace)
+    return namespace["make_deriv"], namespace["make_full_steps"]
+
+
 def _make_deriv(neuron: NeuronConfig):
     """Membrane derivative as a function of (i_mem, i_in), A/s.
 
-    Replicates ``membrane_derivative`` operation for operation, with the
-    parameters bound once and no per-stage state construction; both
-    arguments must already be clamped at zero.
+    The neuron's ``DERIVATIVES`` expression, compiled; both arguments must
+    already be clamped at zero.
     """
-    tau = tau_m(neuron)
-    i_r = neuron.i_r
-    i_g = neuron.i_g
-    pf = neuron.i_pf_gain
-    gain = neuron.gain
-
-    if neuron.mode == "linear":
-
-        def deriv(m: float, i_in: float) -> float:
-            return (gain * i_in - m) / tau
-
-    else:
-
-        def deriv(m: float, i_in: float) -> float:
-            drive = i_in * (m / i_r) / (1.0 + m / i_g)
-            i_pf = pf * m
-            loss = m * (1.0 - i_pf / i_r)
-            return (drive - loss) / tau
-
-    return deriv
+    variant, constants = derivative_variant(neuron)
+    return _compile_kernels(variant)[0](**constants)
 
 
-def _make_stage_drive(drive, drive_block, dt: float, t_end: float):
+def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Waveform | None = None):
     """The drive at the start, middle and end of an RK4 step, and its blocks.
 
-    Returns ``(stage_drive, take_block)``, with
+    Returns ``(stage_drive, take_block, row_drive)``, with
     ``stage_drive(t, h) -> (drive(t), drive(t + h/2), drive(t + h))``.
     Full steps (h == dt) that each start where the previous step ended form
     a run. Once a run is ``_DRIVE_BLOCK_MIN`` steps long, its next steps
-    read a block: the drive at the next full steps, as many as the run so
-    far, at most ``_DRIVE_BLOCK_STEPS`` and no further than t_end,
-    evaluated in one ``drive_block`` call. A block thus grows with its run,
-    and a spike, which ends the run, wastes at most as many steps as the
-    run had. The block's step times come from ``np.add.accumulate``, which
-    sums in sequence like the loop's ``t += h``, so they are the loop's
-    times bit for bit, and so is every drive value, ``drive_block`` being
-    ``drive`` in bulk. Any other step (a bisection substep, the step cut
+    read a block: the input and drive at the next full steps, as many as
+    the run so far, at most ``_DRIVE_BLOCK_STEPS`` and no further than
+    t_end, from one ``drive_block(times) -> (volts, currents)`` call. A
+    spike, which ends the run, thus wastes at most as many steps as the run
+    had. The block's times come from ``np.add.accumulate``, which sums in
+    sequence like the loop's ``t += h``, so they and its values are the
+    loop's bit for bit. Any other step (a bisection substep, the step cut
     short at t_end, a step early in its run) calls ``drive``, reusing the
     value at its start when the previous step started or ended there.
-    Without ``drive_block`` every step does so.
 
     ``take_block(t, steps)`` hands the drives of up to ``steps`` full
     steps from t to ``_make_full_steps`` as ``(at, mid, j, stop)``: the
     k-th step reads ``at[j + k]``, ``mid[j + k]`` and ``at[j + k + 1]``
     for j + k < stop. These are the entries a pending block holds for the
     steps from t, marked read; otherwise the one-step block of
-    ``stage_drive(t, dt)``, which may start a new block. Entries handed
-    out but not stepped are skipped: the next step from there calls
-    ``drive`` as any step outside a block.
+    ``stage_drive(t, dt)``, which may start a new block. The next step
+    after entries handed out but not stepped calls ``drive``.
+
+    ``row_drive(t) -> (waveform_eval(wave, t), drive(t))`` reads a trace
+    row from the block when t is its next entry, and the drive from the
+    last step when t is where that step ended.
     """
     # without blocks no step counts as a full step
     full = dt if drive_block is not None else math.nan
     half_dt = 0.5 * dt
     min_span = _DRIVE_BLOCK_MIN * full
     times: list[float] = []
+    volts: list[float] = []
     at: list[float] = []
     mid: list[float] = []
     n = 0  # full steps in the block
@@ -494,13 +536,15 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float):
 
     def refill(t: float) -> bool:
         """A new block from t, as long as the run so far; returns True."""
-        nonlocal times, at, mid, n, j
+        nonlocal times, volts, at, mid, n, j
         n = min(int((t - t_run) / dt), _DRIVE_BLOCK_STEPS, int((t_end - t) / dt) + 1)
         steps = np.full(n + 1, dt)
         steps[0] = t
         steps = np.add.accumulate(steps)
-        currents = drive_block(np.concatenate((steps, steps[:-1] + half_dt))).tolist()
-        times, at, mid, j = steps.tolist(), currents[: n + 1], currents[n + 1 :], 0
+        v, currents = drive_block(np.concatenate((steps, steps[:-1] + half_dt)))
+        currents = currents.tolist()
+        times, volts, j = steps.tolist(), v[: n + 1].tolist(), 0
+        at, mid = currents[: n + 1], currents[n + 1 :]
         return True
 
     def stage_drive(t: float, h: float) -> tuple[float, float, float]:
@@ -530,7 +574,12 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float):
         i0, im, i1 = stage_drive(t, dt)
         return (i0, i1), (im,), 0, 1
 
-    return stage_drive, take_block
+    def row_drive(t: float) -> tuple[float, float]:
+        if j < len(times) and t == times[j]:
+            return volts[j], at[j]
+        return waveform_eval(wave, t), i_stop if t == t_stop else drive(t)
+
+    return stage_drive, take_block, row_drive
 
 
 def _make_step(neuron: NeuronConfig, stage_drive):
@@ -590,75 +639,16 @@ def _make_full_steps(neuron: NeuronConfig, take_block, dt: float, t_end: float):
     stopped for another reason. The caller's t must leave room for one
     full step, so the loop takes it or refuses it.
 
-    ``_make_deriv``'s derivative is written out inline for each stage, in
-    the same operation order, with the same clamps at zero, step
-    arithmetic and time sum ``t += dt`` as ``_make_step``, so a step taken
-    here and the same step taken by ``_make_step`` give the same bits. The
-    clamp of the first stage is left out because it cannot change a bit:
-    y is never negative (a caller's membrane never is, and each step's
-    result is clamped). A call to ``_make_deriv``'s derivative per stage
-    instead of the inline forms made the triangle transient about 15%
-    slower.
+    The loop is the neuron variant's compiled kernel, the ``_make_deriv``
+    expression written out in each stage with the same clamps at zero,
+    step arithmetic and time sum ``t += dt`` as ``_make_step``, so it gives
+    ``_make_step``'s bits. The first stage needs no clamp: y is never
+    negative. A call to the derivative per stage was about 15% slower.
     """
-    tau = tau_m(neuron)
-    i_r = neuron.i_r
-    i_g = neuron.i_g
-    pf = neuron.i_pf_gain
-    gain = neuron.gain
-    linear = neuron.mode == "linear"
-    i_th = neuron.i_th
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    variant, constants = derivative_variant(neuron)
     t_last = t_end - _time_eps(t_end)
-    inf = math.inf
-
-    def full_steps(t: float, y: float, steps: int):
-        taken = 0
-        while taken < steps and t < t_last and t_end - t >= dt:
-            at, mid, j, stop = take_block(t, steps - taken)
-            first = j
-            if linear:
-                while j < stop and t < t_last and t_end - t >= dt:
-                    i0, im, i1 = at[j], mid[j], at[j + 1]
-                    k1 = (gain * i0 - y) / tau
-                    y2 = y + half * k1
-                    m = y2 if y2 > 0.0 else 0.0
-                    k2 = (gain * im - m) / tau
-                    y3 = y + half * k2
-                    m = y3 if y3 > 0.0 else 0.0
-                    k3 = (gain * im - m) / tau
-                    y4 = y + dt * k3
-                    m = y4 if y4 > 0.0 else 0.0
-                    k4 = (gain * i1 - m) / tau
-                    i_new = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    if not -inf < i_new < i_th:
-                        return t, y, taken + j - first, i_new
-                    t += dt
-                    y = i_new if i_new > 0.0 else 0.0
-                    j += 1
-            else:
-                while j < stop and t < t_last and t_end - t >= dt:
-                    i0, im, i1 = at[j], mid[j], at[j + 1]
-                    k1 = (i0 * (y / i_r) / (1.0 + y / i_g) - y * (1.0 - pf * y / i_r)) / tau
-                    y2 = y + half * k1
-                    m = y2 if y2 > 0.0 else 0.0
-                    k2 = (im * (m / i_r) / (1.0 + m / i_g) - m * (1.0 - pf * m / i_r)) / tau
-                    y3 = y + half * k2
-                    m = y3 if y3 > 0.0 else 0.0
-                    k3 = (im * (m / i_r) / (1.0 + m / i_g) - m * (1.0 - pf * m / i_r)) / tau
-                    y4 = y + dt * k3
-                    m = y4 if y4 > 0.0 else 0.0
-                    k4 = (i1 * (m / i_r) / (1.0 + m / i_g) - m * (1.0 - pf * m / i_r)) / tau
-                    i_new = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    if not -inf < i_new < i_th:
-                        return t, y, taken + j - first, i_new
-                    t += dt
-                    y = i_new if i_new > 0.0 else 0.0
-                    j += 1
-            taken += j - first
-        return t, y, taken, None
-
-    return full_steps
+    loop = (take_block, dt, 0.5 * dt, dt / 6.0, t_end, t_last, neuron.i_th, -math.inf)
+    return _compile_kernels(variant)[1](loop, **constants)
 
 
 def transient(
@@ -702,8 +692,14 @@ def transient(
         i_dc = i_in(0.0)
         step = _make_dc_step(neuron, i_dc)
         take_block = _dc_take_block(i_dc)
+
+        def row_drive(t: float) -> tuple[float, float]:
+            return input_wave.offset, i_dc
+
     else:
-        stage_drive, take_block = _make_stage_drive(i_in, i_in_block, solver.dt, t_end)
+        stage_drive, take_block, row_drive = _make_stage_drive(
+            i_in, i_in_block, solver.dt, t_end, input_wave
+        )
         step = _make_step(neuron, stage_drive)
     full_steps = _make_full_steps(neuron, take_block, solver.dt, t_end)
 
@@ -727,8 +723,7 @@ def transient(
 
     while t < t_end - time_eps:
         if step_index % trace_every == 0:
-            t_c = min(t, t_end)
-            trace.append((t, waveform_eval(input_wave, t_c), i_in(t_c), i_mem))
+            trace.append((t, *row_drive(t), i_mem))
             if len(trace) > row_cap:
                 raise _overrun(len(trace), "trace rows", _TRACE_BUDGET, t)
         step_index += 1
@@ -777,7 +772,7 @@ def transient(
             t += h
             i_mem = i_new if i_new > 0.0 else 0.0
 
-    trace.append((t_end, waveform_eval(input_wave, t_end), i_in(t_end), i_mem))
+    trace.append((t_end, *row_drive(t_end), i_mem))
     return SimResult(trace=tuple(trace), spikes=SpikeTrain(times=tuple(spikes)))
 
 
@@ -795,7 +790,7 @@ def _transient_with_pole(
     neuron = encoder.neuron
     pole_omega = effective_gm(encoder.transconductor) / encoder.input_pole_capacitance
     deriv = _make_deriv(neuron)
-    stage_drive, _ = _make_stage_drive(i_in, i_in_block, solver.dt, t_end)
+    stage_drive = _make_stage_drive(i_in, i_in_block, solver.dt, t_end)[0]
 
     def step2(t0: float, m0: float, f0: float, h: float) -> tuple[float, float]:
         half = 0.5 * h
@@ -947,8 +942,8 @@ def spike_count_dc(
       move its spike by up to event_tol. So when such a spike lies within
       band = 2*event_tol + ``slack`` of t1 or t0, or when periods are too
       short for only one crossing step to reach past t1, ``transient``
-      runs the last periods from the reset state to give the stepping
-      loop's own verdict.
+      runs the last periods from the reset state and takes the cut step as
+      the stepping loop does, up to the rounding of its start.
 
     A window that closes inside the first interval is finished by
     ``transient`` from the membrane state reached so far.
@@ -956,8 +951,13 @@ def spike_count_dc(
     Tie rule: a spike at time t counts when t0 <= t < t1. Closed-form and
     hand-over times differ from the stepping loop's accumulated times only
     by rounding, bounded here by ``slack`` (about 1.4e-12 s for the 22 ms
-    vf-curve run of the default encoder at 0.25 V). At t0 a spike counts
-    when its computed time is at least t0 - slack, so a t0 taken from
+    vf-curve run of the default encoder at 0.25 V). So the count is the
+    stepping loop's except for a spike within that rounding of t1, or
+    within event_tol of it when t1 cuts its crossing step short: the
+    hand-over runs from t_start to the rounded t1 - t_start, and can put
+    such a spike on the other side of t1 (at a t1 equal to a spike time of
+    ``transient`` it can count that spike). At t0 a spike counts when its
+    computed time is at least t0 - slack, so a t0 taken from
     ``transient``'s own spike times counts that spike, as the stepping
     loop does.
     """

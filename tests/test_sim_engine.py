@@ -5,8 +5,12 @@ closed form to compare against; the nonlinear mode is cross-checked via the
 independent Euler oracle instead.
 """
 
+import inspect
+import linecache
 import math
 import random
+import re
+import struct
 import warnings
 from dataclasses import replace
 
@@ -16,12 +20,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from encoder_sim import sim_engine
+from encoder_sim.analysis import vf_curve
 from encoder_sim.bias_tuner import _cheap_solver
 from encoder_sim.device_model import DeviceParams, SaturationError
 from encoder_sim.neuron import (
+    DERIVATIVES,
     NeuronConfig,
     NeuronState,
     analytic_rate,
+    derivative_variant,
     membrane_derivative,
     tau_m,
 )
@@ -513,7 +520,8 @@ class TestDrive:
         wave = Waveform(kind="triangle", amplitude=0.3, offset=0.1, frequency=4e3)
         drive = _make_drive(enc, wave)
         dt, t_end = 1e-7, 8.2e-6
-        stage_drive, _ = _make_stage_drive(drive, sim_engine._make_drive_block(enc, wave), dt, t_end)
+        drive_block = sim_engine._make_drive_block(enc, wave)
+        stage_drive = _make_stage_drive(drive, drive_block, dt, t_end)[0]
         step = _make_step(neuron, stage_drive)
 
         def f(t, y):
@@ -615,7 +623,8 @@ class TestDriveBlock:
         volts = sim_engine._waveform_eval_bulk(wave, times)
         assert volts.tolist() == [waveform_eval(wave, t) for t in times.tolist()]
         drive = _make_drive(enc, wave)
-        bulk = sim_engine._make_drive_block(enc, wave)(times)
+        bulk_volts, bulk = sim_engine._make_drive_block(enc, wave)(times)
+        assert bulk_volts.tolist() == [waveform_eval(wave, t) for t in times.tolist()]
         assert bulk.tolist() == [drive(t) for t in times.tolist()]
         # the table's array method at the supply ends, zero and inside
         table = node_arg_table(tc)
@@ -837,19 +846,31 @@ class TestFullStepsChangeNothing:
 
 
 class TestFullStepsKernel:
-    @pytest.mark.parametrize("mode, i_pf_gain", [("linear", 0.0), ("nonlinear", 0.0), ("nonlinear", 0.5)])
+    @pytest.mark.parametrize(
+        "mode, i_pf_gain",
+        [("linear", 0.0), ("nonlinear", 0.0), ("nonlinear", -0.0), ("nonlinear", 0.5)],
+    )
     @given(
         y0=st.floats(min_value=0.0, max_value=72e-12),
         drives=st.lists(st.floats(min_value=0.0, max_value=2e-8), min_size=3, max_size=41),
         dt_over_tau=st.floats(min_value=1e-3, max_value=20.0),
+        c_m=st.floats(min_value=1e-14, max_value=1e-11),
+        i_r=st.floats(min_value=1e-11, max_value=1e-8),
+        g_over_r=st.floats(min_value=1e-3, max_value=0.999),
     )
-    @example(y0=5e-11, drives=[0.0, 0.0, 0.0], dt_over_tau=4.0)  # decay below zero
+    @example(  # decay below zero
+        y0=5e-11, drives=[0.0, 0.0, 0.0], dt_over_tau=4.0, c_m=0.6e-12, i_r=5e-10, g_over_r=0.02
+    )
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    def test_steps_are_the_scalar_steps(self, mode, i_pf_gain, y0, drives, dt_over_tau):
-        # Both loops of the kernel, the nonlinear one with and without
-        # feedback. Steps up to 20 tau long drive stage values below zero,
-        # so every clamp decides some bits.
-        neuron = NeuronConfig(mode=mode, i_pf_gain=i_pf_gain)
+    def test_steps_are_the_scalar_steps(
+        self, mode, i_pf_gain, y0, drives, dt_over_tau, c_m, i_r, g_over_r
+    ):
+        # Every variant of the kernel: linear, nonlinear with feedback and
+        # without, at i_pf_gain 0.0 and -0.0. Steps up to 20 tau long drive
+        # stage values below zero, so every clamp decides some bits.
+        neuron = NeuronConfig(
+            mode=mode, i_pf_gain=i_pf_gain, c_m=c_m, i_r=i_r, i_g=g_over_r * i_r
+        )
         dt = dt_over_tau * tau_m(neuron)
         n = (len(drives) - 1) // 2
         at, mid = drives[: n + 1], drives[n + 1 : 2 * n + 1]
@@ -870,6 +891,75 @@ class TestFullStepsKernel:
             y = i_new if i_new > 0.0 else 0.0
             k += 1
         assert got == (t, y, n, None)
+
+
+def variant_deriv(variant, neuron):
+    """The compiled derivative of ``variant`` under the neuron's constants."""
+    return sim_engine._compile_kernels(variant)[0](**derivative_variant(neuron)[1])
+
+
+def same_bits(a, b):
+    return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
+
+
+# the neuron of each derivative variant, all firing at 0.25 V
+VARIANT_NEURONS = {
+    "linear": LIN,
+    "nonlinear": NeuronConfig(i_pf_gain=0.5),
+    "nonlinear_no_feedback": NeuronConfig(),
+}
+
+
+class TestGeneratedKernels:
+    @pytest.mark.parametrize("pf", [0.0, -0.0])
+    @given(
+        m=st.sampled_from([0.0, -0.0, 5e-324, "i_th", 1e300, math.inf, math.nan]),
+        i_in=st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e300]), st.floats(min_value=0.0, max_value=1e-6)
+        ),
+        c_m=st.floats(min_value=1e-14, max_value=1e-11),
+        i_r=st.floats(min_value=1e-11, max_value=1e-8),
+        g_over_r=st.floats(min_value=1e-3, max_value=0.999),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_no_feedback_fold_is_exact(self, pf, m, i_in, c_m, i_r, g_over_r):
+        # the loss m*(1 - pf*m/i_r) folded to m gives the general form's bits
+        neuron = NeuronConfig(c_m=c_m, i_r=i_r, i_g=g_over_r * i_r, i_pf_gain=pf)
+        m = neuron.i_th if m == "i_th" else m
+        assert derivative_variant(neuron)[0] == "nonlinear_no_feedback"
+        folded = sim_engine._make_deriv(neuron)
+        assert same_bits(folded(m, i_in), variant_deriv("nonlinear", neuron)(m, i_in))
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_NEURONS))
+    def test_generated_source_is_readable(self, variant):
+        neuron = VARIANT_NEURONS[variant]
+        assert derivative_variant(neuron)[0] == variant
+        deriv = sim_engine._make_deriv(neuron)
+        take_block = sim_engine._dc_take_block(1e-9)
+        full_steps = sim_engine._make_full_steps(neuron, take_block, 1e-7, 1.0)
+        f = DERIVATIVES[variant]
+        assert f.format(m="m", i_in="i_in") in inspect.getsource(deriv)
+        assert f.format(m="y", i_in="i0") in inspect.getsource(full_steps)
+        text = "".join(linecache.getlines(full_steps.__code__.co_filename))
+        assert inspect.getsource(full_steps) in text
+        assert (re.search(r"\bpf\b", text) is None) == (variant != "nonlinear")
+
+    def test_each_variant_compiles_once(self, monkeypatch):
+        compiled = []
+
+        def counted(source, filename, mode):
+            compiled.append(filename)
+            return compile(source, filename, mode)
+
+        sim_engine._compile_kernels.cache_clear()
+        monkeypatch.setattr(sim_engine, "compile", counted, raising=False)
+        vf_curve(EncoderConfig(), [0.1, 0.25, 0.4], 1e-3, 6e-3, (0.1, 0.4))
+        rng = random.Random(11)
+        for k in range(40):
+            neuron = replace(list(VARIANT_NEURONS.values())[k % 3], c_m=rng.uniform(5e-13, 7e-13))
+            enc = EncoderConfig(transconductor=TC, neuron=neuron)
+            assert spike_count_dc(enc, 0.25, 0.0, 1e-3) > 0
+        assert sorted(compiled) == sorted(f"<rk4 kernel: {v}>" for v in VARIANT_NEURONS)
 
 
 class TestSimulationErrorType:
