@@ -81,6 +81,8 @@ class TuneSpec:
         unknown = set(self.variables) - set(_TUNABLE)
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)!r}; allowed: {_TUNABLE}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         for name, (lo, hi) in self.variables.items():
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"bounds for {name!r} must be finite, got {(lo, hi)!r}")
@@ -94,8 +96,6 @@ class TuneSpec:
             raise ValueError(
                 f"budget {self.budget} too small for {v} variables; need >= {min_budget}"
             )
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,62 @@ class TuneResult:
             raise ValueError("trace must be nonempty")
         if self.best_objective != min(f for _, f in self.trace):
             raise ValueError("best_objective must be the minimum over the trace")
+
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_uniforms(seed: int):
+    """Yield the draws of ``numpy.random.default_rng(seed).random()``, bit for bit.
+
+    numpy's ``SeedSequence`` hashes the seed's 32-bit words into a pool of
+    four and expands the pool into the 128-bit state and increment of
+    PCG64: a 128-bit LCG whose output is the xor of the state's halves,
+    rotated right by its top 6 bits (O'Neill, HMC-CS-2014-0905). Written
+    out here, a tune imports no ``numpy.random``, and its stream does not
+    depend on the numpy version.
+    """
+    entropy = [seed >> 32 * k & _M32 for k in range((seed.bit_length() + 31) // 32 or 1)]
+    h = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * 0x931E8875 & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[k] if k < len(entropy) else 0) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = 0x8B51F9DD
+    words = []
+    for k in range(8):
+        value = pool[k % 4] ^ h
+        h = h * 0x58F38DED & _M32
+        value = value * h & _M32
+        words.append(value ^ value >> 16)
+    # four little-endian uint64: the state's high and low half, then the increment's
+    u = [words[2 * k] | words[2 * k + 1] << 32 for k in range(4)]
+    inc = ((u[2] << 64 | u[3]) << 1 | 1) & _M128
+    state = ((inc + (u[0] << 64 | u[1])) * _PCG_MULT + inc) & _M128
+    while True:
+        state = (state * _PCG_MULT + inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        yield (((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53
 
 
 def _cheap_solver(neuron) -> SolverConfig:
@@ -311,7 +367,7 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
     evaluate = _Evaluator(
         encoder_template, names, lo, span, frozen, objective_fn, spec.budget
     )
-    rng = np.random.default_rng(spec.seed)
+    uniforms = _pcg64_uniforms(spec.seed)
 
     template_x = np.array([_template_value(encoder_template, n) for n in names])
     z0_full = np.clip((template_x - lo) / safe_span, 0.0, 1.0)
@@ -347,7 +403,7 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
     def initial_simplex(center: np.ndarray) -> list[np.ndarray]:
         verts = [center.copy()]
         for k in range(d):
-            step = 0.25 + 0.25 * rng.random()
+            step = 0.25 + 0.25 * next(uniforms)
             z = center.copy()
             z[k] = z[k] + step if z[k] + step <= 1.0 else z[k] - step
             verts.append(np.clip(z, 0.0, 1.0))

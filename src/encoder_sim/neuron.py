@@ -27,6 +27,7 @@ reading instead of silently correcting either way.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -192,9 +193,19 @@ def membrane_derivative(cfg: NeuronConfig, state: NeuronState, i_in: float) -> f
     """
     if not math.isfinite(i_in) or i_in < 0.0:
         raise ValueError(f"i_in must be nonnegative and finite, got {i_in!r}")
+    return _derivative(cfg)(state.i_mem, i_in)
+
+
+@functools.lru_cache(maxsize=64)
+def _derivative(cfg: NeuronConfig):
+    """cfg's compiled derivative, kept per config.
+
+    Configs that compare equal differ at most in the sign of a zero
+    ``i_pf_gain``, which no variant reads.
+    """
     from .sim_engine import _make_deriv  # the engine imports this module
 
-    return _make_deriv(cfg)(state.i_mem, i_in)
+    return _make_deriv(cfg)
 
 
 def spike_check(cfg: NeuronConfig, state: NeuronState) -> bool:

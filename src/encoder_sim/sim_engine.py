@@ -29,15 +29,16 @@ other rows and steps call the scalar drive.
 
 The membrane derivative of each neuron variant is one expression string in
 ``neuron.DERIVATIVES``. ``_compile_kernels`` compiles it, once per process
-and variant, into the derivative of the scalar and input-pole steps and
-into the loop of ``_make_full_steps``, with the expression written out in
-each RK4 stage. Every full step of the single-state membrane runs in that
-loop, with no function call per stage; it hands back to the per-step loop
-of ``transient`` for a trace row, for the step that t_end cuts short and
-for the step that reaches threshold or is not finite, which the scalar
-step ``_make_step`` takes with its bisection and the refractory time. The
-loop repeats the scalar step's operations in the same order, so it changes
-no bit. The two-state input-pole path steps one step at a time.
+and variant, into the derivative of the input-pole step, the scalar step
+``_make_step`` and the loop of ``_make_full_steps``, the last two with the
+expression written out in each RK4 stage. Every full step of the
+single-state membrane runs in that loop, with no function call per stage;
+it hands back to the per-step loop of ``transient`` for a trace row, for
+the step that t_end cuts short and for the step that reaches threshold or
+is not finite, which the scalar step takes with its bisection and the
+refractory time. The loop repeats the scalar step's operations in the
+same order, so it changes no bit. The two-state input-pole path steps one
+step at a time.
 
 A run is refused before its first step, with ``SimulationError``, when
 its nominal step count ceil(t_end/dt) exceeds 2**26 or the trace rows
@@ -422,14 +423,33 @@ def _locate_crossing(crossed, h: float, event_tol: float) -> float:
 
 
 # The RK4 kernels of a neuron variant, each F(m, i_in) its ``DERIVATIVES``
-# expression: ``make_deriv`` makes the derivative, ``make_full_steps`` the
-# loop of ``_make_full_steps``. Constants come in as arguments, never as
-# text, and the loop copies them into locals at every call.
+# expression: ``make_deriv`` makes the derivative, ``make_step`` the step
+# of ``_make_step`` and ``make_full_steps`` the loop of ``_make_full_steps``.
+# Constants come in as arguments, never as text, and the loop copies them
+# into locals at every call.
 _KERNEL_TEXT = """\
 def make_deriv(CONSTANTS, **_):
     def deriv(m, i_in):
         return F(m, i_in)
     return deriv
+
+def make_step(stage_drive, CONSTANTS, **_):
+    def step(t, y, h):
+        half = 0.5 * h
+        i0, im, i1 = stage_drive(t, h)
+        m = y if y > 0.0 else 0.0
+        k1 = F(m, i0)
+        y2 = y + half * k1
+        m = y2 if y2 > 0.0 else 0.0
+        k2 = F(m, im)
+        y3 = y + half * k2
+        m = y3 if y3 > 0.0 else 0.0
+        k3 = F(m, im)
+        y4 = y + h * k3
+        m = y4 if y4 > 0.0 else 0.0
+        k4 = F(m, i1)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return step
 
 def make_full_steps(loop, CONSTANTS, **_):
     args = (*loop, CONSTANTS)
@@ -465,7 +485,7 @@ def make_full_steps(loop, CONSTANTS, **_):
 
 @functools.cache
 def _compile_kernels(variant: str):
-    """``(make_deriv, make_full_steps)`` of a neuron variant, compiled once.
+    """``(make_deriv, make_step, make_full_steps)`` of a neuron variant, compiled once.
 
     The text goes into ``linecache`` under its ``<...>`` filename, so that
     profiles, ``inspect.getsource`` and ``traceback`` show its lines.
@@ -478,7 +498,7 @@ def _compile_kernels(variant: str):
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
     namespace = {"__name__": __name__}
     exec(compile(text, filename, "exec"), namespace)
-    return namespace["make_deriv"], namespace["make_full_steps"]
+    return namespace["make_deriv"], namespace["make_step"], namespace["make_full_steps"]
 
 
 def _make_deriv(neuron: NeuronConfig):
@@ -583,27 +603,16 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Wavefor
 
 
 def _make_step(neuron: NeuronConfig, stage_drive):
-    """RK4 step of the membrane under the stage drives ``stage_drive(t, h)``.
+    """RK4 step ``step(t, y, h)`` of the membrane under ``stage_drive(t, h)``.
 
-    Stages 2 and 3 share one drive value at the half step. A time-varying
-    drive's stage drives come from ``_make_stage_drive``; it is a pure
-    function of t, so neither its reuse nor its blocks change a bit.
+    The neuron variant's compiled kernel: each stage clamps its membrane
+    current at zero and writes the ``_make_deriv`` expression out. Stages
+    2 and 3 share one drive value at the half step. A time-varying drive's
+    stage drives come from ``_make_stage_drive``; it is a pure function of
+    t, so neither its reuse nor its blocks change a bit.
     """
-    deriv = _make_deriv(neuron)
-
-    def step(t: float, y: float, h: float) -> float:
-        half = 0.5 * h
-        i_start, i_mid, i_stop = stage_drive(t, h)
-        k1 = deriv(y if y > 0.0 else 0.0, i_start)
-        y2 = y + half * k1
-        k2 = deriv(y2 if y2 > 0.0 else 0.0, i_mid)
-        y3 = y + half * k2
-        k3 = deriv(y3 if y3 > 0.0 else 0.0, i_mid)
-        y4 = y + h * k3
-        k4 = deriv(y4 if y4 > 0.0 else 0.0, i_stop)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    return step
+    variant, constants = derivative_variant(neuron)
+    return _compile_kernels(variant)[1](stage_drive, **constants)
 
 
 def _make_dc_step(neuron: NeuronConfig, i_dc: float):
@@ -648,7 +657,7 @@ def _make_full_steps(neuron: NeuronConfig, take_block, dt: float, t_end: float):
     variant, constants = derivative_variant(neuron)
     t_last = t_end - _time_eps(t_end)
     loop = (take_block, dt, 0.5 * dt, dt / 6.0, t_end, t_last, neuron.i_th, -math.inf)
-    return _compile_kernels(variant)[1](loop, **constants)
+    return _compile_kernels(variant)[2](loop, **constants)
 
 
 def transient(

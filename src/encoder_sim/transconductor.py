@@ -216,6 +216,24 @@ def node_residual(cfg: TransconductorConfig, v_id, v_node_diff):
 def _solve_node_arg(cfg: TransconductorConfig, input_arg: float):
     """Root of the normalized node equation, as (node_arg, rel_residual).
 
+    The equation reads the two ratios, n, u_t and the input argument, never
+    i_ref, which only scales the branch currents. So configs that differ
+    only in i_ref share their roots, and ``_solve_normalized`` keeps the
+    256 most recently used. Errors are not kept.
+    """
+    dev = cfg.dev
+    # 0.0 == -0.0 as a key, so the input's sign completes it; a shunt
+    # ratio of -0.0 solves to the bits of 0.0
+    sign = math.copysign(1.0, input_arg)
+    return _solve_normalized(
+        cfg.node_shunt_ratio, cfg.drive_ratio, dev.n, dev.u_t, input_arg, sign
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _solve_normalized(s: float, d: float, n: float, u_t: float, input_arg: float, sign):
+    """``_solve_node_arg`` from the numbers it reads; ``sign`` only keys the memo.
+
     The residual r(a) = sinh(a) + s*a - d*sinh(b - a) is strictly increasing,
     and r(0) and r(b) have opposite signs, so the root lies between 0 and b.
     The bracket +/-max(0.5 V/(2*n*u_t), |b|) therefore holds it for any n;
@@ -228,9 +246,7 @@ def _solve_node_arg(cfg: TransconductorConfig, input_arg: float):
     overflows a double raises ``SaturationError``, as it does at the
     bracket end of a device whose half-width itself overflows sinh.
     """
-    s = cfg.node_shunt_ratio
-    d = cfg.drive_ratio
-    two_nut = 2.0 * cfg.dev.n * cfg.dev.u_t
+    two_nut = 2.0 * n * u_t
     half_width = _BRACKET_V / two_nut
     arg_cap = max(half_width, abs(input_arg))
     if half_width <= _SINH_ARG_MAX < arg_cap + abs(input_arg):

@@ -4,6 +4,7 @@ objectives on real encoder configs."""
 
 import math
 
+import numpy as np
 import pytest
 
 from encoder_sim.analysis import linearity_error, power_estimate, vf_curve
@@ -12,6 +13,7 @@ from encoder_sim.bias_tuner import (
     TuneSpec,
     TunerError,
     _cheap_solver,
+    _pcg64_uniforms,
     objective_linearity,
     objective_negative_linear_range,
     objective_power_weighted,
@@ -75,6 +77,22 @@ class TestTuneSpecValidation:
     def test_seed_type(self):
         with pytest.raises(ValueError, match="seed"):
             TuneSpec(variables={"i_g": (1e-11, 2e-11)}, seed=1.5)
+
+    def test_negative_seed_is_refused_first(self):
+        # named before the budget check, which budget=1 would fail
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            TuneSpec(variables={"i_g": (1e-11, 2e-11)}, budget=1, seed=-1)
+
+
+class TestPcg64Stream:
+    def test_is_numpy_default_rng(self):
+        # numpy's SeedSequence/PCG64 stream bit for bit, one to five seed words
+        seeds = [*range(300), 2**32, 2**64 + 3, 2**100 + 12345, 2**130 + 7, True]
+        for seed in seeds:
+            ours = _pcg64_uniforms(seed)
+            theirs = np.random.default_rng(seed)
+            for k in range(24):
+                assert next(ours).hex() == theirs.random().hex(), (seed, k)
 
 
 class TestTuneResultValidation:

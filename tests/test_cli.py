@@ -3,12 +3,15 @@ byte-exact CSV output against committed golden files."""
 
 import configparser
 import csv
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from encoder_sim import bias_tuner, cli, sim_engine
+from encoder_sim import bias_tuner, cli, sim_engine, transconductor
 from encoder_sim.cli import (
     apply_overrides,
     build_encoder,
@@ -61,6 +64,11 @@ class TestExitCodes:
         )
         assert code == 3
         assert "invalid configuration" in capsys.readouterr().err
+
+    def test_negative_tune_seed(self, tmp_path, capsys):
+        args = ["tune", "--config", DEFAULT_INI, "--out", str(tmp_path / "t.csv")]
+        assert main(args + ["--set", "tune.seed=-1"]) == 3
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
     def test_missing_experiment_section(self):
         # the triangle config declares no [dc-sweep] section
@@ -419,3 +427,68 @@ class TestTuneCommand:
             assert point == pytest.approx(float(i_th), rel=1e-8)
         assert sum(row[2] == "inf" for row in trace) == len(rows) - 1
         assert f"{len(rows) - 1} evaluations failed" in capsys.readouterr().out
+
+    def test_i_ref_tune_solves_each_normalized_point_once(self, tmp_path, monkeypatch):
+        # i_ref scales the branch currents only, so 40 evaluations of the
+        # 7-point linearity grid solve 7 node equations
+        cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+        cp.read(DEFAULT_INI, encoding="utf-8")
+        cp["tune"]["variables"] = "i_ref, i_g, i_th"
+        cp["tune"]["i_ref_lo_a"], cp["tune"]["i_ref_hi_a"] = "2e-9", "27e-9"
+        config = tmp_path / "tune_iref.ini"
+        with open(config, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        calls = []
+
+        def counted(cfg, v_id):
+            calls.append(v_id)
+            return transconductor.neuron_input_current(cfg, v_id)
+
+        monkeypatch.setattr(sim_engine, "neuron_input_current", counted)
+        memo = transconductor._solve_normalized
+        memo.cache_clear()
+        args = ["tune", "--config", str(config), "--out", str(tmp_path / "t.csv"), "--quiet"]
+        assert main(args) == 0
+        assert len(calls) == 280
+        assert memo.cache_info()[:2] == (273, 7)
+
+
+LAYERS = (
+    "cli",
+    "bias_tuner",
+    "analysis",
+    "sim_engine",
+    "neuron",
+    "transconductor",
+    "device_model",
+)
+
+
+def fresh_python(code: str, cwd: Path) -> str:
+    """stdout of ``code`` run by a new interpreter that imports the package from src."""
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestImports:
+    def test_cli_imports_every_layer(self, tmp_path):
+        # a traced run wraps all seven layers once the CLI is imported
+        code = "import sys, encoder_sim.cli; print(*sorted(sys.modules))"
+        loaded = fresh_python(code, tmp_path).split()
+        assert [layer for layer in LAYERS if f"encoder_sim.{layer}" not in loaded] == []
+
+    def test_tune_leaves_numpy_random_unloaded(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from encoder_sim.cli import main\n"
+            f"args = ['tune', '--config', {DEFAULT_INI!r}, '--out', 't.csv', '--quiet']\n"
+            "args += ['--set', 'tune.variables=i_th', '--set', 'tune.budget=6']\n"
+            "assert main(args) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        assert fresh_python(code, tmp_path).split() == ["False"]

@@ -935,14 +935,42 @@ class TestGeneratedKernels:
         neuron = VARIANT_NEURONS[variant]
         assert derivative_variant(neuron)[0] == variant
         deriv = sim_engine._make_deriv(neuron)
+        step = _make_step(neuron, lambda t, h: (1e-9, 1e-9, 1e-9))
         take_block = sim_engine._dc_take_block(1e-9)
         full_steps = sim_engine._make_full_steps(neuron, take_block, 1e-7, 1.0)
         f = DERIVATIVES[variant]
         assert f.format(m="m", i_in="i_in") in inspect.getsource(deriv)
+        for i_in in ("i0", "im", "i1"):
+            assert f.format(m="m", i_in=i_in) in inspect.getsource(step)
         assert f.format(m="y", i_in="i0") in inspect.getsource(full_steps)
         text = "".join(linecache.getlines(full_steps.__code__.co_filename))
-        assert inspect.getsource(full_steps) in text
+        for kernel in (deriv, step, full_steps):
+            assert kernel.__code__.co_filename == full_steps.__code__.co_filename
+            assert inspect.getsource(kernel) in text
         assert (re.search(r"\bpf\b", text) is None) == (variant != "nonlinear")
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_NEURONS))
+    @given(
+        y=st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(-1e-10, 2e-10)),
+        drives=st.lists(st.floats(min_value=0.0, max_value=1e-6), min_size=3, max_size=3),
+        h_over_tau=st.floats(min_value=1e-4, max_value=20.0),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_step_is_rk4_of_the_derivative(self, variant, y, drives, h_over_tau):
+        # the generated step against RK4 written out around the derivative
+        neuron = VARIANT_NEURONS[variant]
+        deriv = variant_deriv(variant, neuron)
+        h = h_over_tau * tau_m(neuron)
+        i_start, i_mid, i_stop = drives
+        k1 = deriv(y if y > 0.0 else 0.0, i_start)
+        y2 = y + 0.5 * h * k1
+        k2 = deriv(y2 if y2 > 0.0 else 0.0, i_mid)
+        y3 = y + 0.5 * h * k2
+        k3 = deriv(y3 if y3 > 0.0 else 0.0, i_mid)
+        y4 = y + h * k3
+        k4 = deriv(y4 if y4 > 0.0 else 0.0, i_stop)
+        want = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert same_bits(_make_step(neuron, lambda t, h: tuple(drives))(0.0, y, h), want)
 
     def test_each_variant_compiles_once(self, monkeypatch):
         compiled = []

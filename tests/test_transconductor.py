@@ -7,6 +7,7 @@ small-signal gain. Frozen numeric spot values were produced by the dense
 residual scan, not by the solver under test.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -320,6 +321,54 @@ def test_property_solution_internally_consistent(v):
     i_drv = CFG.drive_ratio * CFG.branch_quiescent
     assert sol.i_4a == pytest.approx(i_drv * math.exp(sol.alpha), rel=1e-9)
     assert sol.i_4b == pytest.approx(i_drv * math.exp(-sol.alpha), rel=1e-9)
+
+
+def bits(sol):
+    return [x.hex() for x in dataclasses.astuple(sol)]
+
+
+class TestNodeSolveMemo:
+    @given(
+        v=st.floats(min_value=-0.5, max_value=0.5),
+        i_refs=st.lists(st.floats(min_value=1e-9, max_value=3e-8), min_size=2, max_size=2),
+        drive_ratio=st.sampled_from([6.368, 2.0, 15.0]),
+        shunts=st.sampled_from([(1.0, 1.0), (3.5, 3.5), (0.0, -0.0), (-0.0, 0.0)]),
+    )
+    @example(v=0.0, i_refs=[2e-9, 8e-9], drive_ratio=6.368, shunts=(0.0, -0.0))
+    @example(v=-0.0, i_refs=[2e-9, 8e-9], drive_ratio=6.368, shunts=(-0.0, 0.0))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_hit_is_the_uncached_solve(self, v, i_refs, drive_ratio, shunts):
+        # configs that differ only in i_ref, or in the sign of a zero shunt
+        # ratio, share the normalized root
+        memo = transconductor._solve_normalized
+        a, b = (
+            TransconductorConfig(i_ref=i_ref, drive_ratio=drive_ratio, node_shunt_ratio=s)
+            for i_ref, s in zip(i_refs, shunts)
+        )
+        memo.cache_clear()
+        solve_operating_point(a, v)
+        hit = solve_operating_point(b, v)
+        assert memo.cache_info()[:2] == (1, 1)
+        memo.cache_clear()
+        assert bits(hit) == bits(solve_operating_point(b, v))
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zero_keeps_its_sign(self, first):
+        memo = transconductor._solve_normalized
+        memo.cache_clear()
+        output_current(CFG, first)
+        assert output_current(CFG, 0.0).hex() == "0x0.0p+0"
+        assert output_current(CFG, -0.0).hex() == "-0x0.0p+0"
+        assert memo.cache_info().currsize == 2
+
+    def test_errors_are_not_kept(self):
+        dev = DeviceParams(u_t=1e-4)  # its half-width overflows sinh
+        memo = transconductor._solve_normalized
+        memo.cache_clear()
+        for _ in range(2):
+            with pytest.raises(SaturationError):
+                output_current(TransconductorConfig(dev=dev), 0.3)
+        assert memo.cache_info()[1:] == (2, 256, 0)
 
 
 def _input_arg(cfg, v):
