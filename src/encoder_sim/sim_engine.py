@@ -29,16 +29,26 @@ other rows and steps call the scalar drive.
 
 The membrane derivative of each neuron variant is one expression string in
 ``neuron.DERIVATIVES``. ``_compile_kernels`` compiles it, once per process
-and variant, into the derivative of the input-pole step, the scalar step
-``_make_step`` and the loop of ``_make_full_steps``, the last two with the
-expression written out in each RK4 stage. Every full step of the
-single-state membrane runs in that loop, with no function call per stage;
-it hands back to the per-step loop of ``transient`` for a trace row, for
-the step that t_end cuts short and for the step that reaches threshold or
-is not finite, which the scalar step takes with its bisection and the
-refractory time. The loop repeats the scalar step's operations in the
-same order, so it changes no bit. The two-state input-pole path steps one
-step at a time.
+and variant, into the derivative ``_make_deriv`` (for
+``membrane_derivative``), the scalar step ``_make_step`` and the loop of
+``_make_full_steps``, the last two with the expression written out in each
+RK4 stage. Every full step of a run without an input pole runs in that
+loop, with no function call per stage; it hands back to the event loop of
+``transient`` for a trace row, for the step that t_end cuts short and for
+the step that reaches threshold or is not finite, which the scalar step
+takes with its bisection and the refractory time. The loop repeats the
+scalar step's operations in the same order, so it changes no bit.
+
+The optional input pole is a filter f' = omega*(drive - f) on the drive
+(``_make_pole_drive``). It never reads the membrane, so its four RK4
+stage values, clamped at zero, are the scalar step's stage drives, and
+the same event loop runs it: f moves over every step the loop takes,
+including refractory time and the substep up to a crossing. A pole run
+takes scalar steps only. A dc drive keeps the filter at its value bit for
+bit, so a dc run skips the pole and keeps the full-step loop. A
+time-varying run whose omega*dt passes RK4's real-axis stability limit
+(``_RK4_STABLE``) is refused before its first step with
+``SimulationError``.
 
 A run is refused before its first step, with ``SimulationError``, when
 its nominal step count ceil(t_end/dt) exceeds 2**26 or the trace rows
@@ -123,6 +133,9 @@ _DRIVE_BLOCK_STEPS = 256
 _STEP_BUDGET = 2**26
 _TRACE_BUDGET = 2**20
 _BUDGET_OVERRUN = 4
+# RK4 integrates y' = -omega*y without growth for omega*h up to this, the
+# real root of z**3 - 4*z**2 + 12*z - 24 (its amplification at -z is 1).
+_RK4_STABLE = 2.785293563405282
 
 
 class SimulationError(RuntimeError):
@@ -320,7 +333,10 @@ class EncoderConfig:
 
     ``input_pole_capacitance`` optionally inserts a single-pole low-pass on
     the injected current (pole at effective_gm/(2*pi*C)) to study output
-    loading; None keeps the quasi-static treatment.
+    loading; None keeps the quasi-static treatment. With a pole, the drive
+    column of a trace row is the filtered current, and ``transient``
+    refuses a time-varying input whose omega*dt, omega = effective_gm/C,
+    passes RK4's stability limit of about 2.785.
     """
 
     transconductor: TransconductorConfig = field(default_factory=TransconductorConfig)
@@ -436,15 +452,15 @@ def make_deriv(CONSTANTS, **_):
 def make_step(stage_drive, CONSTANTS, **_):
     def step(t, y, h):
         half = 0.5 * h
-        i0, im, i1 = stage_drive(t, h)
+        i0, i2, i3, i1 = stage_drive(t, h)
         m = y if y > 0.0 else 0.0
         k1 = F(m, i0)
         y2 = y + half * k1
         m = y2 if y2 > 0.0 else 0.0
-        k2 = F(m, im)
+        k2 = F(m, i2)
         y3 = y + half * k2
         m = y3 if y3 > 0.0 else 0.0
-        k3 = F(m, im)
+        k3 = F(m, i3)
         y4 = y + h * k3
         m = y4 if y4 > 0.0 else 0.0
         k4 = F(m, i1)
@@ -511,11 +527,12 @@ def _make_deriv(neuron: NeuronConfig):
     return _compile_kernels(variant)[0](**constants)
 
 
-def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Waveform | None = None):
-    """The drive at the start, middle and end of an RK4 step, and its blocks.
+def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Waveform):
+    """The drive at the four stages of an RK4 step, and its blocks.
 
     Returns ``(stage_drive, take_block, row_drive)``, with
-    ``stage_drive(t, h) -> (drive(t), drive(t + h/2), drive(t + h))``.
+    ``stage_drive(t, h) -> (drive(t), mid, mid, drive(t + h))`` and
+    ``mid = drive(t + h/2)``, the drive of stages 2 and 3.
     Full steps (h == dt) that each start where the previous step ended form
     a run. Once a run is ``_DRIVE_BLOCK_MIN`` steps long, its next steps
     read a block: the input and drive at the next full steps, as many as
@@ -567,13 +584,13 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Wavefor
         at, mid = currents[: n + 1], currents[n + 1 :]
         return True
 
-    def stage_drive(t: float, h: float) -> tuple[float, float, float]:
+    def stage_drive(t: float, h: float) -> tuple[float, float, float, float]:
         nonlocal j, t_run, t_start, i_start, t_stop, i_stop
         if h == full and t == t_stop:
             if (j < n and t == times[j]) or (t - t_run >= min_span and refill(t)):
                 j += 1
                 t_stop, i_stop = times[j], at[j]
-                return at[j - 1], mid[j - 1], i_stop
+                return at[j - 1], mid[j - 1], mid[j - 1], i_stop
         else:
             t_run = t
         if t == t_stop:
@@ -582,7 +599,8 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Wavefor
             t_start, i_start = t, drive(t)
         t_stop = t + h
         i_stop = drive(t_stop)
-        return i_start, drive(t + 0.5 * h), i_stop
+        i_mid = drive(t + 0.5 * h)
+        return i_start, i_mid, i_mid, i_stop
 
     def take_block(t: float, steps: int):
         nonlocal j, t_stop, i_stop
@@ -591,7 +609,7 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Wavefor
             j = min(n, j + steps)
             t_stop, i_stop = times[j], at[j]
             return at, mid, first, j
-        i0, im, i1 = stage_drive(t, dt)
+        i0, im, _, i1 = stage_drive(t, dt)
         return (i0, i1), (im,), 0, 1
 
     def row_drive(t: float) -> tuple[float, float]:
@@ -606,10 +624,13 @@ def _make_step(neuron: NeuronConfig, stage_drive):
     """RK4 step ``step(t, y, h)`` of the membrane under ``stage_drive(t, h)``.
 
     The neuron variant's compiled kernel: each stage clamps its membrane
-    current at zero and writes the ``_make_deriv`` expression out. Stages
-    2 and 3 share one drive value at the half step. A time-varying drive's
-    stage drives come from ``_make_stage_drive``; it is a pure function of
-    t, so neither its reuse nor its blocks change a bit.
+    current at zero and writes the ``_make_deriv`` expression out, under
+    the stage drives ``stage_drive(t, h) -> (i0, i2, i3, i1)`` of stages
+    1, 2, 3 and 4. A time-varying drive's stage drives come from
+    ``_make_stage_drive``, with stages 2 and 3 sharing the drive at the
+    half step; it is a pure function of t, so neither its reuse nor its
+    blocks change a bit. With an input pole they come from
+    ``_make_pole_drive``.
     """
     variant, constants = derivative_variant(neuron)
     return _compile_kernels(variant)[1](stage_drive, **constants)
@@ -617,7 +638,7 @@ def _make_step(neuron: NeuronConfig, stage_drive):
 
 def _make_dc_step(neuron: NeuronConfig, i_dc: float):
     """``_make_step`` under the constant drive i_dc."""
-    dc_stages = (i_dc, i_dc, i_dc)
+    dc_stages = (i_dc,) * 4
     return _make_step(neuron, lambda t, h: dc_stages)
 
 
@@ -633,6 +654,55 @@ def _dc_take_block(i_dc: float):
         return row, row, 0, min(steps, _DRIVE_BLOCK_STEPS)
 
     return take_block
+
+
+def _make_pole_drive(stage_drive, row_drive, omega: float, f0: float):
+    """The input pole as a filter f' = omega*(drive - f) on the stage drives.
+
+    The filter never reads the membrane, so the RK4 stage values of f over
+    (t, h), clamped at zero, are the membrane step's four stage drives.
+    Returns ``(stages, advance, row)``: ``stages(t, h)`` gives them from
+    the current f, for ``_make_step``; ``advance(t, h)`` moves f over a
+    step the loop took, and raises ``SimulationError`` when f is not
+    finite; ``row(t)`` is ``row_drive``'s trace row with f as its drive.
+    f starts at f0. ``stage_drive`` and ``row_drive`` are
+    ``_make_stage_drive``'s.
+    """
+    f = f0
+    last = (math.nan, math.nan, f0)  # (t, h, f after h) of the last stages call
+
+    def stages(t: float, h: float) -> tuple[float, float, float, float]:
+        nonlocal last
+        half = 0.5 * h
+        i_start, i_mid, _, i_stop = stage_drive(t, h)
+        k1 = omega * (i_start - f)
+        f2 = f + half * k1
+        k2 = omega * (i_mid - f2)
+        f3 = f + half * k2
+        k3 = omega * (i_mid - f3)
+        f4 = f + h * k3
+        k4 = omega * (i_stop - f4)
+        last = (t, h, f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        return (
+            f if f > 0.0 else 0.0,
+            f2 if f2 > 0.0 else 0.0,
+            f3 if f3 > 0.0 else 0.0,
+            f4 if f4 > 0.0 else 0.0,
+        )
+
+    def advance(t: float, h: float) -> None:
+        nonlocal f, last
+        if last[0] != t or last[1] != h:
+            stages(t, h)
+        f = last[2]
+        last = (math.nan, math.nan, f)
+        if not math.isfinite(f):
+            raise SimulationError("non-finite filtered drive after step", t)
+
+    def row(t: float) -> tuple[float, float]:
+        return row_drive(t)[0], f
+
+    return stages, advance, row
 
 
 def _make_full_steps(neuron: NeuronConfig, take_block, dt: float, t_end: float):
@@ -676,7 +746,8 @@ def transient(
     keeps every ``trace_every``-th loop step plus the final time point. A
     run whose nominal step count ceil(t_end/dt), or the trace rows it
     implies, is over budget raises ``SimulationError`` before its first
-    step.
+    step, as does a time-varying input through an input pole that RK4
+    cannot integrate at dt.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be positive, got {t_end!r}")
@@ -688,16 +759,13 @@ def transient(
     if solver.method != "rk4":
         raise ValueError(f"transient integrates with rk4, got method {solver.method!r}")
 
-    _check_budget(t_end, solver.dt, trace_every)
+    dt = solver.dt
+    _check_budget(t_end, dt, trace_every)
 
     i_in = _make_drive(encoder, input_wave)
-    i_in_block = _make_drive_block(encoder, input_wave)
-    if encoder.input_pole_capacitance is not None:
-        return _transient_with_pole(
-            encoder, input_wave, t_end, solver, initial_state, trace_every, i_in, i_in_block
-        )
-
+    advance = None
     if input_wave.kind == "dc":
+        # a dc drive keeps an input pole's filter at i_dc, bit for bit
         i_dc = i_in(0.0)
         step = _make_dc_step(neuron, i_dc)
         take_block = _dc_take_block(i_dc)
@@ -707,10 +775,24 @@ def transient(
 
     else:
         stage_drive, take_block, row_drive = _make_stage_drive(
-            i_in, i_in_block, solver.dt, t_end, input_wave
+            i_in, _make_drive_block(encoder, input_wave), dt, t_end, input_wave
         )
+        c = encoder.input_pole_capacitance
+        if c is not None:
+            omega = effective_gm(encoder.transconductor) / c
+            if omega * dt > _RK4_STABLE:
+                raise SimulationError(
+                    f"input_pole_capacitance = {c!r} F puts its pole at omega*dt = "
+                    f"{omega * dt:.4g} at dt = {dt!r} s, past RK4's stability limit "
+                    f"{_RK4_STABLE:.4f}",
+                    0.0,
+                )
+            stage_drive, advance, row_drive = _make_pole_drive(
+                stage_drive, row_drive, omega, i_in(0.0)
+            )
         step = _make_step(neuron, stage_drive)
-    full_steps = _make_full_steps(neuron, take_block, solver.dt, t_end)
+    # a pole run takes scalar steps only, each one moving the filter
+    full_steps = _make_full_steps(neuron, take_block, dt, t_end) if advance is None else None
 
     state = initial_state if initial_state is not None else NeuronState(i_mem=neuron.i_reset)
     i_mem = state.i_mem
@@ -718,7 +800,6 @@ def transient(
     i_th = neuron.i_th
     i_reset = neuron.i_reset
     t_rf = neuron.t_rf
-    dt = solver.dt
     event_tol = solver.event_tol
 
     trace: list[tuple[float, float, float, float]] = []
@@ -741,6 +822,9 @@ def transient(
 
         if refr > 0.0:
             consume = min(refr, dt, t_end - t)
+            if advance is not None:
+                # the filter keeps tracking while the membrane is clamped
+                advance(t, consume)
             t += consume
             refr -= consume
             if refr < time_eps:
@@ -757,7 +841,7 @@ def transient(
             continue
 
         h = min(dt, t_end - t)
-        if h == dt:
+        if h == dt and full_steps is not None:
             # full steps up to the next trace row, in one loop
             t, i_mem, taken, i_new = full_steps(
                 t, i_mem, trace_every - (step_index - 1) % trace_every
@@ -773,116 +857,19 @@ def transient(
 
         if i_new >= i_th:
             hi = _locate_crossing(lambda s: step(t, i_mem, s) >= i_th, h, event_tol)
+            if advance is not None:
+                advance(t, hi)
             t += hi
             spikes.append(t)
             i_mem = i_reset
             refr = t_rf
         else:
+            if advance is not None:
+                advance(t, h)
             t += h
             i_mem = i_new if i_new > 0.0 else 0.0
 
     trace.append((t_end, *row_drive(t_end), i_mem))
-    return SimResult(trace=tuple(trace), spikes=SpikeTrain(times=tuple(spikes)))
-
-
-def _transient_with_pole(
-    encoder: EncoderConfig,
-    input_wave: Waveform,
-    t_end: float,
-    solver: SolverConfig,
-    initial_state: NeuronState | None,
-    trace_every: int,
-    i_in,
-    i_in_block,
-) -> SimResult:
-    """Two-state variant: membrane current plus the filtered drive."""
-    neuron = encoder.neuron
-    pole_omega = effective_gm(encoder.transconductor) / encoder.input_pole_capacitance
-    deriv = _make_deriv(neuron)
-    stage_drive = _make_stage_drive(i_in, i_in_block, solver.dt, t_end)[0]
-
-    def step2(t0: float, m0: float, f0: float, h: float) -> tuple[float, float]:
-        half = 0.5 * h
-        i_start, i_mid, i_stop = stage_drive(t0, h)
-        k1m = deriv(m0 if m0 > 0.0 else 0.0, f0 if f0 > 0.0 else 0.0)
-        k1f = pole_omega * (i_start - f0)
-        m2, f2 = m0 + half * k1m, f0 + half * k1f
-        k2m = deriv(m2 if m2 > 0.0 else 0.0, f2 if f2 > 0.0 else 0.0)
-        k2f = pole_omega * (i_mid - f2)
-        m3, f3 = m0 + half * k2m, f0 + half * k2f
-        k3m = deriv(m3 if m3 > 0.0 else 0.0, f3 if f3 > 0.0 else 0.0)
-        k3f = pole_omega * (i_mid - f3)
-        m4, f4 = m0 + h * k3m, f0 + h * k3f
-        k4m = deriv(m4 if m4 > 0.0 else 0.0, f4 if f4 > 0.0 else 0.0)
-        k4f = pole_omega * (i_stop - f4)
-        return (
-            m0 + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m),
-            f0 + (h / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f),
-        )
-
-    state = initial_state if initial_state is not None else NeuronState(i_mem=neuron.i_reset)
-    i_mem = state.i_mem
-    refr = state.refractory_remaining
-    i_filt = i_in(0.0)
-    i_th = neuron.i_th
-    dt = solver.dt
-    event_tol = solver.event_tol
-
-    trace: list[tuple[float, float, float, float]] = []
-    spikes: list[float] = []
-    t = 0.0
-    step_index = 0
-    time_eps = _time_eps(t_end)
-
-    step_cap = _BUDGET_OVERRUN * _STEP_BUDGET
-    row_cap = _BUDGET_OVERRUN * _TRACE_BUDGET
-
-    while t < t_end - time_eps:
-        if step_index % trace_every == 0:
-            trace.append((t, waveform_eval(input_wave, min(t, t_end)), i_filt, i_mem))
-            if len(trace) > row_cap:
-                raise _overrun(len(trace), "trace rows", _TRACE_BUDGET, t)
-        step_index += 1
-        if step_index > step_cap:
-            raise _overrun(step_index, "loop steps", _STEP_BUDGET, t)
-
-        if refr > 0.0:
-            consume = min(refr, dt, t_end - t)
-            # The filter keeps tracking while the membrane is clamped.
-            _, i_filt = step2(t, i_mem, i_filt, consume)
-            t += consume
-            refr -= consume
-            if refr < time_eps:
-                refr = 0.0
-            i_mem = neuron.i_reset
-            continue
-
-        if i_mem >= i_th:
-            spikes.append(t)
-            i_mem = neuron.i_reset
-            refr = neuron.t_rf
-            continue
-
-        h = min(dt, t_end - t)
-        m_new, f_new = step2(t, i_mem, i_filt, h)
-        if not (math.isfinite(m_new) and math.isfinite(f_new)):
-            raise SimulationError("non-finite state after step", t)
-
-        if m_new >= i_th:
-            hi = _locate_crossing(
-                lambda s: step2(t, i_mem, i_filt, s)[0] >= i_th, h, event_tol
-            )
-            _, i_filt = step2(t, i_mem, i_filt, hi)
-            t += hi
-            spikes.append(t)
-            i_mem = neuron.i_reset
-            refr = neuron.t_rf
-        else:
-            t += h
-            i_mem = m_new if m_new > 0.0 else 0.0
-            i_filt = f_new
-
-    trace.append((t_end, waveform_eval(input_wave, t_end), i_filt, i_mem))
     return SimResult(trace=tuple(trace), spikes=SpikeTrain(times=tuple(spikes)))
 
 

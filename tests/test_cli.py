@@ -186,6 +186,17 @@ class TestExitCodes:
         assert "budget" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_input_pole_past_the_rk4_stability_limit(self, tmp_path, capsys):
+        # omega*dt = 2.9 at the default dt: refused before the first step
+        ini = tmp_path / "pole.ini"
+        pole = "\n[encoder]\ninput_pole_capacitance_f = 3.956e-16\n"
+        ini.write_text(Path(DEFAULT_INI).read_text() + pole)
+        code = main(["transient", "--config", str(ini), "--out", str(tmp_path / "t.csv")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "input_pole_capacitance" in err and "dt = " in err
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestConfigHandling:
     def test_round_trip(self, tmp_path):

@@ -49,7 +49,12 @@ from encoder_sim.sim_engine import (
     transient,
     waveform_eval,
 )
-from encoder_sim.transconductor import TransconductorConfig, neuron_input_current, node_arg_table
+from encoder_sim.transconductor import (
+    TransconductorConfig,
+    effective_gm,
+    neuron_input_current,
+    node_arg_table,
+)
 
 TC = TransconductorConfig()  # quiescent output 4 nA
 
@@ -443,15 +448,30 @@ class TestInputPole:
         assert fast.spikes.times[0] == pytest.approx(base.spikes.times[0], rel=1e-2)
 
     def test_slow_pole_delays_nothing_here_but_runs(self):
-        # With a dc input the filter starts settled, so even a slow pole
-        # leaves the drive constant; this exercises the two-state path.
-        slow = transient(
-            EncoderConfig(transconductor=TC, neuron=LIN, input_pole_capacitance=1e-11),
-            Waveform(kind="dc", offset=0.0),
-            3e-4,
-        )
-        base = transient(lin_encoder(), Waveform(kind="dc", offset=0.0), 3e-4)
-        assert len(slow.spikes) == len(base.spikes)
+        # With a dc input the filter starts settled at the drive and stays
+        # there bit for bit, however fast or slow the pole.
+        wave = Waveform(kind="dc", offset=0.2)
+        for c in (1e-15, 1e-11, 1e-19):
+            for neuron in (LIN_RF, NeuronConfig()):
+                for refr in (0.0, 7.3e-6):
+                    state = NeuronState(i_mem=2e-11, refractory_remaining=refr)
+                    plain = EncoderConfig(transconductor=TC, neuron=neuron)
+                    pole = replace(plain, input_pole_capacitance=c)
+                    got = transient(pole, wave, 5e-4, initial_state=state, trace_every=7)
+                    want = transient(plain, wave, 5e-4, initial_state=state, trace_every=7)
+                    assert got.spikes == want.spikes
+                    assert got.trace == want.trace
+                    assert len(want.spikes) >= 3
+
+    def test_pole_past_the_rk4_stability_limit_is_refused(self):
+        # omega*dt = 2.9 at the default dt: RK4 would grow the filtered
+        # drive to about 1e187 A
+        enc = EncoderConfig(input_pole_capacitance=3.956e-16)
+        with pytest.raises(SimulationError, match=r"input_pole_capacitance = 3\.956e-16 F.* dt = "):
+            transient(enc, Waveform("sine", 0.15, 0.25, 2000.0), 5e-4)
+        # a dc input keeps the filter settled, so the same pole simulates
+        dc = Waveform(kind="dc", offset=0.25)
+        assert transient(enc, dc, 5e-4) == transient(EncoderConfig(), dc, 5e-4)
 
     def test_slow_pole_attenuates_fast_sine(self):
         # A 50 kHz swing through a sub-kHz pole barely modulates the drive,
@@ -494,8 +514,9 @@ class TestDrive:
         # ended there; any call order must give the textbook RK4 bits.
         neuron = NeuronConfig(i_pf_gain=0.5)
         enc = EncoderConfig(transconductor=TC, neuron=neuron)
-        drive = _make_drive(enc, Waveform(kind="sine", amplitude=0.3, frequency=4e3))
-        step = _make_step(neuron, _make_stage_drive(drive, None, math.nan, 0.0)[0])
+        wave = Waveform(kind="sine", amplitude=0.3, frequency=4e3)
+        drive = _make_drive(enc, wave)
+        step = _make_step(neuron, _make_stage_drive(drive, None, math.nan, 0.0, wave)[0])
 
         def f(t, y):
             return membrane_derivative(neuron, NeuronState(i_mem=max(y, 0.0)), drive(t))
@@ -521,7 +542,7 @@ class TestDrive:
         drive = _make_drive(enc, wave)
         dt, t_end = 1e-7, 8.2e-6
         drive_block = sim_engine._make_drive_block(enc, wave)
-        stage_drive = _make_stage_drive(drive, drive_block, dt, t_end)[0]
+        stage_drive = _make_stage_drive(drive, drive_block, dt, t_end, wave)[0]
         step = _make_step(neuron, stage_drive)
 
         def f(t, y):
@@ -700,7 +721,7 @@ def stepwise_transient(encoder, wave, t_end, solver=None, initial_state=None, tr
     neuron = encoder.neuron
     solver = solver or default_solver_config(neuron)
     drive = _make_drive(encoder, wave)
-    step = _make_step(neuron, lambda t, h: (drive(t), drive(t + 0.5 * h), drive(t + h)))
+    step = _make_step(neuron, lambda t, h: (drive(t), *[drive(t + 0.5 * h)] * 2, drive(t + h)))
     state = initial_state or NeuronState(i_mem=neuron.i_reset)
     i_mem, refr = state.i_mem, state.refractory_remaining
     dt, time_eps = solver.dt, sim_engine._time_eps(t_end)
@@ -845,6 +866,121 @@ class TestFullStepsChangeNothing:
         )
 
 
+def stepwise_pole_transient(encoder, wave, t_end, solver=None, initial_state=None, trace_every=10):
+    """``transient`` of an encoder with an input pole, the reference.
+
+    The membrane and the filtered drive f, f' = omega*(drive - f), as one
+    plain two-state RK4 step per loop iteration under the scalar drive,
+    each stage reading both states clamped at zero. The filter advances
+    over a refractory period and up to a located crossing, and the trace's
+    drive column is f.
+    """
+    neuron = encoder.neuron
+    solver = solver or default_solver_config(neuron)
+    drive = _make_drive(encoder, wave)
+    omega = effective_gm(encoder.transconductor) / encoder.input_pole_capacitance
+
+    def deriv(m, f):
+        return membrane_derivative(
+            neuron, NeuronState(i_mem=m if m > 0.0 else 0.0), f if f > 0.0 else 0.0
+        )
+
+    def step2(t, m, f, h):
+        half = 0.5 * h
+        k1m, k1f = deriv(m, f), omega * (drive(t) - f)
+        m2, f2 = m + half * k1m, f + half * k1f
+        k2m, k2f = deriv(m2, f2), omega * (drive(t + 0.5 * h) - f2)
+        m3, f3 = m + half * k2m, f + half * k2f
+        k3m, k3f = deriv(m3, f3), omega * (drive(t + 0.5 * h) - f3)
+        m4, f4 = m + h * k3m, f + h * k3f
+        k4m, k4f = deriv(m4, f4), omega * (drive(t + h) - f4)
+        return (
+            m + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m),
+            f + (h / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f),
+        )
+
+    state = initial_state or NeuronState(i_mem=neuron.i_reset)
+    i_mem, refr, f = state.i_mem, state.refractory_remaining, drive(0.0)
+    dt, time_eps = solver.dt, sim_engine._time_eps(t_end)
+    t, step_index, trace, spikes = 0.0, 0, [], []
+    while t < t_end - time_eps:
+        if step_index % trace_every == 0:
+            trace.append((t, waveform_eval(wave, t), f, i_mem))
+        step_index += 1
+        if refr > 0.0:
+            consume = min(refr, dt, t_end - t)
+            f = step2(t, i_mem, f, consume)[1]
+            t += consume
+            refr -= consume
+            refr = 0.0 if refr < time_eps else refr
+            i_mem = neuron.i_reset
+            continue
+        if i_mem >= neuron.i_th:
+            spikes.append(t)
+            i_mem, refr = neuron.i_reset, neuron.t_rf
+            continue
+        h = min(dt, t_end - t)
+        m_new, f_new = step2(t, i_mem, f, h)
+        if m_new >= neuron.i_th:
+            t0, m0, f0 = t, i_mem, f
+            hi = sim_engine._locate_crossing(
+                lambda s: step2(t0, m0, f0, s)[0] >= neuron.i_th, h, solver.event_tol
+            )
+            f = step2(t0, m0, f0, hi)[1]
+            t += hi
+            spikes.append(t)
+            i_mem, refr = neuron.i_reset, neuron.t_rf
+        else:
+            t += h
+            i_mem, f = (m_new if m_new > 0.0 else 0.0), f_new
+    trace.append((t_end, waveform_eval(wave, t_end), f, i_mem))
+    return sim_engine.SimResult(trace=tuple(trace), spikes=SpikeTrain(times=tuple(spikes)))
+
+
+POLE_WAVES = {
+    "dc": DC_EDGE,
+    "sine": SINE,
+    "triangle": TRI_EDGE,
+    "pwl": pwl_wave([0.0, 4e-4, 9e-4, 1.3e-3], [0.3, -0.1, 0.4, 0.25]),
+}
+
+
+class TestPolePathChangesNothing:
+    """``transient`` with an input pole equals ``stepwise_pole_transient`` bit for bit."""
+
+    @pytest.mark.parametrize("trace_every", [1, 7, 10**9])
+    @pytest.mark.parametrize("kind", sorted(POLE_WAVES))
+    def test_equals_the_two_state_rk4(self, kind, trace_every):
+        got = transient(FIRING_POLE, POLE_WAVES[kind], 1.5e-3, trace_every=trace_every)
+        want = stepwise_pole_transient(
+            FIRING_POLE, POLE_WAVES[kind], 1.5e-3, trace_every=trace_every
+        )
+        assert got.spikes == want.spikes
+        assert got.trace == want.trace
+        assert len(want.spikes) >= 3
+
+    @pytest.mark.parametrize("kind", ["dc", "sine"])
+    def test_refractory_pending(self, kind):
+        refr = 123.4 * FIRING_DT
+        state = NeuronState(i_mem=5e-11, refractory_remaining=refr)
+        got = transient(FIRING_POLE, POLE_WAVES[kind], 1e-3, initial_state=state, trace_every=7)
+        want = stepwise_pole_transient(
+            FIRING_POLE, POLE_WAVES[kind], 1e-3, initial_state=state, trace_every=7
+        )
+        assert got.spikes == want.spikes
+        assert got.trace == want.trace
+        assert want.spikes.times[0] > refr
+
+    @pytest.mark.parametrize("trace_every", [7, 10**9])
+    def test_end_mid_block(self, trace_every):
+        t_end = 2901.7 * FIRING_DT
+        got = transient(FIRING_POLE, SINE, t_end, trace_every=trace_every)
+        want = stepwise_pole_transient(FIRING_POLE, SINE, t_end, trace_every=trace_every)
+        assert got.spikes == want.spikes
+        assert got.trace == want.trace
+        assert len(want.spikes) >= 3
+
+
 class TestFullStepsKernel:
     @pytest.mark.parametrize(
         "mode, i_pf_gain",
@@ -879,7 +1015,7 @@ class TestFullStepsKernel:
         )
         got = full_steps(0.0, y0, n)
         k = 0
-        step = _make_step(neuron, lambda t, h: (at[k], mid[k], at[k + 1]))
+        step = _make_step(neuron, lambda t, h: (at[k], mid[k], mid[k], at[k + 1]))
         t, y = 0.0, y0
         while k < n:
             i_new = step(t, y, dt)
@@ -931,16 +1067,27 @@ class TestGeneratedKernels:
         assert same_bits(folded(m, i_in), variant_deriv("nonlinear", neuron)(m, i_in))
 
     @pytest.mark.parametrize("variant", sorted(VARIANT_NEURONS))
-    def test_generated_source_is_readable(self, variant):
+    def test_generated_source_is_readable(self, monkeypatch, variant):
         neuron = VARIANT_NEURONS[variant]
+        # the step of a pole run is the generated kernel
+        pole_steps = []
+
+        def recorded(cfg, stage_drive):
+            pole_steps.append(_make_step(cfg, stage_drive))
+            return pole_steps[-1]
+
+        monkeypatch.setattr(sim_engine, "_make_step", recorded)
+        enc = EncoderConfig(transconductor=TC, neuron=neuron, input_pole_capacitance=3e-13)
+        transient(enc, SINE, 1e-5)
+        assert [s.__code__.co_filename for s in pole_steps] == [f"<rk4 kernel: {variant}>"]
         assert derivative_variant(neuron)[0] == variant
         deriv = sim_engine._make_deriv(neuron)
-        step = _make_step(neuron, lambda t, h: (1e-9, 1e-9, 1e-9))
+        step = _make_step(neuron, lambda t, h: (1e-9,) * 4)
         take_block = sim_engine._dc_take_block(1e-9)
         full_steps = sim_engine._make_full_steps(neuron, take_block, 1e-7, 1.0)
         f = DERIVATIVES[variant]
         assert f.format(m="m", i_in="i_in") in inspect.getsource(deriv)
-        for i_in in ("i0", "im", "i1"):
+        for i_in in ("i0", "i2", "i3", "i1"):
             assert f.format(m="m", i_in=i_in) in inspect.getsource(step)
         assert f.format(m="y", i_in="i0") in inspect.getsource(full_steps)
         text = "".join(linecache.getlines(full_steps.__code__.co_filename))
@@ -970,7 +1117,8 @@ class TestGeneratedKernels:
         y4 = y + h * k3
         k4 = deriv(y4 if y4 > 0.0 else 0.0, i_stop)
         want = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert same_bits(_make_step(neuron, lambda t, h: tuple(drives))(0.0, y, h), want)
+        stages = (i_start, i_mid, i_mid, i_stop)
+        assert same_bits(_make_step(neuron, lambda t, h: stages)(0.0, y, h), want)
 
     def test_each_variant_compiles_once(self, monkeypatch):
         compiled = []
@@ -987,6 +1135,9 @@ class TestGeneratedKernels:
             neuron = replace(list(VARIANT_NEURONS.values())[k % 3], c_m=rng.uniform(5e-13, 7e-13))
             enc = EncoderConfig(transconductor=TC, neuron=neuron)
             assert spike_count_dc(enc, 0.25, 0.0, 1e-3) > 0
+        for neuron in VARIANT_NEURONS.values():
+            enc = EncoderConfig(transconductor=TC, neuron=neuron, input_pole_capacitance=3e-13)
+            assert len(transient(enc, SINE, 1e-3).spikes) > 0
         assert sorted(compiled) == sorted(f"<rk4 kernel: {v}>" for v in VARIANT_NEURONS)
 
 
