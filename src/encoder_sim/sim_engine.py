@@ -23,9 +23,11 @@ them, and the bulk evaluators (``_waveform_eval_bulk``,
 order, with numpy only for what IEEE rounds correctly (arithmetic, floor,
 comparisons, where, indexing) and sin and sinh taken per element with
 ``math``. So a block holds the scalar values bit for bit and changes no
-result. A trace row takes its input and drive from the pending block, or
-the drive from the end of the last step, where its time is one of those;
-other rows and steps call the scalar drive.
+result. A block holds only the steps the run takes whole: those that start
+before t_end - ``_time_eps(t_end)`` and that t_end does not cut short. A
+trace row takes its input and drive from the block, or the drive from the
+end of the last step, where its time is one of those; other rows and steps
+call the scalar drive.
 
 The membrane derivative of each neuron variant is one expression string in
 ``neuron.DERIVATIVES``. ``_compile_kernels`` compiles it, once per process
@@ -33,11 +35,13 @@ and variant, into the derivative ``_make_deriv`` (for
 ``membrane_derivative``), the scalar step ``_make_step`` and the loop of
 ``_make_full_steps``, the last two with the expression written out in each
 RK4 stage. Every full step of a run without an input pole runs in that
-loop, with no function call per stage; it hands back to the event loop of
-``transient`` for a trace row, for the step that t_end cuts short and for
-the step that reaches threshold or is not finite, which the scalar step
-takes with its bisection and the refractory time. The loop repeats the
-scalar step's operations in the same order, so it changes no bit.
+loop, a bare ``for`` over each block's entries with no function call per
+stage. It writes the trace rows due between its steps itself, and returns
+to the event loop of ``transient`` only for the step that t_end cuts
+short, for the step that reaches threshold or is not finite, which the
+scalar step takes with its bisection and the refractory time, and once
+the step budget is used up. The loop repeats the scalar step's operations
+in the same order, so it changes no bit.
 
 The optional input pole is a filter f' = omega*(drive - f) on the drive
 (``_make_pole_drive``). It never reads the membrane, so its four RK4
@@ -119,10 +123,13 @@ _SUPPLY_V = 0.5
 # trace_every large enough that a run keeps only its first and final sample
 _NO_TRACE = 10**9
 # Drive blocks: a run of consecutive full RK4 steps reads its drive from
-# blocks once it is _DRIVE_BLOCK_MIN steps long, each block as long as the
-# run so far and at most _DRIVE_BLOCK_STEPS. A shorter block costs more per
-# step than the scalar drive, and a cap of 64 or 1024 was slower than 256
-# on a triangle transient.
+# blocks once it is _DRIVE_BLOCK_MIN steps long, or from its second step
+# when the last block was at least twice that; each block is as long as the run
+# so far or half the last block, whichever is longer, and at most
+# _DRIVE_BLOCK_STEPS. A shorter block costs more per step than the scalar
+# drive, and a cap of 64 or 1024 was slower than 256 on a triangle
+# transient. Under a slowly varying input a run is about as long as the
+# last one; halving bounds what runs that end early waste.
 _DRIVE_BLOCK_MIN = 16
 _DRIVE_BLOCK_STEPS = 256
 # A transient refuses to start when its nominal step count ceil(t_end/dt)
@@ -245,11 +252,8 @@ def _waveform_eval_bulk(w: Waveform, t: np.ndarray) -> np.ndarray:
     if w.kind == "sine":
         angle = (2.0 * math.pi * phase).tolist()
         return w.offset + w.amplitude * np.fromiter(map(math.sin, angle), float, len(angle))
-    shape = np.where(
-        phase < 0.25,
-        4.0 * phase,
-        np.where(phase < 0.75, 2.0 - 4.0 * phase, 4.0 * phase - 4.0),
-    )
+    rise = 4.0 * phase
+    shape = np.where(phase < 0.25, rise, np.where(phase < 0.75, 2.0 - rise, rise - 4.0))
     return w.offset + w.amplitude * shape
 
 
@@ -469,13 +473,20 @@ def make_step(stage_drive, CONSTANTS, **_):
 
 def make_full_steps(loop, CONSTANTS, **_):
     args = (*loop, CONSTANTS)
-    def full_steps(t, y, steps):
-        take_block, dt, half, sixth, t_end, t_last, i_th, neg_inf, CONSTANTS = args
+    def full_steps(t, y, steps, row, trace):
+        take_block, dt, half, sixth, i_th, neg_inf, every, row_cap, rows_overrun, CONSTANTS = args
         taken = 0
-        while taken < steps and t < t_last and t_end - t >= dt:
-            at, mid, j, stop = take_block(t, steps - taken)
-            first = j
-            while j < stop and t < t_last and t_end - t >= dt:
+        while taken < steps:
+            at, mid, volts, first, stop = take_block(t, steps - taken)
+            if first == stop:
+                break
+            due = first + row
+            for j in range(first, stop):
+                if j == due:
+                    trace.append((t, float(volts[j]), at[j], y))
+                    if len(trace) > row_cap:
+                        raise rows_overrun(len(trace), t=t)
+                    due += every
                 i0, im, i1 = at[j], mid[j], at[j + 1]
                 k1 = F(y, i0)
                 y2 = y + half * k1
@@ -492,8 +503,8 @@ def make_full_steps(loop, CONSTANTS, **_):
                     return t, y, taken + j - first, i_new
                 t += dt
                 y = i_new if i_new > 0.0 else 0.0
-                j += 1
-            taken += j - first
+            taken += stop - first
+            row = due - stop
         return t, y, taken, None
     return full_steps
 """
@@ -534,23 +545,28 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Wavefor
     ``stage_drive(t, h) -> (drive(t), mid, mid, drive(t + h))`` and
     ``mid = drive(t + h/2)``, the drive of stages 2 and 3.
     Full steps (h == dt) that each start where the previous step ended form
-    a run. Once a run is ``_DRIVE_BLOCK_MIN`` steps long, its next steps
-    read a block: the input and drive at the next full steps, as many as
-    the run so far, at most ``_DRIVE_BLOCK_STEPS`` and no further than
-    t_end, from one ``drive_block(times) -> (volts, currents)`` call. A
-    spike, which ends the run, thus wastes at most as many steps as the run
-    had. The block's times come from ``np.add.accumulate``, which sums in
-    sequence like the loop's ``t += h``, so they and its values are the
-    loop's bit for bit. Any other step (a bisection substep, the step cut
-    short at t_end, a step early in its run) calls ``drive``, reusing the
-    value at its start when the previous step started or ended there.
+    a run. Once a run is ``_DRIVE_BLOCK_MIN`` steps long, or from its second
+    step when the last block held at least twice that, its next steps read
+    a block: the input and drive at the next full steps, as many as the run
+    so far or half the last block, whichever is more, and at most
+    ``_DRIVE_BLOCK_STEPS``, from one ``drive_block(times) -> (volts,
+    currents)`` call. A spike, which ends the run, thus wastes at most as
+    many steps as the run had or half the last block. A block holds only
+    the steps the run takes whole: those that start before t_last =
+    t_end - ``_time_eps(t_end)`` and that t_end does not cut short. Its
+    times come from ``np.add.accumulate``, which sums in sequence like the
+    loop's ``t += h``, so they and its values are the loop's bit for bit.
+    Any other step (a bisection substep, the step cut short at t_end, a
+    step early in its run) calls ``drive``, reusing the value at its start
+    when the previous step started or ended there.
 
-    ``take_block(t, steps)`` hands the drives of up to ``steps`` full
-    steps from t to ``_make_full_steps`` as ``(at, mid, j, stop)``: the
-    k-th step reads ``at[j + k]``, ``mid[j + k]`` and ``at[j + k + 1]``
-    for j + k < stop. These are the entries a pending block holds for the
-    steps from t, marked read; otherwise the one-step block of
-    ``stage_drive(t, dt)``, which may start a new block. The next step
+    ``take_block(t, steps)`` hands up to ``steps`` full steps from t to
+    ``_make_full_steps`` as ``(at, mid, volts, j, stop)``: the k-th step
+    reads ``at[j + k]``, ``mid[j + k]`` and ``at[j + k + 1]``, and a row
+    before it ``volts[j + k]``, for j + k < stop. These are a pending
+    block's entries, marked read; otherwise the one-step block of
+    ``stage_drive(t, dt)``, which may start a block, or none (j == stop)
+    when the step from t is not one the run takes whole. The next step
     after entries handed out but not stepped calls ``drive``.
 
     ``row_drive(t) -> (waveform_eval(wave, t), drive(t))`` reads a trace
@@ -561,8 +577,9 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Wavefor
     full = dt if drive_block is not None else math.nan
     half_dt = 0.5 * dt
     min_span = _DRIVE_BLOCK_MIN * full
+    t_last = t_end - _time_eps(t_end)
     times: list[float] = []
-    volts: list[float] = []
+    volts = np.empty(0)
     at: list[float] = []
     mid: list[float] = []
     n = 0  # full steps in the block
@@ -572,22 +589,32 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Wavefor
     t_stop, i_stop = math.nan, 0.0
 
     def refill(t: float) -> bool:
-        """A new block from t, as long as the run so far; returns True."""
+        """A new block from t, as long as the run so far or half the last; returns True.
+
+        The step from t must be one the run takes whole.
+        """
         nonlocal times, volts, at, mid, n, j
-        n = min(int((t - t_run) / dt), _DRIVE_BLOCK_STEPS, int((t_end - t) / dt) + 1)
+        n = min(max(int((t - t_run) / dt), n // 2), _DRIVE_BLOCK_STEPS, int((t_end - t) / dt) + 1)
         steps = np.full(n + 1, dt)
         steps[0] = t
         steps = np.add.accumulate(steps)
-        v, currents = drive_block(np.concatenate((steps, steps[:-1] + half_dt)))
+        times, j = steps.tolist(), 0
+        # times increase, so when the last step starts in time, all do
+        while not (times[n - 1] < t_last and t_end - times[n - 1] >= dt):
+            n -= 1
+            steps = steps[: n + 1]
+            del times[n + 1 :]
+        volts, currents = drive_block(np.concatenate((steps, steps[:-1] + half_dt)))
         currents = currents.tolist()
-        times, volts, j = steps.tolist(), v[: n + 1].tolist(), 0
         at, mid = currents[: n + 1], currents[n + 1 :]
         return True
 
     def stage_drive(t: float, h: float) -> tuple[float, float, float, float]:
         nonlocal j, t_run, t_start, i_start, t_stop, i_stop
         if h == full and t == t_stop:
-            if (j < n and t == times[j]) or (t - t_run >= min_span and refill(t)):
+            if (j < n and t == times[j]) or (
+                (t - t_run >= min_span or n >= 2 * _DRIVE_BLOCK_MIN) and refill(t)
+            ):
                 j += 1
                 t_stop, i_stop = times[j], at[j]
                 return at[j - 1], mid[j - 1], mid[j - 1], i_stop
@@ -602,19 +629,31 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Wavefor
         i_mid = drive(t + 0.5 * h)
         return i_start, i_mid, i_mid, i_stop
 
+    class StepInput:
+        """``volts`` of a one-step block: the input at its start, if a row reads it."""
+
+        def __getitem__(self, _: int) -> float:
+            return waveform_eval(wave, t_step)
+
+    step_input = StepInput()
+    t_step = 0.0  # where the last one-step block starts
+
     def take_block(t: float, steps: int):
-        nonlocal j, t_stop, i_stop
+        nonlocal j, t_stop, i_stop, t_step
         if t == t_stop and j < n and t == times[j]:
             first = j
             j = min(n, j + steps)
             t_stop, i_stop = times[j], at[j]
-            return at, mid, first, j
+            return at, mid, volts, first, j
+        if not (t < t_last and t_end - t >= dt):
+            return (), (), (), 0, 0
         i0, im, _, i1 = stage_drive(t, dt)
-        return (i0, i1), (im,), 0, 1
+        t_step = t
+        return (i0, i1), (im,), step_input, 0, 1
 
     def row_drive(t: float) -> tuple[float, float]:
         if j < len(times) and t == times[j]:
-            return volts[j], at[j]
+            return float(volts[j]), at[j]
         return waveform_eval(wave, t), i_stop if t == t_stop else drive(t)
 
     return stage_drive, take_block, row_drive
@@ -642,16 +681,29 @@ def _make_dc_step(neuron: NeuronConfig, i_dc: float):
     return _make_step(neuron, lambda t, h: dc_stages)
 
 
-def _dc_take_block(i_dc: float):
-    """``take_block`` of a dc drive for ``_make_full_steps``.
+def _dc_take_block(i_dc: float, v: float, dt: float, t_end: float):
+    """``take_block`` of a dc input ``v`` for ``_make_full_steps``.
 
-    A dc drive needs no block: every stage drive is i_dc, so one constant
-    row serves every call.
+    Constant rows of i_dc and v serve every call, which hands out the next
+    ``_DRIVE_BLOCK_STEPS`` steps, or fewer near t_end: as in
+    ``_make_stage_drive``, only the steps the run takes whole. Far from
+    t_end a bound shows that all are (each ``t += dt`` rounds by at most
+    half an ulp of t_end); near it the call sums and checks the times as
+    the loop would.
     """
-    row = [i_dc] * (_DRIVE_BLOCK_STEPS + 1)
+    row, volts = [i_dc] * (_DRIVE_BLOCK_STEPS + 1), [v] * (_DRIVE_BLOCK_STEPS + 1)
+    t_last = t_end - _time_eps(t_end)
+    pad = 2.0 * dt + _DRIVE_BLOCK_STEPS * math.ulp(t_end)
 
     def take_block(t: float, steps: int):
-        return row, row, 0, min(steps, _DRIVE_BLOCK_STEPS)
+        n = min(steps, _DRIVE_BLOCK_STEPS)
+        if t_last - t > n * dt + pad:
+            return row, row, volts, 0, n
+        k = 0
+        while k < n and t < t_last and t_end - t >= dt:
+            t += dt
+            k += 1
+        return row, row, volts, 0, k
 
     return take_block
 
@@ -705,18 +757,21 @@ def _make_pole_drive(stage_drive, row_drive, omega: float, f0: float):
     return stages, advance, row
 
 
-def _make_full_steps(neuron: NeuronConfig, take_block, dt: float, t_end: float):
+def _make_full_steps(neuron: NeuronConfig, take_block, dt: float, trace_every: int):
     """Runs of full RK4 steps (h == dt) in one loop, with no call per stage.
 
-    Returns ``full_steps(t, y, steps) -> (t, y, taken, i_new)``. From the
-    membrane current y at t it takes up to ``steps`` full steps, reading
-    the stage drives from the blocks that ``take_block(t, steps_left)``
-    hands out, and stops before a step that t_end would cut short (or
-    that would start within the time tolerance of t_end) and before the
-    first step that reaches i_th or is not finite. ``i_new`` is that
-    step's result, for the caller to act on, and None when the loop
-    stopped for another reason. The caller's t must leave room for one
-    full step, so the loop takes it or refuses it.
+    Returns ``full_steps(t, y, steps, row, trace) -> (t, y, taken, i_new)``.
+    From the membrane current y at t it takes up to ``steps`` full steps
+    through the blocks of ``take_block(t, steps_left)``, which hands out
+    only steps the run takes whole, so no step tests t against t_end. It
+    stops when a block is empty, and before the first step that reaches
+    i_th or is not finite, whose result ``i_new`` is (None otherwise). The
+    caller's t must leave room for one full step.
+
+    Before the step with index ``row``, and every ``trace_every`` steps
+    after it, the loop appends the row ``(t, input, drive, y)`` to
+    ``trace`` from the block (step 0's row is the caller's), and raises
+    ``SimulationError`` past ``_BUDGET_OVERRUN * _TRACE_BUDGET`` rows.
 
     The loop is the neuron variant's compiled kernel, the ``_make_deriv``
     expression written out in each stage with the same clamps at zero,
@@ -725,9 +780,11 @@ def _make_full_steps(neuron: NeuronConfig, take_block, dt: float, t_end: float):
     negative. A call to the derivative per stage was about 15% slower.
     """
     variant, constants = derivative_variant(neuron)
-    t_last = t_end - _time_eps(t_end)
-    loop = (take_block, dt, 0.5 * dt, dt / 6.0, t_end, t_last, neuron.i_th, -math.inf)
-    return _compile_kernels(variant)[2](loop, **constants)
+    budget = _TRACE_BUDGET
+    rows_overrun = functools.partial(_overrun, what="trace rows", budget=budget)
+    steps = (take_block, dt, 0.5 * dt, dt / 6.0, neuron.i_th, -math.inf)
+    rows = (trace_every, _BUDGET_OVERRUN * budget, rows_overrun)
+    return _compile_kernels(variant)[2](steps + rows, **constants)
 
 
 def transient(
@@ -768,7 +825,7 @@ def transient(
         # a dc drive keeps an input pole's filter at i_dc, bit for bit
         i_dc = i_in(0.0)
         step = _make_dc_step(neuron, i_dc)
-        take_block = _dc_take_block(i_dc)
+        take_block = _dc_take_block(i_dc, input_wave.offset, dt, t_end)
 
         def row_drive(t: float) -> tuple[float, float]:
             return input_wave.offset, i_dc
@@ -792,7 +849,7 @@ def transient(
             )
         step = _make_step(neuron, stage_drive)
     # a pole run takes scalar steps only, each one moving the filter
-    full_steps = _make_full_steps(neuron, take_block, dt, t_end) if advance is None else None
+    full_steps = _make_full_steps(neuron, take_block, dt, trace_every) if advance is None else None
 
     state = initial_state if initial_state is not None else NeuronState(i_mem=neuron.i_reset)
     i_mem = state.i_mem
@@ -842,10 +899,9 @@ def transient(
 
         h = min(dt, t_end - t)
         if h == dt and full_steps is not None:
-            # full steps up to the next trace row, in one loop
-            t, i_mem, taken, i_new = full_steps(
-                t, i_mem, trace_every - (step_index - 1) % trace_every
-            )
+            # full steps, and their trace rows, up to the next event
+            row = trace_every - (step_index - 1) % trace_every
+            t, i_mem, taken, i_new = full_steps(t, i_mem, step_cap - step_index + 1, row, trace)
             if i_new is None:
                 step_index += taken - 1
                 continue
@@ -980,13 +1036,13 @@ def spike_count_dc(
         res = transient(encoder, wave, t_end, solver, initial_state=state, trace_every=_NO_TRACE)
         return sum(1 for t in res.spikes.times if t < t_end and t_start + t >= t_lo)
 
-    full_steps = _make_full_steps(neuron, _dc_take_block(i_dc), dt, t1)
+    full_steps = _make_full_steps(neuron, _dc_take_block(i_dc, v, dt, t1), dt, _NO_TRACE)
     t = 0.0
     i_mem = neuron.i_reset
     n_steps = 0
     while True:
         i_start = i_mem
-        t, i_mem, taken, i_new = full_steps(t, i_mem, _DRIVE_BLOCK_STEPS)
+        t, i_mem, taken, i_new = full_steps(t, i_mem, _DRIVE_BLOCK_STEPS, _NO_TRACE, [])
         n_steps += taken
         if i_new is not None:
             break

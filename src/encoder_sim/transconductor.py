@@ -220,6 +220,12 @@ def _solve_node_arg(cfg: TransconductorConfig, input_arg: float):
     i_ref, which only scales the branch currents. So configs that differ
     only in i_ref share their roots, and ``_solve_normalized`` keeps the
     256 most recently used. Errors are not kept.
+
+    This scalar solve (bisection on a wide bracket, then Newton to a
+    residual tolerance) and the vectorized ``solve_node_args`` (bisection
+    to adjacent doubles) both stay. Their roots differ in the last bits,
+    and the dc-sweep and thd goldens pin this solver's bits, while the
+    drive table needs the vectorized one to solve its nodes in bulk.
     """
     dev = cfg.dev
     # 0.0 == -0.0 as a key, so the input's sign completes it; a shunt
@@ -376,6 +382,10 @@ def solve_node_args(cfg: TransconductorConfig, beta) -> np.ndarray:
     sign restored afterwards, and halved until the bracket ends are
     adjacent doubles, so the result is odd in ``beta`` bit for bit. A
     residual that overflows a double raises ``SaturationError``.
+
+    It builds the drive table (``node_arg_table``); the operating point
+    keeps the scalar ``_solve_node_arg``, whose bits the dc-sweep and thd
+    goldens pin and which this solver does not reproduce, so both stay.
     """
     b = np.asarray(beta, dtype=float)
     s = cfg.node_shunt_ratio
@@ -424,7 +434,8 @@ class NodeArgTable:
     output_quiescent: float
     scale: float  # intervals per unit of |beta|
     coeffs: tuple[tuple[float, float, float, float], ...]
-    coeff_rows: np.ndarray = field(compare=False, repr=False)  # ``coeffs`` as an array
+    # ``coeffs`` as four contiguous columns c0, c1, c2, c3
+    coeff_cols: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
     def node_arg(self, beta: float) -> float:
         """Interpolated node argument; evaluated at |beta|, so odd bit for bit."""
@@ -462,7 +473,7 @@ class NodeArgTable:
         x = np.abs(beta) * self.scale
         k = np.minimum(x.astype(np.intp), len(self.coeffs) - 1)
         u = x - k
-        c0, c1, c2, c3 = self.coeff_rows[k].T
+        c0, c1, c2, c3 = [col.take(k) for col in self.coeff_cols]
         a = c0 + u * (c1 + u * (c2 + u * c3))
         arg = np.where(beta < 0.0, beta + a, beta - a)
         sinh = np.fromiter(map(math.sinh, arg.tolist()), float, arg.size)
@@ -548,7 +559,7 @@ def node_arg_table(cfg: TransconductorConfig) -> NodeArgTable:
         output_quiescent=cfg.output_quiescent,
         scale=n / beta_max,
         coeffs=tuple(map(tuple, coeffs.tolist())),
-        coeff_rows=coeffs,
+        coeff_cols=tuple(np.ascontiguousarray(col) for col in coeffs.T),
     )
 
 
@@ -594,17 +605,15 @@ def linearity_constraint_margin(cfg: TransconductorConfig, v_id: float) -> float
 
 
 def dc_sweep(cfg: TransconductorConfig, v_grid) -> list[tuple[float, float]]:
-    """Pointwise DC transfer over a sorted voltage grid.
+    """Pointwise DC transfer over a voltage grid, in the grid's order.
 
-    Returns (v_id, i_out_diff) pairs. Solver failures are re-raised with
-    the offending grid voltage attached.
+    Returns (v_id, i_out_diff) pairs. Each point is solved on its own,
+    without a warm start from its neighbour, so the grid may come in any
+    order and every point has the bits of a one-point sweep. Solver
+    failures are re-raised with the offending grid voltage attached.
     """
     points: list[tuple[float, float]] = []
-    previous = None
     for v in v_grid:
-        if previous is not None and v < previous:
-            raise ValueError(f"v_grid must be sorted, got {v!r} after {previous!r}")
-        previous = v
         try:
             points.append((float(v), output_current(cfg, float(v))))
         except SolverError as exc:

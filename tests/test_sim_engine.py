@@ -13,6 +13,7 @@ import re
 import struct
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -359,6 +360,30 @@ class TestTransientLinear:
         monkeypatch.setattr(sim_engine, "_TRACE_BUDGET", 11)
         with pytest.raises(SimulationError, match="trace rows overran 4 times the budget of 11"):
             transient(enc, wave, 100 * dt, solver, trace_every=10)  # 11 rows nominal
+
+    @pytest.mark.parametrize(
+        "wave",
+        [Waveform(kind="dc", offset=0.0), Waveform(kind="triangle", amplitude=0.1, frequency=1e3)],
+        ids=["dc", "triangle"],
+    )
+    def test_full_steps_stop_at_the_caps(self, monkeypatch, wave):
+        # with the nominal check off, a silent run of 1000 full steps meets
+        # each cap inside one call of the loop, which stops there exactly
+        enc = lin_encoder(replace(LIN, i_th=1e-6))
+        dt = 2.0**-24  # sums of dt are exact
+        solver = SolverConfig(dt=dt, event_tol=dt / 64)
+        monkeypatch.setattr(sim_engine, "_check_budget", lambda *args: None)
+        monkeypatch.setattr(sim_engine, "_STEP_BUDGET", 100)
+        over = "^401 loop steps overran 4 times the budget of 100$"
+        with pytest.raises(SimulationError, match=over) as err:
+            transient(enc, wave, 1000 * dt, solver, trace_every=10**9)
+        assert err.value.t == 400 * dt
+        monkeypatch.setattr(sim_engine, "_STEP_BUDGET", 10**6)
+        monkeypatch.setattr(sim_engine, "_TRACE_BUDGET", 10)
+        over = "^41 trace rows overran 4 times the budget of 10$"
+        with pytest.raises(SimulationError, match=over) as err:
+            transient(enc, wave, 1000 * dt, solver, trace_every=1)
+        assert err.value.t == 40 * dt
 
 
 class TestOracleAgreement:
@@ -707,9 +732,12 @@ class TestBlockPathChangesNothing:
 # both inputs: the 256th step of a dc row, and a varying block's last step
 # with trace_every 7 or 10**9.
 DC_EDGE = Waveform(kind="dc", offset=0.236)
-TRI_EDGE = Waveform(kind="triangle", amplitude=0.3, offset=-0.03, frequency=900.0)
+TRI_EDGE = Waveform(kind="triangle", amplitude=0.3, offset=-0.0305, frequency=900.0)
 FIRING_PF = EncoderConfig(transconductor=TC, neuron=NeuronConfig(i_pf_gain=0.5))
 FIRING_LIN = lin_encoder(LIN_RF)
+# Under this input the stock neuron crosses threshold on a row step with
+# trace_every 20 in the 3 ms run, twice, each inside a call of the loop.
+ROW_SPIKE_WAVE = Waveform(kind="triangle", amplitude=0.3, offset=0.15, frequency=1500.0)
 
 
 def stepwise_transient(encoder, wave, t_end, solver=None, initial_state=None, trace_every=10):
@@ -758,37 +786,54 @@ def stepwise_transient(encoder, wave, t_end, solver=None, initial_state=None, tr
     return sim_engine.SimResult(trace=tuple(trace), spikes=SpikeTrain(times=tuple(spikes)))
 
 
-def with_and_without_full_steps(monkeypatch, encoder, wave, t_end, **kwargs):
-    """``transient``, ``stepwise_transient`` and a log of the full-step loop.
+def log_full_steps(monkeypatch):
+    """A log of the full-step loop of every later ``transient`` call.
 
-    The log has one entry per call of the loop: (the blocks it was handed,
-    as (entries, block length, whether the entries end the block), steps
-    taken, refused step).
+    The log has one entry per call of the loop: the blocks it was handed,
+    as (entries, block length, whether the entries end the block), its
+    arguments ``steps`` and ``row``, and what it returned: ``t``,
+    ``taken`` and the refused step's result ``refused``.
     """
     make = sim_engine._make_full_steps
     log = []
 
-    def logged(neuron, take_block, dt, t_end):
-        handed = []
+    def logged(neuron, take_block, dt, trace_every):
+        blocks = []
 
         def take(t, steps):
-            at, mid, j, stop = block = take_block(t, steps)
-            handed.append((stop - j, len(at) - 1, stop == len(at) - 1))
+            at, mid, volts, j, stop = block = take_block(t, steps)
+            blocks.append((stop - j, len(at) - 1, stop == len(at) - 1))
             return block
 
-        full_steps = make(neuron, take, dt, t_end)
+        full_steps = make(neuron, take, dt, trace_every)
 
-        def run(t, y, steps):
-            handed.clear()
-            out = full_steps(t, y, steps)
-            log.append((list(handed), out[2], out[3]))
+        def run(t, y, steps, row, trace):
+            blocks.clear()
+            out = full_steps(t, y, steps, row, trace)
+            log.append(
+                SimpleNamespace(
+                    blocks=list(blocks), steps=steps, row=row, t=out[0], taken=out[2],
+                    refused=out[3],
+                )
+            )
             return out
 
         return run
 
     monkeypatch.setattr(sim_engine, "_make_full_steps", logged)
+    return log
+
+
+def with_and_without_full_steps(monkeypatch, encoder, wave, t_end, **kwargs):
+    """``transient``, ``stepwise_transient`` and the log of ``log_full_steps``."""
+    log = log_full_steps(monkeypatch)
     got = transient(encoder, wave, t_end, **kwargs)
     return got, stepwise_transient(encoder, wave, t_end, **kwargs), log
+
+
+def handed(call, blocks=slice(None)):
+    """The entries the blocks of a logged call held, all or a slice of them."""
+    return sum(entries for entries, _, _ in call.blocks[blocks])
 
 
 class TestFullStepsChangeNothing:
@@ -808,7 +853,7 @@ class TestFullStepsChangeNothing:
         assert got.trace == want.trace
         assert len(want.spikes) >= 3
         dt = default_solver_config(encoder.neuron).dt
-        assert sum(taken for _, taken, _ in log) > 0.25 * t_end / dt
+        assert sum(call.taken for call in log) > 0.25 * t_end / dt
 
     @pytest.mark.parametrize("trace_every", [7, 10**9])
     @pytest.mark.parametrize(
@@ -821,16 +866,26 @@ class TestFullStepsChangeNothing:
         ids=["triangle-end-in-first-block", "triangle-end-mid-block", "dc-end-mid-row"],
     )
     def test_end_mid_block(self, monkeypatch, wave, t_end, trace_every):
+        scalar_steps = []
+
+        def logged_step(neuron, stage_drive):
+            step = _make_step(neuron, stage_drive)
+            return lambda t, y, h: scalar_steps.append((t, h)) or step(t, y, h)
+
+        monkeypatch.setattr(sim_engine, "_make_step", logged_step)
         got, want, log = with_and_without_full_steps(
             monkeypatch, FIRING, wave, t_end, trace_every=trace_every
         )
         assert got.spikes == want.spikes
         assert got.trace == want.trace
-        # a call stops short of its entries without a crossing: at t_end
-        assert any(
-            refused is None and taken < sum(entries for entries, _, _ in blocks)
-            for blocks, taken, refused in log
-        )
+        # the planned stop excludes the cut step: a call without a crossing
+        # steps every entry it was handed
+        assert all(call.taken == handed(call) for call in log if call.refused is None)
+        # and the scalar step takes it
+        last = log[-1]
+        assert last.refused is None and last.taken < last.steps
+        assert 0.0 < t_end - last.t < FIRING_DT
+        assert scalar_steps[-1] == (last.t, t_end - last.t)
 
     @pytest.mark.parametrize("trace_every", [7, 10**9])
     @pytest.mark.parametrize("wave", [DC_EDGE, TRI_EDGE], ids=["dc", "triangle"])
@@ -858,11 +913,53 @@ class TestFullStepsChangeNothing:
         assert got.trace == want.trace
         # the refused step reads the last entry of a block of many steps
         assert any(
-            refused is not None
-            and blocks[-1][1] > 1
-            and blocks[-1][2]
-            and taken - sum(entries for entries, _, _ in blocks[:-1]) == blocks[-1][0] - 1
-            for blocks, taken, refused in log
+            call.refused is not None
+            and call.blocks[-1][1] > 1
+            and call.blocks[-1][2]
+            and call.taken - handed(call, slice(-1)) == call.blocks[-1][0] - 1
+            for call in log
+        )
+
+    def test_runs_after_a_long_block_read_blocks_from_their_second_step(self, monkeypatch):
+        # The first run takes _DRIVE_BLOCK_MIN one-step blocks before its
+        # first block. A later run, with the last block at least twice that
+        # long, takes its first step alone and starts a block of at least
+        # half the last one at its second (whose first entry is handed out
+        # alone), so its third handout reads that block.
+        log = log_full_steps(monkeypatch)
+        res = transient(FIRING, RAMPS, 3e-3, trace_every=10**9)
+        min_block = sim_engine._DRIVE_BLOCK_MIN
+        assert len(res.spikes) >= 10
+        assert [length for _, length, _ in log[0].blocks[:min_block]] == [1] * min_block
+        assert all(call.blocks[2][1] >= min_block for call in log[1:])
+
+    def test_one_loop_call_per_stretch_between_events(self, monkeypatch):
+        # the loop writes the trace rows itself, so the rows change no call
+        calls, results = [], []
+        for trace_every in (1, 20, 10**9):
+            log = log_full_steps(monkeypatch)
+            results.append(transient(FIRING, RAMPS, 3e-3, trace_every=trace_every))
+            calls.append(len(log))
+        spikes = len(results[0].spikes)
+        assert spikes >= 10
+        assert all(res.spikes == results[0].spikes for res in results)
+        assert calls[0] == calls[1] == calls[2] <= 2 * (spikes + 1)
+
+    def test_rows_written_in_the_loop(self, monkeypatch):
+        trace_every = 20
+        got, want, log = with_and_without_full_steps(
+            monkeypatch, FIRING, ROW_SPIKE_WAVE, 3e-3, trace_every=trace_every
+        )
+        assert got.spikes == want.spikes
+        assert got.trace == want.trace
+        assert len(got.trace) > 3e-3 / FIRING_DT / trace_every
+        # a crossing step that is a row step inside a call: the loop wrote
+        # its row before refusing it
+        assert any(
+            call.refused is not None
+            and call.taken >= call.row
+            and (call.taken - call.row) % trace_every == 0
+            for call in log
         )
 
 
@@ -1010,23 +1107,92 @@ class TestFullStepsKernel:
         dt = dt_over_tau * tau_m(neuron)
         n = (len(drives) - 1) // 2
         at, mid = drives[: n + 1], drives[n + 1 : 2 * n + 1]
+        # a row reads the input of its step's entry; one is due before
+        # steps 2, 5, 8, ...
+        volts, every, row = [0.01 * k for k in range(n + 1)], 3, 2
         full_steps = sim_engine._make_full_steps(
-            neuron, lambda t, steps: (at, mid, 0, min(steps, n)), dt, 1e3 * n * dt
+            neuron, lambda t, steps: (at, mid, volts, 0, min(steps, n)), dt, every
         )
-        got = full_steps(0.0, y0, n)
+        trace = []
+        got = full_steps(0.0, y0, n, row, trace)
         k = 0
         step = _make_step(neuron, lambda t, h: (at[k], mid[k], mid[k], at[k + 1]))
-        t, y = 0.0, y0
+        t, y, rows = 0.0, y0, []
         while k < n:
+            if k % every == row:
+                rows.append((t, volts[k], at[k], y))
             i_new = step(t, y, dt)
             if not -math.inf < i_new < neuron.i_th:
                 assert got[:3] == (t, y, k)
                 assert got[3] == i_new or math.isnan(got[3]) and math.isnan(i_new)
+                assert trace == rows
                 return
             t += dt
             y = i_new if i_new > 0.0 else 0.0
             k += 1
         assert got == (t, y, n, None)
+        assert trace == rows
+
+    def test_step_budget_and_row_cap(self, monkeypatch):
+        monkeypatch.setattr(sim_engine, "_TRACE_BUDGET", 2)
+        at = [1e-9] * 41
+        full_steps = sim_engine._make_full_steps(
+            NeuronConfig(), lambda t, steps: (at, at, at, 0, min(steps, 40)), 1e-7, 1
+        )
+        # the step budget is exact
+        assert full_steps(0.0, 1e-12, 5, 10**9, [])[2] == 5
+        trace = [()] * 7
+        with pytest.raises(SimulationError, match="9 trace rows overran 4 times the budget of 2"):
+            full_steps(0.0, 1e-12, 40, 1, trace)
+        assert len(trace) == 9
+
+
+def walked_steps(t, steps, dt, t_end):
+    """Full steps from t that start before t_last and end by t_end, summed as the loop does."""
+    t_last, k = t_end - sim_engine._time_eps(t_end), 0
+    while k < steps and t < t_last and t_end - t >= dt:
+        t += dt
+        k += 1
+    return k
+
+
+class TestTakeBlock:
+    """A block hands out exactly the steps that the run takes whole."""
+
+    @given(
+        t_end=st.floats(min_value=1e-9, max_value=1e3),
+        log2_steps=st.floats(min_value=0.0, max_value=52.0),
+        left=st.one_of(st.floats(min_value=0.0, max_value=300.0), st.integers(0, 300)),
+        shift=st.sampled_from([0.0, 1e-16, -1e-16, 1e-12, -1e-12]),
+        steps=st.integers(min_value=1, max_value=400),
+    )
+    # dt is 1.52 ulps of t, so every t += dt rounds up by about a third of it
+    @example(t_end=2.0, log2_steps=52.4, left=270, shift=0.0, steps=256)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_dc(self, t_end, log2_steps, left, shift, steps):
+        dt = t_end / 2.0**log2_steps
+        t = max(t_end - left * dt * (1.0 + shift), 0.0)
+        take_block = sim_engine._dc_take_block(1e-9, 0.1, dt, t_end)
+        at, mid, volts, first, stop = take_block(t, steps)
+        assert first == 0
+        assert stop == walked_steps(t, min(steps, sim_engine._DRIVE_BLOCK_STEPS), dt, t_end)
+
+    @pytest.mark.parametrize("wave", [DC_EDGE, TRI_EDGE], ids=["dc", "triangle"])
+    @pytest.mark.parametrize(
+        "shift",
+        [0.0, 0.5e-15, 2e-15, -0.5e-15, -2e-15, 0.5 * FIRING_DT],
+        ids=["edge", "within-eps-above", "above", "within-eps-below", "below", "mid"],
+    )
+    @pytest.mark.parametrize("steps", [40, 300])
+    def test_end_at_a_step_edge(self, wave, shift, steps):
+        # t_end on a step edge, off it by less or more than the time
+        # tolerance of 1e-15 s, or between edges
+        t_end = steps * FIRING_DT + shift
+        for trace_every in (1, 10**9):
+            got = transient(FIRING, wave, t_end, trace_every=trace_every)
+            want = stepwise_transient(FIRING, wave, t_end, trace_every=trace_every)
+            assert got.spikes == want.spikes
+            assert got.trace == want.trace
 
 
 def variant_deriv(variant, neuron):
@@ -1083,8 +1249,8 @@ class TestGeneratedKernels:
         assert derivative_variant(neuron)[0] == variant
         deriv = sim_engine._make_deriv(neuron)
         step = _make_step(neuron, lambda t, h: (1e-9,) * 4)
-        take_block = sim_engine._dc_take_block(1e-9)
-        full_steps = sim_engine._make_full_steps(neuron, take_block, 1e-7, 1.0)
+        take_block = sim_engine._dc_take_block(1e-9, 0.25, 1e-7, 1.0)
+        full_steps = sim_engine._make_full_steps(neuron, take_block, 1e-7, 10)
         f = DERIVATIVES[variant]
         assert f.format(m="m", i_in="i_in") in inspect.getsource(deriv)
         for i_in in ("i0", "i2", "i3", "i1"):

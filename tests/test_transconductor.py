@@ -293,9 +293,17 @@ class TestDcSweep:
         for (v, i) in pts:
             assert i == output_current(CFG, v)
 
-    def test_rejects_unsorted_grid(self):
-        with pytest.raises(ValueError):
-            dc_sweep(CFG, [0.1, -0.1, 0.2])
+    def test_unsorted_grid_gives_the_one_point_values(self):
+        # the sweep never warm-starts, so the grid's order changes no bit
+        grid = [0.1, -0.1, 0.2, -0.45, 0.0, -0.0, 0.1, 0.5]
+        swept = dc_sweep(CFG, grid)
+        alone = []
+        for v in grid:
+            transconductor._solve_normalized.cache_clear()
+            alone.append(dc_sweep(CFG, [v])[0])
+        assert [tuple(map(float.hex, p)) for p in swept] == [
+            tuple(map(float.hex, p)) for p in alone
+        ]
 
     def test_out_of_range_point_reports_voltage(self):
         with pytest.raises(ValueError, match="0.7"):
