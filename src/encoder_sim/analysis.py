@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .neuron import NeuronConfig
 from .sim_engine import EncoderConfig, SolverConfig, SpikeTrain, spike_count_dc
 from .transconductor import TransconductorConfig, effective_gm
@@ -92,6 +90,8 @@ def thd(samples, f0: float, fs: float, n_harmonics: int = 9) -> ThdReport:
     harmonic, and the record must span whole periods. That turns the
     synthetic-signal tests into identities instead of leakage estimates.
     """
+    import numpy as np
+
     if not (f0 > 0.0 and fs > 0.0):
         raise ValueError("f0 and fs must be positive")
     if n_harmonics < 1:
@@ -140,12 +140,21 @@ def firing_rate(spikes: SpikeTrain, t_start: float, t_end: float) -> float:
     return count / (t_end - t_start)
 
 
-def _fit_line(vs: np.ndarray, rates: np.ndarray) -> tuple[float, float]:
-    if vs.size < 2 or float(np.ptp(vs)) == 0.0:
+def _fit_line(vs: list[float], rates: list[float]) -> tuple[float, float]:
+    """Least-squares line through (vs, rates), as (slope, intercept).
+
+    The centred normal equations, with every sum taken exactly by
+    ``math.fsum``: data that lie exactly on a line with exactly centred
+    coordinates, such as integer rates on an equally spaced grid of binary
+    fractions, fit it exactly, with no rounding noise in the deviations.
+    """
+    if len(vs) < 2 or max(vs) == min(vs):
         raise ValueError("degenerate fit: need at least two distinct v_in values")
-    a = np.vstack([vs, np.ones_like(vs)]).T
-    slope, intercept = np.linalg.lstsq(a, rates, rcond=None)[0]
-    return float(slope), float(intercept)
+    v_mean = math.fsum(vs) / len(vs)
+    r_mean = math.fsum(rates) / len(rates)
+    dv = [v - v_mean for v in vs]
+    slope = math.fsum(d * (r - r_mean) for d, r in zip(dv, rates)) / math.fsum(d * d for d in dv)
+    return slope, r_mean - slope * v_mean
 
 
 def _curve_from_rates(
@@ -170,9 +179,7 @@ def _curve_from_rates(
     flagged = tuple(grid[i] for i in in_window if counts[i] < 5)
     fit_idx = [i for i in in_window if counts[i] >= 5]
     if len(fit_idx) >= 2:
-        slope, intercept = _fit_line(
-            np.array([grid[i] for i in fit_idx]), np.array([rates[i] for i in fit_idx])
-        )
+        slope, intercept = _fit_line([grid[i] for i in fit_idx], [rates[i] for i in fit_idx])
         fit_hi = slope * v_hi + intercept
         if fit_hi <= 0.0:
             raise ValueError("fitted line is nonpositive at the window top")
@@ -246,15 +253,13 @@ def linearity_error(curve: VFCurve) -> float:
     ]
     if len(pts) < 3:
         raise ValueError(f"need at least 3 in-window points, got {len(pts)}")
-    vs = np.array([p[0] for p in pts])
-    rates = np.array([p[1] for p in pts])
     slope, intercept = curve.fit_slope, curve.fit_intercept
     if not (math.isfinite(slope) and math.isfinite(intercept)):
-        slope, intercept = _fit_line(vs, rates)
+        slope, intercept = _fit_line([v for v, _ in pts], [r for _, r in pts])
     fit_hi = slope * v_hi + intercept
     if fit_hi <= 0.0:
         raise ValueError("fitted line is nonpositive at the window top")
-    return float(np.max(np.abs(rates - (slope * vs + intercept))) / fit_hi)
+    return max(abs(r - (slope * v + intercept)) for v, r in pts) / fit_hi
 
 
 def small_signal(

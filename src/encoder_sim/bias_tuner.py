@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .analysis import (
     UndersampledError,
     _curve_from_rates,
@@ -306,6 +304,33 @@ class _BudgetExhausted(Exception):
     pass
 
 
+# The simplex arithmetic on tuples of floats, in numpy's operation order,
+# so it gives the bits of the same expressions on float64 arrays.
+
+
+def _clip(z):
+    """``np.clip(z, 0.0, 1.0)``: nan stays nan, and -0.0 stays -0.0."""
+    return tuple(min(max(x, 0.0), 1.0) for x in z)
+
+
+def _reflect(c, w):
+    """``c + (c - w)``, clipped into the box."""
+    return _clip(x + (x - y) for x, y in zip(c, w))
+
+
+def _toward(a, b, t: float):
+    """``a + t*(b - a)``, clipped into the box."""
+    return _clip(x + t * (y - x) for x, y in zip(a, b))
+
+
+def _centroid(rows):
+    """``np.mean(rows, axis=0)``: 0.0 plus the rows in sequence, then divided."""
+    total = (0.0,) * len(rows[0])
+    for row in rows:
+        total = tuple(x + y for x, y in zip(total, row))
+    return tuple(x / len(rows) for x in total)
+
+
 class _Evaluator:
     """Budgeted objective wrapper: clips, logs, and absorbs failures."""
 
@@ -320,14 +345,12 @@ class _Evaluator:
         self.trace: list[tuple[dict[str, float], float]] = []
         self.failures: list[tuple[int, dict[str, float], str]] = []
 
-    def __call__(self, z: np.ndarray) -> float:
+    def __call__(self, z: tuple[float, ...]) -> float:
         if len(self.trace) >= self.budget:
             raise _BudgetExhausted
-        z = np.clip(z, 0.0, 1.0)
-        x = self.lo + z * self.span
         point = {
-            name: float(self.frozen[name]) if name in self.frozen else float(x[k])
-            for k, name in enumerate(self.names)
+            name: float(self.frozen[name]) if name in self.frozen else lo + x * span
+            for name, lo, x, span in zip(self.names, self.lo, _clip(z), self.span)
         }
         try:
             value = float(self.objective_fn(_apply_point(self.template, point)))
@@ -356,21 +379,21 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
         objective_fn = _OBJECTIVE_FNS[spec.objective]
 
     names = sorted(spec.variables)
-    lo = np.array([spec.variables[n][0] for n in names])
-    hi = np.array([spec.variables[n][1] for n in names])
-    span = hi - lo
+    lo = tuple(spec.variables[n][0] for n in names)
+    span = tuple(spec.variables[n][1] - spec.variables[n][0] for n in names)
     free = [k for k in range(len(names)) if span[k] > 0.0]
     frozen = {names[k]: lo[k] for k in range(len(names)) if span[k] == 0.0}
-    # Guard the frozen dims against 0/0 in the z -> x map.
-    safe_span = np.where(span > 0.0, span, 1.0)
 
     evaluate = _Evaluator(
         encoder_template, names, lo, span, frozen, objective_fn, spec.budget
     )
     uniforms = _pcg64_uniforms(spec.seed)
 
-    template_x = np.array([_template_value(encoder_template, n) for n in names])
-    z0_full = np.clip((template_x - lo) / safe_span, 0.0, 1.0)
+    # a frozen dimension divides by 1.0, not by its zero span
+    z0_full = _clip(
+        (_template_value(encoder_template, n) - a) / (s if s > 0.0 else 1.0)
+        for n, a, s in zip(names, lo, span)
+    )
 
     def finish() -> TuneResult:
         if not evaluate.trace:
@@ -395,32 +418,31 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
             pass
         return finish()
 
-    def lift(z_free: np.ndarray) -> np.ndarray:
-        z = z0_full.copy()
-        z[free] = z_free
-        return z
+    def lift(z_free: tuple[float, ...]) -> tuple[float, ...]:
+        z = list(z0_full)
+        for k, x in zip(free, z_free):
+            z[k] = x
+        return tuple(z)
 
-    def initial_simplex(center: np.ndarray) -> list[np.ndarray]:
-        verts = [center.copy()]
+    def initial_simplex(center: tuple[float, ...]) -> list[tuple[float, ...]]:
+        verts = [center]
         for k in range(d):
             step = 0.25 + 0.25 * next(uniforms)
-            z = center.copy()
+            z = list(center)
             z[k] = z[k] + step if z[k] + step <= 1.0 else z[k] - step
-            verts.append(np.clip(z, 0.0, 1.0))
+            verts.append(_clip(z))
         return verts
 
     restarted = False
     try:
-        verts = initial_simplex(z0_full[free])
+        verts = initial_simplex(tuple(z0_full[k] for k in free))
         values = [evaluate(lift(z)) for z in verts]
         while True:
             order = sorted(range(d + 1), key=lambda k: (values[k], k))
             verts = [verts[k] for k in order]
             values = [values[k] for k in order]
 
-            diameter = max(
-                float(np.max(np.abs(a - b))) for a in verts for b in verts
-            )
+            diameter = max(abs(x - y) for a in verts for b in verts for x, y in zip(a, b))
             if diameter < _COLLAPSE_FRACTION:
                 if restarted:
                     break
@@ -429,29 +451,27 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
                 values = [values[0]] + [evaluate(lift(z)) for z in verts[1:]]
                 continue
 
-            centroid = np.mean(verts[:-1], axis=0)
-            reflected = np.clip(centroid + (centroid - verts[-1]), 0.0, 1.0)
+            centroid = _centroid(verts[:-1])
+            reflected = _reflect(centroid, verts[-1])
             f_r = evaluate(lift(reflected))
             if values[0] <= f_r < values[-2]:
                 verts[-1], values[-1] = reflected, f_r
             elif f_r < values[0]:
-                expanded = np.clip(centroid + 2.0 * (reflected - centroid), 0.0, 1.0)
+                expanded = _toward(centroid, reflected, 2.0)
                 f_e = evaluate(lift(expanded))
                 if f_e < f_r:
                     verts[-1], values[-1] = expanded, f_e
                 else:
                     verts[-1], values[-1] = reflected, f_r
             else:
-                if f_r < values[-1]:
-                    contracted = np.clip(centroid + 0.5 * (reflected - centroid), 0.0, 1.0)
-                else:
-                    contracted = np.clip(centroid + 0.5 * (verts[-1] - centroid), 0.0, 1.0)
+                inner = reflected if f_r < values[-1] else verts[-1]
+                contracted = _toward(centroid, inner, 0.5)
                 f_c = evaluate(lift(contracted))
                 if f_c < min(f_r, values[-1]):
                     verts[-1], values[-1] = contracted, f_c
                 else:
                     for k in range(1, d + 1):
-                        verts[k] = np.clip(verts[0] + 0.5 * (verts[k] - verts[0]), 0.0, 1.0)
+                        verts[k] = _toward(verts[0], verts[k], 0.5)
                         values[k] = evaluate(lift(verts[k]))
     except _BudgetExhausted:
         pass

@@ -17,10 +17,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .analysis import power_estimate, small_signal, thd, vf_curve
 from .bias_tuner import _TUNABLE, TuneSpec, tune
@@ -234,12 +233,32 @@ def _say(args, message: str) -> None:
         print(message)
 
 
+def _load_numpy():
+    """numpy, for the commands that work on arrays; call it before ``build_encoder``.
+
+    Loaded before the encoder is built, its import is start-up, and the
+    run from build to output holds only the experiment. No command makes a
+    BLAS call that threads would speed up, so OpenBLAS gets one thread
+    unless the environment says otherwise: a helper thread spins for about
+    50 ms of CPU after numpy loads, doing nothing.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    import numpy
+
+    return numpy
+
+
 def _grid(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n)`` bit for bit, as floats."""
     if n < 2:
         raise ValueError(f"n_points must be >= 2, got {n}")
     if not hi > lo:
         raise ValueError(f"grid needs v_stop > v_start, got {lo!r}, {hi!r}")
-    return [float(v) for v in np.linspace(lo, hi, n)]
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0.0:  # a subnormal span: linspace scales by it, not by the step
+        return [lo + i / (n - 1) * delta for i in range(n - 1)] + [hi]
+    return [lo + i * step for i in range(n - 1)] + [hi]
 
 
 def _cmd_dc_sweep(cp, args) -> int:
@@ -279,6 +298,7 @@ def _waveform_from_section(sec: dict) -> Waveform:
 
 
 def _cmd_transient(cp, args) -> int:
+    _load_numpy()  # for the drive blocks of a time-varying input
     enc = build_encoder(cp)
     sec = _read_section(
         cp,
@@ -369,6 +389,7 @@ def _cmd_vf_curve(cp, args) -> int:
 
 
 def _cmd_thd(cp, args) -> int:
+    np = _load_numpy()
     enc = build_encoder(cp)
     sec = _read_section(
         cp,

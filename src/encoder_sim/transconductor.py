@@ -31,6 +31,10 @@ of it over the full input range from the vectorized bisection
 ``solve_node_args``; ``NodeArgTable.input_current`` is then a polynomial
 lookup instead of a scalar solve, and ``NodeArgTable.input_currents`` the
 same lookup over an array, bit for bit.
+
+Only the table code imports numpy, inside ``solve_node_args``,
+``_hermite_coeffs``, ``node_arg_table`` and ``NodeArgTable.input_currents``;
+the operating point, ``dc_sweep`` and ``effective_gm`` run on floats.
 """
 
 from __future__ import annotations
@@ -39,17 +43,18 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .device_model import DeviceParams, SaturationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TransconductorConfig",
     "LinearizationSolution",
     "SolverError",
     "solve_operating_point",
-    "node_residual",
     "output_current",
     "neuron_input_current",
     "NodeArgTable",
@@ -189,28 +194,6 @@ def _check_v_id(v_id: float) -> None:
         raise ValueError(f"v_id must be finite, got {v_id!r}")
     if abs(v_id) > _BRACKET_V:
         raise ValueError(f"|v_id| must not exceed the 0.5 V supply, got {v_id!r}")
-
-
-def node_residual(cfg: TransconductorConfig, v_id, v_node_diff):
-    """KCL imbalance at the correction nodes, in amperes.
-
-    Positive residual means the diode-plus-shunt side sinks more than the
-    driving pair supplies at the trial node differential ``v_node_diff``.
-    Accepts scalars or numpy arrays (the dense-grid oracle in the test
-    suite scans millions of trial points at once).
-    """
-    dev = cfg.dev
-    i_nd = cfg.branch_quiescent
-    node_arg = np.asarray(v_node_diff) / (2.0 * dev.n * dev.u_t)
-    input_arg = (dev.n - 1.0) * np.asarray(v_id) / (2.0 * dev.n * dev.u_t)
-    residual = i_nd * (
-        np.sinh(node_arg)
-        + cfg.node_shunt_ratio * node_arg
-        - cfg.drive_ratio * np.sinh(input_arg - node_arg)
-    )
-    if residual.ndim == 0:
-        return float(residual)
-    return residual
 
 
 def _solve_node_arg(cfg: TransconductorConfig, input_arg: float):
@@ -387,6 +370,8 @@ def solve_node_args(cfg: TransconductorConfig, beta) -> np.ndarray:
     keeps the scalar ``_solve_node_arg``, whose bits the dc-sweep and thd
     goldens pin and which this solver does not reproduce, so both stay.
     """
+    import numpy as np
+
     b = np.asarray(beta, dtype=float)
     s = cfg.node_shunt_ratio
     d = cfg.drive_ratio
@@ -469,6 +454,8 @@ class NodeArgTable:
         taken per element with ``math.sinh``, because ``np.sinh`` may round
         differently.
         """
+        import numpy as np
+
         beta = self.n1 * v_id / self.two_nut
         x = np.abs(beta) * self.scale
         k = np.minimum(x.astype(np.intp), len(self.coeffs) - 1)
@@ -487,6 +474,8 @@ def _hermite_coeffs(cfg: TransconductorConfig, beta, alpha, step: float) -> np.n
     Node slopes come from the implicit derivative of the node equation,
     d alpha/d beta = d*cosh(beta - alpha)/(cosh(alpha) + s + d*cosh(beta - alpha)).
     """
+    import numpy as np
+
     d = cfg.drive_ratio
     pull = d * np.cosh(beta - alpha)
     hm = step * pull / (np.cosh(alpha) + cfg.node_shunt_ratio + pull)
@@ -516,6 +505,8 @@ def node_arg_table(cfg: TransconductorConfig) -> NodeArgTable:
     (whose node equation ``_solve_node_arg`` cannot solve), raises
     ``SaturationError``.
     """
+    import numpy as np
+
     half_width = _BRACKET_V / (2.0 * cfg.dev.n * cfg.dev.u_t)
     if not half_width <= _SINH_ARG_MAX:
         raise SaturationError(

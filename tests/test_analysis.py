@@ -6,6 +6,7 @@ regression snapshots.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from encoder_sim.analysis import (
     ThdReport,
     VFCurve,
+    _fit_line,
     firing_rate,
     linearity_error,
     power_estimate,
@@ -204,6 +206,57 @@ class TestLinearityError:
             # miss instead: all points below the window
             linearity_error(make_curve([(0.0, 1.0), (0.05, 2.0)], (0.1, 0.4)))
         assert curve  # constructed fine
+
+
+class TestFitLine:
+    @given(
+        n=st.integers(3, 12),
+        first=st.integers(-100, 100),
+        exponent=st.integers(0, 12),
+        slope=st.integers(-(10**6), 10**6),
+        intercept=st.integers(1, 10**6),
+    )
+    def test_exact_on_exactly_linear_data(self, n, first, exponent, slope, intercept):
+        # an equally spaced dyadic grid and integer coefficients make every
+        # sum and product exact, so the fit is exact and every deviation 0
+        vs = [(first + k) * 2.0**-exponent for k in range(n)]
+        rates = [slope * v + intercept for v in vs]
+        assert _fit_line(vs, rates) == (slope, intercept)
+        if slope * vs[-1] + intercept > 0.0:
+            curve = make_curve(list(zip(vs, rates)), (vs[0], vs[-1]))
+            assert linearity_error(curve) == 0.0
+
+    @given(
+        lo=st.floats(0.0, 0.3),
+        step=st.floats(0.01, 0.05),
+        n=st.integers(3, 12),
+        slope=st.floats(1e3, 1e5),
+        intercept=st.floats(0.0, 1e4),
+        noise=st.lists(st.floats(-0.05, 0.05), min_size=12, max_size=12),
+    )
+    def test_agrees_with_lstsq_on_noisy_data(self, lo, step, n, slope, intercept, noise):
+        # fitted values within a few ulps of the rates both of numpy's
+        # lstsq and, closer, of the least-squares line in exact rationals
+        vs = [lo + k * step for k in range(n)]
+        rates = [slope * v + intercept + e * slope * step for v, e in zip(vs, noise)]
+        got_slope, got_intercept = _fit_line(vs, rates)
+        got = [got_slope * v + got_intercept for v in vs]
+        a = np.vstack([vs, np.ones(n)]).T
+        ls_slope, ls_intercept = np.linalg.lstsq(a, np.array(rates), rcond=None)[0]
+        ulp = math.ulp(max(map(abs, rates)))
+        assert max(abs(g - (ls_slope * v + ls_intercept)) for g, v in zip(got, vs)) <= 16 * ulp
+        v_mean = sum(map(Fraction, vs)) / n
+        r_mean = sum(map(Fraction, rates)) / n
+        dv = [Fraction(v) - v_mean for v in vs]
+        exact_slope = sum(d * (Fraction(r) - r_mean) for d, r in zip(dv, rates)) / sum(
+            d * d for d in dv
+        )
+        exact = [exact_slope * (Fraction(v) - v_mean) + r_mean for v in vs]
+        assert max(abs(Fraction(g) - e) for g, e in zip(got, exact)) <= 4 * Fraction(ulp)
+
+    def test_degenerate_grid_rejected(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            _fit_line([0.2, 0.2, 0.2], [1.0, 2.0, 3.0])
 
 
 class TestVfCurveValidation:

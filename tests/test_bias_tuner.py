@@ -3,17 +3,24 @@ synthetic objectives with known optima, and the measurement-backed
 objectives on real encoder configs."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from encoder_sim.analysis import linearity_error, power_estimate, vf_curve
 from encoder_sim.bias_tuner import (
     TuneResult,
     TuneSpec,
     TunerError,
+    _centroid,
     _cheap_solver,
+    _clip,
     _pcg64_uniforms,
+    _reflect,
+    _toward,
     objective_linearity,
     objective_negative_linear_range,
     objective_power_weighted,
@@ -93,6 +100,44 @@ class TestPcg64Stream:
             theirs = np.random.default_rng(seed)
             for k in range(24):
                 assert next(ours).hex() == theirs.random().hex(), (seed, k)
+
+
+# Simplex coordinates: in and out of the unit box, with both zeros.
+COORD = st.floats(-0.5, 1.5) | st.sampled_from([-0.0, 0.0, 1.0])
+
+
+@st.composite
+def simplex_rows(draw, rows=None):
+    """A list of rows of one length d in 1..5, as the tuner's vertices."""
+    d = draw(st.integers(1, 5))
+    count = rows if rows is not None else draw(st.integers(1, 5))
+    return [tuple(draw(st.lists(COORD, min_size=d, max_size=d))) for _ in range(count)]
+
+
+def bits(values):
+    return [struct.pack("<d", x) for x in values]
+
+
+class TestSimplexArithmetic:
+    """The tuple vertex steps give numpy's bits for the same expressions."""
+
+    @given(st.lists(COORD | st.sampled_from([math.nan, math.inf, -math.inf]), min_size=1))
+    def test_clip(self, z):
+        assert bits(_clip(z)) == bits(np.clip(np.array(z), 0.0, 1.0).tolist())
+
+    @given(simplex_rows())
+    def test_centroid(self, rows):
+        assert bits(_centroid(rows)) == bits(np.mean(np.array(rows), axis=0).tolist())
+
+    @given(simplex_rows(rows=2))
+    def test_reflect(self, rows):
+        c, w = map(np.array, rows)
+        assert bits(_reflect(*rows)) == bits(np.clip(c + (c - w), 0.0, 1.0).tolist())
+
+    @given(simplex_rows(rows=2), st.sampled_from([2.0, 0.5]))
+    def test_expand_contract_and_shrink(self, rows, t):
+        a, b = map(np.array, rows)
+        assert bits(_toward(*rows, t)) == bits(np.clip(a + t * (b - a), 0.0, 1.0).tolist())
 
 
 class TestTuneResultValidation:

@@ -9,7 +9,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from encoder_sim import bias_tuner, cli, sim_engine, transconductor
 from encoder_sim.cli import (
@@ -356,6 +359,23 @@ class TestGoldenFiles:
         assert out.read_bytes() == (GOLDEN / "vf_curve_default.csv").read_bytes()
 
 
+class TestGrid:
+    @given(
+        lo=st.floats(-1.0, 1.0),
+        span=st.floats(0.0, 2.0, exclude_min=True),
+        n=st.integers(2, 300),
+    )
+    @example(lo=0.0, span=1e-323, n=5)  # a subnormal step rounds to 0
+    @example(lo=-0.0, span=0.5, n=2)
+    @example(lo=-0.5, span=1.0, n=101)
+    def test_is_linspace_bit_for_bit(self, lo, span, n):
+        hi = lo + span
+        if not hi > lo:
+            return
+        want = np.linspace(lo, hi, n).tolist()
+        assert [v.hex() for v in cli._grid(lo, hi, n)] == [v.hex() for v in want]
+
+
 class TestDcRunsBuildNoTable:
     def test_dc_commands(self, tmp_path, monkeypatch):
         def no_table(cfg):
@@ -503,3 +523,44 @@ class TestImports:
             "print('numpy.random' in sys.modules)\n"
         )
         assert fresh_python(code, tmp_path).split() == ["False"]
+
+    def test_dc_commands_leave_numpy_unloaded(self, tmp_path):
+        # every command but transient and thd runs on floats
+        commands = ["dc-sweep", "vf-curve", "freq", "power", "tune"]
+        code = (
+            "import sys\n"
+            "from encoder_sim.cli import main\n"
+            f"for command in {commands!r}:\n"
+            f"    args = [command, '--config', {DEFAULT_INI!r}, '--out', 'o.csv', '--quiet']\n"
+            "    args += ['--set', 'tune.variables=i_th', '--set', 'tune.budget=6']\n"
+            "    assert main(args) == 0, command\n"
+            "    print(command, 'numpy' in sys.modules)\n"
+        )
+        assert fresh_python(code, tmp_path).split() == [
+            word for command in commands for word in (command, "False")
+        ]
+
+    @pytest.mark.parametrize(
+        "command, sets",
+        [("transient", ["transient.t_end_s=1e-4"]), ("thd", [])],
+        ids=["transient", "thd"],
+    )
+    def test_array_commands_load_numpy_before_the_encoder(self, tmp_path, command, sets):
+        # the run from the encoder's build to its output holds no import,
+        # and OpenBLAS starts no helper thread to spin beside it
+        code = (
+            "import os, sys\n"
+            "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+            "from encoder_sim import cli\n"
+            "build = cli.build_encoder\n"
+            "def marked(cp):\n"
+            "    enc = build(cp)\n"
+            "    print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])\n"
+            "    return enc\n"
+            "cli.build_encoder = marked\n"
+            f"args = [{command!r}, '--config', {DEFAULT_INI!r}, '--out', 'o.csv', '--quiet']\n"
+            f"for item in {sets!r}:\n"
+            "    args += ['--set', item]\n"
+            "assert cli.main(args) == 0\n"
+        )
+        assert fresh_python(code, tmp_path).split() == ["True", "1"]

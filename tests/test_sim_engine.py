@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import _vectorized_input_current, _waveform_eval_array, oracle_transient
 
 from encoder_sim import sim_engine
 from encoder_sim.analysis import vf_curve
@@ -42,10 +43,7 @@ from encoder_sim.sim_engine import (
     _make_drive,
     _make_stage_drive,
     _make_step,
-    _vectorized_input_current,
-    _waveform_eval_array,
     default_solver_config,
-    oracle_transient,
     spike_count_dc,
     transient,
     waveform_eval,

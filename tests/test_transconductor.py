@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import node_residual
 
 from encoder_sim import transconductor
 from encoder_sim.device_model import DeviceParams, SaturationError
@@ -26,7 +27,6 @@ from encoder_sim.transconductor import (
     linearity_constraint_margin,
     neuron_input_current,
     node_arg_table,
-    node_residual,
     output_current,
     raw_pair_output_current,
     solve_node_args,
