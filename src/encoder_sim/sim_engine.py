@@ -34,18 +34,16 @@ numpy is imported only where a block is built: in ``_make_stage_drive``,
 run never builds a block or a table, so it never loads numpy.
 
 The membrane derivative of each neuron variant is one expression string in
-``neuron.DERIVATIVES``. ``_compile_kernels`` compiles it, once per process
-and variant, into the derivative ``_make_deriv`` (for
-``membrane_derivative``), the scalar step ``_make_step`` and the loop of
-``_make_full_steps``, the last two with the expression written out in each
-RK4 stage. Every full step of a run without an input pole runs in that
-loop, a bare ``for`` over each block's entries with no function call per
-stage. It writes the trace rows due between its steps itself, and returns
-to the event loop of ``transient`` only for the step that t_end cuts
-short, for the step that reaches threshold or is not finite, which the
-scalar step takes with its bisection and the refractory time, and once
-the step budget is used up. The loop repeats the scalar step's operations
-in the same order, so it changes no bit.
+``neuron.DERIVATIVES``. ``_compile_kernel`` compiles it, once per process,
+variant and kernel, into the kernels of ``_KERNEL_TEXT``, each with the
+expression written out in every RK4 stage. Every full step of a run
+without an input pole runs in the loop of ``_make_full_steps``, a bare
+``for`` over each block's entries with no function call per stage. It
+writes the trace rows due between its steps itself, and returns to the
+event loop of ``transient`` only for the step that t_end cuts short, for
+the step that reaches threshold or is not finite, which the event loop
+bisects or refuses, and once the step budget is used up. The loop repeats
+the scalar step's operations in the same order, so it changes no bit.
 
 The optional input pole is a filter f' = omega*(drive - f) on the drive
 (``_make_pole_drive``). It never reads the membrane, so its four RK4
@@ -68,7 +66,9 @@ rows pass four times the budget.
 
 Integration is fixed-step RK4. A threshold crossing inside a step is
 located by bisecting the substep length, which keeps spike times
-deterministic to the event tolerance without adaptive stepping. The
+deterministic to the event tolerance without adaptive stepping. Stage 1
+of a substep reads only the state and the drive at the step's start, so
+``locate`` holds it for every drive, bit for bit with the scalar step. The
 refractory period is consumed in exact time (no grid rounding), so
 inter-spike gaps are exactly t_rf plus the integration time.
 
@@ -77,9 +77,10 @@ proportional to one interval. A dc drive makes the membrane equation
 autonomous, so the train is strictly periodic: spike k sits at
 t_first + k*(t_rf + t_first), up to float accumulation of the time. The
 counter returns 0 without a step for a bias that provably stays below
-threshold, steps the first interval in the full-step loop, counts the
-later periods in closed form, and hands the last periods to ``transient``
-only where the step cut short by the window end can change the verdict.
+threshold, steps the first interval and bisects its crossing in one
+kernel call (``dc_first``, which calls ``locate``), counts the later
+periods in closed form, and hands the last periods to ``transient`` only
+where the step cut short by the window end can change the verdict.
 Its docstring states the tie rule at the window edges.
 """
 
@@ -273,8 +274,8 @@ class SolverConfig:
             raise ValueError(f"event_tol must be positive, got {self.event_tol!r}")
         if self.event_tol >= self.dt:
             raise ValueError(f"event_tol must be below dt, got {self.event_tol!r} >= {self.dt!r}")
-        if self.method not in ("rk4", "euler-oracle"):
-            raise ValueError(f"unknown method {self.method!r}")
+        if self.method != "rk4":
+            raise ValueError(f"unknown method {self.method!r}: only rk4 integrates")
 
 
 def default_solver_config(neuron: NeuronConfig) -> SolverConfig:
@@ -401,29 +402,13 @@ def _time_eps(t_end: float) -> float:
     return 1e-15 * max(t_end, 1.0)
 
 
-def _locate_crossing(crossed, h: float, event_tol: float) -> float:
-    """Substep length at which the threshold is first reached, to event_tol.
-
-    ``crossed(s)`` tells whether a substep of length s from the current
-    state ends at or above threshold; it must hold for s = h. Bisects
-    [0, h] and returns the upper end, so a located event never precedes
-    the crossing it stands for.
-    """
-    lo, hi = 0.0, h
-    while hi - lo > event_tol:
-        mid = 0.5 * (lo + hi)
-        if crossed(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 # The RK4 kernels of a neuron variant, each F(m, i_in) its ``DERIVATIVES``
 # expression: ``make_deriv`` makes the derivative, ``make_step`` the step
-# of ``_make_step`` and ``make_full_steps`` the loop of ``_make_full_steps``.
-# Constants come in as arguments, never as text, and the loop copies them
-# into locals at every call.
+# of ``_make_step``, ``make_locate`` the bisection of every crossing,
+# ``make_full_steps`` the loop of ``_make_full_steps`` and ``make_dc_first``
+# the first interval of ``spike_count_dc`` up to its spike, located with
+# ``locate``. Constants come in as arguments, never as text, and the
+# kernels copy them into locals at every call.
 _KERNEL_TEXT = """\
 def make_deriv(CONSTANTS, **_):
     def deriv(m, i_in):
@@ -447,6 +432,38 @@ def make_step(stage_drive, CONSTANTS, **_):
         k4 = F(m, i1)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return step
+
+def make_locate(i_th, CONSTANTS, **_):
+    args = (i_th, CONSTANTS)
+    def locate(stage_drive, t, y, h, event_tol):
+        lo, hi = 0.0, h
+        if not hi - lo > event_tol:
+            return hi
+        i_th, CONSTANTS = args
+        mid = 0.5 * (lo + hi)
+        i0, i2, i3, i1 = stage_drive(t, mid)
+        m = y if y > 0.0 else 0.0
+        k1 = F(m, i0)
+        while True:
+            half = 0.5 * mid
+            y2 = y + half * k1
+            m = y2 if y2 > 0.0 else 0.0
+            k2 = F(m, i2)
+            y3 = y + half * k2
+            m = y3 if y3 > 0.0 else 0.0
+            k3 = F(m, i3)
+            y4 = y + mid * k3
+            m = y4 if y4 > 0.0 else 0.0
+            k4 = F(m, i1)
+            if y + (mid / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4) >= i_th:
+                hi = mid
+            else:
+                lo = mid
+            if not hi - lo > event_tol:
+                return hi
+            mid = 0.5 * (lo + hi)
+            _, i2, i3, i1 = stage_drive(t, mid)
+    return locate
 
 def make_full_steps(loop, CONSTANTS, **_):
     args = (*loop, CONSTANTS)
@@ -484,25 +501,77 @@ def make_full_steps(loop, CONSTANTS, **_):
             row = due - stop
         return t, y, taken, None
     return full_steps
+
+def make_dc_first(i_th, chunk, whole_steps, locate, CONSTANTS, **_):
+    args = (i_th, float("inf"), float("-inf"), chunk, whole_steps, CONSTANTS)
+    def dc_first(i_in, y, dt, t_end, event_tol):
+        i_th, inf, neg_inf, chunk, whole_steps, CONSTANTS = args
+        half, sixth = 0.5 * dt, dt / 6.0
+        t, n_steps = 0.0, 0
+        while True:
+            y_start = y
+            n = whole_steps(t, chunk, dt, t_end)
+            for j in range(n):
+                k1 = F(y, i_in)
+                y2 = y + half * k1
+                m = y2 if y2 > 0.0 else 0.0
+                k2 = F(m, i_in)
+                y3 = y + half * k2
+                m = y3 if y3 > 0.0 else 0.0
+                k3 = F(m, i_in)
+                y4 = y + dt * k3
+                m = y4 if y4 > 0.0 else 0.0
+                k4 = F(m, i_in)
+                i_new = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not neg_inf < i_new < i_th:
+                    if not i_th <= i_new < inf:
+                        return "non-finite", t, y, n_steps + j
+                    stages = (i_in,) * 4
+                    t += locate(lambda _t, _h: stages, t, y, dt, event_tol)
+                    return "crossed", t, y, n_steps + j
+                t += dt
+                y = i_new if i_new > 0.0 else 0.0
+            n_steps += n
+            if n < chunk:
+                return "window end", t, y, n_steps
+            if y <= y_start:
+                return "silent", t, y, n_steps
+    return dc_first
 """
 
 
 @functools.cache
-def _compile_kernels(variant: str):
-    """``(make_deriv, make_step, make_full_steps)`` of a neuron variant, compiled once.
+def _compile_kernel(variant: str, name: str):
+    """``make_<name>`` of ``_KERNEL_TEXT`` for a neuron variant, compiled on first use.
 
     The text goes into ``linecache`` under its ``<...>`` filename, so that
     profiles, ``inspect.getsource`` and ``traceback`` show its lines.
     """
     f = DERIVATIVES[variant]
     names = sorted(set(re.findall(r"\b[a-z_]\w*", re.sub(r"{\w+}", "", f))))
-    text = re.sub(r"F\((\w+), (\w+)\)", lambda c: f.format(m=c[1], i_in=c[2]), _KERNEL_TEXT)
+    # kernels are separated by a blank line and have none inside
+    text = next(k for k in _KERNEL_TEXT.split("\n\n") if k.startswith(f"def make_{name}("))
+    text = re.sub(r"F\((\w+), (\w+)\)", lambda c: f.format(m=c[1], i_in=c[2]), text)
     text = text.replace("CONSTANTS", ", ".join(names))
-    filename = f"<rk4 kernel: {variant}>"
+    filename = f"<rk4 {name}: {variant}>"
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
     namespace = {"__name__": __name__}
     exec(compile(text, filename, "exec"), namespace)
-    return namespace["make_deriv"], namespace["make_step"], namespace["make_full_steps"]
+    return namespace[f"make_{name}"]
+
+
+@functools.lru_cache(maxsize=128)
+def _neuron_kernel(neuron: NeuronConfig, name: str):
+    """Kernel ``name`` (``locate`` or ``dc_first``) under a neuron's constants, built once.
+
+    ``dc_first`` bisects with the neuron's ``locate``. Equal configs differ
+    at most in the sign of a zero ``i_pf_gain``, which no variant reads.
+    """
+    variant, constants = derivative_variant(neuron)
+    dc = {"chunk": _DRIVE_BLOCK_STEPS, "whole_steps": _whole_dc_steps}
+    if name == "dc_first":
+        dc["locate"] = _neuron_kernel(neuron, "locate")
+    return _compile_kernel(variant, name)(i_th=neuron.i_th, **dc, **constants)
 
 
 def _make_deriv(neuron: NeuronConfig):
@@ -512,7 +581,7 @@ def _make_deriv(neuron: NeuronConfig):
     already be clamped at zero.
     """
     variant, constants = derivative_variant(neuron)
-    return _compile_kernels(variant)[0](**constants)
+    return _compile_kernel(variant, "deriv")(**constants)
 
 
 def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Waveform):
@@ -651,38 +720,39 @@ def _make_step(neuron: NeuronConfig, stage_drive):
     ``_make_pole_drive``.
     """
     variant, constants = derivative_variant(neuron)
-    return _compile_kernels(variant)[1](stage_drive, **constants)
+    return _compile_kernel(variant, "step")(stage_drive, **constants)
 
 
-def _make_dc_step(neuron: NeuronConfig, i_dc: float):
-    """``_make_step`` under the constant drive i_dc."""
-    dc_stages = (i_dc,) * 4
-    return _make_step(neuron, lambda t, h: dc_stages)
+def _whole_dc_steps(t: float, n: int, dt: float, t_end: float) -> int:
+    """How many of the next n <= ``_DRIVE_BLOCK_STEPS`` full steps from t a dc run takes whole.
+
+    Those that start before t_end - ``_time_eps(t_end)`` and that t_end
+    does not cut short, as in ``_make_stage_drive``. Far from t_end all are
+    (each ``t += dt`` rounds by at most half an ulp of t_end); near it the
+    times are summed as the loop sums them.
+    """
+    t_last = t_end - _time_eps(t_end)
+    pad = 2.0 * dt + _DRIVE_BLOCK_STEPS * math.ulp(t_end)
+    if t_last - t > n * dt + pad:
+        return n
+    k = 0
+    while k < n and t < t_last and t_end - t >= dt:
+        t += dt
+        k += 1
+    return k
 
 
 def _dc_take_block(i_dc: float, v: float, dt: float, t_end: float):
     """``take_block`` of a dc input ``v`` for ``_make_full_steps``.
 
     Constant rows of i_dc and v serve every call, which hands out the next
-    ``_DRIVE_BLOCK_STEPS`` steps, or fewer near t_end: as in
-    ``_make_stage_drive``, only the steps the run takes whole. Far from
-    t_end a bound shows that all are (each ``t += dt`` rounds by at most
-    half an ulp of t_end); near it the call sums and checks the times as
-    the loop would.
+    ``_DRIVE_BLOCK_STEPS`` steps, or fewer near t_end: only the steps the
+    run takes whole (``_whole_dc_steps``).
     """
     row, volts = [i_dc] * (_DRIVE_BLOCK_STEPS + 1), [v] * (_DRIVE_BLOCK_STEPS + 1)
-    t_last = t_end - _time_eps(t_end)
-    pad = 2.0 * dt + _DRIVE_BLOCK_STEPS * math.ulp(t_end)
 
     def take_block(t: float, steps: int):
-        n = min(steps, _DRIVE_BLOCK_STEPS)
-        if t_last - t > n * dt + pad:
-            return row, row, volts, 0, n
-        k = 0
-        while k < n and t < t_last and t_end - t >= dt:
-            t += dt
-            k += 1
-        return row, row, volts, 0, k
+        return row, row, volts, 0, _whole_dc_steps(t, min(steps, _DRIVE_BLOCK_STEPS), dt, t_end)
 
     return take_block
 
@@ -763,7 +833,7 @@ def _make_full_steps(neuron: NeuronConfig, take_block, dt: float, trace_every: i
     rows_overrun = functools.partial(_overrun, what="trace rows", budget=budget)
     steps = (take_block, dt, 0.5 * dt, dt / 6.0, neuron.i_th, -math.inf)
     rows = (trace_every, _BUDGET_OVERRUN * budget, rows_overrun)
-    return _compile_kernels(variant)[2](steps + rows, **constants)
+    return _compile_kernel(variant, "full_steps")(steps + rows, **constants)
 
 
 def transient(
@@ -792,8 +862,6 @@ def transient(
     neuron = encoder.neuron
     if solver is None:
         solver = default_solver_config(neuron)
-    if solver.method != "rk4":
-        raise ValueError(f"transient integrates with rk4, got method {solver.method!r}")
 
     dt = solver.dt
     _check_budget(t_end, dt, trace_every)
@@ -803,8 +871,11 @@ def transient(
     if input_wave.kind == "dc":
         # a dc drive keeps an input pole's filter at i_dc, bit for bit
         i_dc = i_in(0.0)
-        step = _make_dc_step(neuron, i_dc)
+        dc_stages = (i_dc,) * 4
         take_block = _dc_take_block(i_dc, input_wave.offset, dt, t_end)
+
+        def stage_drive(t: float, h: float) -> tuple[float, float, float, float]:
+            return dc_stages
 
         def row_drive(t: float) -> tuple[float, float]:
             return input_wave.offset, i_dc
@@ -826,7 +897,8 @@ def transient(
             stage_drive, advance, row_drive = _make_pole_drive(
                 stage_drive, row_drive, omega, i_in(0.0)
             )
-        step = _make_step(neuron, stage_drive)
+    step = _make_step(neuron, stage_drive)
+    locate = _neuron_kernel(neuron, "locate")
     # a pole run takes scalar steps only, each one moving the filter
     full_steps = _make_full_steps(neuron, take_block, dt, trace_every) if advance is None else None
 
@@ -891,7 +963,7 @@ def transient(
             raise SimulationError("non-finite membrane current after step", t)
 
         if i_new >= i_th:
-            hi = _locate_crossing(lambda s: step(t, i_mem, s) >= i_th, h, event_tol)
+            hi = locate(stage_drive, t, i_mem, h, event_tol)
             if advance is not None:
                 advance(t, hi)
             t += hi
@@ -962,11 +1034,12 @@ def spike_count_dc(
     - A silent bias returns 0 without a step: its dc equilibrium lies
       below i_th*(1 - 1e-9) and dt is small enough that RK4 cannot step
       past it (``_silent_at_dc``).
-    - The first interval is stepped by ``_make_full_steps`` in chunks of
-      ``_DRIVE_BLOCK_STEPS`` steps, exactly as ``transient`` steps it, and
-      its crossing is bisected with the scalar step as there. A chunk that
-      ends no higher than it began means 0: the RK4 map of an autonomous
-      scalar equation is monotone, so the membrane never rises again.
+    - The first interval is stepped by the neuron's dc kernel
+      ``dc_first`` in chunks of ``_DRIVE_BLOCK_STEPS`` steps, with the
+      steps and bits of ``transient``'s full-step loop, and its crossing
+      is bisected by ``locate`` as there. A chunk that ends no higher
+      than it began means 0: the RK4 map of an autonomous scalar equation
+      is monotone, so the membrane never rises again.
     - Every later spike sits at t_first + k*(t_rf + t_first), up to float
       accumulation of the time, and is counted in closed form. A crossing
       step that t1 cuts short is bisected on a shorter span, which can
@@ -997,43 +1070,30 @@ def spike_count_dc(
     neuron = encoder.neuron
     if solver is None:
         solver = default_solver_config(neuron)
-    if solver.method != "rk4":
-        raise ValueError(f"spike_count_dc integrates with rk4, got method {solver.method!r}")
     # With a dc drive the optional input pole's filter state never moves,
     # so the plain dc step is exact for both encoder kinds.
     i_dc = neuron_input_current(encoder.transconductor, v)
-    i_th = neuron.i_th
     t_rf = neuron.t_rf
     dt = solver.dt
     if _silent_at_dc(neuron, i_dc, dt):
         return 0
 
-    wave = Waveform(kind="dc", offset=v)
-
     def stepped(t_start: float, state: NeuronState, t_lo: float) -> int:
         t_end = t1 - t_start
+        wave = Waveform(kind="dc", offset=v)
         res = transient(encoder, wave, t_end, solver, initial_state=state, trace_every=_NO_TRACE)
         return sum(1 for t in res.spikes.times if t < t_end and t_start + t >= t_lo)
 
-    full_steps = _make_full_steps(neuron, _dc_take_block(i_dc, v, dt, t1), dt, _NO_TRACE)
-    t = 0.0
-    i_mem = neuron.i_reset
-    n_steps = 0
-    while True:
-        i_start = i_mem
-        t, i_mem, taken, i_new = full_steps(t, i_mem, _DRIVE_BLOCK_STEPS, _NO_TRACE, [])
-        n_steps += taken
-        if i_new is not None:
-            break
-        if taken < _DRIVE_BLOCK_STEPS:
-            # Less than a whole step is left: transient takes the last one.
-            return stepped(t, NeuronState(i_mem=i_mem), t0) if t < t1 else 0
-        if i_mem <= i_start:
-            return 0
-    if not math.isfinite(i_new):
+    dc_first = _neuron_kernel(neuron, "dc_first")
+    verdict, t, i_mem, n_steps = dc_first(i_dc, neuron.i_reset, dt, t1, solver.event_tol)
+    if verdict == "silent":
+        return 0
+    if verdict == "window end":
+        # Less than a whole step is left: transient takes the last one.
+        return stepped(t, NeuronState(i_mem=i_mem), t0) if t < t1 else 0
+    if verdict == "non-finite":
         raise SimulationError("non-finite membrane current after step", t)
-    step = _make_dc_step(neuron, i_dc)
-    t_first = t + _locate_crossing(lambda s: step(t, i_mem, s) >= i_th, dt, solver.event_tol)
+    t_first = t  # the crossing, located
     if not t_first < t1:
         return 0
 

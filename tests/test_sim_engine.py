@@ -312,7 +312,7 @@ class TestTransientLinear:
         with pytest.raises(ValueError):
             transient(enc, wave, 1e-3, trace_every=0)
         with pytest.raises(ValueError, match="method"):
-            transient(enc, wave, 1e-3, SolverConfig(dt=1e-7, event_tol=1e-9, method="euler-oracle"))
+            SolverConfig(dt=1e-7, event_tol=1e-9, method="euler-oracle")
 
     def test_encoder_config_validation(self):
         with pytest.raises(ValueError, match="input_pole_capacitance"):
@@ -738,6 +738,22 @@ FIRING_LIN = lin_encoder(LIN_RF)
 ROW_SPIKE_WAVE = Waveform(kind="triangle", amplitude=0.3, offset=0.15, frequency=1500.0)
 
 
+def locate_crossing(crossed, h, event_tol):
+    """The bisection the engine had before its generated ``locate``, the reference.
+
+    ``crossed(s)`` tells whether a substep of length s ends at or above
+    threshold; bisects [0, h] and returns the upper end.
+    """
+    lo, hi = 0.0, h
+    while hi - lo > event_tol:
+        mid = 0.5 * (lo + hi)
+        if crossed(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def stepwise_transient(encoder, wave, t_end, solver=None, initial_state=None, trace_every=10):
     """``transient`` as one plain RK4 step per loop iteration, the reference.
 
@@ -772,9 +788,7 @@ def stepwise_transient(encoder, wave, t_end, solver=None, initial_state=None, tr
         i_new = step(t, i_mem, h)
         if i_new >= neuron.i_th:
             t0, m0 = t, i_mem
-            t += sim_engine._locate_crossing(
-                lambda s: step(t0, m0, s) >= neuron.i_th, h, solver.event_tol
-            )
+            t += locate_crossing(lambda s: step(t0, m0, s) >= neuron.i_th, h, solver.event_tol)
             spikes.append(t)
             i_mem, refr = neuron.i_reset, neuron.t_rf
         else:
@@ -1018,7 +1032,7 @@ def stepwise_pole_transient(encoder, wave, t_end, solver=None, initial_state=Non
         m_new, f_new = step2(t, i_mem, f, h)
         if m_new >= neuron.i_th:
             t0, m0, f0 = t, i_mem, f
-            hi = sim_engine._locate_crossing(
+            hi = locate_crossing(
                 lambda s: step2(t0, m0, f0, s)[0] >= neuron.i_th, h, solver.event_tol
             )
             f = step2(t0, m0, f0, hi)[1]
@@ -1195,7 +1209,7 @@ class TestTakeBlock:
 
 def variant_deriv(variant, neuron):
     """The compiled derivative of ``variant`` under the neuron's constants."""
-    return sim_engine._compile_kernels(variant)[0](**derivative_variant(neuron)[1])
+    return sim_engine._compile_kernel(variant, "deriv")(**derivative_variant(neuron)[1])
 
 
 def same_bits(a, b):
@@ -1243,22 +1257,35 @@ class TestGeneratedKernels:
         monkeypatch.setattr(sim_engine, "_make_step", recorded)
         enc = EncoderConfig(transconductor=TC, neuron=neuron, input_pole_capacitance=3e-13)
         transient(enc, SINE, 1e-5)
-        assert [s.__code__.co_filename for s in pole_steps] == [f"<rk4 kernel: {variant}>"]
+        assert [s.__code__.co_filename for s in pole_steps] == [f"<rk4 step: {variant}>"]
         assert derivative_variant(neuron)[0] == variant
-        deriv = sim_engine._make_deriv(neuron)
-        step = _make_step(neuron, lambda t, h: (1e-9,) * 4)
         take_block = sim_engine._dc_take_block(1e-9, 0.25, 1e-7, 1.0)
-        full_steps = sim_engine._make_full_steps(neuron, take_block, 1e-7, 10)
+        kernels = {
+            "deriv": sim_engine._make_deriv(neuron),
+            "step": _make_step(neuron, lambda t, h: (1e-9,) * 4),
+            "locate": sim_engine._neuron_kernel(neuron, "locate"),
+            "full_steps": sim_engine._make_full_steps(neuron, take_block, 1e-7, 10),
+            "dc_first": sim_engine._neuron_kernel(neuron, "dc_first"),
+        }
+        # the derivative written out with each kernel's argument names
+        arguments = {
+            "deriv": [("m", "i_in")],
+            "step": [("m", i_in) for i_in in ("i0", "i2", "i3", "i1")],
+            "locate": [("m", i_in) for i_in in ("i0", "i2", "i3", "i1")],
+            "full_steps": [("y", "i0"), ("m", "im"), ("m", "i1")],
+            "dc_first": [("y", "i_in"), ("m", "i_in")],
+        }
         f = DERIVATIVES[variant]
-        assert f.format(m="m", i_in="i_in") in inspect.getsource(deriv)
-        for i_in in ("i0", "i2", "i3", "i1"):
-            assert f.format(m="m", i_in=i_in) in inspect.getsource(step)
-        assert f.format(m="y", i_in="i0") in inspect.getsource(full_steps)
-        text = "".join(linecache.getlines(full_steps.__code__.co_filename))
-        for kernel in (deriv, step, full_steps):
-            assert kernel.__code__.co_filename == full_steps.__code__.co_filename
-            assert inspect.getsource(kernel) in text
-        assert (re.search(r"\bpf\b", text) is None) == (variant != "nonlinear")
+        for name, kernel in kernels.items():
+            filename = kernel.__code__.co_filename
+            assert filename == f"<rk4 {name}: {variant}>"
+            source = inspect.getsource(kernel)
+            for m, i_in in arguments[name]:
+                assert f.format(m=m, i_in=i_in) in source
+            text = "".join(linecache.getlines(filename))
+            assert source in text
+            assert text.startswith(f"def make_{name}(")
+            assert (re.search(r"\bpf\b", text) is None) == (variant != "nonlinear")
 
     @pytest.mark.parametrize("variant", sorted(VARIANT_NEURONS))
     @given(
@@ -1291,7 +1318,11 @@ class TestGeneratedKernels:
             compiled.append(filename)
             return compile(source, filename, mode)
 
-        sim_engine._compile_kernels.cache_clear()
+        def kernels(*names):
+            return sorted(f"<rk4 {name}: {v}>" for v in VARIANT_NEURONS for name in names)
+
+        sim_engine._compile_kernel.cache_clear()
+        sim_engine._neuron_kernel.cache_clear()
         monkeypatch.setattr(sim_engine, "compile", counted, raising=False)
         vf_curve(EncoderConfig(), [0.1, 0.25, 0.4], 1e-3, 6e-3, (0.1, 0.4))
         rng = random.Random(11)
@@ -1299,10 +1330,170 @@ class TestGeneratedKernels:
             neuron = replace(list(VARIANT_NEURONS.values())[k % 3], c_m=rng.uniform(5e-13, 7e-13))
             enc = EncoderConfig(transconductor=TC, neuron=neuron)
             assert spike_count_dc(enc, 0.25, 0.0, 1e-3) > 0
+        # dc counts compile only the dc kernels
+        assert sorted(compiled) == kernels("dc_first", "locate")
+        compiled.clear()
         for neuron in VARIANT_NEURONS.values():
-            enc = EncoderConfig(transconductor=TC, neuron=neuron, input_pole_capacitance=3e-13)
-            assert len(transient(enc, SINE, 1e-3).spikes) > 0
-        assert sorted(compiled) == sorted(f"<rk4 kernel: {v}>" for v in VARIANT_NEURONS)
+            for pole in (3e-13, None):
+                enc = EncoderConfig(transconductor=TC, neuron=neuron, input_pole_capacitance=pole)
+                assert len(transient(enc, SINE, 1e-3).spikes) > 0
+        # time-varying runs compile their own kernels, once
+        assert sorted(compiled) == kernels("step", "full_steps")
+
+    def test_one_encoder_builds_its_dc_kernels_once(self, monkeypatch):
+        built = []
+        compile_kernel = sim_engine._compile_kernel
+
+        def logged(variant, name):
+            make = compile_kernel(variant, name)
+            return lambda **constants: built.append(name) or make(**constants)
+
+        sim_engine._neuron_kernel.cache_clear()
+        monkeypatch.setattr(sim_engine, "_compile_kernel", logged)
+        enc = EncoderConfig(transconductor=TC, neuron=NeuronConfig(c_m=0.61e-12))
+        biases = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
+        assert all(spike_count_dc(enc, v, 0.0, 2e-3) > 0 for v in biases)
+        assert sorted(built) == ["dc_first", "locate"]
+
+
+def bisection_drives(kind, encoder, t0, f0):
+    """A fresh stage drive of ``kind`` and the time of a step it takes next.
+
+    dc: the constant drive at 0.25 V. stage: ``_make_stage_drive`` under a
+    sine, after a full step to t, so the step from t starts where it ended.
+    pole: ``_make_pole_drive`` on that, its filter at f0.
+    """
+    if kind == "dc":
+        stages = (neuron_input_current(encoder.transconductor, 0.25),) * 4
+        return (lambda t, h: stages), t0
+    dt = default_solver_config(encoder.neuron).dt
+    drive = _make_drive(encoder, SINE)
+    block = sim_engine._make_drive_block(encoder, SINE)
+    stage_drive, _, row_drive = _make_stage_drive(drive, block, dt, 1.0, SINE)
+    stage_drive(t0, dt)
+    if kind == "pole":
+        omega = effective_gm(encoder.transconductor) / 3e-13
+        stage_drive = sim_engine._make_pole_drive(stage_drive, row_drive, omega, f0)[0]
+    return stage_drive, t0 + dt
+
+
+class TestLocate:
+    """The generated bisection gives ``locate_crossing``'s bits around the scalar step."""
+
+    @pytest.mark.parametrize("kind", ["dc", "stage", "pole"])
+    @pytest.mark.parametrize("variant", sorted(VARIANT_NEURONS))
+    @given(
+        below=st.one_of(st.sampled_from([0.0, 1.0, -0.5, 1.1]), st.floats(0.0, 1.0)),
+        h_over_dt=st.one_of(st.just(1.0), st.floats(0.0, 1.0), st.floats(1.0, 400.0)),
+        t0=st.floats(0.0, 2e-3),
+        f0=st.floats(0.0, 2e-8),
+        tol_over_dt=st.sampled_from([1e-9 / FIRING_DT, 0.1, 0.3, 1e-6]),
+    )
+    @example(below=0.01, h_over_dt=0.1, t0=0.0, f0=4e-9, tol_over_dt=0.1)  # h == event_tol
+    @example(below=0.01, h_over_dt=0.1000001, t0=0.0, f0=4e-9, tol_over_dt=0.1)  # one halving
+    @example(below=-0.5, h_over_dt=1.0, t0=0.0, f0=4e-9, tol_over_dt=1e-6)  # y above i_th
+    @example(below=1.0, h_over_dt=1.0, t0=1e-3, f0=0.0, tol_over_dt=1e-6)  # y = 0
+    @example(below=1.1, h_over_dt=300.0, t0=1e-3, f0=2e-8, tol_over_dt=1e-6)  # y < 0
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_equals_bisection_of_the_scalar_step(
+        self, variant, kind, below, h_over_dt, t0, f0, tol_over_dt
+    ):
+        neuron = VARIANT_NEURONS[variant]
+        encoder = EncoderConfig(transconductor=TC, neuron=neuron)
+        dt = default_solver_config(neuron).dt
+        # y from below zero to threshold, with most examples close below it
+        y = neuron.i_th * (1.0 - below**4)
+        h, event_tol = h_over_dt * dt, tol_over_dt * dt
+        stage_drive, t = bisection_drives(kind, encoder, t0, f0)
+        step = _make_step(neuron, stage_drive)
+        want = locate_crossing(lambda s: step(t, y, s) >= neuron.i_th, h, event_tol)
+        stage_drive, t = bisection_drives(kind, encoder, t0, f0)
+        locate = sim_engine._neuron_kernel(neuron, "locate")
+        assert same_bits(locate(stage_drive, t, y, h, event_tol), want)
+
+
+def dc_first_by_full_steps(neuron, i_in, y, dt, t_end, event_tol):
+    """The first interval of ``spike_count_dc`` before its dc kernel, the reference.
+
+    The full-step loop under ``_dc_take_block``, called for 256 steps at a
+    time, and ``locate_crossing`` around the scalar step, with the kernel's
+    verdicts.
+    """
+    chunk = sim_engine._DRIVE_BLOCK_STEPS
+    take_block = sim_engine._dc_take_block(i_in, 0.0, dt, t_end)
+    full_steps = sim_engine._make_full_steps(neuron, take_block, dt, 10**9)
+    t, n_steps = 0.0, 0
+    while True:
+        y_start = y
+        t, y, taken, i_new = full_steps(t, y, chunk, 10**9, [])
+        n_steps += taken
+        if i_new is not None and not math.isfinite(i_new):
+            return "non-finite", t, y, n_steps
+        if i_new is not None:
+            step = _make_step(neuron, lambda t, h: (i_in,) * 4)
+            t0, y0 = t, y
+            t += locate_crossing(lambda s: step(t0, y0, s) >= neuron.i_th, dt, event_tol)
+            return "crossed", t, y, n_steps
+        if taken < chunk:
+            return "window end", t, y, n_steps
+        if y <= y_start:
+            return "silent", t, y, n_steps
+
+
+def dc_first_case(variant, i_in, start, dt_over_tau, steps, tol_over_dt=1 / 180):
+    """The arguments of ``dc_first`` and of its reference for one case."""
+    neuron = VARIANT_NEURONS[variant]
+    dt = dt_over_tau * tau_m(neuron)
+    return neuron, (i_in, start * neuron.i_th, dt, steps * dt, tol_over_dt * dt)
+
+
+class TestDcFirst:
+    """The dc kernel gives the full-step loop's verdict, state and step count,
+    and its spike time the bisection of the scalar step."""
+
+    @pytest.mark.parametrize(
+        "verdict, variant, i_in, start, dt_over_tau, steps",
+        [
+            ("crossed", "nonlinear_no_feedback", 8e-9, 0.01, 0.005, 1e4),
+            ("crossed", "linear", 8e-9, 0.01, 0.005, 1e4),
+            # a crossing in the fourth chunk
+            ("crossed", "nonlinear", 4e-9, 0.01, 0.005, 1e4),
+            # the equilibrium lies below i_th: after 30 chunks the membrane
+            # stops rising, or it falls from above the equilibrium at once
+            ("silent", "nonlinear_no_feedback", 4e-9, 0.01, 0.005, 1e4),
+            ("silent", "linear", 1e-9, 0.9, 0.005, 1e4),
+            # the window closes inside the first and the third chunk, on
+            # the last step of the second, and before a whole step
+            ("window end", "nonlinear_no_feedback", 8e-9, 0.01, 0.005, 100.5),
+            ("window end", "nonlinear", 4e-9, 0.01, 0.005, 600.0),
+            ("window end", "nonlinear", 4e-9, 0.01, 0.005, 512.0),
+            ("window end", "linear", 8e-9, 0.01, 0.005, 0.7),
+            # RK4 past its stability limit, and a drive that overflows
+            ("non-finite", "linear", 1e-9, 0.01, 1e300, 1e4),
+            ("non-finite", "nonlinear_no_feedback", 1e308, 0.5, 0.005, 1e4),
+        ],
+    )
+    def test_verdicts(self, verdict, variant, i_in, start, dt_over_tau, steps):
+        neuron, args = dc_first_case(variant, i_in, start, dt_over_tau, steps)
+        got = sim_engine._neuron_kernel(neuron, "dc_first")(*args)
+        assert got == dc_first_by_full_steps(neuron, *args)
+        assert got[0] == verdict
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_NEURONS))
+    @given(
+        i_in=st.floats(0.0, 2e-8),
+        start=st.floats(0.0, 1.0),
+        dt_over_tau=st.one_of(st.floats(1e-3, 3.0), st.sampled_from([0.005, 0.01])),
+        steps=st.one_of(st.floats(0.0, 700.0), st.integers(0, 700), st.just(1e6)),
+        tol=st.sampled_from([1 / 180, 0.1, 0.3, 1e-6]),  # event_tol over dt
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_equals_the_full_step_loop(self, variant, i_in, start, dt_over_tau, steps, tol):
+        neuron, args = dc_first_case(variant, i_in, start, dt_over_tau, steps, tol)
+        got = sim_engine._neuron_kernel(neuron, "dc_first")(*args)
+        want = dc_first_by_full_steps(neuron, *args)
+        assert got[0] == want[0] and got[3] == want[3]
+        assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
 
 
 class TestSimulationErrorType:
@@ -1435,6 +1626,7 @@ class TestSpikeCountDc:
 
         monkeypatch.setattr(sim_engine, "_make_full_steps", no_step)
         monkeypatch.setattr(sim_engine, "_make_step", no_step)
+        monkeypatch.setattr(sim_engine, "_neuron_kernel", no_step)
         assert spike_count_dc(enc, 0.0, 0.0, 2e-3) == 0
         assert spike_count_dc(enc, 0.0, 0.0, 10.0) == 0
         assert spike_count_dc(enc, -0.5, 0.0, 10.0) == 0
@@ -1527,14 +1719,26 @@ class TestSpikeCountDc:
                 want = stepped_count(enc, v, 0.0, t1, solver)
                 assert spike_count_dc(enc, v, 0.0, t1, solver) == want
 
+    def test_spike_of_transient_at_t1_counts(self):
+        # The tie rule's edge at t1: transient puts a spike exactly at t1,
+        # which the stepping loop leaves out of [0, t1). The count hands the
+        # last period to transient on a span rounded from t1, which puts
+        # that spike inside the window, as the docstring states.
+        neuron = NeuronConfig(i_th=3.474149480825686e-11, t_rf=2e-5)
+        enc, v = EncoderConfig(transconductor=TC, neuron=neuron), 0.005927826526606991
+        t1 = 1.1108000000000084e-4
+        times = transient(enc, Waveform(kind="dc", offset=v), t1).spikes.times
+        assert len(times) == 2 and times[-1] == t1
+        assert stepped_count(enc, v, 0.0, t1) == 1
+        assert spike_count_dc(enc, v, 0.0, t1) == 2
+
     @pytest.mark.parametrize("t0, t1", [(0.0, 0.0), (2e-3, 1e-3), (-1e-3, 1e-3), (0.0, math.inf)])
     def test_rejects_bad_window(self, t0, t1):
         with pytest.raises(ValueError, match="window"):
             spike_count_dc(lin_encoder(), 0.0, t0, t1)
 
     def test_rejects_euler_method(self):
+        # the config refuses a method no code path integrates with
         with pytest.raises(ValueError, match="method"):
-            spike_count_dc(
-                lin_encoder(), 0.0, 0.0, 1e-3, SolverConfig(1e-7, 1e-9, method="euler-oracle")
-            )
+            SolverConfig(1e-7, 1e-9, method="euler-oracle")
 
