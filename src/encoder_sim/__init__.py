@@ -9,8 +9,8 @@ whose firing rate tracks the input. Submodules:
 - ``transconductor``: DC transfer of the linearized transconductor core.
 - ``neuron``: current-mode leaky integrate-and-fire dynamics and bias mapping.
 - ``sim_engine``: fixed-step transient integration with spike event location.
-- ``analysis``: THD, firing-rate, rate-linearity, small-signal and power
-  measurements mirroring bench procedures.
+- ``analysis``: THD, rate-versus-input curves with their linearity,
+  small-signal and power measurements mirroring bench procedures.
 - ``bias_tuner``: derivative-free bias-point search over box constraints.
 - ``cli``: config-file driven command line front end.
 """

@@ -1,4 +1,4 @@
-"""Measurement post-processing: THD, firing rates, V-to-F curves, power.
+"""Measurement post-processing: THD, V-to-F curves, small-signal figures, power.
 
 These routines mirror the bench methodology: distortion from a sampled
 output waveform, firing rate from a counter over a gate window, linearity
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .neuron import NeuronConfig
-from .sim_engine import EncoderConfig, SolverConfig, SpikeTrain, spike_count_dc
+from .sim_engine import EncoderConfig, SolverConfig, spike_count_dc
 from .transconductor import TransconductorConfig, effective_gm
 
 __all__ = [
@@ -20,9 +20,7 @@ __all__ = [
     "UndersampledError",
     "VFCurve",
     "thd",
-    "firing_rate",
     "vf_curve",
-    "linearity_error",
     "small_signal",
     "power_estimate",
 ]
@@ -58,11 +56,12 @@ class ThdReport:
 class VFCurve:
     """Firing rate versus dc input with a least-squares linearity fit.
 
-    ``flagged`` lists the in-window input voltages whose runs produced too
-    few spikes for a trustworthy rate; they are excluded from the fit and
-    from the deviation metric but kept in ``points``. Imported curves
-    without a fit carry NaN slope/intercept and are refit on demand by
-    ``linearity_error``.
+    ``max_deviation_fraction`` is the largest distance of a fitted point
+    from the line, normalized by the line at the window top. ``flagged``
+    lists the in-window input voltages whose runs produced too few spikes
+    for a trustworthy rate; they are excluded from the fit and from the
+    deviation but kept in ``points``. With fewer than two fitted points
+    the slope and intercept are NaN and the deviation is 0.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -132,14 +131,6 @@ def thd(samples, f0: float, fs: float, n_harmonics: int = 9) -> ThdReport:
     )
 
 
-def firing_rate(spikes: SpikeTrain, t_start: float, t_end: float) -> float:
-    """Counter-style rate: spikes in [t_start, t_end) over the window."""
-    if not t_end > t_start:
-        raise ValueError(f"t_end must exceed t_start, got {t_start!r}, {t_end!r}")
-    count = sum(1 for t in spikes.times if t_start <= t < t_end)
-    return count / (t_end - t_start)
-
-
 def _fit_line(vs: list[float], rates: list[float]) -> tuple[float, float]:
     """Least-squares line through (vs, rates), as (slope, intercept).
 
@@ -163,7 +154,7 @@ def _curve_from_rates(
     counts: list[float],
     window: tuple[float, float],
 ) -> VFCurve:
-    """Flagging, midpoint gate and window fit shared by all curve sources."""
+    """Flagging, midpoint gate, window fit and the one deviation metric of every curve."""
     v_lo, v_hi = window
     in_window = [i for i, v in enumerate(grid) if v_lo <= v <= v_hi]
     if not in_window:
@@ -237,29 +228,6 @@ def vf_curve(
     counts = [spike_count_dc(encoder, v, settle_time, t_end, solver) for v in grid]
     rates = [n / measure_time for n in counts]
     return _curve_from_rates(grid, rates, counts, (v_lo, v_hi))
-
-
-def linearity_error(curve: VFCurve) -> float:
-    """Max deviation from the line, normalized by the fit at the window top.
-
-    Uses the curve's own fit when it has one; an imported curve with NaN
-    fit coefficients is refit over its in-window points first. Flagged
-    points never contribute to either the fit or the deviation.
-    """
-    v_lo, v_hi = curve.window
-    flagged = set(curve.flagged)
-    pts = [
-        (v, r) for v, r in curve.points if v_lo <= v <= v_hi and v not in flagged
-    ]
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 in-window points, got {len(pts)}")
-    slope, intercept = curve.fit_slope, curve.fit_intercept
-    if not (math.isfinite(slope) and math.isfinite(intercept)):
-        slope, intercept = _fit_line([v for v, _ in pts], [r for _, r in pts])
-    fit_hi = slope * v_hi + intercept
-    if fit_hi <= 0.0:
-        raise ValueError("fitted line is nonpositive at the window top")
-    return max(abs(r - (slope * v + intercept)) for v, r in pts) / fit_hi
 
 
 def small_signal(

@@ -26,7 +26,7 @@ from .analysis import (
     vf_curve,
 )
 from .neuron import tau_m
-from .sim_engine import EncoderConfig, SolverConfig, spike_count_dc
+from .sim_engine import EncoderConfig, SolverConfig, _event_tol, spike_count_dc
 
 __all__ = [
     "TuneSpec",
@@ -38,9 +38,8 @@ __all__ = [
     "objective_power_weighted",
 ]
 
+# i_ref is the transconductor's; every other tunable is a NeuronConfig field
 _TUNABLE = ("i_ref", "i_g", "i_r", "i_th", "t_rf")
-_NEURON_FIELDS = frozenset(("i_g", "i_r", "i_th", "t_rf"))
-_OBJECTIVES = ("linearity_error", "negative_linear_range", "power_weighted")
 
 # Standard linearity window and measurement grid. The 10 ms gate keeps a
 # single objective evaluation cheap enough for a few hundred of them;
@@ -51,6 +50,9 @@ _LINEARITY_GRID = tuple(0.1 + 0.05 * k for k in range(7))
 _RANGE_GRID = tuple(0.05 * k for k in range(1, 11))
 _SETTLE_TIME = 2e-3
 _MEASURE_TIME = 10e-3
+_MAX_DEVIATION = 0.05  # the deviation a span may have and count as linear
+_F_SPIKE_REF = 25e3  # objective_power_weighted prices power at this spike rate,
+_POWER_SCALE = 500e-9  # in units of this many watts
 
 _COLLAPSE_FRACTION = 1e-6
 
@@ -86,8 +88,10 @@ class TuneSpec:
                 raise ValueError(f"bounds for {name!r} must be finite, got {(lo, hi)!r}")
             if lo > hi:
                 raise ValueError(f"bounds for {name!r} must be ordered, got {(lo, hi)!r}")
-        if self.objective not in _OBJECTIVES:
-            raise ValueError(f"objective must be one of {_OBJECTIVES}, got {self.objective!r}")
+        if self.objective not in _OBJECTIVE_FNS:
+            raise ValueError(
+                f"objective must be one of {tuple(_OBJECTIVE_FNS)}, got {self.objective!r}"
+            )
         v = len(self.variables)
         min_budget = v * (v + 1) + 1
         if self.budget < min_budget:
@@ -183,24 +187,18 @@ def _cheap_solver(neuron) -> SolverConfig:
     """
     tau = tau_m(neuron)
     dt = min(max(tau / 100.0, 1e-9), 1e-6)
-    return SolverConfig(dt=dt, event_tol=min(1e-9, 0.1 * dt))
+    return SolverConfig(dt=dt, event_tol=_event_tol(dt))
 
 
-def objective_linearity(
-    encoder: EncoderConfig,
-    settle_time: float = _SETTLE_TIME,
-    measure_time: float = _MEASURE_TIME,
-    solver: SolverConfig | None = None,
-    rate_model=None,
-) -> float:
+def objective_linearity(encoder: EncoderConfig, rate_model=None) -> float:
     """Window linearity deviation plus 1.0 per dead in-window point.
 
     Delegates the fit and deviation metric to the curve machinery, so on
-    a curve with no dead points this equals linearity_error of the same
-    measurement exactly. An encoder that cannot drive the midpoint to a
-    countable rate gets the all-points-dead penalty instead of an error,
-    which keeps the search surface finite over hostile corners of the
-    box. rate_model substitutes a synthetic v -> Hz map for the
+    a curve with no dead points this equals the ``max_deviation_fraction``
+    of the same ``vf_curve`` measurement exactly. An encoder that cannot
+    drive the midpoint to a countable rate gets the all-points-dead
+    penalty instead of an error, which keeps the search surface finite
+    over hostile corners of the box. rate_model substitutes a synthetic v -> Hz map for the
     simulation; tests use it to pin the metric's identities.
     """
     grid = list(_LINEARITY_GRID)
@@ -209,39 +207,33 @@ def objective_linearity(
             curve = vf_curve(
                 encoder,
                 grid,
-                settle_time,
-                measure_time,
+                _SETTLE_TIME,
+                _MEASURE_TIME,
                 _LINEARITY_WINDOW,
-                solver=solver if solver is not None else _cheap_solver(encoder.neuron),
+                solver=_cheap_solver(encoder.neuron),
             )
         else:
             rates = [float(rate_model(v)) for v in grid]
-            counts = [r * measure_time for r in rates]
+            counts = [r * _MEASURE_TIME for r in rates]
             curve = _curve_from_rates(grid, rates, counts, _LINEARITY_WINDOW)
     except UndersampledError:
         return float(len(grid))
     return curve.max_deviation_fraction + float(len(curve.flagged))
 
 
-def objective_negative_linear_range(
-    encoder: EncoderConfig,
-    settle_time: float = _SETTLE_TIME,
-    measure_time: float = _MEASURE_TIME,
-    solver: SolverConfig | None = None,
-    max_deviation: float = 0.05,
-) -> float:
+def objective_negative_linear_range(encoder: EncoderConfig) -> float:
     """Negated width of the widest contiguous span that fits a line.
 
     Rates are measured once over a fixed 0.05..0.5 V grid; every
     contiguous run of at least three well-sampled points gets its own
     fit, and a run qualifies when its deviation (normalized by the fit at
-    the run's top) stays within max_deviation. Returns 0.0 when nothing
-    qualifies, so wider linear ranges always score lower.
+    the run's top) stays within ``_MAX_DEVIATION``. Returns 0.0 when
+    nothing qualifies, so wider linear ranges always score lower.
     """
-    solver = solver if solver is not None else _cheap_solver(encoder.neuron)
-    t_end = settle_time + measure_time
-    counts = [spike_count_dc(encoder, v, settle_time, t_end, solver) for v in _RANGE_GRID]
-    rates = [n / measure_time for n in counts]
+    solver = _cheap_solver(encoder.neuron)
+    t_end = _SETTLE_TIME + _MEASURE_TIME
+    counts = [spike_count_dc(encoder, v, _SETTLE_TIME, t_end, solver) for v in _RANGE_GRID]
+    rates = [n / _MEASURE_TIME for n in counts]
     best = 0.0
     n = len(_RANGE_GRID)
     for i in range(n):
@@ -259,23 +251,14 @@ def objective_negative_linear_range(
                 # undersampled midpoint or a degenerate fit disqualifies
                 # the span without poisoning the whole evaluation
                 continue
-            if sub.max_deviation_fraction <= max_deviation:
+            if sub.max_deviation_fraction <= _MAX_DEVIATION:
                 best = max(best, _RANGE_GRID[j] - _RANGE_GRID[i])
     return -best
 
 
-def objective_power_weighted(
-    encoder: EncoderConfig,
-    settle_time: float = _SETTLE_TIME,
-    measure_time: float = _MEASURE_TIME,
-    solver: SolverConfig | None = None,
-    power_weight: float = 1.0,
-    f_spike_ref: float = 25e3,
-    power_scale: float = 500e-9,
-) -> float:
+def objective_power_weighted(encoder: EncoderConfig) -> float:
     """Linearity objective plus normalized supply power at a nominal rate."""
-    base = objective_linearity(encoder, settle_time, measure_time, solver)
-    return base + power_weight * power_estimate(encoder, f_spike_ref) / power_scale
+    return objective_linearity(encoder) + power_estimate(encoder, _F_SPIKE_REF) / _POWER_SCALE
 
 
 _OBJECTIVE_FNS = {
@@ -295,7 +278,7 @@ def _apply_point(template: EncoderConfig, point: dict[str, float]) -> EncoderCon
     tc = template.transconductor
     if "i_ref" in point:
         tc = replace(tc, i_ref=point["i_ref"])
-    neuron_updates = {k: v for k, v in point.items() if k in _NEURON_FIELDS}
+    neuron_updates = {k: v for k, v in point.items() if k != "i_ref"}
     neuron = replace(template.neuron, **neuron_updates) if neuron_updates else template.neuron
     return replace(template, transconductor=tc, neuron=neuron)
 

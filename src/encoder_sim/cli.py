@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import os
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ from .analysis import power_estimate, small_signal, thd, vf_curve
 from .bias_tuner import _TUNABLE, TuneSpec, tune
 from .device_model import DeviceParams
 from .neuron import NeuronConfig, neuron_biases_from_voltages
-from .sim_engine import EncoderConfig, SolverConfig, Waveform, transient
+from .sim_engine import EncoderConfig, SolverConfig, Waveform, _event_tol, transient
 from .transconductor import (
     TransconductorConfig,
     dc_sweep,
@@ -38,7 +37,6 @@ __all__ = [
     "main",
     "load_config",
     "apply_overrides",
-    "serialize_config",
     "build_encoder",
 ]
 
@@ -111,21 +109,6 @@ def apply_overrides(cp: configparser.ConfigParser, overrides) -> None:
         cp.set(section, key, value)
 
 
-def serialize_config(cp: configparser.ConfigParser) -> str:
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
-
-
-def _parse_bool(raw: str, key: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"key {key}: cannot parse {raw!r} as a boolean")
-
-
 def _read_section(cp, name: str, schema: dict[str, type], required=()) -> dict:
     """Typed view of one section; unknown keys and bad literals error out."""
     raw = dict(cp[name]) if cp.has_section(name) else {}
@@ -139,9 +122,7 @@ def _read_section(cp, name: str, schema: dict[str, type], required=()) -> dict:
     for key, raw_value in raw.items():
         kind = schema[key]
         try:
-            if kind is bool:
-                out[key] = _parse_bool(raw_value, f"{name}.{key}")
-            elif kind is str:
+            if kind is str:
                 out[key] = raw_value.strip()
             else:
                 out[key] = kind(raw_value)
@@ -203,7 +184,7 @@ def _build_solver(cp) -> SolverConfig | None:
     if "dt_s" not in raw:
         raise ValueError("section [solver] needs dt_s when present")
     dt = raw["dt_s"]
-    return SolverConfig(dt=dt, event_tol=raw.get("event_tol_s", min(1e-9, 0.1 * dt)))
+    return SolverConfig(dt=dt, event_tol=raw.get("event_tol_s", _event_tol(dt)))
 
 
 def _fmt(x: float) -> str:
@@ -489,6 +470,12 @@ def _cmd_power(cp, args) -> int:
     return 0
 
 
+def _bound_keys(name: str) -> tuple[str, str]:
+    """The keys of a tune variable's bounds: t_rf in seconds, the currents in amperes."""
+    suffix = "s" if name == "t_rf" else "a"
+    return f"{name}_lo_{suffix}", f"{name}_hi_{suffix}"
+
+
 def _cmd_tune(cp, args) -> int:
     enc = build_encoder(cp)
     if not cp.has_section("tune"):
@@ -501,14 +488,11 @@ def _cmd_tune(cp, args) -> int:
     # variables' bounds are required
     schema = {"variables": str, "objective": str, "budget": int, "seed": int}
     for name in _TUNABLE:
-        suffix = "s" if name == "t_rf" else "a"
-        schema[f"{name}_lo_{suffix}"] = float
-        schema[f"{name}_hi_{suffix}"] = float
+        schema.update(dict.fromkeys(_bound_keys(name), float))
     sec = _read_section(cp, "tune", schema, required=("variables", "budget"))
     variables = {}
     for name in names:
-        suffix = "s" if name == "t_rf" else "a"
-        lo_key, hi_key = f"{name}_lo_{suffix}", f"{name}_hi_{suffix}"
+        lo_key, hi_key = _bound_keys(name)
         if lo_key not in sec or hi_key not in sec:
             raise ValueError(f"tune needs {lo_key} and {hi_key} for variable {name!r}")
         variables[name] = (sec[lo_key], sec[hi_key])

@@ -1,9 +1,8 @@
 """Current-mode leaky integrate-and-fire neuron with a DPI input stage.
 
-The membrane state is a current, not a voltage: the differential-pair
-integrator (DPI) front end and the exponential device law make the node
-voltage a logarithmic readout of the underlying current, so the dynamics
-are simplest in the current variable. Two dynamics modes are provided:
+The membrane state is a current, not a voltage: with the differential-pair
+integrator (DPI) front end and the exponential device law the dynamics are
+simplest in the current variable. Two dynamics modes are provided:
 
 - ``nonlinear``: the full DPI form. The input term saturates as the
   membrane current rises past the gain current ``i_g``, and an optional
@@ -13,12 +12,13 @@ are simplest in the current variable. Two dynamics modes are provided:
 
 The expression strings of ``DERIVATIVES`` state the membrane derivative
 once per variant; the simulation engine compiles every RK4 kernel and
-``membrane_derivative`` from them (only its Euler oracle keeps a copy).
+``membrane_derivative`` from them (only the tests' Euler oracle keeps a
+copy).
 
 Spiking is abstracted to a threshold test on the membrane current plus an
-instantaneous reset and a fixed refractory period; the regenerative spike
-waveform itself is not modeled. Threshold crossing inside an integration
-step is located by the simulation engine, not here.
+instantaneous reset to ``i_reset`` and a fixed refractory period ``t_rf``,
+all applied by the simulation engine; the regenerative spike waveform
+itself is not modeled.
 
 The saturated DPI gain is ``i_g/i_r`` as the derivation gives it. Some
 treatments print the reciprocal; ``gain_convention="printed"`` selects that
@@ -40,10 +40,7 @@ __all__ = [
     "DERIVATIVES",
     "derivative_variant",
     "membrane_derivative",
-    "spike_check",
-    "reset",
     "analytic_rate",
-    "v_mem_of_i_mem",
     "neuron_biases_from_voltages",
 ]
 
@@ -71,8 +68,7 @@ class NeuronConfig:
         regenerative onset and the adjustable comparator.
     i_reset:
         Post-spike membrane floor in amperes. Strictly positive: zero is a
-        trap state of the multiplicative nonlinear dynamics, and the
-        logarithmic voltage readout needs a positive argument.
+        trap state of the multiplicative nonlinear dynamics.
     t_rf:
         Refractory period in seconds; bounds the firing rate by 1/t_rf.
     n, u_t:
@@ -208,16 +204,6 @@ def _derivative(cfg: NeuronConfig):
     return _make_deriv(cfg)
 
 
-def spike_check(cfg: NeuronConfig, state: NeuronState) -> bool:
-    """True when the membrane reached threshold and is not refractory."""
-    return state.i_mem >= cfg.i_th and state.refractory_remaining == 0.0
-
-
-def reset(cfg: NeuronConfig, state: NeuronState) -> NeuronState:
-    """Post-spike state: membrane at the floor, full refractory pending."""
-    return replace(state, i_mem=cfg.i_reset, refractory_remaining=cfg.t_rf)
-
-
 def analytic_rate(cfg: NeuronConfig, i_in: float) -> float:
     """Closed-form firing rate of the linear-mode neuron, Hz.
 
@@ -237,18 +223,6 @@ def analytic_rate(cfg: NeuronConfig, i_in: float) -> float:
     return 1.0 / (cfg.t_rf + t_int)
 
 
-def v_mem_of_i_mem(cfg: NeuronConfig, i_mem: float, i_0: float) -> float:
-    """Logarithmic voltage readout of a membrane current, volts.
-
-    ``i_0`` is the reference current mapping to 0 V.
-    """
-    if not (math.isfinite(i_mem) and i_mem > 0.0):
-        raise ValueError(f"i_mem must be positive, got {i_mem!r}")
-    if not (math.isfinite(i_0) and i_0 > 0.0):
-        raise ValueError(f"i_0 must be positive, got {i_0!r}")
-    return cfg.n * cfg.u_t * math.log(i_mem / i_0)
-
-
 # Aspect ratios of the bias-generating devices, one per neuron role. The
 # published bias settings are voltages; these ratios size each bias device
 # so that the quoted voltages produce currents for which the full encoder
@@ -264,9 +238,6 @@ def neuron_biases_from_voltages(
     v_tu: float,
     v_lk: float,
     v_th: float,
-    w_over_l_gain: float = _W_OVER_L_GAIN,
-    w_over_l_leak: float = _W_OVER_L_LEAK,
-    w_over_l_threshold: float = _W_OVER_L_THRESHOLD,
 ) -> tuple[float, float, float]:
     """Map gate bias voltages to (i_g, i_r, i_th) via the device law.
 
@@ -274,7 +245,7 @@ def neuron_biases_from_voltages(
     shared exponential model; only the aspect ratios differ per role. The
     returned tuple is (gain current, leak current, threshold current).
     """
-    i_g = drain_current(replace(dev, w_over_l=w_over_l_gain), v_tu, 0.0)
-    i_r = drain_current(replace(dev, w_over_l=w_over_l_leak), v_lk, 0.0)
-    i_th = drain_current(replace(dev, w_over_l=w_over_l_threshold), v_th, 0.0)
+    i_g = drain_current(replace(dev, w_over_l=_W_OVER_L_GAIN), v_tu, 0.0)
+    i_r = drain_current(replace(dev, w_over_l=_W_OVER_L_LEAK), v_lk, 0.0)
+    i_th = drain_current(replace(dev, w_over_l=_W_OVER_L_THRESHOLD), v_th, 0.0)
     return i_g, i_r, i_th

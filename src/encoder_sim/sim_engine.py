@@ -5,83 +5,48 @@ transconductor is evaluated quasi-statically (its on-chip bandwidth is far
 above the input frequencies of interest; the published unity-gain figures
 are an artifact of the bench load), so the only dynamic state is the
 neuron's membrane current plus, optionally, a single-pole filter on the
-injected current for fidelity studies.
+injected current for fidelity studies. Integration is fixed-step RK4; a
+threshold crossing inside a step is located by bisecting the substep
+length, and the refractory period is consumed in exact time.
 
-The drive current of a dc input is solved once, exactly, with
-``neuron_input_current``. Any other input reads the transconductor's
-node-argument table (``transconductor.node_arg_table``), a cubic Hermite
-interpolant built once per config whose drive current lies within 1e-10 of
-the output quiescent current (or of the output half-swing, where larger)
-of the exact bisection root. The drive is then a pure function of t,
-evaluated once per RK4 stage time, and dc runs never build a table.
+The drive of a dc input is solved once, exactly; any other input reads the
+transconductor's node-argument table, so the drive is a pure function of t.
+Everything that makes a run fast gives the bits of plain per-step RK4 under
+that drive:
 
-A run of consecutive full steps reads its input and drive in blocks of up
-to 256 steps (``_make_stage_drive``). The block's step times are summed in
-sequence by ``np.add.accumulate``, exactly as the loop's ``t += h`` sums
-them, and the bulk evaluators (``_waveform_eval_bulk``,
-``NodeArgTable.input_currents``) repeat the scalar operations in the same
-order, with numpy only for what IEEE rounds correctly (arithmetic, floor,
-comparisons, where, indexing) and sin and sinh taken per element with
-``math``. So a block holds the scalar values bit for bit and changes no
-result. A block holds only the steps the run takes whole: those that start
-before t_end - ``_time_eps(t_end)`` and that t_end does not cut short. A
-trace row takes its input and drive from the block, or the drive from the
-end of the last step, where its time is one of those; other rows and steps
-call the scalar drive.
-
-numpy is imported only where a block is built: in ``_make_stage_drive``,
-``_waveform_eval_bulk`` and the transconductor's table functions. A dc
-run never builds a block or a table, so it never loads numpy.
-
-The membrane derivative of each neuron variant is one expression string in
-``neuron.DERIVATIVES``. ``_compile_kernel`` compiles it, once per process,
-variant and kernel, into the kernels of ``_KERNEL_TEXT``, each with the
-expression written out in every RK4 stage. Every full step of a run
-without an input pole runs in the loop of ``_make_full_steps``, a bare
-``for`` over each block's entries with no function call per stage. It
-writes the trace rows due between its steps itself, and returns to the
-event loop of ``transient`` only for the step that t_end cuts short, for
-the step that reaches threshold or is not finite, which the event loop
-bisects or refuses, and once the step budget is used up. The loop repeats
-the scalar step's operations in the same order, so it changes no bit.
-
-The optional input pole is a filter f' = omega*(drive - f) on the drive
-(``_make_pole_drive``). It never reads the membrane, so its four RK4
-stage values, clamped at zero, are the scalar step's stage drives, and
-the same event loop runs it: f moves over every step the loop takes,
-including refractory time and the substep up to a crossing. A pole run
-takes scalar steps only. A dc drive keeps the filter at its value bit for
-bit, so a dc run skips the pole and keeps the full-step loop. A
-time-varying run whose omega*dt passes RK4's real-axis stability limit
-(``_RK4_STABLE``) is refused before its first step with
-``SimulationError``.
-
-A run is refused before its first step, with ``SimulationError``, when
-its nominal step count ceil(t_end/dt) exceeds 2**26 or the trace rows
-those steps imply exceed 2**20. Each spike adds a few loop steps (the
-step split at the crossing, the refractory time), so a neuron that fires
-many times per dt takes more steps and writes more rows than that check
-counted; the loop itself raises ``SimulationError`` once its steps or
-rows pass four times the budget.
-
-Integration is fixed-step RK4. A threshold crossing inside a step is
-located by bisecting the substep length, which keeps spike times
-deterministic to the event tolerance without adaptive stepping. Stage 1
-of a substep reads only the state and the drive at the step's start, so
-``locate`` holds it for every drive, bit for bit with the scalar step. The
-refractory period is consumed in exact time (no grid rounding), so
-inter-spike gaps are exactly t_rf plus the integration time.
-
-``spike_count_dc`` counts the spikes a dc bias fires in a window with work
-proportional to one interval. A dc drive makes the membrane equation
-autonomous, so the train is strictly periodic: spike k sits at
-t_first + k*(t_rf + t_first), up to float accumulation of the time. The
-counter returns 0 without a step for a bias that provably stays below
-threshold, steps the first interval and bisects its crossing in one
-kernel call (``dc_first``, which calls ``locate``), counts the later
-periods in closed form, and hands the last periods to ``transient`` only
-where the step cut short by the window end can change the verdict.
-Its docstring states the tie rule at the window edges.
+- Drive blocks (``_make_stage_drive``): a run of consecutive full steps
+  reads its input and drive in blocks of up to 256 steps. The block's step
+  times are summed in sequence by ``np.add.accumulate``, exactly as the
+  loop's ``t += h`` sums them, and the bulk evaluators
+  (``_waveform_eval_bulk``, ``NodeArgTable.input_currents``) repeat the
+  scalar operations in the same order, with numpy only for what IEEE rounds
+  correctly and sin and sinh taken per element with ``math``. A block holds
+  only the steps the run takes whole. Only block and table code imports
+  numpy, so a dc run never loads it.
+- Generated kernels (``_compile_kernel``): the membrane derivative of each
+  neuron variant is one expression string in ``neuron.DERIVATIVES``, written
+  out in every stage of each kernel of ``_KERNEL_TEXT``. Every full step of
+  a run without an input pole runs in the loop of ``_make_full_steps``,
+  which repeats the scalar step's operations in order and returns to the
+  event loop of ``transient`` only for the step t_end cuts short, a step
+  that reaches threshold or is not finite, and a used-up step budget.
+  Stage 1 of a substep reads only the state and the drive at the step's
+  start, so ``locate`` holds it for every drive.
+- The input pole (``_make_pole_drive``) is a filter f' = omega*(drive - f)
+  that never reads the membrane, so its four RK4 stage values, clamped at
+  zero, are the scalar step's stage drives, and the same event loop runs
+  it. A dc drive keeps the filter at its value bit for bit, so a dc run
+  skips the pole and keeps the full-step loop.
+- ``spike_count_dc`` counts the spikes a dc bias fires in a window with
+  work proportional to one interval. A dc drive makes the membrane equation
+  autonomous, so the train is strictly periodic: spike k sits at
+  t_first + k*(t_rf + t_first), up to float accumulation of the time. It
+  returns 0 without a step for a bias that provably stays below threshold,
+  steps the first interval and bisects its crossing in one kernel call
+  (``dc_first``), counts the later periods in closed form, and hands the
+  last periods to ``transient`` only where the step cut short by the window
+  end can change the verdict. Its docstring states the tie rule at the
+  window edges.
 """
 
 from __future__ import annotations
@@ -261,11 +226,10 @@ def _waveform_eval_bulk(w: Waveform, t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-step integrator settings."""
+    """Fixed-step RK4 settings: the step dt and the spike-time tolerance."""
 
     dt: float
     event_tol: float
-    method: str = "rk4"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -274,14 +238,17 @@ class SolverConfig:
             raise ValueError(f"event_tol must be positive, got {self.event_tol!r}")
         if self.event_tol >= self.dt:
             raise ValueError(f"event_tol must be below dt, got {self.event_tol!r} >= {self.dt!r}")
-        if self.method != "rk4":
-            raise ValueError(f"unknown method {self.method!r}: only rk4 integrates")
+
+
+def _event_tol(dt: float) -> float:
+    """The event tolerance of a step dt where none is given: dt/10, at most 1 ns."""
+    return min(1e-9, dt / 10.0)
 
 
 def default_solver_config(neuron: NeuronConfig) -> SolverConfig:
     """Step sized to the membrane time constant, clamped to sane bounds."""
     dt = min(max(tau_m(neuron) / 200.0, 1e-9), 1e-6)
-    return SolverConfig(dt=dt, event_tol=min(1e-9, dt / 10.0))
+    return SolverConfig(dt=dt, event_tol=_event_tol(dt))
 
 
 @dataclass(frozen=True)
@@ -1105,6 +1072,11 @@ def spike_count_dc(
     slack = 2.0 * max(n_periods + 1, 3) * (per_period * math.ulp(t1) + _time_eps(t1))
     t_lo = t0 - slack
     band = 2.0 * solver.event_tol + slack
+    if not math.isfinite(band):
+        raise SimulationError(
+            f"window [{t0!r}, {t1!r}] s at dt = {dt!r} s is too long to count in closed form",
+            t_first,
+        )
 
     def first_at(x: float) -> int:
         """Index of the first closed-form spike at or after x."""

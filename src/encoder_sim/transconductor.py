@@ -62,7 +62,6 @@ __all__ = [
     "node_arg_table",
     "raw_pair_output_current",
     "effective_gm",
-    "linearity_constraint_margin",
     "dc_sweep",
 ]
 
@@ -576,23 +575,6 @@ def effective_gm(cfg: TransconductorConfig) -> float:
     if gm <= 0.0:
         raise SolverError(f"nonpositive small-signal gain {gm!r}", 0.0)
     return gm
-
-
-def linearity_constraint_margin(cfg: TransconductorConfig, v_id: float) -> float:
-    """Slack of the sufficient linearity condition at ``v_id``.
-
-    The condition compares the normalized imbalance of the node-diode
-    currents against (|b| + epsilon)/(2*|sinh b|) where b is the
-    input-proportional argument; the margin is the right side minus the
-    left side, so nonnegative means the sufficient condition holds. At
-    v_id = 0 the right side is the (infinite) limit value.
-    """
-    sol = solve_operating_point(cfg, v_id)
-    lhs = abs(sol.i_3b - sol.i_3a) / (sol.i_3b + sol.i_3a)
-    if sol.beta == 0.0:
-        return math.inf
-    rhs = (abs(sol.beta) + cfg.epsilon) / (2.0 * abs(math.sinh(sol.beta)))
-    return rhs - lhs
 
 
 def dc_sweep(cfg: TransconductorConfig, v_grid) -> list[tuple[float, float]]:

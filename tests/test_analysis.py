@@ -16,16 +16,15 @@ from hypothesis import strategies as st
 from encoder_sim.analysis import (
     ThdReport,
     VFCurve,
+    _curve_from_rates,
     _fit_line,
-    firing_rate,
-    linearity_error,
     power_estimate,
     small_signal,
     thd,
     vf_curve,
 )
 from encoder_sim.neuron import NeuronConfig
-from encoder_sim.sim_engine import EncoderConfig, SpikeTrain
+from encoder_sim.sim_engine import EncoderConfig
 from encoder_sim.transconductor import TransconductorConfig, effective_gm
 
 
@@ -98,74 +97,41 @@ class TestThd:
             ThdReport(fundamental_amplitude=1.0, harmonic_amplitudes=(-0.1,), thd_fraction=0.1)
 
 
-class TestFiringRate:
-    def test_empty_train(self):
-        assert firing_rate(SpikeTrain(), 0.0, 1e-3) == 0.0
-
-    def test_uniform_train(self):
-        train = SpikeTrain(times=tuple(k * 1e-4 for k in range(10)))
-        assert firing_rate(train, 0.0, 1e-3) == pytest.approx(10e3, rel=1e-12)
-
-    def test_boundary_inclusion(self):
-        train = SpikeTrain(times=(0.0, 5e-4, 1e-3))
-        # start-inclusive, end-exclusive
-        assert firing_rate(train, 0.0, 1e-3) == pytest.approx(2e3, rel=1e-12)
-        assert firing_rate(train, 5e-4, 1e-3) == pytest.approx(2e3, rel=1e-12)
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            firing_rate(SpikeTrain(), 1e-3, 1e-3)
-
-    def test_mean_isi_identity(self):
-        isi = 37e-6
-        t_end = 2e-3
-        train = SpikeTrain(times=tuple(k * isi for k in range(int(t_end / isi) + 1)))
-        rate = firing_rate(train, 0.0, t_end)
-        count = rate * t_end
-        assert abs(rate - 1.0 / isi) <= 1.0 / (t_end * count) * count  # within 1 count
-        assert abs(rate - 1.0 / isi) * t_end <= 1.0 + 1e-9
-
-    @given(shift=st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=50, deadline=None)
-    def test_translation_invariance(self, shift):
-        # The counted set of spikes is translation invariant; the rate
-        # itself wobbles at float-epsilon level because the window width
-        # (shift + 1e-3) - shift is not exactly 1e-3.
-        times = (1e-4, 3e-4, 7e-4, 9e-4)
-        t_lo, t_hi = shift, shift + 1e-3
-        moved = firing_rate(SpikeTrain(times=tuple(t + shift for t in times)), t_lo, t_hi)
-        assert round(moved * (t_hi - t_lo)) == len(times)
+def make_curve(points, window):
+    nan = float("nan")
+    return VFCurve(points=tuple(points), window=window, fit_slope=nan, fit_intercept=nan,
+                   max_deviation_fraction=0.0)
 
 
-def make_curve(points, window, slope=float("nan"), intercept=float("nan"), flagged=()):
-    return VFCurve(
-        points=tuple(points),
-        window=window,
-        fit_slope=slope,
-        fit_intercept=intercept,
-        max_deviation_fraction=0.0,
-        flagged=tuple(flagged),
-    )
+def curve_of(points, window, dead=()):
+    """``_curve_from_rates`` of (v, rate) points; a dead point counts 0, any other 100."""
+    grid = [v for v, _ in points]
+    counts = [0 if v in dead else 100 for v in grid]
+    return _curve_from_rates(grid, [r for _, r in points], counts, window)
 
 
 class TestLinearityError:
     def test_collinear_points_are_exact(self):
         pts = [(v, 1000.0 + 5000.0 * v) for v in (0.1, 0.2, 0.3, 0.4)]
-        assert linearity_error(make_curve(pts, (0.1, 0.4))) == pytest.approx(0.0, abs=1e-12)
+        curve = curve_of(pts, (0.1, 0.4))
+        assert curve.max_deviation_fraction == pytest.approx(0.0, abs=1e-12)
 
     def test_window_edge_outlier_against_stored_fit(self):
-        # The stored fit is the clean baseline; a +10% (of the fit at v_hi)
-        # outlier at the window edge must read exactly 0.10.
+        # Residuals +d, -d, -d, +d are orthogonal to 1 and to v on the
+        # equally spaced grid, so the fit is the clean baseline and the
+        # outliers at the window edges, +10% of the fit at v_hi, read 0.10.
         slope, intercept = 5000.0, 1000.0
-        fit_hi = slope * 0.4 + intercept
-        pts = [(v, slope * v + intercept) for v in (0.1, 0.2, 0.3)]
-        pts.append((0.4, slope * 0.4 + intercept + 0.10 * fit_hi))
-        curve = make_curve(pts, (0.1, 0.4), slope=slope, intercept=intercept)
-        assert linearity_error(curve) == pytest.approx(0.10, abs=1e-6)
+        d = 0.10 * (slope * 0.4 + intercept)
+        signs = {0.1: 1, 0.2: -1, 0.3: -1, 0.4: 1}
+        pts = [(v, slope * v + intercept + e * d) for v, e in signs.items()]
+        curve = curve_of(pts, (0.1, 0.4))
+        assert curve.fit_slope == pytest.approx(slope, rel=1e-12)
+        assert curve.fit_intercept == pytest.approx(intercept, rel=1e-12)
+        assert curve.max_deviation_fraction == pytest.approx(0.10, abs=1e-6)
 
     def test_quadratic_bow(self):
         # Residual constructed orthogonal to {1, v} on the grid, so the
-        # least-squares refit returns the base line and the bow height is
+        # least-squares fit returns the base line and the bow height is
         # the deviation itself.
         vs = np.linspace(0.1, 0.4, 7)
         slope, intercept = 40e3, 2e3
@@ -175,37 +141,45 @@ class TestLinearityError:
         fit_hi = slope * 0.4 + intercept
         bow *= 0.05 * fit_hi / np.max(np.abs(bow))
         pts = list(zip(vs.tolist(), (base + bow).tolist()))
-        assert linearity_error(make_curve(pts, (0.1, 0.4))) == pytest.approx(0.05, abs=0.005)
+        curve = curve_of(pts, (0.1, 0.4))
+        assert curve.max_deviation_fraction == pytest.approx(0.05, abs=0.005)
 
     def test_points_on_fit_never_increase_metric(self):
-        slope, intercept = 5000.0, 1000.0
-        pts = [(0.1, slope * 0.1 + intercept + 50.0), (0.2, slope * 0.2 + intercept), (0.3, slope * 0.3 + intercept)]
-        curve = make_curve(pts, (0.1, 0.4), slope=slope, intercept=intercept)
-        base = linearity_error(curve)
-        denser = sorted(pts + [(0.25, slope * 0.25 + intercept), (0.4, slope * 0.4 + intercept)])
-        curve2 = make_curve(denser, (0.1, 0.4), slope=slope, intercept=intercept)
-        assert linearity_error(curve2) <= base + 1e-15
+        # Points on the least-squares line leave it the least-squares line
+        # of the larger set, so they add no deviation.
+        pts = [(0.1, 1550.0), (0.2, 2000.0), (0.3, 2500.0)]
+        curve = curve_of(pts, (0.1, 0.4))
+        base = curve.max_deviation_fraction
+        assert base > 0.0
+        on_fit = [(v, curve.fit_slope * v + curve.fit_intercept) for v in (0.25, 0.4)]
+        denser = curve_of(sorted(pts + on_fit), (0.1, 0.4))
+        assert denser.max_deviation_fraction <= base * (1.0 + 1e-12)
 
     def test_needs_three_in_window_points(self):
-        with pytest.raises(ValueError, match="3 in-window"):
-            linearity_error(make_curve([(0.1, 1.0), (0.4, 2.0)], (0.1, 0.4)))
+        # Two fitted points lie on their own line, and with fewer no line
+        # is fitted: the deviation reads 0 and measures nothing.
+        two = curve_of([(0.1, 1000.0), (0.4, 3000.0)], (0.1, 0.4))
+        assert two.max_deviation_fraction == pytest.approx(0.0, abs=1e-12)
+        one = curve_of([(0.1, 0.0), (0.25, 2000.0), (0.4, 0.0)], (0.1, 0.4), dead=(0.1, 0.4))
+        assert one.max_deviation_fraction == 0.0
+        assert math.isnan(one.fit_slope) and math.isnan(one.fit_intercept)
+        assert one.flagged == (0.1, 0.4)
 
     def test_flagged_points_excluded(self):
         slope, intercept = 5000.0, 1000.0
         pts = [(v, slope * v + intercept) for v in (0.1, 0.2, 0.3, 0.4)]
         pts[0] = (0.1, 0.0)  # dead point, flagged
-        curve = make_curve(pts, (0.1, 0.4), flagged=(0.1,))
-        assert linearity_error(curve) == pytest.approx(0.0, abs=1e-12)
+        curve = curve_of(pts, (0.1, 0.4), dead=(0.1,))
+        assert curve.flagged == (0.1,)
+        assert curve.max_deviation_fraction == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_refit_rejected(self):
-        pts = [(0.2, 1.0), (0.2 + 1e-12, 2.0), (0.2 + 2e-12, 3.0)]
-        curve = make_curve(pts, (0.1, 0.4))
-        with pytest.raises(ValueError):
-            # zero variance after float collapse is impossible to construct
-            # with strictly increasing points, so use an explicit window
-            # miss instead: all points below the window
-            linearity_error(make_curve([(0.0, 1.0), (0.05, 2.0)], (0.1, 0.4)))
-        assert curve  # constructed fine
+        # all points below the window
+        with pytest.raises(ValueError, match="no grid points"):
+            curve_of([(0.0, 1.0), (0.05, 2.0)], (0.1, 0.4))
+        # a falling line that reaches zero before the window top
+        with pytest.raises(ValueError, match="nonpositive"):
+            curve_of([(0.1, 3000.0), (0.25, 1500.0), (0.4, 0.0)], (0.1, 0.4))
 
 
 class TestFitLine:
@@ -223,8 +197,8 @@ class TestFitLine:
         rates = [slope * v + intercept for v in vs]
         assert _fit_line(vs, rates) == (slope, intercept)
         if slope * vs[-1] + intercept > 0.0:
-            curve = make_curve(list(zip(vs, rates)), (vs[0], vs[-1]))
-            assert linearity_error(curve) == 0.0
+            curve = curve_of(list(zip(vs, rates)), (vs[0], vs[-1]))
+            assert curve.max_deviation_fraction == 0.0
 
     @given(
         lo=st.floats(0.0, 0.3),
@@ -295,8 +269,6 @@ class TestVfCurveMeasured:
         assert curve.flagged == ()
         assert math.isfinite(curve.fit_slope) and curve.fit_slope > 0.0
         assert 0.0 <= curve.max_deviation_fraction < 0.06
-        # standalone recompute agrees with the stored metric
-        assert linearity_error(curve) == pytest.approx(curve.max_deviation_fraction, rel=1e-12)
 
     def test_silent_point_flagged_and_excluded(self):
         # v = -0.3 V sits far below the firing onset of the default encoder.

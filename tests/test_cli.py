@@ -3,6 +3,7 @@ byte-exact CSV output against committed golden files."""
 
 import configparser
 import csv
+import importlib
 import os
 import subprocess
 import sys
@@ -20,7 +21,6 @@ from encoder_sim.cli import (
     build_encoder,
     load_config,
     main,
-    serialize_config,
 )
 from encoder_sim.neuron import NeuronConfig, tau_m
 
@@ -32,6 +32,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def as_dict(cp):
     return {name: dict(cp[name]) for name in cp.sections()}
+
+
+def written(cp, tmp_path: Path) -> Path:
+    """cp written out by configparser, as a config file."""
+    path = tmp_path / "written.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    return path
 
 
 class TestExitCodes:
@@ -189,6 +197,16 @@ class TestExitCodes:
         assert "budget" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_vf_curve_window_too_long_to_count(self, tmp_path, capsys):
+        # the closed-form count's rounding bound overflows to inf
+        out = tmp_path / "v.csv"
+        args = ["vf-curve", "--config", DEFAULT_INI, "--out", str(out)]
+        assert main(args + ["--set", "vf-curve.measure_time_s=1e300"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and err.count("\n") == 1
+        assert "too long" in err
+        assert not out.exists()
+
     def test_input_pole_past_the_rk4_stability_limit(self, tmp_path, capsys):
         # omega*dt = 2.9 at the default dt: refused before the first step
         ini = tmp_path / "pole.ini"
@@ -204,16 +222,13 @@ class TestExitCodes:
 class TestConfigHandling:
     def test_round_trip(self, tmp_path):
         cp = load_config(DEFAULT_INI)
-        text = serialize_config(cp)
-        clone = configparser.ConfigParser(interpolation=None)
-        clone.read_string(text)
-        assert as_dict(clone) == as_dict(cp)
+        assert as_dict(load_config(written(cp, tmp_path))) == as_dict(cp)
 
-    def test_override_wins_and_serializes(self):
+    def test_override_wins_and_serializes(self, tmp_path):
         cp = load_config(DEFAULT_INI)
         apply_overrides(cp, ["transconductor.i_ref_a=2e-9"])
         assert cp["transconductor"]["i_ref_a"] == "2e-9"
-        assert "i_ref_a = 2e-9" in serialize_config(cp)
+        assert load_config(written(cp, tmp_path))["transconductor"]["i_ref_a"] == "2e-9"
         assert build_encoder(cp).transconductor.i_ref == 2e-9
 
     def test_voltage_bias_block_converts(self):
@@ -358,6 +373,16 @@ class TestGoldenFiles:
         assert main(["vf-curve", "--config", DEFAULT_INI, "--out", str(out), "--quiet"]) == 0
         assert out.read_bytes() == (GOLDEN / "vf_curve_default.csv").read_bytes()
 
+    def test_freq_matches_golden(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(["freq", "--config", DEFAULT_INI, "--out", str(out), "--quiet"]) == 0
+        assert out.read_bytes() == (GOLDEN / "freq_default.csv").read_bytes()
+
+    def test_power_matches_golden(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(["power", "--config", DEFAULT_INI, "--out", str(out), "--quiet"]) == 0
+        assert out.read_bytes() == (GOLDEN / "power_default.csv").read_bytes()
+
 
 class TestGrid:
     @given(
@@ -427,6 +452,20 @@ class TestTuneCommand:
         assert lines[0] == "evaluation,i_th,objective"
         # header plus at most budget evaluations, at least the simplex
         assert 3 <= len(lines) - 1 <= 6
+
+    @pytest.mark.parametrize("unit, code", [("s", 0), ("a", 3)])
+    def test_t_rf_bounds_are_in_seconds(self, tmp_path, unit, code):
+        # t_rf's bound keys end in _s, the currents' in _a
+        ini = tmp_path / "trf.ini"
+        bounds = f"t_rf_lo_{unit} = 10e-6\nt_rf_hi_{unit} = 30e-6\n"
+        bounds += "i_ref_lo_a = 4e-9\ni_ref_hi_a = 9e-9\n"
+        text = Path(DEFAULT_INI).read_text().replace("i_g_lo_a", bounds + "i_g_lo_a")
+        ini.write_text(text)
+        sets = ["--set", "tune.variables=t_rf, i_ref", "--set", "tune.budget=7"]
+        out = tmp_path / "t.csv"
+        assert main(["tune", "--config", str(ini), "--out", str(out), "--quiet"] + sets) == code
+        if code == 0:
+            assert out.read_text().split("\n")[0] == "evaluation,i_ref,t_rf,objective"
 
     @pytest.mark.parametrize("poisoned", [False, True])
     def test_failed_evaluations_file(self, tmp_path, capsys, monkeypatch, poisoned):
@@ -507,6 +546,13 @@ def fresh_python(code: str, cwd: Path) -> str:
 
 
 class TestImports:
+    def test_every_public_name_resolves(self):
+        # the package and every layer: no deletion leaves a stale export
+        modules = ["encoder_sim"] + [f"encoder_sim.{layer}" for layer in LAYERS]
+        for module in map(importlib.import_module, modules):
+            missing = [name for name in module.__all__ if not hasattr(module, name)]
+            assert missing == [], module.__name__
+
     def test_cli_imports_every_layer(self, tmp_path):
         # a traced run wraps all seven layers once the CLI is imported
         code = "import sys, encoder_sim.cli; print(*sorted(sys.modules))"

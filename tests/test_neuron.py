@@ -1,5 +1,6 @@
 """Unit tests for the current-mode neuron dynamics and bias mapping."""
 
+import dataclasses
 import math
 
 import pytest
@@ -14,10 +15,7 @@ from encoder_sim.neuron import (
     analytic_rate,
     membrane_derivative,
     neuron_biases_from_voltages,
-    reset,
-    spike_check,
     tau_m,
-    v_mem_of_i_mem,
 )
 
 # Reference configuration used across tests; i_th is set high so derivative
@@ -180,29 +178,41 @@ class TestNonlinearMode:
             assert d < 0.0
 
 
+def spikes_from(cfg, initial_state, t_end=1e-4, v=0.0):
+    """Spike times and trace rows of the engine from ``initial_state`` at a dc input."""
+    enc = sim_engine.EncoderConfig(neuron=cfg)
+    wave = sim_engine.Waveform(kind="dc", offset=v)
+    res = sim_engine.transient(enc, wave, t_end, initial_state=initial_state, trace_every=1)
+    return res.spikes.times, res.trace
+
+
+# The engine applies the spiking rule: a spike when the membrane reaches
+# i_th outside refractory time, then i_reset held for t_rf.
+RF = NeuronConfig(c_m=0.6e-12, i_g=10e-12, i_r=0.5e-9, i_th=50e-12, i_reset=2e-12, t_rf=20e-6)
+
+
 class TestSpikingPrimitives:
     def test_threshold_boundary_inclusive(self):
-        assert spike_check(LIN, NeuronState(i_mem=LIN.i_th))
-        assert spike_check(LIN, NeuronState(i_mem=2.0 * LIN.i_th))
-        assert not spike_check(LIN, NeuronState(i_mem=0.999 * LIN.i_th))
+        assert spikes_from(LIN, NeuronState(i_mem=LIN.i_th))[0][0] == 0.0
+        assert spikes_from(LIN, NeuronState(i_mem=2.0 * LIN.i_th))[0][0] == 0.0
+        assert spikes_from(LIN, NeuronState(i_mem=0.999 * LIN.i_th))[0][:1] != (0.0,)
 
     def test_refractory_masks_threshold(self):
-        assert not spike_check(LIN, NeuronState(i_mem=2.0 * LIN.i_th, refractory_remaining=1e-6))
+        times, trace = spikes_from(RF, NeuronState(i_mem=2.0 * RF.i_th, refractory_remaining=1e-6))
+        assert times[:1] != (0.0,)
+        # refractory time holds the membrane at the floor instead of spiking
+        assert all(row[3] == RF.i_reset for row in trace[1:] if row[0] <= 1e-6)
 
     def test_reset_state(self):
-        cfg = NeuronConfig(
-            c_m=0.6e-12, i_g=10e-12, i_r=1e-9, i_th=50e-12, i_reset=2e-12, t_rf=20e-6
-        )
-        after = reset(cfg, NeuronState(i_mem=80e-12, refractory_remaining=0.0))
-        assert after.i_mem == cfg.i_reset
-        assert after.refractory_remaining == cfg.t_rf
-        assert reset(cfg, after) == after
+        times, trace = spikes_from(RF, NeuronState(i_mem=80e-12), v=0.25)
+        assert times[0] == 0.0
+        held = [row[3] for row in trace if 0.0 < row[0] <= RF.t_rf]
+        assert held and all(i == RF.i_reset for i in held)
 
     def test_reset_not_spiking(self):
-        cfg = NeuronConfig(
-            c_m=0.6e-12, i_g=10e-12, i_r=1e-9, i_th=50e-12, i_reset=2e-12, t_rf=20e-6
-        )
-        assert not spike_check(cfg, reset(cfg, NeuronState(i_mem=80e-12)))
+        times, _ = spikes_from(RF, NeuronState(i_mem=80e-12), v=0.25)
+        assert len(times) >= 2
+        assert all(b - a > RF.t_rf for a, b in zip(times, times[1:]))
 
 
 class TestAnalyticRate:
@@ -254,26 +264,6 @@ class TestAnalyticRate:
             analytic_rate(LIN, -1e-9)
 
 
-class TestVoltageReadout:
-    def test_reference_current_maps_to_zero(self):
-        assert v_mem_of_i_mem(LIN, 1e-9, 1e-9) == 0.0
-
-    def test_one_decade_of_e(self):
-        # i_mem = e * i_0 reads n * u_t = 30 mV.
-        v = v_mem_of_i_mem(LIN, math.e * 1e-9, 1e-9)
-        assert v == pytest.approx(LIN.n * LIN.u_t, rel=1e-12)
-
-    def test_strictly_increasing(self):
-        vs = [v_mem_of_i_mem(LIN, i, 1e-9) for i in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8)]
-        assert all(b > a for a, b in zip(vs, vs[1:]))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            v_mem_of_i_mem(LIN, 0.0, 1e-9)
-        with pytest.raises(ValueError):
-            v_mem_of_i_mem(LIN, 1e-9, 0.0)
-
-
 class TestConfigValidation:
     def test_gain_current_must_sit_below_leak(self):
         with pytest.raises(ValueError, match="i_g"):
@@ -316,12 +306,11 @@ class TestBiasMapping:
         assert i_th == pytest.approx(10.4e-12, rel=1e-3)
 
     def test_aspect_ratio_passthrough(self):
-        i_g, i_r, i_th = neuron_biases_from_voltages(
-            self.DEV, 0.25, 0.10, 0.30, w_over_l_gain=1.0, w_over_l_leak=1.0, w_over_l_threshold=1.0
-        )
-        assert i_g == drain_current(self.DEV, 0.25, 0.0)
-        assert i_r == drain_current(self.DEV, 0.10, 0.0)
-        assert i_th == drain_current(self.DEV, 0.30, 0.0)
+        # each role's current is the device law at that role's aspect ratio
+        i_g, i_r, i_th = neuron_biases_from_voltages(self.DEV, 0.25, 0.10, 0.30)
+        ratios = (neuron._W_OVER_L_GAIN, neuron._W_OVER_L_LEAK, neuron._W_OVER_L_THRESHOLD)
+        for got, ratio, v in zip((i_g, i_r, i_th), ratios, (0.25, 0.10, 0.30)):
+            assert got == drain_current(dataclasses.replace(self.DEV, w_over_l=ratio), v, 0.0)
 
     def test_monotone_in_gate_voltage(self):
         lo = neuron_biases_from_voltages(self.DEV, 0.25, 0.08, 0.25)

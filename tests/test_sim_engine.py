@@ -5,6 +5,7 @@ closed form to compare against; the nonlinear mode is cross-checked via the
 independent Euler oracle instead.
 """
 
+import configparser
 import inspect
 import linecache
 import math
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import _vectorized_input_current, _waveform_eval_array, oracle_transient
 
-from encoder_sim import sim_engine
+from encoder_sim import cli, sim_engine
 from encoder_sim.analysis import vf_curve
 from encoder_sim.bias_tuner import _cheap_solver
 from encoder_sim.device_model import DeviceParams, SaturationError
@@ -180,8 +181,17 @@ class TestSolverConfig:
             SolverConfig(dt=0.0, event_tol=1e-12)
         with pytest.raises(ValueError):
             SolverConfig(dt=1e-7, event_tol=1e-7)
-        with pytest.raises(ValueError, match="method"):
-            SolverConfig(dt=1e-7, event_tol=1e-9, method="rk45")
+
+    def test_one_event_tol_rule(self):
+        # at these steps dt/10 and 0.1*dt differ in the last bit; every
+        # default tolerance is min(1e-9, dt/10)
+        neuron = NeuronConfig(c_m=0.6e-12, i_g=10e-12, i_r=2.4e-8, i_th=30e-12, i_reset=1e-12)
+        cp = configparser.ConfigParser()
+        cp.read_string("[solver]\ndt_s = 2.3e-9\n")
+        solvers = [default_solver_config(neuron), _cheap_solver(neuron), cli._build_solver(cp)]
+        for solver in solvers:
+            assert solver.dt / 10.0 != 0.1 * solver.dt
+            assert solver.event_tol == solver.dt / 10.0
 
     def test_default_tracks_time_constant(self):
         cfg = default_solver_config(LIN)  # tau = 18 us
@@ -311,8 +321,6 @@ class TestTransientLinear:
             transient(enc, wave, 0.0)
         with pytest.raises(ValueError):
             transient(enc, wave, 1e-3, trace_every=0)
-        with pytest.raises(ValueError, match="method"):
-            SolverConfig(dt=1e-7, event_tol=1e-9, method="euler-oracle")
 
     def test_encoder_config_validation(self):
         with pytest.raises(ValueError, match="input_pole_capacitance"):
@@ -1738,7 +1746,12 @@ class TestSpikeCountDc:
             spike_count_dc(lin_encoder(), 0.0, t0, t1)
 
     def test_rejects_euler_method(self):
-        # the config refuses a method no code path integrates with
-        with pytest.raises(ValueError, match="method"):
+        # rk4 is the only integrator, and the config names no other
+        with pytest.raises(TypeError, match="method"):
             SolverConfig(1e-7, 1e-9, method="euler-oracle")
+
+    def test_window_too_long_to_count(self):
+        # the closed form's rounding bound overflows: refused, not a traceback
+        with pytest.raises(SimulationError, match="too long"):
+            spike_count_dc(EncoderConfig(), 0.25, 2e-3, 1e300)
 

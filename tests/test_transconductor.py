@@ -24,7 +24,6 @@ from encoder_sim.transconductor import (
     TransconductorConfig,
     dc_sweep,
     effective_gm,
-    linearity_constraint_margin,
     neuron_input_current,
     node_arg_table,
     output_current,
@@ -34,6 +33,24 @@ from encoder_sim.transconductor import (
 )
 
 CFG = TransconductorConfig()
+
+
+def linearity_constraint_margin(cfg: TransconductorConfig, v_id: float) -> float:
+    """Slack of the sufficient linearity condition at ``v_id``.
+
+    The condition compares the normalized imbalance of the node-diode
+    currents against (|b| + epsilon)/(2*|sinh b|) where b is the
+    input-proportional argument; the margin is the right side minus the
+    left side, so nonnegative means the sufficient condition holds. At
+    v_id = 0 the right side is the (infinite) limit value. Its tests pin
+    the branch currents of ``solve_operating_point``.
+    """
+    sol = solve_operating_point(cfg, v_id)
+    lhs = abs(sol.i_3b - sol.i_3a) / (sol.i_3b + sol.i_3a)
+    if sol.beta == 0.0:
+        return math.inf
+    rhs = (abs(sol.beta) + cfg.epsilon) / (2.0 * abs(math.sinh(sol.beta)))
+    return rhs - lhs
 
 
 class TestConfigValidation:
