@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .device_model import SUPPLY_V
 from .neuron import NeuronConfig
 from .sim_engine import EncoderConfig, SolverConfig, spike_count_dc
 from .transconductor import TransconductorConfig, effective_gm
@@ -29,7 +30,6 @@ class UndersampledError(ValueError):
     """Measurement gate too short for a trustworthy rate at the midpoint."""
 
 
-_V_DD = 0.5
 # Static branch count: five current legs in the transconductor (two input
 # branches, two drive branches, reference mirror) plus the neuron's leak
 # and gain legs are modeled; everything else is switching.
@@ -216,7 +216,7 @@ def vf_curve(
         raise ValueError("v_grid needs at least two points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("v_grid must be strictly increasing")
-    if any(abs(v) > 0.5 for v in grid):
+    if any(abs(v) > SUPPLY_V for v in grid):
         raise ValueError("v_grid exceeds the supply range")
     if not (settle_time >= 0.0 and measure_time > 0.0):
         raise ValueError("settle_time must be >= 0 and measure_time > 0")
@@ -267,4 +267,4 @@ def power_estimate(
         raise ValueError(f"c_dyn must be nonnegative, got {c_dyn!r}")
     neuron: NeuronConfig = encoder.neuron
     i_static = k_static * encoder.transconductor.i_ref + (neuron.i_r + neuron.i_g)
-    return _V_DD * i_static + (neuron.c_m + c_dyn) * _V_DD**2 * f_spike
+    return SUPPLY_V * i_static + (neuron.c_m + c_dyn) * SUPPLY_V**2 * f_spike

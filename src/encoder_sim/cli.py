@@ -53,7 +53,6 @@ _TC_SCHEMA = {
     "i_ref_a": float,
     "mirror_to_branch": float,
     "mirror_to_output": float,
-    "epsilon": float,
     "drive_ratio": float,
     "node_shunt_ratio": float,
 }
@@ -352,6 +351,10 @@ def _cmd_vf_curve(cp, args) -> int:
         solver=_build_solver(cp),
     )
     flagged = set(curve.flagged)
+    # a line through two points has no deviation to measure
+    fitted = [v for v, _ in curve.points if window[0] <= v <= window[1] and v not in flagged]
+    if len(fitted) < 3:
+        raise ValueError(f"vf-curve needs 3 fitted in-window points, got {len(fitted)}")
     rows = [
         (v, r, "1" if window[0] <= v <= window[1] else "0", "1" if v in flagged else "0")
         for v, r in curve.points

@@ -23,12 +23,16 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
+    "SUPPLY_V",
     "DeviceParams",
     "SaturationError",
     "drain_current",
     "gm_gate",
     "gm_bulk",
 ]
+
+# The encoder's supply voltage, volts: it bounds every input.
+SUPPLY_V = 0.5
 
 # exp() overflows IEEE doubles just above 709; beyond that the bias point is
 # unphysical for this model, so it is reported instead of clamped.

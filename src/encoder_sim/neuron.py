@@ -38,6 +38,7 @@ __all__ = [
     "NeuronState",
     "tau_m",
     "DERIVATIVES",
+    "DERIVATIVE_CONSTANTS",
     "derivative_variant",
     "membrane_derivative",
     "analytic_rate",
@@ -156,10 +157,11 @@ def tau_m(cfg: NeuronConfig) -> float:
 
 # The membrane derivative, A/s, once per variant: a Python expression in
 # the membrane current {m} and the drive current {i_in}, both clamped at
-# zero, over the constants of ``derivative_variant``. Without feedback
-# the loss m*(1 - pf*m/i_r) is plain m, which gives the same bits for every
-# finite m >= 0 (-0.0 included) at pf = 0.0 or -0.0; at m = inf the drive
-# term is inf/inf, so both forms give nan.
+# zero, over the constants named in ``DERIVATIVE_CONSTANTS``. Without
+# feedback the loss m*(1 - pf*m/i_r) is plain m, which gives the same bits
+# for every finite m >= 0 (-0.0 included) at pf = 0.0 or -0.0; at m = inf
+# the drive term is inf/inf, so both forms give nan.
+DERIVATIVE_CONSTANTS = ("tau", "gain", "i_r", "i_g", "pf")
 DERIVATIVES = {
     "linear": "(gain * {i_in} - {m}) / tau",
     "nonlinear": (
@@ -170,8 +172,9 @@ DERIVATIVES = {
 
 
 def derivative_variant(cfg: NeuronConfig) -> tuple[str, dict[str, float]]:
-    """The ``DERIVATIVES`` key of cfg's dynamics and the constants it names."""
-    constants = dict(tau=tau_m(cfg), gain=cfg.gain, i_r=cfg.i_r, i_g=cfg.i_g, pf=cfg.i_pf_gain)
+    """The ``DERIVATIVES`` key of cfg's dynamics and cfg's ``DERIVATIVE_CONSTANTS``."""
+    values = (tau_m(cfg), cfg.gain, cfg.i_r, cfg.i_g, cfg.i_pf_gain)
+    constants = dict(zip(DERIVATIVE_CONSTANTS, values))
     if cfg.mode == "linear":
         return "linear", constants
     return ("nonlinear" if cfg.i_pf_gain != 0.0 else "nonlinear_no_feedback"), constants
@@ -194,14 +197,14 @@ def membrane_derivative(cfg: NeuronConfig, state: NeuronState, i_in: float) -> f
 
 @functools.lru_cache(maxsize=64)
 def _derivative(cfg: NeuronConfig):
-    """cfg's compiled derivative, kept per config.
+    """cfg's generated derivative, kept per config.
 
     Configs that compare equal differ at most in the sign of a zero
     ``i_pf_gain``, which no variant reads.
     """
-    from .sim_engine import _make_deriv  # the engine imports this module
+    from .sim_engine import _neuron_kernel  # the engine imports this module
 
-    return _make_deriv(cfg)
+    return _neuron_kernel(cfg, "deriv")
 
 
 def analytic_rate(cfg: NeuronConfig, i_in: float) -> float:

@@ -9,29 +9,29 @@ injected current for fidelity studies. Integration is fixed-step RK4; a
 threshold crossing inside a step is located by bisecting the substep
 length, and the refractory period is consumed in exact time.
 
-The drive of a dc input is solved once, exactly; any other input reads the
-transconductor's node-argument table, so the drive is a pure function of t.
-Everything that makes a run fast gives the bits of plain per-step RK4 under
-that drive:
+The drive of a dc input is solved once, exactly (``_dc_drive``); any other
+input reads the transconductor's node-argument table (``_make_stage_drive``),
+so the drive is a pure function of t. Everything that makes a run fast
+gives the bits of plain per-step RK4 under that drive:
 
-- Drive blocks (``_make_stage_drive``): a run of consecutive full steps
-  reads its input and drive in blocks of up to 256 steps. The block's step
-  times are summed in sequence by ``np.add.accumulate``, exactly as the
-  loop's ``t += h`` sums them, and the bulk evaluators
-  (``_waveform_eval_bulk``, ``NodeArgTable.input_currents``) repeat the
-  scalar operations in the same order, with numpy only for what IEEE rounds
-  correctly and sin and sinh taken per element with ``math``. A block holds
-  only the steps the run takes whole. Only block and table code imports
-  numpy, so a dc run never loads it.
-- Generated kernels (``_compile_kernel``): the membrane derivative of each
-  neuron variant is one expression string in ``neuron.DERIVATIVES``, written
-  out in every stage of each kernel of ``_KERNEL_TEXT``. Every full step of
-  a run without an input pole runs in the loop of ``_make_full_steps``,
-  which repeats the scalar step's operations in order and returns to the
-  event loop of ``transient`` only for the step t_end cuts short, a step
-  that reaches threshold or is not finite, and a used-up step budget.
-  Stage 1 of a substep reads only the state and the drive at the step's
-  start, so ``locate`` holds it for every drive.
+- Drive blocks: a run of consecutive full steps reads its input and drive
+  in blocks of up to 256 steps. The block's step times are summed in
+  sequence by ``np.add.accumulate``, exactly as the loop's ``t += h`` sums
+  them, and the bulk evaluators (``_waveform_eval_bulk``,
+  ``NodeArgTable.input_currents``) repeat the scalar operations in the same
+  order, with numpy only for what IEEE rounds correctly and sin and sinh
+  taken per element with ``math``. A block holds only the steps the run
+  takes whole. Only block and table code imports numpy, so a dc run never
+  loads it.
+- Generated kernels (``_neuron_kernel``, built once per neuron): the
+  membrane derivative of each neuron variant is one expression string in
+  ``neuron.DERIVATIVES``, written out in every stage of each kernel of
+  ``_KERNEL_TEXT``. Every full step of a run without an input pole runs in
+  the loop ``full_steps``, which returns to ``transient``'s event loop only
+  for the step t_end cuts short, a step that reaches threshold or is not
+  finite, and a used-up step budget. Stage 1 of a substep reads only the
+  state and the drive at the step's start, so ``locate`` holds it for
+  every drive.
 - The input pole (``_make_pole_drive``) is a filter f' = omega*(drive - f)
   that never reads the membrane, so its four RK4 stage values, clamped at
   zero, are the scalar step's stage drives, and the same event loop runs
@@ -59,7 +59,15 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .neuron import DERIVATIVES, NeuronConfig, NeuronState, derivative_variant, tau_m
+from .device_model import SUPPLY_V
+from .neuron import (
+    DERIVATIVE_CONSTANTS,
+    DERIVATIVES,
+    NeuronConfig,
+    NeuronState,
+    derivative_variant,
+    tau_m,
+)
 from .transconductor import (
     TransconductorConfig,
     effective_gm,
@@ -84,7 +92,6 @@ __all__ = [
 ]
 
 _KINDS = ("dc", "sine", "triangle", "pwl")
-_SUPPLY_V = 0.5
 # trace_every large enough that a run keeps only its first and final sample
 _NO_TRACE = 10**9
 # Drive blocks: a run of consecutive full RK4 steps reads its drive from
@@ -140,9 +147,9 @@ class Waveform:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if not (math.isfinite(self.amplitude) and math.isfinite(self.offset)):
             raise ValueError("amplitude and offset must be finite")
-        if abs(self.offset) + abs(self.amplitude) > _SUPPLY_V:
+        if abs(self.offset) + abs(self.amplitude) > SUPPLY_V:
             raise ValueError(
-                f"|offset| + |amplitude| exceeds the {_SUPPLY_V} V supply: "
+                f"|offset| + |amplitude| exceeds the {SUPPLY_V} V supply: "
                 f"{self.offset!r}, {self.amplitude!r}"
             )
         if self.kind in ("sine", "triangle"):
@@ -157,7 +164,7 @@ class Waveform:
             for t, v in self.breakpoints:
                 if not (math.isfinite(t) and math.isfinite(v)):
                     raise ValueError("pwl breakpoints must be finite")
-                if abs(v) > _SUPPLY_V:
+                if abs(v) > SUPPLY_V:
                     raise ValueError(f"pwl voltage {v!r} exceeds the supply bound")
 
 
@@ -308,39 +315,6 @@ class EncoderConfig:
                 raise ValueError(f"input_pole_capacitance must be positive, got {c!r}")
 
 
-def _make_drive(encoder: EncoderConfig, input_wave: Waveform):
-    """Neuron drive current as a function of time, A.
-
-    A dc input is solved once, exactly. Any other input reads the
-    transconductor's node-argument table, built once per config, so the
-    drive is a pure function of t.
-    """
-    tc = encoder.transconductor
-    if input_wave.kind == "dc":
-        i_dc = neuron_input_current(tc, input_wave.offset)
-        return lambda t: i_dc
-    current = node_arg_table(tc).input_current
-    return lambda t: current(waveform_eval(input_wave, t))
-
-
-def _make_drive_block(encoder: EncoderConfig, input_wave: Waveform):
-    """Bulk form of ``_make_drive``: the input and drive at an array of times.
-
-    Returns ``(volts, currents)``, equal to ``waveform_eval`` and to
-    ``_make_drive``'s drive at every element bit for bit. None for a dc
-    input, whose drive is one constant.
-    """
-    if input_wave.kind == "dc":
-        return None
-    currents = node_arg_table(encoder.transconductor).input_currents
-
-    def drive_block(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        volts = _waveform_eval_bulk(input_wave, times)
-        return volts, currents(volts)
-
-    return drive_block
-
-
 def _check_budget(t_end: float, dt: float, trace_every: int) -> None:
     """Refuse a run whose nominal steps or trace rows exceed the budget."""
     if t_end / dt > _STEP_BUDGET:
@@ -370,20 +344,40 @@ def _time_eps(t_end: float) -> float:
 
 
 # The RK4 kernels of a neuron variant, each F(m, i_in) its ``DERIVATIVES``
-# expression: ``make_deriv`` makes the derivative, ``make_step`` the step
-# of ``_make_step``, ``make_locate`` the bisection of every crossing,
-# ``make_full_steps`` the loop of ``_make_full_steps`` and ``make_dc_first``
-# the first interval of ``spike_count_dc`` up to its spike, located with
-# ``locate``. Constants come in as arguments, never as text, and the
-# kernels copy them into locals at every call.
+# expression written out with the stage's clamps at zero. ``_neuron_kernel``
+# builds each once per neuron, with the constants of ``DERIVATIVE_CONSTANTS``
+# as arguments, never as text; a run's drive comes in at every call.
+#
+# - ``deriv(m, i_in)``: the derivative; both arguments already clamped.
+# - ``step(stage_drive, t, y, h)``: one RK4 step from y at t under the
+#   drives ``stage_drive(t, h) -> (i0, i2, i3, i1)`` of stages 1 to 4.
+# - ``locate(stage_drive, t, y, h, event_tol)``: the bisection of every
+#   crossing, with ``step``'s bits on each substep.
+# - ``full_steps(take_block, dt, every, t, y, steps, row, trace) -> (t, y,
+#   taken, i_new)``: up to ``steps`` full steps (h == dt) from y at t in
+#   one loop. ``take_block(t, steps_left) -> (at, mid, volts, j, stop)``
+#   hands out only steps the run takes whole, so no step tests t against
+#   t_end: the k-th reads ``at[j + k]``, ``mid[j + k]`` and ``at[j + k +
+#   1]``, and a row before it ``volts[j + k]``, for j + k < stop. The loop
+#   stops when a block is empty, and before the first step that reaches
+#   i_th or is not finite, whose result is ``i_new`` (None otherwise). The
+#   caller's t must leave room for one full step. Before the step with
+#   index ``row``, and every ``every`` steps after it, it appends the row
+#   ``(t, input, drive, y)`` to ``trace`` (step 0's row is the caller's),
+#   and raises ``SimulationError`` past ``_BUDGET_OVERRUN * _TRACE_BUDGET``
+#   rows. Its steps are ``step``'s operations in order with ``t += dt``, so
+#   they give its bits; the first stage needs no clamp, as y is never
+#   negative. A call to the derivative per stage was about 15% slower.
+# - ``dc_first(i_in, y, dt, t_end, event_tol)``: the first interval of
+#   ``spike_count_dc`` up to its spike, located with ``locate``.
 _KERNEL_TEXT = """\
 def make_deriv(CONSTANTS, **_):
     def deriv(m, i_in):
         return F(m, i_in)
     return deriv
 
-def make_step(stage_drive, CONSTANTS, **_):
-    def step(t, y, h):
+def make_step(CONSTANTS, **_):
+    def step(stage_drive, t, y, h):
         half = 0.5 * h
         i0, i2, i3, i1 = stage_drive(t, h)
         m = y if y > 0.0 else 0.0
@@ -432,10 +426,11 @@ def make_locate(i_th, CONSTANTS, **_):
             _, i2, i3, i1 = stage_drive(t, mid)
     return locate
 
-def make_full_steps(loop, CONSTANTS, **_):
-    args = (*loop, CONSTANTS)
-    def full_steps(t, y, steps, row, trace):
-        take_block, dt, half, sixth, i_th, neg_inf, every, row_cap, rows_overrun, CONSTANTS = args
+def make_full_steps(i_th, row_cap, rows_overrun, CONSTANTS, **_):
+    args = (i_th, float("-inf"), row_cap, rows_overrun, CONSTANTS)
+    def full_steps(take_block, dt, every, t, y, steps, row, trace):
+        i_th, neg_inf, row_cap, rows_overrun, CONSTANTS = args
+        half, sixth = 0.5 * dt, dt / 6.0
         taken = 0
         while taken < steps:
             at, mid, volts, first, stop = take_block(t, steps - taken)
@@ -515,11 +510,10 @@ def _compile_kernel(variant: str, name: str):
     profiles, ``inspect.getsource`` and ``traceback`` show its lines.
     """
     f = DERIVATIVES[variant]
-    names = sorted(set(re.findall(r"\b[a-z_]\w*", re.sub(r"{\w+}", "", f))))
     # kernels are separated by a blank line and have none inside
     text = next(k for k in _KERNEL_TEXT.split("\n\n") if k.startswith(f"def make_{name}("))
     text = re.sub(r"F\((\w+), (\w+)\)", lambda c: f.format(m=c[1], i_in=c[2]), text)
-    text = text.replace("CONSTANTS", ", ".join(names))
+    text = text.replace("CONSTANTS", ", ".join(DERIVATIVE_CONSTANTS))
     filename = f"<rk4 {name}: {variant}>"
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
     namespace = {"__name__": __name__}
@@ -529,32 +523,25 @@ def _compile_kernel(variant: str, name: str):
 
 @functools.lru_cache(maxsize=128)
 def _neuron_kernel(neuron: NeuronConfig, name: str):
-    """Kernel ``name`` (``locate`` or ``dc_first``) under a neuron's constants, built once.
+    """Kernel ``name`` of ``_KERNEL_TEXT`` under a neuron's constants, built once.
 
     ``dc_first`` bisects with the neuron's ``locate``. Equal configs differ
     at most in the sign of a zero ``i_pf_gain``, which no variant reads.
     """
     variant, constants = derivative_variant(neuron)
-    dc = {"chunk": _DRIVE_BLOCK_STEPS, "whole_steps": _whole_dc_steps}
+    built = dict(i_th=neuron.i_th, chunk=_DRIVE_BLOCK_STEPS, whole_steps=_whole_dc_steps)
+    built["row_cap"] = _BUDGET_OVERRUN * _TRACE_BUDGET
+    built["rows_overrun"] = functools.partial(_overrun, what="trace rows", budget=_TRACE_BUDGET)
     if name == "dc_first":
-        dc["locate"] = _neuron_kernel(neuron, "locate")
-    return _compile_kernel(variant, name)(i_th=neuron.i_th, **dc, **constants)
+        built["locate"] = _neuron_kernel(neuron, "locate")
+    return _compile_kernel(variant, name)(**built, **constants)
 
 
-def _make_deriv(neuron: NeuronConfig):
-    """Membrane derivative as a function of (i_mem, i_in), A/s.
+def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end: float):
+    """The drive of a time-varying input at the four stages of an RK4 step, and its blocks.
 
-    The neuron's ``DERIVATIVES`` expression, compiled; both arguments must
-    already be clamped at zero.
-    """
-    variant, constants = derivative_variant(neuron)
-    return _compile_kernel(variant, "deriv")(**constants)
-
-
-def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Waveform):
-    """The drive at the four stages of an RK4 step, and its blocks.
-
-    Returns ``(stage_drive, take_block, row_drive)``, with
+    The drive is ``node_arg_table(tc)``'s current at ``waveform_eval(wave,
+    t)``. Returns ``(stage_drive, take_block, row_drive)``, with
     ``stage_drive(t, h) -> (drive(t), mid, mid, drive(t + h))`` and
     ``mid = drive(t + h/2)``, the drive of stages 2 and 3.
     Full steps (h == dt) that each start where the previous step ended form
@@ -562,9 +549,9 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Wavefor
     step when the last block held at least twice that, its next steps read
     a block: the input and drive at the next full steps, as many as the run
     so far or half the last block, whichever is more, and at most
-    ``_DRIVE_BLOCK_STEPS``, from one ``drive_block(times) -> (volts,
-    currents)`` call. A spike, which ends the run, thus wastes at most as
-    many steps as the run had or half the last block. A block holds only
+    ``_DRIVE_BLOCK_STEPS``, from one ``_waveform_eval_bulk`` and one
+    ``input_currents`` call. A spike, which ends the run, thus wastes at
+    most as many steps as the run had or half the last block. A block holds only
     the steps the run takes whole: those that start before t_last =
     t_end - ``_time_eps(t_end)`` and that t_end does not cut short. Its
     times come from ``np.add.accumulate``, which sums in sequence like the
@@ -573,14 +560,11 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Wavefor
     step early in its run) calls ``drive``, reusing the value at its start
     when the previous step started or ended there.
 
-    ``take_block(t, steps)`` hands up to ``steps`` full steps from t to
-    ``_make_full_steps`` as ``(at, mid, volts, j, stop)``: the k-th step
-    reads ``at[j + k]``, ``mid[j + k]`` and ``at[j + k + 1]``, and a row
-    before it ``volts[j + k]``, for j + k < stop. These are a pending
-    block's entries, marked read; otherwise the one-step block of
-    ``stage_drive(t, dt)``, which may start a block, or none (j == stop)
-    when the step from t is not one the run takes whole. The next step
-    after entries handed out but not stepped calls ``drive``.
+    ``take_block(t, steps)`` hands ``full_steps`` a pending block's
+    entries, marked read; otherwise the one-step block of ``stage_drive(t,
+    dt)``, which may start a block, or none (j == stop) when the step from
+    t is not one the run takes whole. The next step after entries handed
+    out but not stepped calls ``drive``.
 
     ``row_drive(t) -> (waveform_eval(wave, t), drive(t))`` reads a trace
     row from the block when t is its next entry, and the drive from the
@@ -588,10 +572,14 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Wavefor
     """
     import numpy as np
 
-    # without blocks no step counts as a full step
-    full = dt if drive_block is not None else math.nan
+    table = node_arg_table(tc)
+    current, input_currents = table.input_current, table.input_currents
+
+    def drive(t: float) -> float:
+        return current(waveform_eval(wave, t))
+
     half_dt = 0.5 * dt
-    min_span = _DRIVE_BLOCK_MIN * full
+    min_span = _DRIVE_BLOCK_MIN * dt
     t_last = t_end - _time_eps(t_end)
     times: list[float] = []
     volts = np.empty(0)
@@ -619,14 +607,14 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Wavefor
             n -= 1
             steps = steps[: n + 1]
             del times[n + 1 :]
-        volts, currents = drive_block(np.concatenate((steps, steps[:-1] + half_dt)))
-        currents = currents.tolist()
+        volts = _waveform_eval_bulk(wave, np.concatenate((steps, steps[:-1] + half_dt)))
+        currents = input_currents(volts).tolist()
         at, mid = currents[: n + 1], currents[n + 1 :]
         return True
 
     def stage_drive(t: float, h: float) -> tuple[float, float, float, float]:
         nonlocal j, t_run, t_start, i_start, t_stop, i_stop
-        if h == full and t == t_stop:
+        if h == dt and t == t_stop:
             if (j < n and t == times[j]) or (
                 (t - t_run >= min_span or n >= 2 * _DRIVE_BLOCK_MIN) and refill(t)
             ):
@@ -674,22 +662,6 @@ def _make_stage_drive(drive, drive_block, dt: float, t_end: float, wave: Wavefor
     return stage_drive, take_block, row_drive
 
 
-def _make_step(neuron: NeuronConfig, stage_drive):
-    """RK4 step ``step(t, y, h)`` of the membrane under ``stage_drive(t, h)``.
-
-    The neuron variant's compiled kernel: each stage clamps its membrane
-    current at zero and writes the ``_make_deriv`` expression out, under
-    the stage drives ``stage_drive(t, h) -> (i0, i2, i3, i1)`` of stages
-    1, 2, 3 and 4. A time-varying drive's stage drives come from
-    ``_make_stage_drive``, with stages 2 and 3 sharing the drive at the
-    half step; it is a pure function of t, so neither its reuse nor its
-    blocks change a bit. With an input pole they come from
-    ``_make_pole_drive``.
-    """
-    variant, constants = derivative_variant(neuron)
-    return _compile_kernel(variant, "step")(stage_drive, **constants)
-
-
 def _whole_dc_steps(t: float, n: int, dt: float, t_end: float) -> int:
     """How many of the next n <= ``_DRIVE_BLOCK_STEPS`` full steps from t a dc run takes whole.
 
@@ -709,19 +681,20 @@ def _whole_dc_steps(t: float, n: int, dt: float, t_end: float) -> int:
     return k
 
 
-def _dc_take_block(i_dc: float, v: float, dt: float, t_end: float):
-    """``take_block`` of a dc input ``v`` for ``_make_full_steps``.
+def _dc_drive(i_dc: float, v: float, dt: float, t_end: float):
+    """``_make_stage_drive``'s triple for a dc input v, whose drive is i_dc.
 
-    Constant rows of i_dc and v serve every call, which hands out the next
-    ``_DRIVE_BLOCK_STEPS`` steps, or fewer near t_end: only the steps the
-    run takes whole (``_whole_dc_steps``).
+    Every stage and row reads i_dc and v. ``take_block`` hands out constant
+    rows of them, the next ``_DRIVE_BLOCK_STEPS`` steps at a time, or fewer
+    near t_end: only the steps the run takes whole (``_whole_dc_steps``).
     """
-    row, volts = [i_dc] * (_DRIVE_BLOCK_STEPS + 1), [v] * (_DRIVE_BLOCK_STEPS + 1)
+    stages = (i_dc,) * 4
+    at, volts = [i_dc] * (_DRIVE_BLOCK_STEPS + 1), [v] * (_DRIVE_BLOCK_STEPS + 1)
 
     def take_block(t: float, steps: int):
-        return row, row, volts, 0, _whole_dc_steps(t, min(steps, _DRIVE_BLOCK_STEPS), dt, t_end)
+        return at, at, volts, 0, _whole_dc_steps(t, min(steps, _DRIVE_BLOCK_STEPS), dt, t_end)
 
-    return take_block
+    return (lambda t, h: stages), take_block, (lambda t: (v, i_dc))
 
 
 def _make_pole_drive(stage_drive, row_drive, omega: float, f0: float):
@@ -730,7 +703,7 @@ def _make_pole_drive(stage_drive, row_drive, omega: float, f0: float):
     The filter never reads the membrane, so the RK4 stage values of f over
     (t, h), clamped at zero, are the membrane step's four stage drives.
     Returns ``(stages, advance, row)``: ``stages(t, h)`` gives them from
-    the current f, for ``_make_step``; ``advance(t, h)`` moves f over a
+    the current f, for ``step``; ``advance(t, h)`` moves f over a
     step the loop took, and raises ``SimulationError`` when f is not
     finite; ``row(t)`` is ``row_drive``'s trace row with f as its drive.
     f starts at f0. ``stage_drive`` and ``row_drive`` are
@@ -773,36 +746,6 @@ def _make_pole_drive(stage_drive, row_drive, omega: float, f0: float):
     return stages, advance, row
 
 
-def _make_full_steps(neuron: NeuronConfig, take_block, dt: float, trace_every: int):
-    """Runs of full RK4 steps (h == dt) in one loop, with no call per stage.
-
-    Returns ``full_steps(t, y, steps, row, trace) -> (t, y, taken, i_new)``.
-    From the membrane current y at t it takes up to ``steps`` full steps
-    through the blocks of ``take_block(t, steps_left)``, which hands out
-    only steps the run takes whole, so no step tests t against t_end. It
-    stops when a block is empty, and before the first step that reaches
-    i_th or is not finite, whose result ``i_new`` is (None otherwise). The
-    caller's t must leave room for one full step.
-
-    Before the step with index ``row``, and every ``trace_every`` steps
-    after it, the loop appends the row ``(t, input, drive, y)`` to
-    ``trace`` from the block (step 0's row is the caller's), and raises
-    ``SimulationError`` past ``_BUDGET_OVERRUN * _TRACE_BUDGET`` rows.
-
-    The loop is the neuron variant's compiled kernel, the ``_make_deriv``
-    expression written out in each stage with the same clamps at zero,
-    step arithmetic and time sum ``t += dt`` as ``_make_step``, so it gives
-    ``_make_step``'s bits. The first stage needs no clamp: y is never
-    negative. A call to the derivative per stage was about 15% slower.
-    """
-    variant, constants = derivative_variant(neuron)
-    budget = _TRACE_BUDGET
-    rows_overrun = functools.partial(_overrun, what="trace rows", budget=budget)
-    steps = (take_block, dt, 0.5 * dt, dt / 6.0, neuron.i_th, -math.inf)
-    rows = (trace_every, _BUDGET_OVERRUN * budget, rows_overrun)
-    return _compile_kernel(variant, "full_steps")(steps + rows, **constants)
-
-
 def transient(
     encoder: EncoderConfig,
     input_wave: Waveform,
@@ -833,23 +776,14 @@ def transient(
     dt = solver.dt
     _check_budget(t_end, dt, trace_every)
 
-    i_in = _make_drive(encoder, input_wave)
     advance = None
     if input_wave.kind == "dc":
         # a dc drive keeps an input pole's filter at i_dc, bit for bit
-        i_dc = i_in(0.0)
-        dc_stages = (i_dc,) * 4
-        take_block = _dc_take_block(i_dc, input_wave.offset, dt, t_end)
-
-        def stage_drive(t: float, h: float) -> tuple[float, float, float, float]:
-            return dc_stages
-
-        def row_drive(t: float) -> tuple[float, float]:
-            return input_wave.offset, i_dc
-
+        i_dc = neuron_input_current(encoder.transconductor, input_wave.offset)
+        stage_drive, take_block, row_drive = _dc_drive(i_dc, input_wave.offset, dt, t_end)
     else:
         stage_drive, take_block, row_drive = _make_stage_drive(
-            i_in, _make_drive_block(encoder, input_wave), dt, t_end, input_wave
+            encoder.transconductor, input_wave, dt, t_end
         )
         c = encoder.input_pole_capacitance
         if c is not None:
@@ -862,12 +796,12 @@ def transient(
                     0.0,
                 )
             stage_drive, advance, row_drive = _make_pole_drive(
-                stage_drive, row_drive, omega, i_in(0.0)
+                stage_drive, row_drive, omega, row_drive(0.0)[1]
             )
-    step = _make_step(neuron, stage_drive)
+    step = _neuron_kernel(neuron, "step")
     locate = _neuron_kernel(neuron, "locate")
     # a pole run takes scalar steps only, each one moving the filter
-    full_steps = _make_full_steps(neuron, take_block, dt, trace_every) if advance is None else None
+    full_steps = _neuron_kernel(neuron, "full_steps") if advance is None else None
 
     state = initial_state if initial_state is not None else NeuronState(i_mem=neuron.i_reset)
     i_mem = state.i_mem
@@ -919,13 +853,15 @@ def transient(
         if h == dt and full_steps is not None:
             # full steps, and their trace rows, up to the next event
             row = trace_every - (step_index - 1) % trace_every
-            t, i_mem, taken, i_new = full_steps(t, i_mem, step_cap - step_index + 1, row, trace)
+            t, i_mem, taken, i_new = full_steps(
+                take_block, dt, trace_every, t, i_mem, step_cap - step_index + 1, row, trace
+            )
             if i_new is None:
                 step_index += taken - 1
                 continue
             step_index += taken
         else:
-            i_new = step(t, i_mem, h)
+            i_new = step(stage_drive, t, i_mem, h)
         if not math.isfinite(i_new):
             raise SimulationError("non-finite membrane current after step", t)
 

@@ -45,7 +45,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .device_model import DeviceParams, SaturationError
+from .device_model import SUPPLY_V, DeviceParams, SaturationError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,10 +65,9 @@ __all__ = [
     "dc_sweep",
 ]
 
-# Supply bound on |v_id| and the half-width of the node solver's bracket,
-# in volts. The root lies between 0 and the input argument, so the bracket
+# The supply bounds |v_id| and is the half-width of the node solver's
+# bracket. The root lies between 0 and the input argument, so the bracket
 # is widened to |input_arg| where (n-1)*|v_id| exceeds it (n > 2).
-_BRACKET_V = 0.5
 # Largest argument at which sinh is finite. A device whose 0.5 V half-width
 # 0.5 V/(2*n*u_t) passes it cannot represent the supply swing.
 _SINH_ARG_MAX = math.asinh(sys.float_info.max)
@@ -110,9 +109,6 @@ class TransconductorConfig:
     mirror_to_output:
         Ratio mapping i_ref to the quiescent current of each output-pair
         device.
-    epsilon:
-        Dimensionless linearity tolerance: the output-pair sinh argument is
-        considered "small enough" when its magnitude stays below this.
     drive_ratio:
         Quiescent current of the correction-network driving pair relative
         to the node diodes. Larger values make the nodes track more of the
@@ -131,7 +127,6 @@ class TransconductorConfig:
     i_ref: float = 8e-9
     mirror_to_branch: float = 0.5
     mirror_to_output: float = 0.5
-    epsilon: float = 0.1
     drive_ratio: float = 6.368
     node_shunt_ratio: float = 1.0
 
@@ -142,8 +137,6 @@ class TransconductorConfig:
             raise ValueError(f"mirror_to_branch must be positive, got {self.mirror_to_branch!r}")
         if not (math.isfinite(self.mirror_to_output) and self.mirror_to_output > 0.0):
             raise ValueError(f"mirror_to_output must be positive, got {self.mirror_to_output!r}")
-        if not (0.03 <= self.epsilon <= 0.1):
-            raise ValueError(f"epsilon must lie in [0.03, 0.1], got {self.epsilon!r}")
         if not (math.isfinite(self.drive_ratio) and self.drive_ratio > 0.0):
             raise ValueError(f"drive_ratio must be positive, got {self.drive_ratio!r}")
         if not (math.isfinite(self.node_shunt_ratio) and self.node_shunt_ratio >= 0.0):
@@ -191,8 +184,8 @@ def _input_argument(cfg: TransconductorConfig, v_id: float) -> float:
 def _check_v_id(v_id: float) -> None:
     if not math.isfinite(v_id):
         raise ValueError(f"v_id must be finite, got {v_id!r}")
-    if abs(v_id) > _BRACKET_V:
-        raise ValueError(f"|v_id| must not exceed the 0.5 V supply, got {v_id!r}")
+    if abs(v_id) > SUPPLY_V:
+        raise ValueError(f"|v_id| must not exceed the {SUPPLY_V} V supply, got {v_id!r}")
 
 
 def _solve_node_arg(cfg: TransconductorConfig, input_arg: float):
@@ -235,7 +228,7 @@ def _solve_normalized(s: float, d: float, n: float, u_t: float, input_arg: float
     bracket end of a device whose half-width itself overflows sinh.
     """
     two_nut = 2.0 * n * u_t
-    half_width = _BRACKET_V / two_nut
+    half_width = SUPPLY_V / two_nut
     arg_cap = max(half_width, abs(input_arg))
     if half_width <= _SINH_ARG_MAX < arg_cap + abs(input_arg):
         lo, hi = min(0.0, input_arg), max(0.0, input_arg)
@@ -506,13 +499,13 @@ def node_arg_table(cfg: TransconductorConfig) -> NodeArgTable:
     """
     import numpy as np
 
-    half_width = _BRACKET_V / (2.0 * cfg.dev.n * cfg.dev.u_t)
+    half_width = SUPPLY_V / (2.0 * cfg.dev.n * cfg.dev.u_t)
     if not half_width <= _SINH_ARG_MAX:
         raise SaturationError(
             f"node equation overflows at the half-width argument {half_width:.4g}; "
             "device is outside the weak-inversion model range"
         )
-    beta_max = _input_argument(cfg, _BRACKET_V)
+    beta_max = _input_argument(cfg, SUPPLY_V)
     n = _TABLE_MIN_INTERVALS
     nodes = np.arange(n + 1) * (beta_max / n)
     alpha = solve_node_args(cfg, nodes)

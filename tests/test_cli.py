@@ -207,6 +207,17 @@ class TestExitCodes:
         assert "too long" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_points, fitted", [(3, 1), (4, 2)])
+    def test_vf_curve_with_too_few_fitted_points(self, tmp_path, capsys, n_points, fitted):
+        # one or two grid points in the 0.1-0.4 V window fix a line but no deviation
+        out = tmp_path / "v.csv"
+        args = ["vf-curve", "--config", DEFAULT_INI, "--out", str(out)]
+        assert main(args + ["--set", f"vf-curve.n_points={n_points}"]) == 3
+        err = capsys.readouterr().err
+        assert f"needs 3 fitted in-window points, got {fitted}" in err
+        assert not out.exists()
+        assert main(args + ["--set", "vf-curve.n_points=5", "--quiet"]) == 0
+
     def test_input_pole_past_the_rk4_stability_limit(self, tmp_path, capsys):
         # omega*dt = 2.9 at the default dt: refused before the first step
         ini = tmp_path / "pole.ini"
@@ -284,6 +295,14 @@ class TestConfigHandling:
         cp.set("neuron", "mystery", "1")
         with pytest.raises(ValueError, match="unknown keys"):
             build_encoder(cp)
+
+    def test_epsilon_is_no_longer_a_key(self, tmp_path, capsys):
+        # no code reads a linearity tolerance, so a config may not state one
+        cp = load_config(DEFAULT_INI)
+        cp.set("transconductor", "epsilon", "0.1")
+        code = main(["freq", "--config", str(written(cp, tmp_path)), "--quiet"])
+        assert code == 3
+        assert "unknown keys ['epsilon']" in capsys.readouterr().err
 
 
 class TestCsvOutput:
@@ -382,6 +401,14 @@ class TestGoldenFiles:
         out = tmp_path / "g.csv"
         assert main(["power", "--config", DEFAULT_INI, "--out", str(out), "--quiet"]) == 0
         assert out.read_bytes() == (GOLDEN / "power_default.csv").read_bytes()
+
+    def test_transient_matches_golden(self, tmp_path):
+        out = tmp_path / "g.csv"
+        args = ["transient", "--config", DEFAULT_INI, "--out", str(out), "--quiet"]
+        assert main(args + ["--set", "transient.t_end_s=1e-3"]) == 0
+        assert out.read_bytes() == (GOLDEN / "transient_default.csv").read_bytes()
+        spikes = out.with_suffix(".spikes").read_bytes()
+        assert spikes == (GOLDEN / "transient_default.spikes").read_bytes()
 
 
 class TestGrid:

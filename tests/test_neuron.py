@@ -104,7 +104,7 @@ class TestNonlinearMode:
         membrane_derivative(NeuronConfig(mode=mode, i_pf_gain=first), NeuronState(1e-12), 1e-9)
         for pf in (0.0, -0.0):
             cfg = NeuronConfig(mode=mode, i_pf_gain=pf)
-            uncached = sim_engine._make_deriv(cfg)
+            uncached = sim_engine._neuron_kernel.__wrapped__(cfg, "deriv")
             for i_mem, i_in in ((0.0, 0.0), (1e-12, 1e-9), (5e-11, 3e-9), (1e-9, 0.0)):
                 got = membrane_derivative(cfg, NeuronState(i_mem), i_in)
                 assert got.hex() == uncached(i_mem, i_in).hex()

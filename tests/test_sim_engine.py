@@ -5,12 +5,14 @@ closed form to compare against; the nonlinear mode is cross-checked via the
 independent Euler oracle instead.
 """
 
+import ast
 import configparser
 import inspect
 import linecache
 import math
 import random
 import re
+import string
 import struct
 import warnings
 from dataclasses import replace
@@ -27,6 +29,7 @@ from encoder_sim.analysis import vf_curve
 from encoder_sim.bias_tuner import _cheap_solver
 from encoder_sim.device_model import DeviceParams, SaturationError
 from encoder_sim.neuron import (
+    DERIVATIVE_CONSTANTS,
     DERIVATIVES,
     NeuronConfig,
     NeuronState,
@@ -41,9 +44,9 @@ from encoder_sim.sim_engine import (
     SolverConfig,
     SpikeTrain,
     Waveform,
-    _make_drive,
+    _dc_drive,
     _make_stage_drive,
-    _make_step,
+    _neuron_kernel,
     default_solver_config,
     spike_count_dc,
     transient,
@@ -82,6 +85,20 @@ LIN_RF = NeuronConfig(
 
 def lin_encoder(neuron=LIN):
     return EncoderConfig(transconductor=TC, neuron=neuron)
+
+
+def scalar_drive(encoder, wave):
+    """The drive current at t, one call per time: the reference of every drive the engine builds."""
+    if wave.kind == "dc":
+        i_dc = neuron_input_current(encoder.transconductor, wave.offset)
+        return lambda t: i_dc
+    current = node_arg_table(encoder.transconductor).input_current
+    return lambda t: current(waveform_eval(wave, t))
+
+
+def scalar_stages(drive):
+    """Stage drives of an RK4 step from ``drive`` alone: at t, twice at t + h/2, at t + h."""
+    return lambda t, h: (drive(t), *[drive(t + 0.5 * h)] * 2, drive(t + h))
 
 
 class TestWaveformEval:
@@ -364,6 +381,8 @@ class TestTransientLinear:
         assert 0.0 < err.value.t < 100 * dt
         monkeypatch.setattr(sim_engine, "_STEP_BUDGET", 10**6)
         monkeypatch.setattr(sim_engine, "_TRACE_BUDGET", 11)
+        # kernels built under the patched budget, past the cache
+        monkeypatch.setattr(sim_engine, "_neuron_kernel", sim_engine._neuron_kernel.__wrapped__)
         with pytest.raises(SimulationError, match="trace rows overran 4 times the budget of 11"):
             transient(enc, wave, 100 * dt, solver, trace_every=10)  # 11 rows nominal
 
@@ -386,6 +405,8 @@ class TestTransientLinear:
         assert err.value.t == 400 * dt
         monkeypatch.setattr(sim_engine, "_STEP_BUDGET", 10**6)
         monkeypatch.setattr(sim_engine, "_TRACE_BUDGET", 10)
+        # kernels built under the patched budget, past the cache
+        monkeypatch.setattr(sim_engine, "_neuron_kernel", sim_engine._neuron_kernel.__wrapped__)
         over = "^41 trace rows overran 4 times the budget of 10$"
         with pytest.raises(SimulationError, match=over) as err:
             transient(enc, wave, 1000 * dt, solver, trace_every=1)
@@ -522,22 +543,24 @@ class TestInputPole:
 
 class TestDrive:
     def test_varying_drive_is_a_pure_function_of_time(self):
+        # the stage drive reuses values between steps; no call order changes one
         enc = lin_encoder()
         wave = Waveform(kind="triangle", amplitude=0.3, offset=0.1, frequency=750.0)
         times = [k * 1.37e-6 for k in range(400)]
-        drive = _make_drive(enc, wave)
-        in_order = [drive(t) for t in times]
+        stage_drive = _make_stage_drive(TC, wave, 1e-6, 1.0)[0]
+        in_order = [stage_drive(t, 1.37e-6) for t in times]
+        assert in_order == [scalar_stages(scalar_drive(enc, wave))(t, 1.37e-6) for t in times]
         shuffled = list(enumerate(times))
         random.Random(3).shuffle(shuffled)
-        drive = _make_drive(enc, wave)
-        again = {k: drive(t) for k, t in shuffled}
+        stage_drive = _make_stage_drive(TC, wave, 1e-6, 1.0)[0]
+        again = {k: stage_drive(t, 1.37e-6) for k, t in shuffled}
         assert [again[k] for k in range(len(times))] == in_order
 
     def test_trace_reports_the_drive_it_integrates(self):
         enc = lin_encoder()
         wave = Waveform(kind="sine", amplitude=0.2, offset=0.05, frequency=3000.0)
         res = transient(enc, wave, 4e-4, trace_every=3)
-        drive = _make_drive(enc, wave)
+        drive = scalar_drive(enc, wave)
         assert [row[2] for row in res.trace] == [drive(row[0]) for row in res.trace]
 
     def test_varying_step_is_plain_rk4(self):
@@ -546,8 +569,10 @@ class TestDrive:
         neuron = NeuronConfig(i_pf_gain=0.5)
         enc = EncoderConfig(transconductor=TC, neuron=neuron)
         wave = Waveform(kind="sine", amplitude=0.3, frequency=4e3)
-        drive = _make_drive(enc, wave)
-        step = _make_step(neuron, _make_stage_drive(drive, None, math.nan, 0.0, wave)[0])
+        drive = scalar_drive(enc, wave)
+        # too few steps in a row to read a block
+        stage_drive = _make_stage_drive(TC, wave, 1e-6, 1.0)[0]
+        step = _neuron_kernel(neuron, "step")
 
         def f(t, y):
             return membrane_derivative(neuron, NeuronState(i_mem=max(y, 0.0)), drive(t))
@@ -562,7 +587,7 @@ class TestDrive:
         calls = [(0.0, 1e-12, 1e-6), (1e-6, 9e-12, 1e-6), (1e-6, 9e-12, 3e-7), (1e-6, 9e-12, 1e-6)]
         calls += [(2e-6, 3e-11, 1e-6), (5e-6, 0.0, 2e-6), (7e-6, 7e-11, 1e-6)]
         for t, y, h in calls:
-            assert step(t, y, h) == rk4(t, y, h)
+            assert step(stage_drive, t, y, h) == rk4(t, y, h)
 
     def test_block_step_is_plain_rk4(self):
         # runs long enough to read blocks, bisection substeps inside a
@@ -570,11 +595,13 @@ class TestDrive:
         neuron = NeuronConfig(i_pf_gain=0.5)
         enc = EncoderConfig(transconductor=TC, neuron=neuron)
         wave = Waveform(kind="triangle", amplitude=0.3, offset=0.1, frequency=4e3)
-        drive = _make_drive(enc, wave)
+        drive = scalar_drive(enc, wave)
         dt, t_end = 1e-7, 8.2e-6
-        drive_block = sim_engine._make_drive_block(enc, wave)
-        stage_drive = _make_stage_drive(drive, drive_block, dt, t_end, wave)[0]
-        step = _make_step(neuron, stage_drive)
+        stage_drive = _make_stage_drive(TC, wave, dt, t_end)[0]
+        kernel = _neuron_kernel(neuron, "step")
+
+        def step(t, y, h):
+            return kernel(stage_drive, t, y, h)
 
         def f(t, y):
             return membrane_derivative(neuron, NeuronState(i_mem=max(y, 0.0)), drive(t))
@@ -605,10 +632,9 @@ class TestDrive:
 
         monkeypatch.setattr(sim_engine, "node_arg_table", no_table)
         enc = lin_encoder(LIN_RF)
-        assert _make_drive(enc, Waveform(kind="dc", offset=0.2))(1e-3) == (
-            neuron_input_current(TC, 0.2)
-        )
-        assert len(transient(enc, Waveform(kind="dc", offset=0.2), 3e-4).spikes) > 3
+        res = transient(enc, Waveform(kind="dc", offset=0.2), 3e-4)
+        assert {row[1:3] for row in res.trace} == {(0.2, neuron_input_current(TC, 0.2))}
+        assert len(res.spikes) > 3
         assert spike_count_dc(enc, 0.2, 1e-4, 3e-4) > 0
 
 
@@ -672,19 +698,22 @@ class TestDriveBlock:
             times = np.concatenate((times, knots, [knots[-1] + dt, 1.0]))
         else:
             wave = Waveform(kind=kind, amplitude=amplitude, offset=offset, frequency=frequency)
+        # a block's input and drive, as ``_make_stage_drive`` reads them
         volts = sim_engine._waveform_eval_bulk(wave, times)
         assert volts.tolist() == [waveform_eval(wave, t) for t in times.tolist()]
-        drive = _make_drive(enc, wave)
-        bulk_volts, bulk = sim_engine._make_drive_block(enc, wave)(times)
-        assert bulk_volts.tolist() == [waveform_eval(wave, t) for t in times.tolist()]
-        assert bulk.tolist() == [drive(t) for t in times.tolist()]
-        # the table's array method at the supply ends, zero and inside
         table = node_arg_table(tc)
+        drive = scalar_drive(enc, wave)
+        assert table.input_currents(volts).tolist() == [drive(t) for t in times.tolist()]
+        # the table's array method at the supply ends, zero and inside
         v = np.concatenate((volts, [0.5, -0.5, 0.0, -0.0, 5e-324, -1e-300]))
         assert table.input_currents(v).tolist() == [table.input_current(x) for x in v.tolist()]
 
-    def test_dc_has_no_block(self):
-        assert sim_engine._make_drive_block(lin_encoder(), Waveform(kind="dc")) is None
+    def test_dc_has_no_block(self, monkeypatch):
+        def no_block(w, times):
+            raise AssertionError("a dc run evaluated a drive block")
+
+        monkeypatch.setattr(sim_engine, "_waveform_eval_bulk", no_block)
+        assert len(transient(FIRING, DC_EDGE, 1.5e-3).spikes) >= 3
 
     def test_pwl_before_the_first_breakpoint(self):
         wave = pwl_wave([1e-3, 2e-3], [0.0, 0.1])
@@ -702,7 +731,7 @@ SINE = Waveform(kind="sine", amplitude=0.1, offset=0.2, frequency=3e3)
 
 
 class TestBlockPathChangesNothing:
-    """``transient`` with drive blocks equals ``transient`` without them."""
+    """``transient`` reading drive blocks equals the stepwise references under the scalar drive."""
 
     @pytest.mark.parametrize(
         "encoder, wave, t_end, min_spikes",
@@ -717,17 +746,18 @@ class TestBlockPathChangesNothing:
         ids=["triangle", "input-pole", "end-in-first-block", "end-mid-block", "pwl"],
     )
     def test_equals_the_scalar_drive(self, monkeypatch, encoder, wave, t_end, min_spikes):
-        make_block = sim_engine._make_drive_block
+        bulk = sim_engine._waveform_eval_bulk
         blocks = []
 
-        def counted(enc, w):
-            bulk = make_block(enc, w)
-            return lambda times: blocks.append(len(times)) or bulk(times)
+        def counted(w, times):
+            blocks.append(len(times))
+            return bulk(w, times)
 
-        monkeypatch.setattr(sim_engine, "_make_drive_block", counted)
+        monkeypatch.setattr(sim_engine, "_waveform_eval_bulk", counted)
         got = transient(encoder, wave, t_end, trace_every=7)
-        monkeypatch.setattr(sim_engine, "_make_drive_block", lambda enc, w: None)
-        want = transient(encoder, wave, t_end, trace_every=7)
+        pole = encoder.input_pole_capacitance is not None
+        reference = stepwise_pole_transient if pole else stepwise_transient
+        want = reference(encoder, wave, t_end, trace_every=7)
         assert blocks
         assert got.spikes == want.spikes
         assert got.trace == want.trace
@@ -766,12 +796,16 @@ def stepwise_transient(encoder, wave, t_end, solver=None, initial_state=None, tr
     """``transient`` as one plain RK4 step per loop iteration, the reference.
 
     The event loop ``transient`` had before full steps ran in one loop,
-    with every step a ``_make_step`` step under the scalar drive.
+    with every step the generated ``step`` under the scalar drive.
     """
     neuron = encoder.neuron
     solver = solver or default_solver_config(neuron)
-    drive = _make_drive(encoder, wave)
-    step = _make_step(neuron, lambda t, h: (drive(t), *[drive(t + 0.5 * h)] * 2, drive(t + h)))
+    drive = scalar_drive(encoder, wave)
+    kernel, stages = _neuron_kernel(neuron, "step"), scalar_stages(drive)
+
+    def step(t, y, h):
+        return kernel(stages, t, y, h)
+
     state = initial_state or NeuronState(i_mem=neuron.i_reset)
     i_mem, refr = state.i_mem, state.refractory_remaining
     dt, time_eps = solver.dt, sim_engine._time_eps(t_end)
@@ -814,33 +848,33 @@ def log_full_steps(monkeypatch):
     arguments ``steps`` and ``row``, and what it returned: ``t``,
     ``taken`` and the refused step's result ``refused``.
     """
-    make = sim_engine._make_full_steps
+    kernel = sim_engine._neuron_kernel
     log = []
 
-    def logged(neuron, take_block, dt, trace_every):
-        blocks = []
+    def logged(neuron, name):
+        full_steps = kernel(neuron, name)
+        if name != "full_steps":
+            return full_steps
 
-        def take(t, steps):
-            at, mid, volts, j, stop = block = take_block(t, steps)
-            blocks.append((stop - j, len(at) - 1, stop == len(at) - 1))
-            return block
+        def run(take_block, dt, every, t, y, steps, row, trace):
+            blocks = []
 
-        full_steps = make(neuron, take, dt, trace_every)
+            def take(t, steps):
+                at, mid, volts, j, stop = block = take_block(t, steps)
+                blocks.append((stop - j, len(at) - 1, stop == len(at) - 1))
+                return block
 
-        def run(t, y, steps, row, trace):
-            blocks.clear()
-            out = full_steps(t, y, steps, row, trace)
+            out = full_steps(take, dt, every, t, y, steps, row, trace)
             log.append(
                 SimpleNamespace(
-                    blocks=list(blocks), steps=steps, row=row, t=out[0], taken=out[2],
-                    refused=out[3],
+                    blocks=blocks, steps=steps, row=row, t=out[0], taken=out[2], refused=out[3]
                 )
             )
             return out
 
         return run
 
-    monkeypatch.setattr(sim_engine, "_make_full_steps", logged)
+    monkeypatch.setattr(sim_engine, "_neuron_kernel", logged)
     return log
 
 
@@ -888,11 +922,13 @@ class TestFullStepsChangeNothing:
     def test_end_mid_block(self, monkeypatch, wave, t_end, trace_every):
         scalar_steps = []
 
-        def logged_step(neuron, stage_drive):
-            step = _make_step(neuron, stage_drive)
-            return lambda t, y, h: scalar_steps.append((t, h)) or step(t, y, h)
+        def logged_step(neuron, name):
+            kernel = _neuron_kernel(neuron, name)
+            if name != "step":
+                return kernel
+            return lambda stages, t, y, h: scalar_steps.append((t, h)) or kernel(stages, t, y, h)
 
-        monkeypatch.setattr(sim_engine, "_make_step", logged_step)
+        monkeypatch.setattr(sim_engine, "_neuron_kernel", logged_step)
         got, want, log = with_and_without_full_steps(
             monkeypatch, FIRING, wave, t_end, trace_every=trace_every
         )
@@ -994,7 +1030,7 @@ def stepwise_pole_transient(encoder, wave, t_end, solver=None, initial_state=Non
     """
     neuron = encoder.neuron
     solver = solver or default_solver_config(neuron)
-    drive = _make_drive(encoder, wave)
+    drive = scalar_drive(encoder, wave)
     omega = effective_gm(encoder.transconductor) / encoder.input_pole_capacitance
 
     def deriv(m, f):
@@ -1130,18 +1166,17 @@ class TestFullStepsKernel:
         # a row reads the input of its step's entry; one is due before
         # steps 2, 5, 8, ...
         volts, every, row = [0.01 * k for k in range(n + 1)], 3, 2
-        full_steps = sim_engine._make_full_steps(
-            neuron, lambda t, steps: (at, mid, volts, 0, min(steps, n)), dt, every
-        )
+        def take_block(t, steps):
+            return at, mid, volts, 0, min(steps, n)
+
         trace = []
-        got = full_steps(0.0, y0, n, row, trace)
-        k = 0
-        step = _make_step(neuron, lambda t, h: (at[k], mid[k], mid[k], at[k + 1]))
-        t, y, rows = 0.0, y0, []
+        got = _neuron_kernel(neuron, "full_steps")(take_block, dt, every, 0.0, y0, n, row, trace)
+        step = _neuron_kernel(neuron, "step")
+        t, y, rows, k = 0.0, y0, [], 0
         while k < n:
             if k % every == row:
                 rows.append((t, volts[k], at[k], y))
-            i_new = step(t, y, dt)
+            i_new = step(lambda t, h: (at[k], mid[k], mid[k], at[k + 1]), t, y, dt)
             if not -math.inf < i_new < neuron.i_th:
                 assert got[:3] == (t, y, k)
                 assert got[3] == i_new or math.isnan(got[3]) and math.isnan(i_new)
@@ -1156,9 +1191,15 @@ class TestFullStepsKernel:
     def test_step_budget_and_row_cap(self, monkeypatch):
         monkeypatch.setattr(sim_engine, "_TRACE_BUDGET", 2)
         at = [1e-9] * 41
-        full_steps = sim_engine._make_full_steps(
-            NeuronConfig(), lambda t, steps: (at, at, at, 0, min(steps, 40)), 1e-7, 1
-        )
+        # built past the cache, under the patched budget
+        kernel = sim_engine._neuron_kernel.__wrapped__(NeuronConfig(), "full_steps")
+
+        def take_block(t, steps):
+            return at, at, at, 0, min(steps, 40)
+
+        def full_steps(t, y, steps, row, trace):
+            return kernel(take_block, 1e-7, 1, t, y, steps, row, trace)
+
         # the step budget is exact
         assert full_steps(0.0, 1e-12, 5, 10**9, [])[2] == 5
         trace = [()] * 7
@@ -1192,7 +1233,7 @@ class TestTakeBlock:
     def test_dc(self, t_end, log2_steps, left, shift, steps):
         dt = t_end / 2.0**log2_steps
         t = max(t_end - left * dt * (1.0 + shift), 0.0)
-        take_block = sim_engine._dc_take_block(1e-9, 0.1, dt, t_end)
+        take_block = _dc_drive(1e-9, 0.1, dt, t_end)[1]
         at, mid, volts, first, stop = take_block(t, steps)
         assert first == 0
         assert stop == walked_steps(t, min(steps, sim_engine._DRIVE_BLOCK_STEPS), dt, t_end)
@@ -1249,32 +1290,27 @@ class TestGeneratedKernels:
         neuron = NeuronConfig(c_m=c_m, i_r=i_r, i_g=g_over_r * i_r, i_pf_gain=pf)
         m = neuron.i_th if m == "i_th" else m
         assert derivative_variant(neuron)[0] == "nonlinear_no_feedback"
-        folded = sim_engine._make_deriv(neuron)
+        folded = _neuron_kernel(neuron, "deriv")
         assert same_bits(folded(m, i_in), variant_deriv("nonlinear", neuron)(m, i_in))
 
     @pytest.mark.parametrize("variant", sorted(VARIANT_NEURONS))
     def test_generated_source_is_readable(self, monkeypatch, variant):
         neuron = VARIANT_NEURONS[variant]
-        # the step of a pole run is the generated kernel
-        pole_steps = []
+        # a pole run steps with the generated kernel
+        built = []
 
-        def recorded(cfg, stage_drive):
-            pole_steps.append(_make_step(cfg, stage_drive))
-            return pole_steps[-1]
+        def recorded(cfg, name):
+            built.append(_neuron_kernel(cfg, name))
+            return built[-1]
 
-        monkeypatch.setattr(sim_engine, "_make_step", recorded)
+        monkeypatch.setattr(sim_engine, "_neuron_kernel", recorded)
         enc = EncoderConfig(transconductor=TC, neuron=neuron, input_pole_capacitance=3e-13)
         transient(enc, SINE, 1e-5)
-        assert [s.__code__.co_filename for s in pole_steps] == [f"<rk4 step: {variant}>"]
+        names = [f"<rk4 {name}: {variant}>" for name in ("step", "locate")]
+        assert [k.__code__.co_filename for k in built] == names
         assert derivative_variant(neuron)[0] == variant
-        take_block = sim_engine._dc_take_block(1e-9, 0.25, 1e-7, 1.0)
-        kernels = {
-            "deriv": sim_engine._make_deriv(neuron),
-            "step": _make_step(neuron, lambda t, h: (1e-9,) * 4),
-            "locate": sim_engine._neuron_kernel(neuron, "locate"),
-            "full_steps": sim_engine._make_full_steps(neuron, take_block, 1e-7, 10),
-            "dc_first": sim_engine._neuron_kernel(neuron, "dc_first"),
-        }
+        names = ("deriv", "step", "locate", "full_steps", "dc_first")
+        kernels = {name: _neuron_kernel(neuron, name) for name in names}
         # the derivative written out with each kernel's argument names
         arguments = {
             "deriv": [("m", "i_in")],
@@ -1293,7 +1329,8 @@ class TestGeneratedKernels:
             text = "".join(linecache.getlines(filename))
             assert source in text
             assert text.startswith(f"def make_{name}(")
-            assert (re.search(r"\bpf\b", text) is None) == (variant != "nonlinear")
+        # only the variant with feedback writes pf out
+        assert (re.search(r"\bpf\b", f) is None) == (variant != "nonlinear")
 
     @pytest.mark.parametrize("variant", sorted(VARIANT_NEURONS))
     @given(
@@ -1317,7 +1354,7 @@ class TestGeneratedKernels:
         k4 = deriv(y4 if y4 > 0.0 else 0.0, i_stop)
         want = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         stages = (i_start, i_mid, i_mid, i_stop)
-        assert same_bits(_make_step(neuron, lambda t, h: stages)(0.0, y, h), want)
+        assert same_bits(_neuron_kernel(neuron, "step")(lambda t, h: stages, 0.0, y, h), want)
 
     def test_each_variant_compiles_once(self, monkeypatch):
         compiled = []
@@ -1363,6 +1400,35 @@ class TestGeneratedKernels:
         assert all(spike_count_dc(enc, v, 0.0, 2e-3) > 0 for v in biases)
         assert sorted(built) == ["dc_first", "locate"]
 
+    def test_a_second_run_builds_no_kernel(self):
+        enc = EncoderConfig(transconductor=TC, neuron=NeuronConfig(c_m=0.62e-12))
+        pole = replace(enc, input_pole_capacitance=3e-13)
+        info = sim_engine._neuron_kernel.cache_info
+        misses = [info().misses]
+        for run in (
+            lambda: vf_curve(enc, [0.1, 0.25, 0.4], 1e-3, 6e-3, (0.1, 0.4)),
+            lambda: transient(enc, SINE, 1e-3),
+            lambda: transient(pole, SINE, 1e-3),
+        ):
+            run()
+            misses.append(info().misses)
+            run()
+            misses.append(info().misses)
+        # vf_curve builds dc_first and its locate, the sine run step and
+        # full_steps, and the pole run reuses the sine run's step and locate
+        m = misses[0]
+        assert misses == [m, m + 2, m + 2, m + 4, m + 4, m + 4, m + 4]
+
+    @pytest.mark.parametrize("variant", sorted(DERIVATIVES))
+    def test_expression_reads_only_placeholders_and_constants(self, variant):
+        f = DERIVATIVES[variant]
+        placeholders = {name for _, name, _, _ in string.Formatter().parse(f) if name is not None}
+        assert placeholders == {"m", "i_in"}
+        tree = ast.parse(f.format(m="m", i_in="i_in"), mode="eval")
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert names - placeholders <= set(DERIVATIVE_CONSTANTS)
+        assert not any(isinstance(node, (ast.Attribute, ast.Call)) for node in ast.walk(tree))
+
 
 def bisection_drives(kind, encoder, t0, f0):
     """A fresh stage drive of ``kind`` and the time of a step it takes next.
@@ -1375,9 +1441,7 @@ def bisection_drives(kind, encoder, t0, f0):
         stages = (neuron_input_current(encoder.transconductor, 0.25),) * 4
         return (lambda t, h: stages), t0
     dt = default_solver_config(encoder.neuron).dt
-    drive = _make_drive(encoder, SINE)
-    block = sim_engine._make_drive_block(encoder, SINE)
-    stage_drive, _, row_drive = _make_stage_drive(drive, block, dt, 1.0, SINE)
+    stage_drive, _, row_drive = _make_stage_drive(encoder.transconductor, SINE, dt, 1.0)
     stage_drive(t0, dt)
     if kind == "pole":
         omega = effective_gm(encoder.transconductor) / 3e-13
@@ -1413,34 +1477,33 @@ class TestLocate:
         y = neuron.i_th * (1.0 - below**4)
         h, event_tol = h_over_dt * dt, tol_over_dt * dt
         stage_drive, t = bisection_drives(kind, encoder, t0, f0)
-        step = _make_step(neuron, stage_drive)
-        want = locate_crossing(lambda s: step(t, y, s) >= neuron.i_th, h, event_tol)
+        step = _neuron_kernel(neuron, "step")
+        want = locate_crossing(lambda s: step(stage_drive, t, y, s) >= neuron.i_th, h, event_tol)
         stage_drive, t = bisection_drives(kind, encoder, t0, f0)
-        locate = sim_engine._neuron_kernel(neuron, "locate")
+        locate = _neuron_kernel(neuron, "locate")
         assert same_bits(locate(stage_drive, t, y, h, event_tol), want)
 
 
 def dc_first_by_full_steps(neuron, i_in, y, dt, t_end, event_tol):
     """The first interval of ``spike_count_dc`` before its dc kernel, the reference.
 
-    The full-step loop under ``_dc_take_block``, called for 256 steps at a
-    time, and ``locate_crossing`` around the scalar step, with the kernel's
-    verdicts.
+    The full-step loop under ``_dc_drive``'s blocks, called for 256 steps
+    at a time, and ``locate_crossing`` around the scalar step, with the
+    kernel's verdicts.
     """
     chunk = sim_engine._DRIVE_BLOCK_STEPS
-    take_block = sim_engine._dc_take_block(i_in, 0.0, dt, t_end)
-    full_steps = sim_engine._make_full_steps(neuron, take_block, dt, 10**9)
+    stages, take_block, _ = _dc_drive(i_in, 0.0, dt, t_end)
+    full_steps, step = _neuron_kernel(neuron, "full_steps"), _neuron_kernel(neuron, "step")
     t, n_steps = 0.0, 0
     while True:
         y_start = y
-        t, y, taken, i_new = full_steps(t, y, chunk, 10**9, [])
+        t, y, taken, i_new = full_steps(take_block, dt, 10**9, t, y, chunk, 10**9, [])
         n_steps += taken
         if i_new is not None and not math.isfinite(i_new):
             return "non-finite", t, y, n_steps
         if i_new is not None:
-            step = _make_step(neuron, lambda t, h: (i_in,) * 4)
             t0, y0 = t, y
-            t += locate_crossing(lambda s: step(t0, y0, s) >= neuron.i_th, dt, event_tol)
+            t += locate_crossing(lambda s: step(stages, t0, y0, s) >= neuron.i_th, dt, event_tol)
             return "crossed", t, y, n_steps
         if taken < chunk:
             return "window end", t, y, n_steps
@@ -1483,7 +1546,7 @@ class TestDcFirst:
     )
     def test_verdicts(self, verdict, variant, i_in, start, dt_over_tau, steps):
         neuron, args = dc_first_case(variant, i_in, start, dt_over_tau, steps)
-        got = sim_engine._neuron_kernel(neuron, "dc_first")(*args)
+        got = _neuron_kernel(neuron, "dc_first")(*args)
         assert got == dc_first_by_full_steps(neuron, *args)
         assert got[0] == verdict
 
@@ -1498,7 +1561,7 @@ class TestDcFirst:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_equals_the_full_step_loop(self, variant, i_in, start, dt_over_tau, steps, tol):
         neuron, args = dc_first_case(variant, i_in, start, dt_over_tau, steps, tol)
-        got = sim_engine._neuron_kernel(neuron, "dc_first")(*args)
+        got = _neuron_kernel(neuron, "dc_first")(*args)
         want = dc_first_by_full_steps(neuron, *args)
         assert got[0] == want[0] and got[3] == want[3]
         assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
@@ -1632,8 +1695,6 @@ class TestSpikeCountDc:
         def no_step(*args):
             raise AssertionError("a silent bias under the guard took a step")
 
-        monkeypatch.setattr(sim_engine, "_make_full_steps", no_step)
-        monkeypatch.setattr(sim_engine, "_make_step", no_step)
         monkeypatch.setattr(sim_engine, "_neuron_kernel", no_step)
         assert spike_count_dc(enc, 0.0, 0.0, 2e-3) == 0
         assert spike_count_dc(enc, 0.0, 0.0, 10.0) == 0
