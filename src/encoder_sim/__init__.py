@@ -15,14 +15,12 @@ whose firing rate tracks the input. Submodules:
 - ``cli``: config-file driven command line front end.
 """
 
-from .device_model import DeviceParams, SaturationError, drain_current, gm_bulk, gm_gate
+from .device_model import DeviceParams, SaturationError, drain_current
 
 __all__ = [
     "DeviceParams",
     "SaturationError",
     "drain_current",
-    "gm_bulk",
-    "gm_gate",
 ]
 
 __version__ = "0.1.0"

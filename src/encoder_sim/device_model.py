@@ -27,8 +27,6 @@ __all__ = [
     "DeviceParams",
     "SaturationError",
     "drain_current",
-    "gm_gate",
-    "gm_bulk",
 ]
 
 # The encoder's supply voltage, volts: it bounds every input.
@@ -100,20 +98,3 @@ def drain_current(dev: DeviceParams, v_sg: float, v_sb: float = 0.0) -> float:
             "device is outside the weak-inversion model range"
         )
     return dev.i_spec * dev.w_over_l * math.exp(exponent)
-
-
-def gm_gate(dev: DeviceParams, i_d: float) -> float:
-    """Gate transconductance d(I_D)/d(V_SG) = I_D / (n * U_T) at current i_d."""
-    if not math.isfinite(i_d) or i_d <= 0.0:
-        raise ValueError(f"i_d must be positive and finite, got {i_d!r}")
-    return i_d / (dev.n * dev.u_t)
-
-
-def gm_bulk(dev: DeviceParams, i_d: float) -> float:
-    """Bulk transconductance d(I_D)/d(V_SB) = (n - 1) * I_D / (n * U_T).
-
-    Equals gm_gate scaled by (n - 1); the bulk input trades gain for range.
-    """
-    if not math.isfinite(i_d) or i_d <= 0.0:
-        raise ValueError(f"i_d must be positive and finite, got {i_d!r}")
-    return (dev.n - 1.0) * i_d / (dev.n * dev.u_t)

@@ -27,7 +27,6 @@ reading instead of silently correcting either way.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -41,7 +40,6 @@ __all__ = [
     "DERIVATIVE_CONSTANTS",
     "derivative_variant",
     "membrane_derivative",
-    "analytic_rate",
     "neuron_biases_from_voltages",
 ]
 
@@ -188,42 +186,12 @@ def membrane_derivative(cfg: NeuronConfig, state: NeuronState, i_in: float) -> f
     I_mem = i_g and saturates at the gain i_g/i_r; the loss term is the
     plain leak minus the optional positive feedback. Linear mode is the
     saturated-regime approximation. Evaluates cfg's ``DERIVATIVES``
-    expression as the engine compiles it.
+    expression as the engine compiles it. No command calls it; the tests
+    and ``perfbench`` do.
     """
     if not math.isfinite(i_in) or i_in < 0.0:
         raise ValueError(f"i_in must be nonnegative and finite, got {i_in!r}")
-    return _derivative(cfg)(state.i_mem, i_in)
-
-
-@functools.lru_cache(maxsize=64)
-def _derivative(cfg: NeuronConfig):
-    """cfg's generated derivative, kept per config.
-
-    Configs that compare equal differ at most in the sign of a zero
-    ``i_pf_gain``, which no variant reads.
-    """
-    from .sim_engine import _neuron_kernel  # the engine imports this module
-
-    return _neuron_kernel(cfg, "deriv")
-
-
-def analytic_rate(cfg: NeuronConfig, i_in: float) -> float:
-    """Closed-form firing rate of the linear-mode neuron, Hz.
-
-    Valid only in linear mode, where the membrane relaxes exponentially
-    toward gain*i_in; the integration time from the reset floor to the
-    threshold then has a logarithmic closed form. Subthreshold drive
-    (gain*i_in <= i_th) returns 0 by contract.
-    """
-    if cfg.mode != "linear":
-        raise ValueError("analytic_rate applies to linear mode only")
-    if not math.isfinite(i_in) or i_in < 0.0:
-        raise ValueError(f"i_in must be nonnegative and finite, got {i_in!r}")
-    target = cfg.gain * i_in
-    if target <= cfg.i_th:
-        return 0.0
-    t_int = tau_m(cfg) * math.log((target - cfg.i_reset) / (target - cfg.i_th))
-    return 1.0 / (cfg.t_rf + t_int)
+    return _engine._neuron_kernel(cfg, "deriv")(state.i_mem, i_in)
 
 
 # Aspect ratios of the bias-generating devices, one per neuron role. The
@@ -252,3 +220,7 @@ def neuron_biases_from_voltages(
     i_r = drain_current(replace(dev, w_over_l=_W_OVER_L_LEAK), v_lk, 0.0)
     i_th = drain_current(replace(dev, w_over_l=_W_OVER_L_THRESHOLD), v_th, 0.0)
     return i_g, i_r, i_th
+
+
+# The engine imports this module, so it is imported once every name above exists.
+from . import sim_engine as _engine  # noqa: E402

@@ -529,12 +529,31 @@ def _neuron_kernel(neuron: NeuronConfig, name: str):
     at most in the sign of a zero ``i_pf_gain``, which no variant reads.
     """
     variant, constants = derivative_variant(neuron)
-    built = dict(i_th=neuron.i_th, chunk=_DRIVE_BLOCK_STEPS, whole_steps=_whole_dc_steps)
+    built = dict(i_th=neuron.i_th, chunk=_DRIVE_BLOCK_STEPS, whole_steps=_whole_steps)
     built["row_cap"] = _BUDGET_OVERRUN * _TRACE_BUDGET
     built["rows_overrun"] = functools.partial(_overrun, what="trace rows", budget=_TRACE_BUDGET)
     if name == "dc_first":
         built["locate"] = _neuron_kernel(neuron, "locate")
     return _compile_kernel(variant, name)(**built, **constants)
+
+
+def _whole_steps(t: float, n: int, dt: float, t_end: float) -> int:
+    """How many of the next n <= ``_DRIVE_BLOCK_STEPS`` full steps from t a run takes whole.
+
+    A run takes a step whole when it starts before t_end - ``_time_eps(t_end)``
+    and t_end does not cut it short. Far from t_end all n are (each ``t +=
+    dt`` rounds by at most half an ulp of t_end); near it the times are
+    summed as the loop sums them.
+    """
+    t_last = t_end - _time_eps(t_end)
+    pad = 2.0 * dt + _DRIVE_BLOCK_STEPS * math.ulp(t_end)
+    if t_last - t > n * dt + pad:
+        return n
+    k = 0
+    while k < n and t < t_last and t_end - t >= dt:
+        t += dt
+        k += 1
+    return k
 
 
 def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end: float):
@@ -552,10 +571,9 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
     ``_DRIVE_BLOCK_STEPS``, from one ``_waveform_eval_bulk`` and one
     ``input_currents`` call. A spike, which ends the run, thus wastes at
     most as many steps as the run had or half the last block. A block holds only
-    the steps the run takes whole: those that start before t_last =
-    t_end - ``_time_eps(t_end)`` and that t_end does not cut short. Its
-    times come from ``np.add.accumulate``, which sums in sequence like the
-    loop's ``t += h``, so they and its values are the loop's bit for bit.
+    the steps the run takes whole (``_whole_steps``). Its times come from
+    ``np.add.accumulate``, which sums in sequence like the loop's ``t +=
+    h``, so they and its values are the loop's bit for bit.
     Any other step (a bisection substep, the step cut short at t_end, a
     step early in its run) calls ``drive``, reusing the value at its start
     when the previous step started or ended there.
@@ -580,7 +598,6 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
 
     half_dt = 0.5 * dt
     min_span = _DRIVE_BLOCK_MIN * dt
-    t_last = t_end - _time_eps(t_end)
     times: list[float] = []
     volts = np.empty(0)
     at: list[float] = []
@@ -597,16 +614,11 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
         The step from t must be one the run takes whole.
         """
         nonlocal times, volts, at, mid, n, j
-        n = min(max(int((t - t_run) / dt), n // 2), _DRIVE_BLOCK_STEPS, int((t_end - t) / dt) + 1)
+        n = _whole_steps(t, min(max(int((t - t_run) / dt), n // 2), _DRIVE_BLOCK_STEPS), dt, t_end)
         steps = np.full(n + 1, dt)
         steps[0] = t
         steps = np.add.accumulate(steps)
         times, j = steps.tolist(), 0
-        # times increase, so when the last step starts in time, all do
-        while not (times[n - 1] < t_last and t_end - times[n - 1] >= dt):
-            n -= 1
-            steps = steps[: n + 1]
-            del times[n + 1 :]
         volts = _waveform_eval_bulk(wave, np.concatenate((steps, steps[:-1] + half_dt)))
         currents = input_currents(volts).tolist()
         at, mid = currents[: n + 1], currents[n + 1 :]
@@ -632,27 +644,17 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
         i_mid = drive(t + 0.5 * h)
         return i_start, i_mid, i_mid, i_stop
 
-    class StepInput:
-        """``volts`` of a one-step block: the input at its start, if a row reads it."""
-
-        def __getitem__(self, _: int) -> float:
-            return waveform_eval(wave, t_step)
-
-    step_input = StepInput()
-    t_step = 0.0  # where the last one-step block starts
-
     def take_block(t: float, steps: int):
-        nonlocal j, t_stop, i_stop, t_step
+        nonlocal j, t_stop, i_stop
         if t == t_stop and j < n and t == times[j]:
             first = j
             j = min(n, j + steps)
             t_stop, i_stop = times[j], at[j]
             return at, mid, volts, first, j
-        if not (t < t_last and t_end - t >= dt):
+        if not _whole_steps(t, 1, dt, t_end):
             return (), (), (), 0, 0
         i0, im, _, i1 = stage_drive(t, dt)
-        t_step = t
-        return (i0, i1), (im,), step_input, 0, 1
+        return (i0, i1), (im,), (waveform_eval(wave, t),), 0, 1
 
     def row_drive(t: float) -> tuple[float, float]:
         if j < len(times) and t == times[j]:
@@ -662,37 +664,18 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
     return stage_drive, take_block, row_drive
 
 
-def _whole_dc_steps(t: float, n: int, dt: float, t_end: float) -> int:
-    """How many of the next n <= ``_DRIVE_BLOCK_STEPS`` full steps from t a dc run takes whole.
-
-    Those that start before t_end - ``_time_eps(t_end)`` and that t_end
-    does not cut short, as in ``_make_stage_drive``. Far from t_end all are
-    (each ``t += dt`` rounds by at most half an ulp of t_end); near it the
-    times are summed as the loop sums them.
-    """
-    t_last = t_end - _time_eps(t_end)
-    pad = 2.0 * dt + _DRIVE_BLOCK_STEPS * math.ulp(t_end)
-    if t_last - t > n * dt + pad:
-        return n
-    k = 0
-    while k < n and t < t_last and t_end - t >= dt:
-        t += dt
-        k += 1
-    return k
-
-
 def _dc_drive(i_dc: float, v: float, dt: float, t_end: float):
     """``_make_stage_drive``'s triple for a dc input v, whose drive is i_dc.
 
     Every stage and row reads i_dc and v. ``take_block`` hands out constant
     rows of them, the next ``_DRIVE_BLOCK_STEPS`` steps at a time, or fewer
-    near t_end: only the steps the run takes whole (``_whole_dc_steps``).
+    near t_end: only the steps the run takes whole (``_whole_steps``).
     """
     stages = (i_dc,) * 4
     at, volts = [i_dc] * (_DRIVE_BLOCK_STEPS + 1), [v] * (_DRIVE_BLOCK_STEPS + 1)
 
     def take_block(t: float, steps: int):
-        return at, at, volts, 0, _whole_dc_steps(t, min(steps, _DRIVE_BLOCK_STEPS), dt, t_end)
+        return at, at, volts, 0, _whole_steps(t, min(steps, _DRIVE_BLOCK_STEPS), dt, t_end)
 
     return (lambda t, h: stages), take_block, (lambda t: (v, i_dc))
 

@@ -414,20 +414,11 @@ class NodeArgTable:
     # ``coeffs`` as four contiguous columns c0, c1, c2, c3
     coeff_cols: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
-    def node_arg(self, beta: float) -> float:
-        """Interpolated node argument; evaluated at |beta|, so odd bit for bit."""
-        x = abs(beta) * self.scale
-        k = min(int(x), len(self.coeffs) - 1)
-        u = x - k
-        c0, c1, c2, c3 = self.coeffs[k]
-        a = c0 + u * (c1 + u * (c2 + u * c3))
-        return -a if beta < 0.0 else a
-
     def input_current(self, v_id: float) -> float:
         """``neuron_input_current`` from the table; |v_id| <= 0.5 V, unchecked.
 
-        Equals max(i_q + i_q*sinh(beta - node_arg(beta)), 0) bit for bit;
-        the lookup is written out because this runs on every RK4 stage.
+        The node argument a is interpolated at |beta| and takes beta's
+        sign, so sinh's argument beta - a is odd in beta bit for bit.
         """
         beta = self.n1 * v_id / self.two_nut
         x = abs(beta) * self.scale

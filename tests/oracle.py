@@ -9,6 +9,9 @@ come to share its code.
 
 ``node_residual`` evaluates the transconductor's node equation in amperes
 over scalars or arrays, for dense scans against the node solvers.
+
+``analytic_rate`` is the closed-form firing rate of the linear-mode neuron
+under a dc drive; it shares no code with RK4 or with the Euler oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import numpy as np
 
 from encoder_sim.device_model import SaturationError
-from encoder_sim.neuron import tau_m
+from encoder_sim.neuron import NeuronConfig, tau_m
 from encoder_sim.sim_engine import (
     EncoderConfig,
     SimResult,
@@ -49,6 +52,25 @@ def node_residual(cfg: TransconductorConfig, v_id, v_node_diff):
     if residual.ndim == 0:
         return float(residual)
     return residual
+
+
+def analytic_rate(cfg: NeuronConfig, i_in: float) -> float:
+    """Closed-form firing rate of the linear-mode neuron, Hz.
+
+    Valid only in linear mode, where the membrane relaxes exponentially
+    toward gain*i_in; the integration time from the reset floor to the
+    threshold then has a logarithmic closed form. Subthreshold drive
+    (gain*i_in <= i_th) returns 0 by contract.
+    """
+    if cfg.mode != "linear":
+        raise ValueError("analytic_rate applies to linear mode only")
+    if not math.isfinite(i_in) or i_in < 0.0:
+        raise ValueError(f"i_in must be nonnegative and finite, got {i_in!r}")
+    target = cfg.gain * i_in
+    if target <= cfg.i_th:
+        return 0.0
+    t_int = tau_m(cfg) * math.log((target - cfg.i_reset) / (target - cfg.i_th))
+    return 1.0 / (cfg.t_rf + t_int)
 
 
 def _waveform_eval_array(w: Waveform, t: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """CLI tests: exit-code taxonomy, config round-trips, override rules, and
 byte-exact CSV output against committed golden files."""
 
+import ast
 import configparser
 import csv
 import importlib
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from encoder_sim import bias_tuner, cli, sim_engine, transconductor
@@ -34,6 +35,16 @@ def as_dict(cp):
     return {name: dict(cp[name]) for name in cp.sections()}
 
 
+def shipped_keys() -> list[tuple[str, str, str]]:
+    """(section, key, value) of every key that ``configs/default.ini`` sets."""
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    cp.read(DEFAULT_INI, encoding="utf-8")
+    return [(section, key, cp[section][key]) for section in cp.sections() for key in cp[section]]
+
+
+COMMANDS = ("dc-sweep", "thd", "transient", "vf-curve", "freq", "power", "tune")
+
+
 def written(cp, tmp_path: Path) -> Path:
     """cp written out by configparser, as a config file."""
     path = tmp_path / "written.ini"
@@ -43,6 +54,22 @@ def written(cp, tmp_path: Path) -> Path:
 
 
 class TestExitCodes:
+    @given(
+        command=st.sampled_from(COMMANDS),
+        key=st.sampled_from(shipped_keys()),
+        value=st.sampled_from([None, "0", "-1", "1e300", "1e-300", "nan", "inf", "garbage"]),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_every_key_and_value_exits_by_the_contract(self, tmp_path_factory, command, key, value):
+        # one --set of a shipped key, at its shipped value (None) or a hostile one
+        section, name, shipped = key
+        out = tmp_path_factory.mktemp("fuzz") / "o.csv"
+        args = [command, "--config", DEFAULT_INI, "--out", str(out), "--quiet"]
+        args += ["--set", f"{section}.{name}={shipped if value is None else value}"]
+        if (section, name) != ("transient", "t_end_s"):
+            args += ["--set", "transient.t_end_s=1e-4"]
+        assert main(args) in (0, 2, 3, 4)
+
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus", "--config", DEFAULT_INI]) == 2
         assert "invalid choice" in capsys.readouterr().err
@@ -410,6 +437,11 @@ class TestGoldenFiles:
         spikes = out.with_suffix(".spikes").read_bytes()
         assert spikes == (GOLDEN / "transient_default.spikes").read_bytes()
 
+    def test_tune_matches_golden(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main(["tune", "--config", DEFAULT_INI, "--out", str(out), "--quiet"]) == 0
+        assert out.read_bytes() == (GOLDEN / "tune_default.csv").read_bytes()
+
 
 class TestGrid:
     @given(
@@ -572,13 +604,54 @@ def fresh_python(code: str, cwd: Path) -> str:
     return done.stdout
 
 
+class ReadNames(ast.NodeVisitor):
+    """Every name that code reads, outside the def or class of that name.
+
+    Imports, docstrings and ``__all__`` entries are not ``Name`` or
+    ``Attribute`` nodes, so they read nothing.
+    """
+
+    def __init__(self) -> None:
+        self.names: set[str] = set()
+        self.inside: list[str] = []
+
+    def visit_FunctionDef(self, node) -> None:
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Name(self, node) -> None:
+        if node.id not in self.inside:
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node) -> None:
+        if node.attr not in self.inside:
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+
 class TestImports:
+    MODULES = ["encoder_sim"] + [f"encoder_sim.{layer}" for layer in LAYERS]
+
     def test_every_public_name_resolves(self):
         # the package and every layer: no deletion leaves a stale export
-        modules = ["encoder_sim"] + [f"encoder_sim.{layer}" for layer in LAYERS]
-        for module in map(importlib.import_module, modules):
+        for module in map(importlib.import_module, self.MODULES):
             missing = [name for name in module.__all__ if not hasattr(module, name)]
             assert missing == [], module.__name__
+
+    def test_every_public_name_is_read(self):
+        # an export that only tests read is code that no command runs
+        reader = ReadNames()
+        for path in [*(REPO / "src").rglob("*.py"), *(REPO / "perfbench").rglob("*.py")]:
+            reader.visit(ast.parse(path.read_text(encoding="utf-8")))
+        unread = {}
+        for module in map(importlib.import_module, self.MODULES):
+            names = [name for name in module.__all__ if name not in reader.names]
+            if names:
+                unread[module.__name__] = names
+        assert unread == {}
 
     def test_cli_imports_every_layer(self, tmp_path):
         # a traced run wraps all seven layers once the CLI is imported

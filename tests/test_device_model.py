@@ -1,9 +1,4 @@
-"""Device law tests.
-
-The transconductance functions are closed forms, so they are checked against
-central finite differences of ``drain_current`` rather than against copies of
-the same algebra.
-"""
+"""Device law tests."""
 
 import math
 
@@ -11,19 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from encoder_sim.device_model import (
-    DeviceParams,
-    SaturationError,
-    drain_current,
-    gm_bulk,
-    gm_gate,
-)
+from encoder_sim.device_model import DeviceParams, SaturationError, drain_current
 
 DEV = DeviceParams()
-
-
-def central_diff(f, x, h):
-    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 class TestDrainCurrent:
@@ -73,30 +58,6 @@ class TestDrainCurrent:
         )
 
 
-class TestTransconductances:
-    def test_gm_gate_example_value(self):
-        # 1 nA at n=1.2, u_t=25 mV: gm = 1e-9 / 0.03.
-        assert gm_gate(DEV, 1e-9) == pytest.approx(1e-9 / 0.03, rel=1e-12)
-
-    def test_gm_gate_matches_finite_difference(self):
-        v_sg = 0.32
-        i_d = drain_current(DEV, v_sg, 0.0)
-        fd = central_diff(lambda v: drain_current(DEV, v, 0.0), v_sg, 1e-7)
-        assert gm_gate(DEV, i_d) == pytest.approx(fd, rel=1e-6)
-
-    def test_gm_bulk_matches_finite_difference(self):
-        v_sg, v_sb = 0.32, 0.05
-        i_d = drain_current(DEV, v_sg, v_sb)
-        fd = central_diff(lambda v: drain_current(DEV, v_sg, v), v_sb, 1e-7)
-        assert gm_bulk(DEV, i_d) == pytest.approx(fd, rel=1e-6)
-
-    @given(i_d=st.floats(min_value=1e-12, max_value=1e-5))
-    @settings(max_examples=100)
-    def test_bulk_to_gate_ratio(self, i_d):
-        ratio = gm_bulk(DEV, i_d) / gm_gate(DEV, i_d)
-        assert ratio == pytest.approx(DEV.n - 1.0, rel=1e-12)
-
-
 class TestErrorHandling:
     def test_exponent_overflow_raises(self):
         # 700 * n * u_t = 21 V of normalized drive.
@@ -124,13 +85,6 @@ class TestErrorHandling:
     def test_nonfinite_bulk_voltage_rejected(self, bad):
         with pytest.raises(ValueError):
             drain_current(DEV, 0.3, bad)
-
-    @pytest.mark.parametrize("bad", [0.0, -1e-9, math.nan])
-    def test_gm_rejects_nonpositive_current(self, bad):
-        with pytest.raises(ValueError):
-            gm_gate(DEV, bad)
-        with pytest.raises(ValueError):
-            gm_bulk(DEV, bad)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

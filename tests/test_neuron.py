@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import analytic_rate
+
 from encoder_sim import neuron, sim_engine
 from encoder_sim.device_model import DeviceParams, drain_current
 from encoder_sim.neuron import (
     NeuronConfig,
     NeuronState,
-    analytic_rate,
     membrane_derivative,
     neuron_biases_from_voltages,
     tau_m,
@@ -100,7 +101,7 @@ class TestNonlinearMode:
     def test_signed_zero_feedback_gives_the_same_bits(self, mode, first):
         # configs differing only in the sign of a zero i_pf_gain compare
         # equal and share one cached derivative, whichever came first
-        neuron._derivative.cache_clear()
+        sim_engine._neuron_kernel.cache_clear()
         membrane_derivative(NeuronConfig(mode=mode, i_pf_gain=first), NeuronState(1e-12), 1e-9)
         for pf in (0.0, -0.0):
             cfg = NeuronConfig(mode=mode, i_pf_gain=pf)
@@ -108,7 +109,7 @@ class TestNonlinearMode:
             for i_mem, i_in in ((0.0, 0.0), (1e-12, 1e-9), (5e-11, 3e-9), (1e-9, 0.0)):
                 got = membrane_derivative(cfg, NeuronState(i_mem), i_in)
                 assert got.hex() == uncached(i_mem, i_in).hex()
-        assert neuron._derivative.cache_info().currsize == 1
+        assert sim_engine._neuron_kernel.cache_info().currsize == 1
 
     def test_matches_linear_deep_in_saturation(self):
         # Once the membrane sits far above the gain current the input term

@@ -22,7 +22,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import _vectorized_input_current, _waveform_eval_array, oracle_transient
+from oracle import (
+    _vectorized_input_current,
+    _waveform_eval_array,
+    analytic_rate,
+    oracle_transient,
+)
 
 from encoder_sim import cli, sim_engine
 from encoder_sim.analysis import vf_curve
@@ -33,7 +38,6 @@ from encoder_sim.neuron import (
     DERIVATIVES,
     NeuronConfig,
     NeuronState,
-    analytic_rate,
     derivative_variant,
     membrane_derivative,
     tau_m,

@@ -394,6 +394,16 @@ def _input_arg(cfg, v):
     return (cfg.dev.n - 1.0) * v / (2.0 * cfg.dev.n * cfg.dev.u_t)
 
 
+def table_node_arg(table, beta):
+    """The table's node argument at beta: interpolated at |beta|, with beta's sign."""
+    x = abs(beta) * table.scale
+    k = min(int(x), len(table.coeffs) - 1)
+    u = x - k
+    c0, c1, c2, c3 = table.coeffs[k]
+    a = c0 + u * (c1 + u * (c2 + u * c3))
+    return -a if beta < 0.0 else a
+
+
 class TestSolveNodeArgs:
     def test_matches_scalar_solver_and_is_odd(self):
         v = np.linspace(-0.5, 0.5, 41)
@@ -470,12 +480,12 @@ class TestNodeArgTable:
         beta = _input_arg(cfg, np.array(v + [0.5, -0.5]))
         exact = np.sinh(beta - solve_node_args(cfg, beta))
         for vk, bk, ek in zip(v + [0.5, -0.5], beta.tolist(), exact.tolist()):
-            a = table.node_arg(bk)
-            # odd to the last bit, in node argument
-            assert table.node_arg(-bk) == -a
-            # the hot-loop lookup is the node_arg formula, bit for bit
+            a = table_node_arg(table, bk)
+            # the hot-loop lookup is the Hermite interpolation, bit for bit
             got = table.input_current(vk)
             assert got == max(i_q + i_q * math.sinh(bk - a), 0.0)
+            # odd to the last bit, in node argument
+            assert table.input_current(-vk) == max(i_q + i_q * math.sinh(a - bk), 0.0)
             # within the table's own bound of the vectorized root, and of
             # the scalar solver, whose 1e-9 residual tolerance dominates
             scale = max(1.0, abs(ek))
