@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .device_model import SUPPLY_V
+from .device_model import SUPPLY_V, SaturationError
 from .neuron import NeuronConfig
 from .sim_engine import EncoderConfig, SolverConfig, spike_count_dc
 from .transconductor import TransconductorConfig, effective_gm
@@ -223,6 +223,9 @@ def vf_curve(
     v_lo, v_hi = float(window[0]), float(window[1])
     if not v_lo < v_hi:
         raise ValueError(f"window must satisfy v_lo < v_hi, got {window!r}")
+    if v_hi > grid[-1]:
+        # the deviation is normalized by the fit at the window top
+        raise ValueError(f"window top {v_hi!r} V lies past the last grid point {grid[-1]!r} V")
 
     t_end = settle_time + measure_time
     counts = [spike_count_dc(encoder, v, settle_time, t_end, solver) for v in grid]
@@ -244,7 +247,12 @@ def small_signal(
     if not (math.isfinite(c_load) and c_load > 0.0):
         raise ValueError(f"c_load must be positive, got {c_load!r}")
     gm = effective_gm(cfg)
-    return 20.0 * math.log10(gm * r_out), gm / (2.0 * math.pi * c_load)
+    gain_db, f_unity = 20.0 * math.log10(gm * r_out), gm / (2.0 * math.pi * c_load)
+    if not (math.isfinite(gain_db) and math.isfinite(f_unity)):
+        raise SaturationError(
+            f"small-signal figures overflow: {gain_db!r} dB, {f_unity!r} Hz at gm = {gm!r} A/V"
+        )
+    return gain_db, f_unity
 
 
 def power_estimate(

@@ -42,40 +42,18 @@ __all__ = [
 
 _COMMANDS = ("dc-sweep", "transient", "vf-curve", "thd", "freq", "power", "tune")
 
-_DEVICE_SCHEMA = {
-    "i_spec_a": float,
-    "w_over_l": float,
-    "n": float,
-    "u_t_v": float,
-    "v_t0_v": float,
+# A config field's SI unit: amperes, volts, farads or seconds. Its INI key is
+# the field's name plus this suffix (i_ref_a, c_m_f, t_rf_s); a field with no
+# unit is its own key.
+_UNITS = {
+    **dict.fromkeys(("i_spec", "i_ref", "i_g", "i_r", "i_th", "i_reset"), "a"),
+    **dict.fromkeys(("u_t", "v_t0"), "v"),
+    **dict.fromkeys(("c_m", "input_pole_capacitance"), "f"),
+    **dict.fromkeys(("t_rf", "dt", "event_tol"), "s"),
 }
-_TC_SCHEMA = {
-    "i_ref_a": float,
-    "mirror_to_branch": float,
-    "mirror_to_output": float,
-    "drive_ratio": float,
-    "node_shunt_ratio": float,
-}
-_NEURON_SCHEMA = {
-    "c_m_f": float,
-    "i_g_a": float,
-    "i_r_a": float,
-    "i_th_a": float,
-    "i_reset_a": float,
-    "t_rf_s": float,
-    "n": float,
-    "u_t_v": float,
-    "mode": str,
-    "i_pf_gain": float,
-    "gain_convention": str,
-    "v_tu_v": float,
-    "v_lk_v": float,
-    "v_th_v": float,
-}
-# amperes, volts, farads, seconds: a config key names its field and unit
-_UNIT_SUFFIXES = ("_a", "_v", "_f", "_s")
+# a config field is a key when annotated with one of these: the key's parser
+_KINDS = {"float": float, "float | None": float, "str": str}
 _VOLTAGE_BIAS_KEYS = ("v_tu_v", "v_lk_v", "v_th_v")
-_CURRENT_BIAS_KEYS = ("i_g_a", "i_r_a", "i_th_a")
 
 
 class UsageError(Exception):
@@ -108,13 +86,16 @@ def apply_overrides(cp: configparser.ConfigParser, overrides) -> None:
         cp.set(section, key, value)
 
 
-def _read_section(cp, name: str, schema: dict[str, type], required=()) -> dict:
-    """Typed view of one section; unknown keys and bad literals error out."""
+def _read_section(cp, name: str, schema: dict[str, type], required=None) -> dict:
+    """Typed view of one section; unknown keys and bad literals error out.
+
+    ``required`` names the keys the section must set: every key by default.
+    """
     raw = dict(cp[name]) if cp.has_section(name) else {}
     unknown = set(raw) - set(schema)
     if unknown:
         raise ValueError(f"section [{name}] has unknown keys {sorted(unknown)!r}")
-    missing = [k for k in required if k not in raw]
+    missing = [k for k in (schema if required is None else required) if k not in raw]
     if missing:
         raise ValueError(f"section [{name}] is missing required keys {missing!r}")
     out = {}
@@ -132,58 +113,61 @@ def _read_section(cp, name: str, schema: dict[str, type], required=()) -> dict:
     return out
 
 
-def _fields(section: dict) -> dict:
-    """Dataclass keywords of a section: a key is its field plus a unit suffix."""
-    return {k[:-2] if k[-2:] in _UNIT_SUFFIXES else k: v for k, v in section.items()}
+def _key(field: str) -> str:
+    return f"{field}_{_UNITS[field]}" if field in _UNITS else field
+
+
+def _keys(cls) -> dict[str, str]:
+    """INI key -> field of every number or text field of a config class."""
+    return {_key(f): f for f, kind in cls.__annotations__.items() if kind in _KINDS}
+
+
+def _read_config(cp, name: str, cls, extra=()) -> dict:
+    """Keywords of ``cls`` from section [name]; the float keys ``extra`` keep their names."""
+    keys = _keys(cls)
+    schema = {k: _KINDS[cls.__annotations__[f]] for k, f in keys.items()}
+    raw = _read_section(cp, name, schema | dict.fromkeys(extra, float), required=())
+    return {keys.get(k, k): v for k, v in raw.items()}
 
 
 def build_encoder(cp: configparser.ConfigParser) -> EncoderConfig:
-    dev = DeviceParams(**_fields(_read_section(cp, "device", _DEVICE_SCHEMA)))
-    tc_kw = _fields(_read_section(cp, "transconductor", _TC_SCHEMA))
-    tc = TransconductorConfig(dev=dev, **tc_kw)
+    dev = DeviceParams(**_read_config(cp, "device", DeviceParams))
+    tc = TransconductorConfig(dev=dev, **_read_config(cp, "transconductor", TransconductorConfig))
 
-    neuron_raw = _read_section(cp, "neuron", _NEURON_SCHEMA)
+    kw = _read_config(cp, "neuron", NeuronConfig, _VOLTAGE_BIAS_KEYS)
     # The neuron's devices are the transconductor's: [device] sets n and
     # u_t for both, and EncoderConfig rejects a [neuron] value that differs.
-    neuron_raw.setdefault("n", dev.n)
-    neuron_raw.setdefault("u_t_v", dev.u_t)
-    voltage_keys = [k for k in _VOLTAGE_BIAS_KEYS if k in neuron_raw]
+    kw.setdefault("n", dev.n)
+    kw.setdefault("u_t", dev.u_t)
+    voltage_keys = [k for k in _VOLTAGE_BIAS_KEYS if k in kw]
     if voltage_keys:
         if len(voltage_keys) != len(_VOLTAGE_BIAS_KEYS):
             raise ValueError(
                 f"voltage-domain neuron bias needs all of {_VOLTAGE_BIAS_KEYS}, "
                 f"got only {voltage_keys!r}"
             )
-        conflicts = [k for k in _CURRENT_BIAS_KEYS if k in neuron_raw]
+        currents = ("i_g", "i_r", "i_th")
+        conflicts = [_key(f) for f in currents if f in kw]
         if conflicts:
             raise ValueError(
                 f"neuron bias given both as voltages and as currents: {conflicts!r}"
             )
-        i_g, i_r, i_th = neuron_biases_from_voltages(
-            dev,
-            neuron_raw.pop("v_tu_v"),
-            neuron_raw.pop("v_lk_v"),
-            neuron_raw.pop("v_th_v"),
-        )
-        neuron_raw.update({"i_g_a": i_g, "i_r_a": i_r, "i_th_a": i_th})
-    neuron = NeuronConfig(**_fields(neuron_raw))
-
-    enc_raw = _read_section(cp, "encoder", {"input_pole_capacitance_f": float})
+        volts = [kw.pop(k) for k in _VOLTAGE_BIAS_KEYS]
+        kw.update(zip(currents, neuron_biases_from_voltages(dev, *volts)))
+    neuron = NeuronConfig(**kw)
     return EncoderConfig(
-        transconductor=tc,
-        neuron=neuron,
-        input_pole_capacitance=enc_raw.get("input_pole_capacitance_f"),
+        transconductor=tc, neuron=neuron, **_read_config(cp, "encoder", EncoderConfig)
     )
 
 
 def _build_solver(cp) -> SolverConfig | None:
-    raw = _read_section(cp, "solver", {"dt_s": float, "event_tol_s": float})
-    if not raw:
+    kw = _read_config(cp, "solver", SolverConfig)
+    if not kw:
         return None
-    if "dt_s" not in raw:
-        raise ValueError("section [solver] needs dt_s when present")
-    dt = raw["dt_s"]
-    return SolverConfig(dt=dt, event_tol=raw.get("event_tol_s", _event_tol(dt)))
+    if "dt" not in kw:
+        raise ValueError(f"section [solver] needs {_key('dt')} when present")
+    kw.setdefault("event_tol", _event_tol(kw["dt"]))
+    return SolverConfig(**kw)
 
 
 def _fmt(x: float) -> str:
@@ -247,7 +231,6 @@ def _cmd_dc_sweep(cp, args) -> int:
         cp,
         "dc-sweep",
         {"v_start_v": float, "v_stop_v": float, "n_points": int},
-        required=("v_start_v", "v_stop_v", "n_points"),
     )
     grid = _grid(sec["v_start_v"], sec["v_stop_v"], sec["n_points"])
     points = dc_sweep(enc.transconductor, grid)
@@ -331,15 +314,6 @@ def _cmd_vf_curve(cp, args) -> int:
             "window_lo_v": float,
             "window_hi_v": float,
         },
-        required=(
-            "v_start_v",
-            "v_stop_v",
-            "n_points",
-            "settle_time_s",
-            "measure_time_s",
-            "window_lo_v",
-            "window_hi_v",
-        ),
     )
     window = (sec["window_lo_v"], sec["window_hi_v"])
     curve = vf_curve(
@@ -425,7 +399,6 @@ def _cmd_freq(cp, args) -> int:
         cp,
         "freq",
         {"r_out_ohm": float, "c_load_f": float},
-        required=("r_out_ohm", "c_load_f"),
     )
     gain_db, f_unity = small_signal(enc.transconductor, sec["r_out_ohm"], sec["c_load_f"])
     out = _out_path(args)
@@ -474,9 +447,8 @@ def _cmd_power(cp, args) -> int:
 
 
 def _bound_keys(name: str) -> tuple[str, str]:
-    """The keys of a tune variable's bounds: t_rf in seconds, the currents in amperes."""
-    suffix = "s" if name == "t_rf" else "a"
-    return f"{name}_lo_{suffix}", f"{name}_hi_{suffix}"
+    """The keys of a tune variable's bounds, in the variable's unit."""
+    return f"{name}_lo_{_UNITS[name]}", f"{name}_hi_{_UNITS[name]}"
 
 
 def _cmd_tune(cp, args) -> int:
@@ -495,6 +467,8 @@ def _cmd_tune(cp, args) -> int:
     sec = _read_section(cp, "tune", schema, required=("variables", "budget"))
     variables = {}
     for name in names:
+        if name not in _TUNABLE:
+            raise ValueError(f"tune.variables names {name!r}, not one of {_TUNABLE}")
         lo_key, hi_key = _bound_keys(name)
         if lo_key not in sec or hi_key not in sec:
             raise ValueError(f"tune needs {lo_key} and {hi_key} for variable {name!r}")

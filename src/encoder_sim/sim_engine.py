@@ -245,6 +245,10 @@ class SolverConfig:
             raise ValueError(f"event_tol must be positive, got {self.event_tol!r}")
         if self.event_tol >= self.dt:
             raise ValueError(f"event_tol must be below dt, got {self.event_tol!r} >= {self.dt!r}")
+        # a crossing's bisection halves a step until it spans event_tol: a
+        # span of a few ulps of the step would never shrink below it
+        if self.event_tol < self.dt * 2.0**-40:
+            raise ValueError(f"event_tol must be at least dt * 2**-40, got {self.event_tol!r}")
 
 
 def _event_tol(dt: float) -> float:

@@ -23,6 +23,7 @@ from encoder_sim.analysis import (
     thd,
     vf_curve,
 )
+from encoder_sim.device_model import SaturationError
 from encoder_sim.neuron import NeuronConfig
 from encoder_sim.sim_engine import EncoderConfig
 from encoder_sim.transconductor import TransconductorConfig, effective_gm
@@ -249,6 +250,10 @@ class TestVfCurveValidation:
         with pytest.raises(ValueError, match="two points"):
             vf_curve(enc, [0.1], 1e-3, 1e-3, (0.1, 0.4))
 
+    def test_window_top_past_the_grid(self):
+        with pytest.raises(ValueError, match="past the last grid point 0.4 V"):
+            vf_curve(EncoderConfig(), [0.1, 0.25, 0.4], 1e-3, 6e-3, (0.1, 0.45))
+
     def test_underpowered_measure_window_rejected(self):
         # Microsecond gate at ~10 kHz rates cannot reach 20 spikes.
         with pytest.raises(ValueError, match="measure_time too short"):
@@ -315,6 +320,11 @@ class TestSmallSignal:
         _, f1 = small_signal(cfg, 1e9, 10e-12)
         _, f2 = small_signal(cfg, 1e9, 20e-12)
         assert f1 == pytest.approx(2.0 * f2, rel=1e-12)
+
+    def test_figures_past_weak_inversion_are_saturation(self):
+        # gm * r_out overflows a double, and so does the gain in dB
+        with pytest.raises(SaturationError, match="overflow"):
+            small_signal(TransconductorConfig(i_ref=1e300), 1e9, 20e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

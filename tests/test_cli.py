@@ -23,7 +23,10 @@ from encoder_sim.cli import (
     load_config,
     main,
 )
+from encoder_sim.device_model import DeviceParams
 from encoder_sim.neuron import NeuronConfig, tau_m
+from encoder_sim.sim_engine import EncoderConfig, SolverConfig
+from encoder_sim.transconductor import TransconductorConfig
 
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_INI = str(REPO / "configs" / "default.ini")
@@ -44,6 +47,21 @@ def shipped_keys() -> list[tuple[str, str, str]]:
 
 COMMANDS = ("dc-sweep", "thd", "transient", "vf-curve", "freq", "power", "tune")
 
+# The sections that default.ini leaves out, each spelled out with valid values;
+# a test sets one of their keys in a copy of default.ini that declares them.
+UNSHIPPED = {
+    "encoder": {"input_pole_capacitance_f": "2e-11"},
+    "solver": {"dt_s": "1e-7", "event_tol_s": "1e-9"},
+}
+
+
+def declaring(section: str, tmp_path: Path) -> Path:
+    """A copy of ``configs/default.ini`` that also declares an UNSHIPPED section."""
+    path = tmp_path / f"{section}.ini"
+    body = "".join(f"{key} = {value}\n" for key, value in UNSHIPPED[section].items())
+    path.write_text(Path(DEFAULT_INI).read_text() + f"\n[{section}]\n{body}")
+    return path
+
 
 def written(cp, tmp_path: Path) -> Path:
     """cp written out by configparser, as a config file."""
@@ -56,15 +74,20 @@ def written(cp, tmp_path: Path) -> Path:
 class TestExitCodes:
     @given(
         command=st.sampled_from(COMMANDS),
-        key=st.sampled_from(shipped_keys()),
+        key=st.sampled_from(
+            shipped_keys()
+            + [(s, k, v) for s, section in UNSHIPPED.items() for k, v in section.items()]
+        ),
         value=st.sampled_from([None, "0", "-1", "1e300", "1e-300", "nan", "inf", "garbage"]),
     )
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     def test_every_key_and_value_exits_by_the_contract(self, tmp_path_factory, command, key, value):
-        # one --set of a shipped key, at its shipped value (None) or a hostile one
+        # one --set of a config key, at its valid value (None) or a hostile one
         section, name, shipped = key
-        out = tmp_path_factory.mktemp("fuzz") / "o.csv"
-        args = [command, "--config", DEFAULT_INI, "--out", str(out), "--quiet"]
+        tmp = tmp_path_factory.mktemp("fuzz")
+        config = declaring(section, tmp) if section in UNSHIPPED else DEFAULT_INI
+        out = tmp / "o.csv"
+        args = [command, "--config", str(config), "--out", str(out), "--quiet"]
         args += ["--set", f"{section}.{name}={shipped if value is None else value}"]
         if (section, name) != ("transient", "t_end_s"):
             args += ["--set", "transient.t_end_s=1e-4"]
@@ -245,6 +268,35 @@ class TestExitCodes:
         assert not out.exists()
         assert main(args + ["--set", "vf-curve.n_points=5", "--quiet"]) == 0
 
+    @pytest.mark.parametrize("top", ["0.6", "1e300", "inf"])
+    def test_vf_curve_window_past_the_grid(self, tmp_path, capsys, top):
+        # the deviation is normalized by the fit at the window top, which
+        # past the 0.5 V grid end is an extrapolation
+        out = tmp_path / "v.csv"
+        args = ["vf-curve", "--config", DEFAULT_INI, "--out", str(out)]
+        assert main(args + ["--set", f"vf-curve.window_hi_v={top}"]) == 3
+        assert "lies past the last grid point 0.5 V" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_freq_past_weak_inversion(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        args = ["freq", "--config", DEFAULT_INI, "--out", str(out)]
+        assert main(args + ["--set", "transconductor.i_ref_a=1e300"]) == 3
+        assert "small-signal figures overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tune_variable_that_is_not_tunable(self, tmp_path, capsys):
+        args = ["tune", "--config", DEFAULT_INI, "--out", str(tmp_path / "t.csv")]
+        assert main(args + ["--set", "tune.variables=0"]) == 3
+        assert "tune.variables names '0', not one of" in capsys.readouterr().err
+
+    def test_event_tol_too_fine_to_bisect_to(self, tmp_path, capsys):
+        # a crossing's bisection cannot shrink below a few ulps of the step
+        args = ["transient", "--config", str(declaring("solver", tmp_path))]
+        args += ["--out", str(tmp_path / "t.csv"), "--set", "solver.event_tol_s=1e-300"]
+        assert main(args + ["--set", "transient.t_end_s=1e-4"]) == 3
+        assert "event_tol must be at least dt" in capsys.readouterr().err
+
     def test_input_pole_past_the_rk4_stability_limit(self, tmp_path, capsys):
         # omega*dt = 2.9 at the default dt: refused before the first step
         ini = tmp_path / "pole.ini"
@@ -330,6 +382,110 @@ class TestConfigHandling:
         code = main(["freq", "--config", str(written(cp, tmp_path)), "--quiet"])
         assert code == 3
         assert "unknown keys ['epsilon']" in capsys.readouterr().err
+
+
+# the INI keys of each config class's section, spelled out: the keys derived
+# from the classes must be exactly these
+CONFIG_KEYS = {
+    "device": (DeviceParams, {"i_spec_a", "w_over_l", "n", "u_t_v", "v_t0_v"}),
+    "transconductor": (
+        TransconductorConfig,
+        {"i_ref_a", "mirror_to_branch", "mirror_to_output", "drive_ratio", "node_shunt_ratio"},
+    ),
+    "neuron": (
+        NeuronConfig,
+        {
+            "c_m_f",
+            "i_g_a",
+            "i_r_a",
+            "i_th_a",
+            "i_reset_a",
+            "t_rf_s",
+            "n",
+            "u_t_v",
+            "mode",
+            "i_pf_gain",
+            "gain_convention",
+        },
+    ),
+    "encoder": (EncoderConfig, {"input_pole_capacitance_f"}),
+    "solver": (SolverConfig, {"dt_s", "event_tol_s"}),
+}
+# a valid value of every key, unlike its default, and the value its field reads
+KEY_VALUES = {
+    "i_spec_a": ("2e-7", 2e-7),
+    "w_over_l": ("2", 2.0),
+    "u_t_v": ("0.026", 0.026),
+    "v_t0_v": ("0.3", 0.3),
+    "i_ref_a": ("4e-9", 4e-9),
+    "mirror_to_branch": ("0.6", 0.6),
+    "mirror_to_output": ("0.4", 0.4),
+    "drive_ratio": ("5", 5.0),
+    "node_shunt_ratio": ("0.5", 0.5),
+    "c_m_f": ("1e-12", 1e-12),
+    "i_g_a": ("20e-12", 20e-12),
+    "i_r_a": ("0.6e-9", 0.6e-9),
+    "i_th_a": ("80e-12", 80e-12),
+    "i_reset_a": ("2e-12", 2e-12),
+    "t_rf_s": ("10e-6", 10e-6),
+    "n": ("1.3", 1.3),
+    "mode": (" linear ", "linear"),
+    "i_pf_gain": ("0.5", 0.5),
+    "gain_convention": ("printed", "printed"),
+    "input_pole_capacitance_f": ("3e-11", 3e-11),
+    "dt_s": ("2e-7", 2e-7),
+    "event_tol_s": ("2e-9", 2e-9),
+}
+
+
+def configured(cp, section: str):
+    """The config object that section [section] of cp sets."""
+    if section == "solver":
+        return cli._build_solver(cp)
+    enc = build_encoder(cp)
+    return {
+        "device": enc.transconductor.dev,
+        "transconductor": enc.transconductor,
+        "neuron": enc.neuron,
+        "encoder": enc,
+    }[section]
+
+
+class TestDerivedKeys:
+    def test_every_field_is_a_key_or_a_nested_config(self):
+        nested = {}
+        for cls, _ in CONFIG_KEYS.values():
+            fields = cls.__annotations__
+            keyed = set(cli._keys(cls).values())
+            nested.update({f: kind for f, kind in fields.items() if f not in keyed})
+        # a field of any other annotation would be dropped from its section
+        assert nested == {
+            "dev": "DeviceParams",
+            "transconductor": "TransconductorConfig",
+            "neuron": "NeuronConfig",
+        }
+
+    @pytest.mark.parametrize("section", CONFIG_KEYS)
+    def test_key_set_is_unchanged(self, section):
+        cls, keys = CONFIG_KEYS[section]
+        assert set(cli._keys(cls)) == keys
+
+    @pytest.mark.parametrize(
+        "section, key", [(s, k) for s, (_, keys) in CONFIG_KEYS.items() for k in sorted(keys)]
+    )
+    def test_each_key_reaches_its_field(self, section, key):
+        cls, _ = CONFIG_KEYS[section]
+        cp = load_config(DEFAULT_INI)
+        if section in UNSHIPPED:
+            cp.read_dict({section: UNSHIPPED[section]})
+        raw, value = KEY_VALUES[key]
+        cp.set(section, key, raw)
+        if section == "neuron" and key in ("n", "u_t_v"):
+            # the neuron may only repeat the device's value
+            with pytest.raises(ValueError, match=f"neuron.{key} = {value!r} differs"):
+                build_encoder(cp)
+            cp.set("device", key, raw)
+        assert getattr(configured(cp, section), cli._keys(cls)[key]) == value
 
 
 class TestCsvOutput:

@@ -203,6 +203,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(dt=1e-7, event_tol=1e-7)
 
+    def test_event_tol_too_fine_to_bisect_to(self):
+        # below a few ulps of the step the crossing's bisection never ends
+        with pytest.raises(ValueError, match=r"at least dt \* 2\*\*-40"):
+            SolverConfig(dt=1e-7, event_tol=1e-300)
+        SolverConfig(dt=1e-7, event_tol=1e-7 * 2.0**-40)
+
     def test_one_event_tol_rule(self):
         # at these steps dt/10 and 0.1*dt differ in the last bit; every
         # default tolerance is min(1e-9, dt/10)
