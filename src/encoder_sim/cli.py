@@ -227,6 +227,7 @@ def _grid(lo: float, hi: float, n: int) -> list[float]:
 
 def _cmd_dc_sweep(cp, args) -> int:
     enc = build_encoder(cp)
+    _build_solver(cp)  # checked, though no step is taken
     sec = _read_section(
         cp,
         "dc-sweep",
@@ -349,6 +350,7 @@ def _cmd_vf_curve(cp, args) -> int:
 def _cmd_thd(cp, args) -> int:
     np = _load_numpy()
     enc = build_encoder(cp)
+    _build_solver(cp)  # checked, though no step is taken
     sec = _read_section(
         cp,
         "thd",
@@ -395,6 +397,7 @@ def _cmd_thd(cp, args) -> int:
 
 def _cmd_freq(cp, args) -> int:
     enc = build_encoder(cp)
+    _build_solver(cp)  # checked, though no step is taken
     sec = _read_section(
         cp,
         "freq",
@@ -417,6 +420,7 @@ def _cmd_freq(cp, args) -> int:
 
 def _cmd_power(cp, args) -> int:
     enc = build_encoder(cp)
+    _build_solver(cp)  # checked, though no step is taken
     sec = _read_section(
         cp,
         "power",
@@ -440,7 +444,7 @@ def _cmd_power(cp, args) -> int:
     powers = [p for _, p in rows]
     _say(
         args,
-        f"power: {min(powers) * 1e9:.3f}..{max(powers) * 1e9:.3f} nW over "
+        f"power: {min(powers) * 1e9:.6g}..{max(powers) * 1e9:.6g} nW over "
         f"{len(rows)} spike rates -> {out}",
     )
     return 0
@@ -453,6 +457,11 @@ def _bound_keys(name: str) -> tuple[str, str]:
 
 def _cmd_tune(cp, args) -> int:
     enc = build_encoder(cp)
+    if cp.has_section("solver"):
+        raise ValueError(
+            "tune reads no [solver] section: each evaluation steps at tau_m/100 of the "
+            "neuron it evaluates, within 1 ns..1 us"
+        )
     if not cp.has_section("tune"):
         raise ValueError("section [tune] is required for the tune command")
     raw = dict(cp["tune"])

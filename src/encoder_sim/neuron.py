@@ -123,6 +123,8 @@ class NeuronConfig:
             )
         if not (math.isfinite(self.i_pf_gain) and self.i_pf_gain >= 0.0):
             raise ValueError(f"i_pf_gain must be nonnegative, got {self.i_pf_gain!r}")
+        if not 0.0 < tau_m(self) < math.inf:
+            raise ValueError(f"membrane time constant n*u_t*c_m/i_r is {tau_m(self)!r}")
 
     @property
     def gain(self) -> float:

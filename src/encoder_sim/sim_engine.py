@@ -989,9 +989,15 @@ def spike_count_dc(
 
     period = t_rf + t_first
     n_periods = int((t1 - t_first) / period)
+    rf_steps = t_rf / dt
+    if rf_steps == math.inf:
+        raise SimulationError(
+            f"refractory time {t_rf!r} s at dt = {dt!r} s is too many steps to count in closed form",
+            t_first,
+        )
     # Every loop iteration rounds the time once, and a refractory period
     # may end up to one time_eps early; the closed form drifts likewise.
-    per_period = n_steps + 2 + math.ceil(t_rf / dt)
+    per_period = n_steps + 2 + math.ceil(rf_steps)
     slack = 2.0 * max(n_periods + 1, 3) * (per_period * math.ulp(t1) + _time_eps(t1))
     t_lo = t0 - slack
     band = 2.0 * solver.event_tol + slack

@@ -18,7 +18,9 @@ whose left side is the diode-connected branch plus a linear shunt and whose
 right side is the driving pair. The residual is strictly increasing in
 ``node_arg`` and changes sign across the physical bracket, so the root is
 unique and a bracketing bisection cannot miss it; a Newton polish then takes
-it to solver tolerance.
+it to solver tolerance. ``solve_operating_point`` returns the output pair's
+argument ``input_arg - node_arg``; the branch currents of the network are
+only checked for underflow, not returned.
 
 Both sides of the loop are odd under a joint sign flip of input and node
 arguments, and every float operation involved preserves that symmetry
@@ -52,7 +54,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "TransconductorConfig",
-    "LinearizationSolution",
     "SolverError",
     "solve_operating_point",
     "output_current",
@@ -155,27 +156,6 @@ class TransconductorConfig:
         return self.mirror_to_output * self.i_ref
 
 
-@dataclass(frozen=True)
-class LinearizationSolution:
-    """Solved operating point of the correction network at one input voltage.
-
-    ``alpha`` is the sinh argument actually seen by the output pair (the
-    input argument minus the node-tracking part); ``beta`` is the
-    input-proportional argument the raw pair would see. The differential
-    output obeys ``i_out_diff == 2 * output_quiescent * sinh(alpha)``.
-    """
-
-    v_a: float
-    v_b: float
-    alpha: float
-    beta: float
-    i_3a: float
-    i_3b: float
-    i_4a: float
-    i_4b: float
-    i_out_diff: float
-
-
 def _input_argument(cfg: TransconductorConfig, v_id: float) -> float:
     dev = cfg.dev
     return (dev.n - 1.0) * v_id / (2.0 * dev.n * dev.u_t)
@@ -188,8 +168,8 @@ def _check_v_id(v_id: float) -> None:
         raise ValueError(f"|v_id| must not exceed the {SUPPLY_V} V supply, got {v_id!r}")
 
 
-def _solve_node_arg(cfg: TransconductorConfig, input_arg: float):
-    """Root of the normalized node equation, as (node_arg, rel_residual).
+def _solve_node_arg(cfg: TransconductorConfig, input_arg: float) -> float:
+    """Root of the normalized node equation, the node argument.
 
     The equation reads the two ratios, n, u_t and the input argument, never
     i_ref, which only scales the branch currents. So configs that differ
@@ -268,31 +248,29 @@ def _solve_normalized(s: float, d: float, n: float, u_t: float, input_arg: float
     r = residual(a)
     evals += 1
     while evals < _MAX_EVALS:
-        rel = rel_residual(a, r)
-        if rel < _RESIDUAL_REL_TOL:
-            return a, rel
+        if rel_residual(a, r) < _RESIDUAL_REL_TOL:
+            return a
         slope = math.cosh(a) + s + d * math.cosh(input_arg - a)
         step = r / slope
         a = a - step
         r = residual(a)
         evals += 1
         if abs(step) * two_nut < _X_TOL_V:
-            rel = rel_residual(a, r)
-            if rel < _RESIDUAL_REL_TOL:
-                return a, rel
+            if rel_residual(a, r) < _RESIDUAL_REL_TOL:
+                return a
     raise SolverError(
         f"node equation did not converge within {_MAX_EVALS} evaluations",
         rel_residual(a, r),
     )
 
 
-# Common-mode level the internal nodes sit at; only the differential part
-# carries signal, so this is reported as a constant.
-_NODE_COMMON_MODE_V = 0.25
+def solve_operating_point(cfg: TransconductorConfig, v_id: float) -> float:
+    """The output pair's sinh argument at input ``v_id`` (differential volts).
 
-
-def solve_operating_point(cfg: TransconductorConfig, v_id: float) -> LinearizationSolution:
-    """Solve the correction network at input ``v_id`` (differential volts).
+    This is the input argument minus the node-tracking part; the
+    differential output is ``2 * output_quiescent * sinh`` of it. Of the
+    network's four branch currents only the smaller of each pair, at minus
+    the magnitude of its argument, is formed, to check that none underflows.
 
     Raises ``ValueError`` for invalid inputs, ``SolverError`` if the
     iteration budget is exhausted, ``SaturationError`` if the node equation
@@ -300,33 +278,16 @@ def solve_operating_point(cfg: TransconductorConfig, v_id: float) -> Linearizati
     (bias far outside the model's validity).
     """
     _check_v_id(v_id)
-    dev = cfg.dev
     input_arg = _input_argument(cfg, v_id)
-    node_arg, _ = _solve_node_arg(cfg, input_arg)
+    node_arg = _solve_node_arg(cfg, input_arg)
     out_arg = input_arg - node_arg
 
     i_nd = cfg.branch_quiescent
-    i_drv = cfg.drive_ratio * i_nd
-    i_3a = i_nd * math.exp(node_arg)
-    i_3b = i_nd * math.exp(-node_arg)
-    i_4a = i_drv * math.exp(out_arg)
-    i_4b = i_drv * math.exp(-out_arg)
-    if min(i_3a, i_3b, i_4a, i_4b) <= 0.0:
+    # the smaller current of the node diodes and of the driving pair
+    smaller = (i_nd * math.exp(-abs(node_arg)), cfg.drive_ratio * i_nd * math.exp(-abs(out_arg)))
+    if min(smaller) <= 0.0:
         raise ValueError(f"branch current underflow at v_id={v_id!r}; bias outside model range")
-
-    x = node_arg * (2.0 * dev.n * dev.u_t)
-    i_out_diff = 2.0 * cfg.output_quiescent * math.sinh(out_arg)
-    return LinearizationSolution(
-        v_a=_NODE_COMMON_MODE_V - 0.5 * x,
-        v_b=_NODE_COMMON_MODE_V + 0.5 * x,
-        alpha=out_arg,
-        beta=input_arg,
-        i_3a=i_3a,
-        i_3b=i_3b,
-        i_4a=i_4a,
-        i_4b=i_4b,
-        i_out_diff=i_out_diff,
-    )
+    return out_arg
 
 
 def output_current(cfg: TransconductorConfig, v_id: float) -> float:
@@ -335,7 +296,7 @@ def output_current(cfg: TransconductorConfig, v_id: float) -> float:
     Sign convention: positive for positive ``v_id`` (transconductance is
     positive).
     """
-    return solve_operating_point(cfg, v_id).i_out_diff
+    return 2.0 * cfg.output_quiescent * math.sinh(solve_operating_point(cfg, v_id))
 
 
 def neuron_input_current(cfg: TransconductorConfig, v_id: float) -> float:
@@ -345,8 +306,7 @@ def neuron_input_current(cfg: TransconductorConfig, v_id: float) -> float:
     the quiescent output current plus half the differential swing, floored
     at zero (the mirror cannot pull current out of the node).
     """
-    sol = solve_operating_point(cfg, v_id)
-    return max(cfg.output_quiescent + 0.5 * sol.i_out_diff, 0.0)
+    return max(cfg.output_quiescent + 0.5 * output_current(cfg, v_id), 0.0)
 
 
 def solve_node_args(cfg: TransconductorConfig, beta) -> np.ndarray:
@@ -484,9 +444,10 @@ def node_arg_table(cfg: TransconductorConfig) -> NodeArgTable:
     the neuron drive current, or of the half-swing where that is larger,
     since a double carries no absolute 1e-10 once sinh exceeds about 1e5.
     Past 2**16 intervals it raises ``SolverError``; an overflowing node
-    equation, or a device whose half-width 0.5 V/(2*n*u_t) overflows sinh
-    (whose node equation ``_solve_node_arg`` cannot solve), raises
-    ``SaturationError``.
+    equation, a device whose half-width 0.5 V/(2*n*u_t) overflows sinh
+    (whose node equation ``_solve_node_arg`` cannot solve), or one whose
+    input argument at 0.5 V is too narrow to split into 2**16 intervals
+    raises ``SaturationError``.
     """
     import numpy as np
 
@@ -497,6 +458,8 @@ def node_arg_table(cfg: TransconductorConfig) -> NodeArgTable:
             "device is outside the weak-inversion model range"
         )
     beta_max = _input_argument(cfg, SUPPLY_V)
+    if beta_max < _TABLE_MAX_INTERVALS / sys.float_info.max:
+        raise SaturationError(f"input argument {beta_max:.4g} at 0.5 V is too narrow to tabulate")
     n = _TABLE_MIN_INTERVALS
     nodes = np.arange(n + 1) * (beta_max / n)
     alpha = solve_node_args(cfg, nodes)

@@ -297,6 +297,35 @@ class TestExitCodes:
         assert main(args + ["--set", "transient.t_end_s=1e-4"]) == 3
         assert "event_tol must be at least dt" in capsys.readouterr().err
 
+    def test_refractory_too_many_steps_to_count(self, tmp_path, capsys):
+        # t_rf/dt overflows a double in the dc count: exit 4, not a traceback
+        args = ["vf-curve", "--config", str(declaring("solver", tmp_path))]
+        args += ["--out", str(tmp_path / "v.csv"), "--set", "solver.dt_s=1e-9"]
+        args += ["--set", "solver.event_tol_s=1e-10"]
+        assert main(args + ["--set", "neuron.t_rf_s=1e300"]) == 4
+        assert "too many steps to count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_checks_the_solver(self, command, tmp_path, capsys):
+        args = [command, "--config", str(declaring("solver", tmp_path))]
+        args += ["--out", str(tmp_path / "o.csv"), "--set", "solver.dt_s=garbage"]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "tune reads no [solver]" in err if command == "tune" else "'garbage'" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_tune_refuses_a_solver_section(self, tmp_path, capsys):
+        # its evaluations never read one, so a valid [solver] would change nothing
+        args = ["tune", "--config", str(declaring("solver", tmp_path))]
+        assert main(args + ["--out", str(tmp_path / "t.csv")]) == 3
+        assert "tune reads no [solver] section" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_power_summary_has_bounded_width(self, tmp_path, capsys):
+        args = ["power", "--config", DEFAULT_INI, "--out", str(tmp_path / "p.csv")]
+        assert main(args + ["--set", "power.f_spikes_hz=1e300"]) == 0
+        assert "power: 1.75e+296..1.75e+296 nW over 1 spike rates" in capsys.readouterr().out
+
     def test_input_pole_past_the_rk4_stability_limit(self, tmp_path, capsys):
         # omega*dt = 2.9 at the default dt: refused before the first step
         ini = tmp_path / "pole.ini"
@@ -597,6 +626,18 @@ class TestGoldenFiles:
         out = tmp_path / "g.csv"
         assert main(["tune", "--config", DEFAULT_INI, "--out", str(out), "--quiet"]) == 0
         assert out.read_bytes() == (GOLDEN / "tune_default.csv").read_bytes()
+
+    def test_summary_lines_match_golden(self, tmp_path, capsys):
+        # each command's stdout on default.ini, with the transient golden's
+        # t_end and the output directory written as OUT
+        printed = []
+        for command in COMMANDS:
+            args = [command, "--config", DEFAULT_INI, "--out", str(tmp_path / f"{command}.csv")]
+            if command == "transient":
+                args += ["--set", "transient.t_end_s=1e-3"]
+            assert main(args) == 0
+            printed.append(capsys.readouterr().out.replace(str(tmp_path), "OUT"))
+        assert "".join(printed) == (GOLDEN / "summaries_default.txt").read_text()
 
 
 class TestGrid:

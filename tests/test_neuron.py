@@ -58,6 +58,16 @@ class TestTimeConstant:
         )
         assert tau_m(big) == pytest.approx(2.0 * tau_m(LIN), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"c_m": 5e-324}, {"c_m": 1e300, "i_g": 5e-324, "i_r": 1e-300, "i_reset": 5e-324}],
+        ids=["underflows", "overflows"],
+    )
+    def test_must_be_positive_and_finite(self, kwargs):
+        # the RK4 kernels divide by it
+        with pytest.raises(ValueError, match="membrane time constant"):
+            NeuronConfig(**kwargs)
+
 
 class TestLinearMode:
     def test_zero_input_pure_decay(self):

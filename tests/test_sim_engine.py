@@ -1826,3 +1826,104 @@ class TestSpikeCountDc:
         with pytest.raises(SimulationError, match="too long"):
             spike_count_dc(EncoderConfig(), 0.25, 2e-3, 1e300)
 
+
+    def test_refractory_too_many_steps_to_count(self):
+        # t_rf/dt overflows a double: refused, not an OverflowError
+        neuron = NeuronConfig(t_rf=1e300)
+        with pytest.raises(SimulationError, match="too many steps"):
+            spike_count_dc(EncoderConfig(neuron=neuron), 0.25, 0.0, 1e-4, SolverConfig(1e-9, 1e-10))
+
+
+# A draw for a number field: within three decades of its shipped value, or
+# an extreme double, so that the config classes' own checks decide what is
+# accepted.
+EXTREMES = st.sampled_from([5e-324, 1e-300, 1e300, 1.7976931348623157e308])
+
+
+def near(value):
+    decades = st.floats(-3.0, 3.0).map(lambda e: value * 10.0**e)
+    return st.one_of(decades, decades, decades, EXTREMES)  # one draw in four extreme
+
+
+def near_or_zero(value):
+    return st.just(0.0) | near(value)
+
+
+@st.composite
+def accepted_configs(draw):
+    """(encoder, solver or None, v, steps), or None where a config class refuses the draw."""
+    try:
+        dev = DeviceParams(n=1.0 + draw(near(0.2)), u_t=draw(near(0.025)))
+        tc = TransconductorConfig(
+            dev=dev,
+            i_ref=draw(near(8e-9)),
+            mirror_to_branch=draw(near(0.5)),
+            mirror_to_output=draw(near(0.5)),
+            drive_ratio=draw(near(6.368)),
+            node_shunt_ratio=draw(near_or_zero(1.0)),
+        )
+        i_g, i_r = sorted((draw(near(10e-12)), draw(near(0.5e-9))))
+        i_reset, i_th = sorted((draw(near(1e-12)), draw(near(72e-12))))
+        neuron = NeuronConfig(
+            c_m=draw(near(0.6e-12)),
+            i_g=i_g,
+            i_r=i_r,
+            i_th=i_th,
+            i_reset=i_reset,
+            t_rf=draw(near_or_zero(20e-6)),
+            n=dev.n,
+            u_t=dev.u_t,
+            mode=draw(st.sampled_from(["nonlinear", "linear"])),
+            i_pf_gain=draw(near_or_zero(0.1)),
+            gain_convention=draw(st.sampled_from(["derived", "printed"])),
+        )
+        enc = EncoderConfig(tc, neuron, draw(st.none() | near(20e-12)))
+        dt = draw(st.none() | near(1.8e-7))
+        solver = None if dt is None else SolverConfig(dt, dt * draw(st.floats(2.0**-40, 0.5)))
+    except ValueError:
+        return None
+    return enc, solver, draw(st.floats(-0.5, 0.5)), draw(st.integers(1, 48))
+
+
+NARROW = DeviceParams(n=1.000000000001, u_t=1.7e293)
+NARROW_NEURON = NeuronConfig(n=NARROW.n, u_t=NARROW.u_t)
+
+
+class TestAcceptedConfigsSimulate:
+    @given(case=accepted_configs())
+    # t_rf/dt overflows in spike_count_dc: with a first spike inside the
+    # window, and as first seen, with the first spike past it
+    @example(
+        case=(
+            EncoderConfig(neuron=NeuronConfig(t_rf=1e305, i_th=1.1e-12)),
+            SolverConfig(1e-7, 1e-8),
+            0.25,
+            48,
+        )
+    )
+    @example(case=(EncoderConfig(neuron=NeuronConfig(t_rf=1e300)), SolverConfig(1e-10, 1e-11), 0.25, 48))
+    # the supply swing's input argument, 1.4e-306, is too narrow to tabulate
+    @example(case=(EncoderConfig(TransconductorConfig(dev=NARROW), NARROW_NEURON), None, 0.0, 1))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_short_runs_simulate_or_raise_typed(self, case):
+        # every config the classes accept runs a few dozen steps of a dc
+        # and a sine transient and a dc count, or raises ValueError or
+        # RuntimeError, never another exception
+        if case is None:
+            return
+        enc, solver, v, steps = case
+        t_end = steps * (solver or default_solver_config(enc.neuron)).dt
+        runs = (
+            lambda: transient(enc, Waveform(kind="dc", offset=v), t_end, solver),
+            lambda: transient(
+                enc, Waveform(kind="sine", amplitude=0.5 - abs(v), offset=v, frequency=0.5 / t_end),
+                t_end,
+                solver,
+            ),
+            lambda: spike_count_dc(enc, v, 0.0, t_end, solver),
+        )
+        for run in runs:
+            try:
+                run()
+            except (ValueError, RuntimeError):
+                pass
