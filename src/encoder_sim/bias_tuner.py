@@ -25,8 +25,7 @@ from .analysis import (
     power_estimate,
     vf_curve,
 )
-from .neuron import tau_m
-from .sim_engine import EncoderConfig, SolverConfig, _event_tol, spike_count_dc
+from .sim_engine import EncoderConfig, SolverConfig, _solver_per_tau, spike_count_dc
 
 __all__ = [
     "TuneSpec",
@@ -55,6 +54,7 @@ _F_SPIKE_REF = 25e3  # objective_power_weighted prices power at this spike rate,
 _POWER_SCALE = 500e-9  # in units of this many watts
 
 _COLLAPSE_FRACTION = 1e-6
+_STEPS_PER_TAU = 100.0  # an objective evaluation steps at tau_m over this
 
 
 class TunerError(RuntimeError):
@@ -185,9 +185,7 @@ def _cheap_solver(neuron) -> SolverConfig:
     Rate counting tolerates more step error than spike-time comparisons,
     so the tuner trades timing accuracy for a ~2x speedup per point.
     """
-    tau = tau_m(neuron)
-    dt = min(max(tau / 100.0, 1e-9), 1e-6)
-    return SolverConfig(dt=dt, event_tol=_event_tol(dt))
+    return _solver_per_tau(neuron, _STEPS_PER_TAU)
 
 
 def objective_linearity(encoder: EncoderConfig, rate_model=None) -> float:

@@ -21,10 +21,10 @@ import sys
 from pathlib import Path
 
 from .analysis import power_estimate, small_signal, thd, vf_curve
-from .bias_tuner import _TUNABLE, TuneSpec, tune
+from .bias_tuner import _STEPS_PER_TAU, _TUNABLE, TuneSpec, tune
 from .device_model import DeviceParams
 from .neuron import NeuronConfig, neuron_biases_from_voltages
-from .sim_engine import EncoderConfig, SolverConfig, Waveform, _event_tol, transient
+from .sim_engine import _DT_RANGE, EncoderConfig, SolverConfig, Waveform, _event_tol, transient
 from .transconductor import (
     TransconductorConfig,
     dc_sweep,
@@ -459,8 +459,9 @@ def _cmd_tune(cp, args) -> int:
     enc = build_encoder(cp)
     if cp.has_section("solver"):
         raise ValueError(
-            "tune reads no [solver] section: each evaluation steps at tau_m/100 of the "
-            "neuron it evaluates, within 1 ns..1 us"
+            f"tune reads no [solver] section: each evaluation steps at tau_m/{_STEPS_PER_TAU:g} "
+            f"of the neuron it evaluates, within {_DT_RANGE[0] / 1e-9:g} ns.."
+            f"{_DT_RANGE[1] / 1e-6:g} us"
         )
     if not cp.has_section("tune"):
         raise ValueError("section [tune] is required for the tune command")

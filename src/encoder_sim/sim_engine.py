@@ -42,11 +42,11 @@ gives the bits of plain per-step RK4 under that drive:
   autonomous, so the train is strictly periodic: spike k sits at
   t_first + k*(t_rf + t_first), up to float accumulation of the time. It
   returns 0 without a step for a bias that provably stays below threshold,
-  steps the first interval and bisects its crossing in one kernel call
-  (``dc_first``), counts the later periods in closed form, and hands the
-  last periods to ``transient`` only where the step cut short by the window
-  end can change the verdict. Its docstring states the tie rule at the
-  window edges.
+  steps the first interval with ``full_steps`` and bisects its crossing
+  with ``locate`` (``_first_interval``), counts the later periods in closed
+  form, and hands the last periods to ``transient`` only where the step cut
+  short by the window end can change the verdict. Its docstring states the
+  tie rule at the window edges.
 """
 
 from __future__ import annotations
@@ -115,6 +115,7 @@ _BUDGET_OVERRUN = 4
 # RK4 integrates y' = -omega*y without growth for omega*h up to this, the
 # real root of z**3 - 4*z**2 + 12*z - 24 (its amplification at -z is 1).
 _RK4_STABLE = 2.785293563405282
+_DT_RANGE = (1e-9, 1e-6)  # s, where ``_solver_per_tau`` clamps a step sized to the neuron
 
 
 class SimulationError(RuntimeError):
@@ -256,10 +257,15 @@ def _event_tol(dt: float) -> float:
     return min(1e-9, dt / 10.0)
 
 
+def _solver_per_tau(neuron: NeuronConfig, steps_per_tau: float) -> SolverConfig:
+    """A step of tau_m/steps_per_tau, clamped to ``_DT_RANGE``, and its event tolerance."""
+    dt = min(max(tau_m(neuron) / steps_per_tau, _DT_RANGE[0]), _DT_RANGE[1])
+    return SolverConfig(dt=dt, event_tol=_event_tol(dt))
+
+
 def default_solver_config(neuron: NeuronConfig) -> SolverConfig:
     """Step sized to the membrane time constant, clamped to sane bounds."""
-    dt = min(max(tau_m(neuron) / 200.0, 1e-9), 1e-6)
-    return SolverConfig(dt=dt, event_tol=_event_tol(dt))
+    return _solver_per_tau(neuron, 200.0)
 
 
 @dataclass(frozen=True)
@@ -371,9 +377,8 @@ def _time_eps(t_end: float) -> float:
 #   and raises ``SimulationError`` past ``_BUDGET_OVERRUN * _TRACE_BUDGET``
 #   rows. Its steps are ``step``'s operations in order with ``t += dt``, so
 #   they give its bits; the first stage needs no clamp, as y is never
-#   negative. A call to the derivative per stage was about 15% slower.
-# - ``dc_first(i_in, y, dt, t_end, event_tol)``: the first interval of
-#   ``spike_count_dc`` up to its spike, located with ``locate``.
+#   negative, and each step's end drive is the next step's start drive.
+#   A call to the derivative per stage was about 15% slower.
 _KERNEL_TEXT = """\
 def make_deriv(CONSTANTS, **_):
     def deriv(m, i_in):
@@ -441,14 +446,15 @@ def make_full_steps(i_th, row_cap, rows_overrun, CONSTANTS, **_):
             if first == stop:
                 break
             due = first + row
+            i1 = at[first]
             for j in range(first, stop):
                 if j == due:
                     trace.append((t, float(volts[j]), at[j], y))
                     if len(trace) > row_cap:
                         raise rows_overrun(len(trace), t=t)
                     due += every
-                i0, im, i1 = at[j], mid[j], at[j + 1]
-                k1 = F(y, i0)
+                k1 = F(y, i1)
+                im, i1 = mid[j], at[j + 1]
                 y2 = y + half * k1
                 m = y2 if y2 > 0.0 else 0.0
                 k2 = F(m, im)
@@ -467,42 +473,6 @@ def make_full_steps(i_th, row_cap, rows_overrun, CONSTANTS, **_):
             row = due - stop
         return t, y, taken, None
     return full_steps
-
-def make_dc_first(i_th, chunk, whole_steps, locate, CONSTANTS, **_):
-    args = (i_th, float("inf"), float("-inf"), chunk, whole_steps, CONSTANTS)
-    def dc_first(i_in, y, dt, t_end, event_tol):
-        i_th, inf, neg_inf, chunk, whole_steps, CONSTANTS = args
-        half, sixth = 0.5 * dt, dt / 6.0
-        t, n_steps = 0.0, 0
-        while True:
-            y_start = y
-            n = whole_steps(t, chunk, dt, t_end)
-            for j in range(n):
-                k1 = F(y, i_in)
-                y2 = y + half * k1
-                m = y2 if y2 > 0.0 else 0.0
-                k2 = F(m, i_in)
-                y3 = y + half * k2
-                m = y3 if y3 > 0.0 else 0.0
-                k3 = F(m, i_in)
-                y4 = y + dt * k3
-                m = y4 if y4 > 0.0 else 0.0
-                k4 = F(m, i_in)
-                i_new = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not neg_inf < i_new < i_th:
-                    if not i_th <= i_new < inf:
-                        return "non-finite", t, y, n_steps + j
-                    stages = (i_in,) * 4
-                    t += locate(lambda _t, _h: stages, t, y, dt, event_tol)
-                    return "crossed", t, y, n_steps + j
-                t += dt
-                y = i_new if i_new > 0.0 else 0.0
-            n_steps += n
-            if n < chunk:
-                return "window end", t, y, n_steps
-            if y <= y_start:
-                return "silent", t, y, n_steps
-    return dc_first
 """
 
 
@@ -529,15 +499,12 @@ def _compile_kernel(variant: str, name: str):
 def _neuron_kernel(neuron: NeuronConfig, name: str):
     """Kernel ``name`` of ``_KERNEL_TEXT`` under a neuron's constants, built once.
 
-    ``dc_first`` bisects with the neuron's ``locate``. Equal configs differ
-    at most in the sign of a zero ``i_pf_gain``, which no variant reads.
+    Equal configs differ at most in the sign of a zero ``i_pf_gain``, which
+    no variant reads.
     """
     variant, constants = derivative_variant(neuron)
-    built = dict(i_th=neuron.i_th, chunk=_DRIVE_BLOCK_STEPS, whole_steps=_whole_steps)
-    built["row_cap"] = _BUDGET_OVERRUN * _TRACE_BUDGET
+    built = dict(i_th=neuron.i_th, row_cap=_BUDGET_OVERRUN * _TRACE_BUDGET)
     built["rows_overrun"] = functools.partial(_overrun, what="trace rows", budget=_TRACE_BUDGET)
-    if name == "dc_first":
-        built["locate"] = _neuron_kernel(neuron, "locate")
     return _compile_kernel(variant, name)(**built, **constants)
 
 
@@ -908,6 +875,37 @@ def _silent_at_dc(neuron: NeuronConfig, i_in: float, dt: float) -> bool:
     return i_eq < neuron.i_th * (1.0 - 1e-9) and dt * lipschitz <= 0.5
 
 
+def _first_interval(
+    neuron: NeuronConfig, i_in: float, y: float, dt: float, t_end: float, event_tol: float
+) -> tuple[str, float, float, int]:
+    """Step a dc drive i_in from y at t = 0 to its first spike: (verdict, t, y, n_steps).
+
+    ``full_steps`` takes ``_DRIVE_BLOCK_STEPS`` steps a call under
+    ``_dc_drive``'s blocks, and ``locate`` bisects a crossing. The verdict
+    is "crossed", with t the spike and y the crossing step's start,
+    "non-finite", "window end" when a call takes fewer steps, or "silent"
+    when a call ends no higher than it began.
+    """
+    stage_drive, take_block, _ = _dc_drive(i_in, 0.0, dt, t_end)
+    full_steps = _neuron_kernel(neuron, "full_steps")
+    t, n_steps = 0.0, 0
+    while True:
+        y_start = y
+        t, y, taken, i_new = full_steps(
+            take_block, dt, _NO_TRACE, t, y, _DRIVE_BLOCK_STEPS, _NO_TRACE, []
+        )
+        n_steps += taken
+        if i_new is not None:
+            if not math.isfinite(i_new):
+                return "non-finite", t, y, n_steps
+            t += _neuron_kernel(neuron, "locate")(stage_drive, t, y, dt, event_tol)
+            return "crossed", t, y, n_steps
+        if taken < _DRIVE_BLOCK_STEPS:
+            return "window end", t, y, n_steps
+        if y <= y_start:
+            return "silent", t, y, n_steps
+
+
 def spike_count_dc(
     encoder: EncoderConfig,
     v: float,
@@ -921,15 +919,16 @@ def spike_count_dc(
     window, starting at i_reset with no refractory time pending, with work
     proportional to one firing interval rather than to the window:
 
+    - A t_rf/dt that overflows a double is too many steps to count, and
+      raises ``SimulationError`` before any step, whatever the bias.
     - A silent bias returns 0 without a step: its dc equilibrium lies
       below i_th*(1 - 1e-9) and dt is small enough that RK4 cannot step
       past it (``_silent_at_dc``).
-    - The first interval is stepped by the neuron's dc kernel
-      ``dc_first`` in chunks of ``_DRIVE_BLOCK_STEPS`` steps, with the
-      steps and bits of ``transient``'s full-step loop, and its crossing
-      is bisected by ``locate`` as there. A chunk that ends no higher
-      than it began means 0: the RK4 map of an autonomous scalar equation
-      is monotone, so the membrane never rises again.
+    - The first interval is stepped by ``transient``'s full-step loop and
+      its crossing bisected by ``locate`` as there (``_first_interval``).
+      A call of ``_DRIVE_BLOCK_STEPS`` steps that ends no higher than it
+      began means 0: the RK4 map of an autonomous scalar equation is
+      monotone, so the membrane never rises again.
     - Every later spike sits at t_first + k*(t_rf + t_first), up to float
       accumulation of the time, and is counted in closed form. A crossing
       step that t1 cuts short is bisected on a shorter span, which can
@@ -965,6 +964,12 @@ def spike_count_dc(
     i_dc = neuron_input_current(encoder.transconductor, v)
     t_rf = neuron.t_rf
     dt = solver.dt
+    rf_steps = t_rf / dt
+    if rf_steps == math.inf:
+        raise SimulationError(
+            f"refractory time {t_rf!r} s at dt = {dt!r} s is too many steps to count in closed form",
+            0.0,
+        )
     if _silent_at_dc(neuron, i_dc, dt):
         return 0
 
@@ -974,8 +979,9 @@ def spike_count_dc(
         res = transient(encoder, wave, t_end, solver, initial_state=state, trace_every=_NO_TRACE)
         return sum(1 for t in res.spikes.times if t < t_end and t_start + t >= t_lo)
 
-    dc_first = _neuron_kernel(neuron, "dc_first")
-    verdict, t, i_mem, n_steps = dc_first(i_dc, neuron.i_reset, dt, t1, solver.event_tol)
+    verdict, t, i_mem, n_steps = _first_interval(
+        neuron, i_dc, neuron.i_reset, dt, t1, solver.event_tol
+    )
     if verdict == "silent":
         return 0
     if verdict == "window end":
@@ -989,12 +995,6 @@ def spike_count_dc(
 
     period = t_rf + t_first
     n_periods = int((t1 - t_first) / period)
-    rf_steps = t_rf / dt
-    if rf_steps == math.inf:
-        raise SimulationError(
-            f"refractory time {t_rf!r} s at dt = {dt!r} s is too many steps to count in closed form",
-            t_first,
-        )
     # Every loop iteration rounds the time once, and a refractory period
     # may end up to one time_eps early; the closed form drifts likewise.
     per_period = n_steps + 2 + math.ceil(rf_steps)

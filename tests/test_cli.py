@@ -318,7 +318,9 @@ class TestExitCodes:
         # its evaluations never read one, so a valid [solver] would change nothing
         args = ["tune", "--config", str(declaring("solver", tmp_path))]
         assert main(args + ["--out", str(tmp_path / "t.csv")]) == 3
-        assert "tune reads no [solver] section" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "tune reads no [solver] section: each evaluation steps at tau_m/100 of" in err
+        assert "within 1 ns..1 us" in err
         assert not (tmp_path / "t.csv").exists()
 
     def test_power_summary_has_bounded_width(self, tmp_path, capsys):

@@ -225,6 +225,10 @@ class TestSolverConfig:
         assert cfg.dt == pytest.approx(tau_m(LIN) / 200.0, rel=1e-12)
         assert cfg.event_tol < cfg.dt
 
+    def test_tune_steps_at_a_hundredth_of_tau(self):
+        # the step that tune's refusal of a [solver] section states
+        assert _cheap_solver(LIN).dt == tau_m(LIN) / 100.0
+
     def test_default_clamps(self):
         fast = NeuronConfig(
             c_m=0.6e-12, i_g=10e-12, i_r=9e-8, i_th=30e-12, i_reset=1e-12, mode="linear"
@@ -1319,15 +1323,14 @@ class TestGeneratedKernels:
         names = [f"<rk4 {name}: {variant}>" for name in ("step", "locate")]
         assert [k.__code__.co_filename for k in built] == names
         assert derivative_variant(neuron)[0] == variant
-        names = ("deriv", "step", "locate", "full_steps", "dc_first")
+        names = ("deriv", "step", "locate", "full_steps")
         kernels = {name: _neuron_kernel(neuron, name) for name in names}
         # the derivative written out with each kernel's argument names
         arguments = {
             "deriv": [("m", "i_in")],
             "step": [("m", i_in) for i_in in ("i0", "i2", "i3", "i1")],
             "locate": [("m", i_in) for i_in in ("i0", "i2", "i3", "i1")],
-            "full_steps": [("y", "i0"), ("m", "im"), ("m", "i1")],
-            "dc_first": [("y", "i_in"), ("m", "i_in")],
+            "full_steps": [("y", "i1"), ("m", "im"), ("m", "i1")],
         }
         f = DERIVATIVES[variant]
         for name, kernel in kernels.items():
@@ -1385,15 +1388,15 @@ class TestGeneratedKernels:
             neuron = replace(list(VARIANT_NEURONS.values())[k % 3], c_m=rng.uniform(5e-13, 7e-13))
             enc = EncoderConfig(transconductor=TC, neuron=neuron)
             assert spike_count_dc(enc, 0.25, 0.0, 1e-3) > 0
-        # dc counts compile only the dc kernels
-        assert sorted(compiled) == kernels("dc_first", "locate")
+        # dc counts compile the full-step loop and the bisection
+        assert sorted(compiled) == kernels("full_steps", "locate")
         compiled.clear()
         for neuron in VARIANT_NEURONS.values():
             for pole in (3e-13, None):
                 enc = EncoderConfig(transconductor=TC, neuron=neuron, input_pole_capacitance=pole)
                 assert len(transient(enc, SINE, 1e-3).spikes) > 0
-        # time-varying runs compile their own kernels, once
-        assert sorted(compiled) == kernels("step", "full_steps")
+        # time-varying runs share them and compile only the scalar step, once
+        assert sorted(compiled) == kernels("step")
 
     def test_one_encoder_builds_its_dc_kernels_once(self, monkeypatch):
         built = []
@@ -1408,7 +1411,7 @@ class TestGeneratedKernels:
         enc = EncoderConfig(transconductor=TC, neuron=NeuronConfig(c_m=0.61e-12))
         biases = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
         assert all(spike_count_dc(enc, v, 0.0, 2e-3) > 0 for v in biases)
-        assert sorted(built) == ["dc_first", "locate"]
+        assert sorted(built) == ["full_steps", "locate"]
 
     def test_a_second_run_builds_no_kernel(self):
         enc = EncoderConfig(transconductor=TC, neuron=NeuronConfig(c_m=0.62e-12))
@@ -1424,10 +1427,10 @@ class TestGeneratedKernels:
             misses.append(info().misses)
             run()
             misses.append(info().misses)
-        # vf_curve builds dc_first and its locate, the sine run step and
-        # full_steps, and the pole run reuses the sine run's step and locate
+        # vf_curve builds full_steps and locate, the sine run adds step,
+        # and the pole run reuses the sine run's step and locate
         m = misses[0]
-        assert misses == [m, m + 2, m + 2, m + 4, m + 4, m + 4, m + 4]
+        assert misses == [m, m + 2, m + 2, m + 3, m + 3, m + 3, m + 3]
 
     @pytest.mark.parametrize("variant", sorted(DERIVATIVES))
     def test_expression_reads_only_placeholders_and_constants(self, variant):
@@ -1494,43 +1497,51 @@ class TestLocate:
         assert same_bits(locate(stage_drive, t, y, h, event_tol), want)
 
 
-def dc_first_by_full_steps(neuron, i_in, y, dt, t_end, event_tol):
-    """The first interval of ``spike_count_dc`` before its dc kernel, the reference.
+def first_interval_by_steps(neuron, i_in, y, dt, t_end, event_tol):
+    """The first interval of ``spike_count_dc``, one scalar step at a time: the reference.
 
-    The full-step loop under ``_dc_drive``'s blocks, called for 256 steps
-    at a time, and ``locate_crossing`` around the scalar step, with the
-    kernel's verdicts.
+    ``step`` under the constant drive, in chunks of 256 steps that
+    ``_whole_steps`` cuts near t_end, and ``locate_crossing`` around the
+    crossing step, with the verdicts of ``_first_interval``.
     """
     chunk = sim_engine._DRIVE_BLOCK_STEPS
-    stages, take_block, _ = _dc_drive(i_in, 0.0, dt, t_end)
-    full_steps, step = _neuron_kernel(neuron, "full_steps"), _neuron_kernel(neuron, "step")
+    kernel, stages = _neuron_kernel(neuron, "step"), (i_in,) * 4
+
+    def step(t, y, h):
+        return kernel(lambda _t, _h: stages, t, y, h)
+
     t, n_steps = 0.0, 0
     while True:
         y_start = y
-        t, y, taken, i_new = full_steps(take_block, dt, 10**9, t, y, chunk, 10**9, [])
-        n_steps += taken
-        if i_new is not None and not math.isfinite(i_new):
-            return "non-finite", t, y, n_steps
-        if i_new is not None:
-            t0, y0 = t, y
-            t += locate_crossing(lambda s: step(stages, t0, y0, s) >= neuron.i_th, dt, event_tol)
-            return "crossed", t, y, n_steps
-        if taken < chunk:
+        n = sim_engine._whole_steps(t, chunk, dt, t_end)
+        for _ in range(n):
+            i_new = step(t, y, dt)
+            if not math.isfinite(i_new):
+                return "non-finite", t, y, n_steps
+            if i_new >= neuron.i_th:
+                t0, y0 = t, y
+                t += locate_crossing(lambda s: step(t0, y0, s) >= neuron.i_th, dt, event_tol)
+                return "crossed", t, y, n_steps
+            t += dt
+            y = i_new if i_new > 0.0 else 0.0
+            n_steps += 1
+        if n < chunk:
             return "window end", t, y, n_steps
         if y <= y_start:
             return "silent", t, y, n_steps
 
 
-def dc_first_case(variant, i_in, start, dt_over_tau, steps, tol_over_dt=1 / 180):
-    """The arguments of ``dc_first`` and of its reference for one case."""
+def first_interval_case(variant, i_in, start, dt_over_tau, steps, tol_over_dt=1 / 180):
+    """The arguments of ``_first_interval`` and of its reference for one case."""
     neuron = VARIANT_NEURONS[variant]
     dt = dt_over_tau * tau_m(neuron)
     return neuron, (i_in, start * neuron.i_th, dt, steps * dt, tol_over_dt * dt)
 
 
 class TestDcFirst:
-    """The dc kernel gives the full-step loop's verdict, state and step count,
-    and its spike time the bisection of the scalar step."""
+    """The first interval of a dc count (``_first_interval``) gives the scalar
+    step's verdict, state and step count, and its spike time the bisection of
+    the scalar step."""
 
     @pytest.mark.parametrize(
         "verdict, variant, i_in, start, dt_over_tau, steps",
@@ -1555,9 +1566,9 @@ class TestDcFirst:
         ],
     )
     def test_verdicts(self, verdict, variant, i_in, start, dt_over_tau, steps):
-        neuron, args = dc_first_case(variant, i_in, start, dt_over_tau, steps)
-        got = _neuron_kernel(neuron, "dc_first")(*args)
-        assert got == dc_first_by_full_steps(neuron, *args)
+        neuron, args = first_interval_case(variant, i_in, start, dt_over_tau, steps)
+        got = sim_engine._first_interval(neuron, *args)
+        assert got == first_interval_by_steps(neuron, *args)
         assert got[0] == verdict
 
     @pytest.mark.parametrize("variant", sorted(VARIANT_NEURONS))
@@ -1570,9 +1581,9 @@ class TestDcFirst:
     )
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_equals_the_full_step_loop(self, variant, i_in, start, dt_over_tau, steps, tol):
-        neuron, args = dc_first_case(variant, i_in, start, dt_over_tau, steps, tol)
-        got = _neuron_kernel(neuron, "dc_first")(*args)
-        want = dc_first_by_full_steps(neuron, *args)
+        neuron, args = first_interval_case(variant, i_in, start, dt_over_tau, steps, tol)
+        got = sim_engine._first_interval(neuron, *args)
+        want = first_interval_by_steps(neuron, *args)
         assert got[0] == want[0] and got[3] == want[3]
         assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
 
@@ -1832,6 +1843,17 @@ class TestSpikeCountDc:
         neuron = NeuronConfig(t_rf=1e300)
         with pytest.raises(SimulationError, match="too many steps"):
             spike_count_dc(EncoderConfig(neuron=neuron), 0.25, 0.0, 1e-4, SolverConfig(1e-9, 1e-10))
+
+    @pytest.mark.parametrize("v", [0.0, 0.25])  # a silent bias under the guard, a firing one
+    def test_refractory_refused_before_a_step(self, monkeypatch, v):
+        def no_step(*args, **kwargs):
+            raise AssertionError("the refusal took a step")
+
+        monkeypatch.setattr(sim_engine, "_neuron_kernel", no_step)
+        monkeypatch.setattr(sim_engine, "transient", no_step)
+        enc = EncoderConfig(neuron=NeuronConfig(t_rf=1e300))
+        with pytest.raises(SimulationError, match="too many steps"):
+            spike_count_dc(enc, v, 0.0, 1e-3, SolverConfig(1e-10, 1e-11))
 
 
 # A draw for a number field: within three decades of its shipped value, or
