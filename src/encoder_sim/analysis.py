@@ -9,6 +9,7 @@ model split into static bias branches and a capacitive switching term.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .device_model import SUPPLY_V, SaturationError
@@ -269,8 +270,8 @@ def power_estimate(
     """
     if not (math.isfinite(f_spike) and f_spike >= 0.0):
         raise ValueError(f"f_spike must be nonnegative, got {f_spike!r}")
-    if k_static < 1:
-        raise ValueError(f"k_static must be >= 1, got {k_static!r}")
+    if not 1 <= k_static <= sys.float_info.max:
+        raise ValueError(f"k_static must be >= 1 and a finite float, got {k_static!r}")
     if not (math.isfinite(c_dyn) and c_dyn >= 0.0):
         raise ValueError(f"c_dyn must be nonnegative, got {c_dyn!r}")
     neuron: NeuronConfig = encoder.neuron

@@ -188,7 +188,7 @@ def _cheap_solver(neuron) -> SolverConfig:
     return _solver_per_tau(neuron, _STEPS_PER_TAU)
 
 
-def objective_linearity(encoder: EncoderConfig, rate_model=None) -> float:
+def objective_linearity(encoder: EncoderConfig) -> float:
     """Window linearity deviation plus 1.0 per dead in-window point.
 
     Delegates the fit and deviation metric to the curve machinery, so on
@@ -196,24 +196,18 @@ def objective_linearity(encoder: EncoderConfig, rate_model=None) -> float:
     of the same ``vf_curve`` measurement exactly. An encoder that cannot
     drive the midpoint to a countable rate gets the all-points-dead
     penalty instead of an error, which keeps the search surface finite
-    over hostile corners of the box. rate_model substitutes a synthetic v -> Hz map for the
-    simulation; tests use it to pin the metric's identities.
+    over hostile corners of the box.
     """
     grid = list(_LINEARITY_GRID)
     try:
-        if rate_model is None:
-            curve = vf_curve(
-                encoder,
-                grid,
-                _SETTLE_TIME,
-                _MEASURE_TIME,
-                _LINEARITY_WINDOW,
-                solver=_cheap_solver(encoder.neuron),
-            )
-        else:
-            rates = [float(rate_model(v)) for v in grid]
-            counts = [r * _MEASURE_TIME for r in rates]
-            curve = _curve_from_rates(grid, rates, counts, _LINEARITY_WINDOW)
+        curve = vf_curve(
+            encoder,
+            grid,
+            _SETTLE_TIME,
+            _MEASURE_TIME,
+            _LINEARITY_WINDOW,
+            solver=_cheap_solver(encoder.neuron),
+        )
     except UndersampledError:
         return float(len(grid))
     return curve.max_deviation_fraction + float(len(curve.flagged))

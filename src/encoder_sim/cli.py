@@ -24,7 +24,15 @@ from .analysis import power_estimate, small_signal, thd, vf_curve
 from .bias_tuner import _STEPS_PER_TAU, _TUNABLE, TuneSpec, tune
 from .device_model import DeviceParams
 from .neuron import NeuronConfig, neuron_biases_from_voltages
-from .sim_engine import _DT_RANGE, EncoderConfig, SolverConfig, Waveform, _event_tol, transient
+from .sim_engine import (
+    _DT_RANGE,
+    _TRACE_BUDGET,
+    EncoderConfig,
+    SolverConfig,
+    Waveform,
+    _event_tol,
+    transient,
+)
 from .transconductor import (
     TransconductorConfig,
     dc_sweep,
@@ -213,9 +221,9 @@ def _load_numpy():
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
-    """``np.linspace(lo, hi, n)`` bit for bit, as floats."""
-    if n < 2:
-        raise ValueError(f"n_points must be >= 2, got {n}")
+    """``np.linspace(lo, hi, n)`` bit for bit, as floats; n at most ``_TRACE_BUDGET``."""
+    if not 2 <= n <= _TRACE_BUDGET:
+        raise ValueError(f"n_points must be in 2..{_TRACE_BUDGET}, got {n}")
     if not hi > lo:
         raise ValueError(f"grid needs v_stop > v_start, got {lo!r}, {hi!r}")
     delta = hi - lo
@@ -370,6 +378,8 @@ def _cmd_thd(cp, args) -> int:
     n_harmonics = sec.get("n_harmonics", 9)
     if ppp < 2 or periods < 1:
         raise ValueError("points_per_period must be >= 2 and n_periods >= 1")
+    if ppp * periods > _TRACE_BUDGET:
+        raise ValueError(f"points_per_period * n_periods must be at most {_TRACE_BUDGET}")
 
     # The transfer is memoryless, so the drive frequency is immaterial;
     # normalize to f0 = 1 Hz and fs = points_per_period.

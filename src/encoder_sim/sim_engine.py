@@ -29,9 +29,8 @@ gives the bits of plain per-step RK4 under that drive:
   ``_KERNEL_TEXT``. Every full step of a run without an input pole runs in
   the loop ``full_steps``, which returns to ``transient``'s event loop only
   for the step t_end cuts short, a step that reaches threshold or is not
-  finite, and a used-up step budget. Stage 1 of a substep reads only the
-  state and the drive at the step's start, so ``locate`` holds it for
-  every drive.
+  finite, and a used-up step budget. A crossing is bisected with ``step``
+  (``_crossing``).
 - The input pole (``_make_pole_drive``) is a filter f' = omega*(drive - f)
   that never reads the membrane, so its four RK4 stage values, clamped at
   zero, are the scalar step's stage drives, and the same event loop runs
@@ -43,7 +42,7 @@ gives the bits of plain per-step RK4 under that drive:
   t_first + k*(t_rf + t_first), up to float accumulation of the time. It
   returns 0 without a step for a bias that provably stays below threshold,
   steps the first interval with ``full_steps`` and bisects its crossing
-  with ``locate`` (``_first_interval``), counts the later periods in closed
+  with ``step`` (``_first_interval``), counts the later periods in closed
   form, and hands the last periods to ``transient`` only where the step cut
   short by the window end can change the verdict. Its docstring states the
   tie rule at the window edges.
@@ -360,9 +359,8 @@ def _time_eps(t_end: float) -> float:
 #
 # - ``deriv(m, i_in)``: the derivative; both arguments already clamped.
 # - ``step(stage_drive, t, y, h)``: one RK4 step from y at t under the
-#   drives ``stage_drive(t, h) -> (i0, i2, i3, i1)`` of stages 1 to 4.
-# - ``locate(stage_drive, t, y, h, event_tol)``: the bisection of every
-#   crossing, with ``step``'s bits on each substep.
+#   drives ``stage_drive(t, h) -> (i0, i2, i3, i1)`` of stages 1 to 4;
+#   ``_crossing`` bisects every crossing with it.
 # - ``full_steps(take_block, dt, every, t, y, steps, row, trace) -> (t, y,
 #   taken, i_new)``: up to ``steps`` full steps (h == dt) from y at t in
 #   one loop. ``take_block(t, steps_left) -> (at, mid, volts, j, stop)``
@@ -402,38 +400,6 @@ def make_step(CONSTANTS, **_):
         k4 = F(m, i1)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return step
-
-def make_locate(i_th, CONSTANTS, **_):
-    args = (i_th, CONSTANTS)
-    def locate(stage_drive, t, y, h, event_tol):
-        lo, hi = 0.0, h
-        if not hi - lo > event_tol:
-            return hi
-        i_th, CONSTANTS = args
-        mid = 0.5 * (lo + hi)
-        i0, i2, i3, i1 = stage_drive(t, mid)
-        m = y if y > 0.0 else 0.0
-        k1 = F(m, i0)
-        while True:
-            half = 0.5 * mid
-            y2 = y + half * k1
-            m = y2 if y2 > 0.0 else 0.0
-            k2 = F(m, i2)
-            y3 = y + half * k2
-            m = y3 if y3 > 0.0 else 0.0
-            k3 = F(m, i3)
-            y4 = y + mid * k3
-            m = y4 if y4 > 0.0 else 0.0
-            k4 = F(m, i1)
-            if y + (mid / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4) >= i_th:
-                hi = mid
-            else:
-                lo = mid
-            if not hi - lo > event_tol:
-                return hi
-            mid = 0.5 * (lo + hi)
-            _, i2, i3, i1 = stage_drive(t, mid)
-    return locate
 
 def make_full_steps(i_th, row_cap, rows_overrun, CONSTANTS, **_):
     args = (i_th, float("-inf"), row_cap, rows_overrun, CONSTANTS)
@@ -700,6 +666,24 @@ def _make_pole_drive(stage_drive, row_drive, omega: float, f0: float):
     return stages, advance, row
 
 
+def _crossing(
+    step, stage_drive, t: float, y: float, h: float, event_tol: float, i_th: float
+) -> float:
+    """Where the step of length h from y at t reaches i_th, bisected to event_tol.
+
+    Halves [0, h] while it is longer than event_tol, by whether ``step``
+    over the midpoint ends at or above i_th, and returns the upper end.
+    """
+    lo, hi = 0.0, h
+    while hi - lo > event_tol:
+        mid = 0.5 * (lo + hi)
+        if step(stage_drive, t, y, mid) >= i_th:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def transient(
     encoder: EncoderConfig,
     input_wave: Waveform,
@@ -753,7 +737,6 @@ def transient(
                 stage_drive, row_drive, omega, row_drive(0.0)[1]
             )
     step = _neuron_kernel(neuron, "step")
-    locate = _neuron_kernel(neuron, "locate")
     # a pole run takes scalar steps only, each one moving the filter
     full_steps = _neuron_kernel(neuron, "full_steps") if advance is None else None
 
@@ -820,7 +803,7 @@ def transient(
             raise SimulationError("non-finite membrane current after step", t)
 
         if i_new >= i_th:
-            hi = locate(stage_drive, t, i_mem, h, event_tol)
+            hi = _crossing(step, stage_drive, t, i_mem, h, event_tol, i_th)
             if advance is not None:
                 advance(t, hi)
             t += hi
@@ -881,7 +864,7 @@ def _first_interval(
     """Step a dc drive i_in from y at t = 0 to its first spike: (verdict, t, y, n_steps).
 
     ``full_steps`` takes ``_DRIVE_BLOCK_STEPS`` steps a call under
-    ``_dc_drive``'s blocks, and ``locate`` bisects a crossing. The verdict
+    ``_dc_drive``'s blocks, and ``_crossing`` bisects a crossing. The verdict
     is "crossed", with t the spike and y the crossing step's start,
     "non-finite", "window end" when a call takes fewer steps, or "silent"
     when a call ends no higher than it began.
@@ -898,7 +881,8 @@ def _first_interval(
         if i_new is not None:
             if not math.isfinite(i_new):
                 return "non-finite", t, y, n_steps
-            t += _neuron_kernel(neuron, "locate")(stage_drive, t, y, dt, event_tol)
+            step = _neuron_kernel(neuron, "step")
+            t += _crossing(step, stage_drive, t, y, dt, event_tol, neuron.i_th)
             return "crossed", t, y, n_steps
         if taken < _DRIVE_BLOCK_STEPS:
             return "window end", t, y, n_steps
@@ -925,7 +909,7 @@ def spike_count_dc(
       below i_th*(1 - 1e-9) and dt is small enough that RK4 cannot step
       past it (``_silent_at_dc``).
     - The first interval is stepped by ``transient``'s full-step loop and
-      its crossing bisected by ``locate`` as there (``_first_interval``).
+      its crossing bisected with ``step`` as there (``_first_interval``).
       A call of ``_DRIVE_BLOCK_STEPS`` steps that ends no higher than it
       began means 0: the RK4 map of an autonomous scalar equation is
       monotone, so the membrane never rises again.

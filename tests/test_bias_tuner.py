@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from encoder_sim import analysis
 from encoder_sim.analysis import power_estimate, vf_curve
 from encoder_sim.bias_tuner import (
     TuneResult,
@@ -308,18 +309,26 @@ class TestFailureHandling:
             tune(EncoderConfig(), spec, objective_fn=hook)
 
 
-class TestObjectiveLinearity:
-    def test_perfect_synthetic_rate_model(self):
-        value = objective_linearity(
-            EncoderConfig(), rate_model=lambda v: 2e3 + 30e3 * v
-        )
-        assert value < 1e-9
+def counting_at_rate(monkeypatch, model):
+    """Have ``vf_curve`` count model(v) * (t1 - t0) spikes at every bias v."""
 
-    def test_dead_point_costs_one(self):
+    def counted(encoder, v, t0, t1, solver=None):
+        return model(v) * (t1 - t0)
+
+    monkeypatch.setattr(analysis, "spike_count_dc", counted)
+
+
+class TestObjectiveLinearity:
+    def test_perfect_synthetic_rate_model(self, monkeypatch):
+        counting_at_rate(monkeypatch, lambda v: 2e3 + 30e3 * v)
+        assert objective_linearity(EncoderConfig()) < 1e-9
+
+    def test_dead_point_costs_one(self, monkeypatch):
         def model(v):
             return 0.0 if v < 0.12 else 2e3 + 30e3 * v
 
-        value = objective_linearity(EncoderConfig(), rate_model=model)
+        counting_at_rate(monkeypatch, model)
+        value = objective_linearity(EncoderConfig())
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_never_firing_encoder_is_penalty_dominated(self):

@@ -6,6 +6,7 @@ import configparser
 import csv
 import importlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -92,6 +93,24 @@ class TestExitCodes:
         if (section, name) != ("transient", "t_end_s"):
             args += ["--set", "transient.t_end_s=1e-4"]
         assert main(args) in (0, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            *[(s, "n_points") for s in ("dc-sweep", "vf-curve")],
+            *[("thd", k) for k in ("points_per_period", "n_periods", "n_harmonics")],
+            ("power", "k_static"),
+            ("transient", "trace_every"),
+            *[("tune", k) for k in ("budget", "seed")],
+        ],
+    )
+    def test_a_400_digit_integer_exits_by_the_contract(self, tmp_path, section, key):
+        # every integer key: grid and sample counts past the trace budget and
+        # a k_static past the largest double are refused before any allocation
+        refused = {"n_points", "points_per_period", "n_periods", "n_harmonics", "k_static"}
+        args = [section, "--config", DEFAULT_INI, "--out", str(tmp_path / "o.csv"), "--quiet"]
+        args += ["--set", f"{section}.{key}={'9' * 400}", "--set", "transient.t_end_s=1e-4"]
+        assert main(args) == (3 if key in refused else 0)
 
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus", "--config", DEFAULT_INI]) == 2
@@ -658,6 +677,14 @@ class TestGrid:
         want = np.linspace(lo, hi, n).tolist()
         assert [v.hex() for v in cli._grid(lo, hi, n)] == [v.hex() for v in want]
 
+    def test_refuses_more_points_than_the_trace_budget(self, monkeypatch):
+        assert cli._TRACE_BUDGET == sim_engine._TRACE_BUDGET == 2**20
+        monkeypatch.setattr(cli, "_TRACE_BUDGET", 8)
+        assert len(cli._grid(0.0, 1.0, 8)) == 8
+        for n in (9, 10**400):
+            with pytest.raises(ValueError, match="n_points must be in 2..8"):
+                cli._grid(0.0, 1.0, n)
+
 
 class TestDcRunsBuildNoTable:
     def test_dc_commands(self, tmp_path, monkeypatch):
@@ -851,6 +878,19 @@ class TestImports:
             if names:
                 unread[module.__name__] = names
         assert unread == {}
+
+    def test_every_kernel_is_requested(self):
+        # each make_<name> of the kernel text is built by a _neuron_kernel(..., "<name>") in src/
+        requested = set()
+        for path in (REPO / "src").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and len(node.args) == 2:
+                    called, name = ast.unparse(node.func).split(".")[-1], node.args[1]
+                    if called == "_neuron_kernel" and isinstance(name, ast.Constant):
+                        requested.add(name.value)
+        kernels = re.findall(r"^def make_(\w+)\(", sim_engine._KERNEL_TEXT, re.MULTILINE)
+        assert sorted(kernels) == ["deriv", "full_steps", "step"]
+        assert set(kernels) <= requested
 
     def test_cli_imports_every_layer(self, tmp_path):
         # a traced run wraps all seven layers once the CLI is imported

@@ -791,7 +791,7 @@ ROW_SPIKE_WAVE = Waveform(kind="triangle", amplitude=0.3, offset=0.15, frequency
 
 
 def locate_crossing(crossed, h, event_tol):
-    """The bisection the engine had before its generated ``locate``, the reference.
+    """The bisection of a crossing step, the reference of ``sim_engine._crossing``.
 
     ``crossed(s)`` tells whether a substep of length s ends at or above
     threshold; bisects [0, h] and returns the upper end.
@@ -1310,7 +1310,7 @@ class TestGeneratedKernels:
     @pytest.mark.parametrize("variant", sorted(VARIANT_NEURONS))
     def test_generated_source_is_readable(self, monkeypatch, variant):
         neuron = VARIANT_NEURONS[variant]
-        # a pole run steps with the generated kernel
+        # a pole run steps, and bisects its crossings, with the generated step only
         built = []
 
         def recorded(cfg, name):
@@ -1320,16 +1320,14 @@ class TestGeneratedKernels:
         monkeypatch.setattr(sim_engine, "_neuron_kernel", recorded)
         enc = EncoderConfig(transconductor=TC, neuron=neuron, input_pole_capacitance=3e-13)
         transient(enc, SINE, 1e-5)
-        names = [f"<rk4 {name}: {variant}>" for name in ("step", "locate")]
-        assert [k.__code__.co_filename for k in built] == names
+        assert [k.__code__.co_filename for k in built] == [f"<rk4 step: {variant}>"]
         assert derivative_variant(neuron)[0] == variant
-        names = ("deriv", "step", "locate", "full_steps")
+        names = ("deriv", "step", "full_steps")
         kernels = {name: _neuron_kernel(neuron, name) for name in names}
         # the derivative written out with each kernel's argument names
         arguments = {
             "deriv": [("m", "i_in")],
             "step": [("m", i_in) for i_in in ("i0", "i2", "i3", "i1")],
-            "locate": [("m", i_in) for i_in in ("i0", "i2", "i3", "i1")],
             "full_steps": [("y", "i1"), ("m", "im"), ("m", "i1")],
         }
         f = DERIVATIVES[variant]
@@ -1388,15 +1386,15 @@ class TestGeneratedKernels:
             neuron = replace(list(VARIANT_NEURONS.values())[k % 3], c_m=rng.uniform(5e-13, 7e-13))
             enc = EncoderConfig(transconductor=TC, neuron=neuron)
             assert spike_count_dc(enc, 0.25, 0.0, 1e-3) > 0
-        # dc counts compile the full-step loop and the bisection
-        assert sorted(compiled) == kernels("full_steps", "locate")
+        # dc counts compile the full-step loop and the scalar step they bisect with
+        assert sorted(compiled) == kernels("full_steps", "step")
         compiled.clear()
         for neuron in VARIANT_NEURONS.values():
             for pole in (3e-13, None):
                 enc = EncoderConfig(transconductor=TC, neuron=neuron, input_pole_capacitance=pole)
                 assert len(transient(enc, SINE, 1e-3).spikes) > 0
-        # time-varying runs share them and compile only the scalar step, once
-        assert sorted(compiled) == kernels("step")
+        # time-varying runs share them and compile nothing
+        assert compiled == []
 
     def test_one_encoder_builds_its_dc_kernels_once(self, monkeypatch):
         built = []
@@ -1411,7 +1409,7 @@ class TestGeneratedKernels:
         enc = EncoderConfig(transconductor=TC, neuron=NeuronConfig(c_m=0.61e-12))
         biases = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
         assert all(spike_count_dc(enc, v, 0.0, 2e-3) > 0 for v in biases)
-        assert sorted(built) == ["full_steps", "locate"]
+        assert sorted(built) == ["full_steps", "step"]
 
     def test_a_second_run_builds_no_kernel(self):
         enc = EncoderConfig(transconductor=TC, neuron=NeuronConfig(c_m=0.62e-12))
@@ -1427,10 +1425,9 @@ class TestGeneratedKernels:
             misses.append(info().misses)
             run()
             misses.append(info().misses)
-        # vf_curve builds full_steps and locate, the sine run adds step,
-        # and the pole run reuses the sine run's step and locate
+        # vf_curve builds full_steps and step, which the sine and pole runs reuse
         m = misses[0]
-        assert misses == [m, m + 2, m + 2, m + 3, m + 3, m + 3, m + 3]
+        assert misses == [m, m + 2, m + 2, m + 2, m + 2, m + 2, m + 2]
 
     @pytest.mark.parametrize("variant", sorted(DERIVATIVES))
     def test_expression_reads_only_placeholders_and_constants(self, variant):
@@ -1443,58 +1440,68 @@ class TestGeneratedKernels:
         assert not any(isinstance(node, (ast.Attribute, ast.Call)) for node in ast.walk(tree))
 
 
-def bisection_drives(kind, encoder, t0, f0):
-    """A fresh stage drive of ``kind`` and the time of a step it takes next.
+def counted_steps(monkeypatch):
+    """The substep lengths of every later call of a neuron's generated ``step``."""
+    kernel, lengths = sim_engine._neuron_kernel, []
 
-    dc: the constant drive at 0.25 V. stage: ``_make_stage_drive`` under a
-    sine, after a full step to t, so the step from t starts where it ended.
-    pole: ``_make_pole_drive`` on that, its filter at f0.
-    """
-    if kind == "dc":
-        stages = (neuron_input_current(encoder.transconductor, 0.25),) * 4
-        return (lambda t, h: stages), t0
-    dt = default_solver_config(encoder.neuron).dt
-    stage_drive, _, row_drive = _make_stage_drive(encoder.transconductor, SINE, dt, 1.0)
-    stage_drive(t0, dt)
-    if kind == "pole":
-        omega = effective_gm(encoder.transconductor) / 3e-13
-        stage_drive = sim_engine._make_pole_drive(stage_drive, row_drive, omega, f0)[0]
-    return stage_drive, t0 + dt
+    def counted(neuron, name):
+        step = kernel(neuron, name)
+        if name != "step":
+            return step
+        return lambda stage_drive, t, y, h: lengths.append(h) or step(stage_drive, t, y, h)
+
+    monkeypatch.setattr(sim_engine, "_neuron_kernel", counted)
+    return lengths
 
 
-class TestLocate:
-    """The generated bisection gives ``locate_crossing``'s bits around the scalar step."""
+class TestCrossing:
+    """``_crossing`` calls ``step`` ceil(log2(h/event_tol)) times, once per halving."""
 
-    @pytest.mark.parametrize("kind", ["dc", "stage", "pole"])
-    @pytest.mark.parametrize("variant", sorted(VARIANT_NEURONS))
+    def test_a_full_step_at_the_default_dt_takes_eight_halvings(self, monkeypatch):
+        solver = default_solver_config(FIRING.neuron)
+        assert solver.dt == pytest.approx(0.18e-6, rel=1e-12) and solver.event_tol == 1e-9
+        lengths = counted_steps(monkeypatch)
+        i_dc = neuron_input_current(TC, 0.25)
+        args = (i_dc, FIRING.neuron.i_reset, solver.dt, 1e-3, solver.event_tol)
+        assert sim_engine._first_interval(FIRING.neuron, *args)[0] == "crossed"
+        # a dc count steps its first interval in full steps and bisects only the crossing
+        assert len(lengths) == 8 == math.ceil(math.log2(180))
+        assert lengths[0] == 0.5 * solver.dt
+
     @given(
-        below=st.one_of(st.sampled_from([0.0, 1.0, -0.5, 1.1]), st.floats(0.0, 1.0)),
-        h_over_dt=st.one_of(st.just(1.0), st.floats(0.0, 1.0), st.floats(1.0, 400.0)),
-        t0=st.floats(0.0, 2e-3),
-        f0=st.floats(0.0, 2e-8),
-        tol_over_dt=st.sampled_from([1e-9 / FIRING_DT, 0.1, 0.3, 1e-6]),
+        k=st.integers(0, 40),
+        frac=st.floats(0.01, 1.0),
+        h=st.floats(1e-9, 1e-6),
+        below=st.floats(0.0, 1.0),
     )
-    @example(below=0.01, h_over_dt=0.1, t0=0.0, f0=4e-9, tol_over_dt=0.1)  # h == event_tol
-    @example(below=0.01, h_over_dt=0.1000001, t0=0.0, f0=4e-9, tol_over_dt=0.1)  # one halving
-    @example(below=-0.5, h_over_dt=1.0, t0=0.0, f0=4e-9, tol_over_dt=1e-6)  # y above i_th
-    @example(below=1.0, h_over_dt=1.0, t0=1e-3, f0=0.0, tol_over_dt=1e-6)  # y = 0
-    @example(below=1.1, h_over_dt=300.0, t0=1e-3, f0=2e-8, tol_over_dt=1e-6)  # y < 0
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    def test_equals_bisection_of_the_scalar_step(
-        self, variant, kind, below, h_over_dt, t0, f0, tol_over_dt
-    ):
-        neuron = VARIANT_NEURONS[variant]
-        encoder = EncoderConfig(transconductor=TC, neuron=neuron)
-        dt = default_solver_config(neuron).dt
-        # y from below zero to threshold, with most examples close below it
-        y = neuron.i_th * (1.0 - below**4)
-        h, event_tol = h_over_dt * dt, tol_over_dt * dt
-        stage_drive, t = bisection_drives(kind, encoder, t0, f0)
+    # h/event_tol exactly 2**k: the last halving leaves a span of exactly event_tol
+    @example(k=0, frac=1.0, h=0.18e-6, below=0.5)  # h == event_tol: no halving
+    @example(k=8, frac=1.0, h=0.18e-6, below=0.01)
+    @example(k=40, frac=1.0, h=1e-6, below=0.01)
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_halvings_are_the_ceil_of_log2_of_the_ratio(self, k, frac, h, below):
+        # h/event_tol lies above 2**(k - 1) and at most at 2**k
+        event_tol = h / (2.0 ** (k - 1) * (1.0 + frac))
+        neuron = FIRING.neuron
         step = _neuron_kernel(neuron, "step")
-        want = locate_crossing(lambda s: step(stage_drive, t, y, s) >= neuron.i_th, h, event_tol)
-        stage_drive, t = bisection_drives(kind, encoder, t0, f0)
-        locate = _neuron_kernel(neuron, "locate")
-        assert same_bits(locate(stage_drive, t, y, h, event_tol), want)
+        stages = (neuron_input_current(TC, 0.25),) * 4
+        lengths = []
+
+        def counted(stage_drive, t, y, mid):
+            lengths.append(mid)
+            return step(stage_drive, t, y, mid)
+
+        y = neuron.i_th * (1.0 - below**4)
+        hi = sim_engine._crossing(counted, lambda t, h: stages, 0.0, y, h, event_tol, neuron.i_th)
+        assert len(lengths) == k == math.ceil(math.log2(h / event_tol))
+        assert 0.0 < hi <= h
+
+    def test_a_substep_that_ends_at_i_th_reaches_it(self):
+        # a membrane rising at 1 A/s from 0 reaches i_th = 0.5 A after 0.5 s
+        def step(stage_drive, t, y, h):
+            return y + h
+
+        assert sim_engine._crossing(step, None, 0.0, 0.0, 1.0, 0.25, 0.5) == 0.5
 
 
 def first_interval_by_steps(neuron, i_in, y, dt, t_end, event_tol):
