@@ -191,7 +191,7 @@ def _write_csv(path: Path, header, rows) -> None:
             lines.append(floats % tuple(row))
         except TypeError:  # a row holding a str
             lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
+    path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _out_path(args) -> Path:
@@ -298,7 +298,7 @@ def _cmd_transient(cp, args) -> int:
     _write_csv(out, ("t_s", "v_id_v", "i_in_a", "i_mem_a"), res.trace)
     spikes_path = out.with_suffix(".spikes")
     times = res.spikes.times
-    spikes_path.write_text("%.8e\n" * len(times) % times, encoding="ascii", newline="")
+    spikes_path.write_bytes(("%.8e\n" * len(times) % times).encode("ascii"))
     n = len(res.spikes)
     mean_rate = n / sec["t_end_s"]
     _say(

@@ -15,17 +15,21 @@ KCL at the correction nodes in quiescent-normalized units gives
         = drive_ratio * sinh(input_arg - node_arg)
 
 whose left side is the diode-connected branch plus a linear shunt and whose
-right side is the driving pair. The residual is strictly increasing in
-``node_arg`` and changes sign across the physical bracket, so the root is
-unique and a bracketing bisection cannot miss it; a Newton polish then takes
-it to solver tolerance. ``solve_operating_point`` returns the output pair's
-argument ``input_arg - node_arg``; the branch currents of the network are
-only checked for underflow, not returned.
+right side is the driving pair. At b = |input_arg| the residual
+r(a) = sinh(a) + s*a - d*sinh(b - a) is strictly increasing, with
+r(0) <= 0 < r(b), so the root is unique and lies on [0, b]. Both node
+solvers apply one rule: bisect [0, b] until the ends are adjacent doubles,
+take their midpoint, and give it the input argument's sign. The scalar
+``_solve_node_arg`` does so with ``math.sinh``, the vectorized
+``solve_node_args`` with ``np.sinh``; the two may round sinh differently in
+the last bit, and their roots then differ by a few ulps. A device whose
+half-width 0.5 V/(2*n*u_t) or, in the scalar solve, whose b is past the
+range of sinh raises ``SaturationError``. ``solve_operating_point`` returns
+the output pair's argument ``input_arg - node_arg``; the branch currents of
+the network are only checked for underflow, not returned.
 
-Both sides of the loop are odd under a joint sign flip of input and node
-arguments, and every float operation involved preserves that symmetry
-bit-exactly, so the solved transfer is odd to the last bit, not merely to
-solver tolerance.
+The root is solved at |input_arg| and only then given its sign, so the
+solved transfer is odd to the last bit, not merely to solver tolerance.
 
 A time-varying transient needs the node argument at every integration
 stage, so ``node_arg_table`` builds, once per config, a cubic Hermite table
@@ -66,31 +70,18 @@ __all__ = [
     "dc_sweep",
 ]
 
-# The supply bounds |v_id| and is the half-width of the node solver's
-# bracket. The root lies between 0 and the input argument, so the bracket
-# is widened to |input_arg| where (n-1)*|v_id| exceeds it (n > 2).
 # Largest argument at which sinh is finite. A device whose 0.5 V half-width
 # 0.5 V/(2*n*u_t) passes it cannot represent the supply swing.
 _SINH_ARG_MAX = math.asinh(sys.float_info.max)
 
-_MAX_EVALS = 200
-_X_TOL_V = 1e-12
-_RESIDUAL_REL_TOL = 1e-9
-
-# Bisection iterations before handing over to Newton. 2^-40 of the bracket
-# is ~1e-12 V, so Newton starts essentially converged and only polishes.
-_BISECT_ITERS = 40
+# Halvings that close any bracket [0, b] of doubles to adjacent doubles: from
+# b below 2**max_exp down to the smallest subnormal, 2**(min_exp - mant_dig).
+# A root near 1e-300 takes about 1,050 of them, one near 1 about 53.
+_MAX_HALVINGS = sys.float_info.max_exp - sys.float_info.min_exp + sys.float_info.mant_dig
 
 
 class SolverError(RuntimeError):
-    """Operating-point iteration failed to converge.
-
-    Carries the final relative residual in ``residual`` for diagnostics.
-    """
-
-    def __init__(self, message: str, residual: float) -> None:
-        super().__init__(message)
-        self.residual = residual
+    """A node bisection, the drive table or the small-signal gain failed."""
 
 
 @dataclass(frozen=True)
@@ -168,6 +159,15 @@ def _check_v_id(v_id: float) -> None:
         raise ValueError(f"|v_id| must not exceed the {SUPPLY_V} V supply, got {v_id!r}")
 
 
+def _refuse_overflow(arg: float, name: str) -> None:
+    """Raise ``SaturationError`` if sinh(``arg``) is past a double's range."""
+    if not arg <= _SINH_ARG_MAX:
+        raise SaturationError(
+            f"node equation overflows at the {name} {arg:.4g}; "
+            "device is outside the weak-inversion model range"
+        )
+
+
 def _solve_node_arg(cfg: TransconductorConfig, input_arg: float) -> float:
     """Root of the normalized node equation, the node argument.
 
@@ -175,12 +175,6 @@ def _solve_node_arg(cfg: TransconductorConfig, input_arg: float) -> float:
     i_ref, which only scales the branch currents. So configs that differ
     only in i_ref share their roots, and ``_solve_normalized`` keeps the
     256 most recently used. Errors are not kept.
-
-    This scalar solve (bisection on a wide bracket, then Newton to a
-    residual tolerance) and the vectorized ``solve_node_args`` (bisection
-    to adjacent doubles) both stay. Their roots differ in the last bits,
-    and the dc-sweep and thd goldens pin this solver's bits, while the
-    drive table needs the vectorized one to solve its nodes in bulk.
     """
     dev = cfg.dev
     # 0.0 == -0.0 as a key, so the input's sign completes it; a shunt
@@ -195,73 +189,23 @@ def _solve_node_arg(cfg: TransconductorConfig, input_arg: float) -> float:
 def _solve_normalized(s: float, d: float, n: float, u_t: float, input_arg: float, sign):
     """``_solve_node_arg`` from the numbers it reads; ``sign`` only keys the memo.
 
-    The residual r(a) = sinh(a) + s*a - d*sinh(b - a) is strictly increasing,
-    and r(0) and r(b) have opposite signs, so the root lies between 0 and b.
-    The bracket +/-max(0.5 V/(2*n*u_t), |b|) therefore holds it for any n;
-    for n <= 2 it is the fixed +/-0.5 V bracket. Where sinh would overflow
-    at that bracket's ends but not at the half-width 0.5 V/(2*n*u_t) (a
-    small thermal voltage or a large n), the bracket is
-    [min(0, b), max(0, b)] instead. Either bracket mirrors under b -> -b,
-    and with an odd residual the iterates for -b mirror those for +b
-    exactly, which keeps the transfer bit-exactly odd. A residual that
-    overflows a double raises ``SaturationError``, as it does at the
-    bracket end of a device whose half-width itself overflows sinh.
+    Bisects [0, |input_arg|] to adjacent doubles. The root takes the input
+    argument's sign only where that is negative, so an input argument of
+    -0.0 leaves the output argument -0.0 - 0.0 = -0.0.
     """
-    two_nut = 2.0 * n * u_t
-    half_width = SUPPLY_V / two_nut
-    arg_cap = max(half_width, abs(input_arg))
-    if half_width <= _SINH_ARG_MAX < arg_cap + abs(input_arg):
-        lo, hi = min(0.0, input_arg), max(0.0, input_arg)
-    else:
-        lo, hi = -arg_cap, arg_cap
-
-    def residual(a: float) -> float:
-        try:
-            return math.sinh(a) + s * a - d * math.sinh(input_arg - a)
-        except OverflowError:
-            raise SaturationError(
-                f"node equation overflows at argument {a:.4g} (input argument "
-                f"{input_arg:.4g}); device is outside the weak-inversion model range"
-            ) from None
-
-    def rel_residual(a: float, r: float) -> float:
-        # Below the smallest normal double the residual is quantized in
-        # steps comparable to the terms themselves, so the scale is floored.
-        scale = abs(math.sinh(a)) + s * abs(a) + d * abs(math.sinh(input_arg - a))
-        return abs(r) / max(scale, sys.float_info.min)
-
-    r_lo = residual(lo)
-    evals = 1
-    if r_lo > 0.0:
-        raise SolverError("node equation has no sign change on the bracket", rel_residual(lo, r_lo))
-
-    for _ in range(_BISECT_ITERS):
+    b = abs(input_arg)
+    _refuse_overflow(SUPPLY_V / (2.0 * n * u_t), "half-width argument")
+    _refuse_overflow(b, "input argument")
+    lo, hi = 0.0, b
+    for _ in range(_MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        evals += 1
-        if r_mid <= 0.0:
+        if mid == lo or mid == hi:
+            return -mid if input_arg < 0.0 else mid
+        if math.sinh(mid) + s * mid - d * math.sinh(b - mid) <= 0.0:
             lo = mid
         else:
             hi = mid
-
-    a = 0.5 * (lo + hi)
-    r = residual(a)
-    evals += 1
-    while evals < _MAX_EVALS:
-        if rel_residual(a, r) < _RESIDUAL_REL_TOL:
-            return a
-        slope = math.cosh(a) + s + d * math.cosh(input_arg - a)
-        step = r / slope
-        a = a - step
-        r = residual(a)
-        evals += 1
-        if abs(step) * two_nut < _X_TOL_V:
-            if rel_residual(a, r) < _RESIDUAL_REL_TOL:
-                return a
-    raise SolverError(
-        f"node equation did not converge within {_MAX_EVALS} evaluations",
-        rel_residual(a, r),
-    )
+    raise SolverError(f"node bisection did not close within {_MAX_HALVINGS} halvings")
 
 
 def solve_operating_point(cfg: TransconductorConfig, v_id: float) -> float:
@@ -272,10 +216,9 @@ def solve_operating_point(cfg: TransconductorConfig, v_id: float) -> float:
     network's four branch currents only the smaller of each pair, at minus
     the magnitude of its argument, is formed, to check that none underflows.
 
-    Raises ``ValueError`` for invalid inputs, ``SolverError`` if the
-    iteration budget is exhausted, ``SaturationError`` if the node equation
-    overflows, and a ``ValueError`` if a branch current underflows to zero
-    (bias far outside the model's validity).
+    Raises ``ValueError`` for invalid inputs, ``SaturationError`` if the
+    node equation overflows, and a ``ValueError`` if a branch current
+    underflows to zero (bias far outside the model's validity).
     """
     _check_v_id(v_id)
     input_arg = _input_argument(cfg, v_id)
@@ -312,15 +255,11 @@ def neuron_input_current(cfg: TransconductorConfig, v_id: float) -> float:
 def solve_node_args(cfg: TransconductorConfig, beta) -> np.ndarray:
     """Node arguments for an array of input arguments, by bisection.
 
-    Solves sinh(a) + s*a = d*sinh(beta - a) elementwise. Each root is
-    bracketed on [min(0, beta), max(0, beta)], solved at |beta| with its
-    sign restored afterwards, and halved until the bracket ends are
-    adjacent doubles, so the result is odd in ``beta`` bit for bit. A
-    residual that overflows a double raises ``SaturationError``.
-
-    It builds the drive table (``node_arg_table``); the operating point
-    keeps the scalar ``_solve_node_arg``, whose bits the dc-sweep and thd
-    goldens pin and which this solver does not reproduce, so both stay.
+    Solves sinh(a) + s*a = d*sinh(beta - a) elementwise by the module's
+    rule, with ``np.sinh``: bisection of [0, |beta|] to adjacent doubles,
+    with beta's sign restored afterwards, so the result is odd in ``beta``
+    bit for bit. A residual that overflows a double raises
+    ``SaturationError``.
     """
     import numpy as np
 
@@ -331,7 +270,7 @@ def solve_node_args(cfg: TransconductorConfig, beta) -> np.ndarray:
     lo = np.zeros_like(b)
     hi = b_abs
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_MAX_EVALS):
+        for _ in range(_MAX_HALVINGS):
             mid = 0.5 * (lo + hi)
             if np.all((mid == lo) | (mid == hi)):
                 break
@@ -345,7 +284,7 @@ def solve_node_args(cfg: TransconductorConfig, beta) -> np.ndarray:
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         else:
-            raise SolverError(f"node bisection did not close within {_MAX_EVALS} halvings", 0.0)
+            raise SolverError(f"node bisection did not close within {_MAX_HALVINGS} halvings")
     return np.copysign(0.5 * (lo + hi), b)
 
 
@@ -445,18 +384,13 @@ def node_arg_table(cfg: TransconductorConfig) -> NodeArgTable:
     since a double carries no absolute 1e-10 once sinh exceeds about 1e5.
     Past 2**16 intervals it raises ``SolverError``; an overflowing node
     equation, a device whose half-width 0.5 V/(2*n*u_t) overflows sinh
-    (whose node equation ``_solve_node_arg`` cannot solve), or one whose
-    input argument at 0.5 V is too narrow to split into 2**16 intervals
-    raises ``SaturationError``.
+    (which the scalar solve refuses too), or one whose input argument at
+    0.5 V is too narrow to split into 2**16 intervals raises
+    ``SaturationError``.
     """
     import numpy as np
 
-    half_width = SUPPLY_V / (2.0 * cfg.dev.n * cfg.dev.u_t)
-    if not half_width <= _SINH_ARG_MAX:
-        raise SaturationError(
-            f"node equation overflows at the half-width argument {half_width:.4g}; "
-            "device is outside the weak-inversion model range"
-        )
+    _refuse_overflow(SUPPLY_V / (2.0 * cfg.dev.n * cfg.dev.u_t), "half-width argument")
     beta_max = _input_argument(cfg, SUPPLY_V)
     if beta_max < _TABLE_MAX_INTERVALS / sys.float_info.max:
         raise SaturationError(f"input argument {beta_max:.4g} at 0.5 V is too narrow to tabulate")
@@ -481,9 +415,7 @@ def node_arg_table(cfg: TransconductorConfig) -> NodeArgTable:
             if worst <= _TABLE_TOL:
                 break
             if 2 * n > _TABLE_MAX_INTERVALS:
-                raise SolverError(
-                    f"drive table misses its {_TABLE_TOL:g} bound at {n} intervals", worst
-                )
+                raise SolverError(f"drive table misses its {_TABLE_TOL:g} bound at {n} intervals")
             # The midpoints of this grid are the odd nodes of the next one.
             nodes = np.arange(2 * n + 1) * (beta_max / (2 * n))
             merged = np.empty(2 * n + 1)
@@ -520,7 +452,7 @@ def effective_gm(cfg: TransconductorConfig) -> float:
     step = 1e-3
     gm = (output_current(cfg, step) - output_current(cfg, -step)) / (2.0 * step)
     if gm <= 0.0:
-        raise SolverError(f"nonpositive small-signal gain {gm!r}", 0.0)
+        raise SolverError(f"nonpositive small-signal gain {gm!r}")
     return gm
 
 
@@ -529,13 +461,6 @@ def dc_sweep(cfg: TransconductorConfig, v_grid) -> list[tuple[float, float]]:
 
     Returns (v_id, i_out_diff) pairs. Each point is solved on its own,
     without a warm start from its neighbour, so the grid may come in any
-    order and every point has the bits of a one-point sweep. Solver
-    failures are re-raised with the offending grid voltage attached.
+    order and every point has the bits of a one-point sweep.
     """
-    points: list[tuple[float, float]] = []
-    for v in v_grid:
-        try:
-            points.append((float(v), output_current(cfg, float(v))))
-        except SolverError as exc:
-            raise SolverError(f"dc_sweep failed at v_id={v!r}: {exc}", exc.residual) from exc
-    return points
+    return [(float(v), output_current(cfg, float(v))) for v in v_grid]

@@ -177,8 +177,8 @@ class TestExitCodes:
         assert "runtime failure" in capsys.readouterr().err
 
     def test_overflowing_node_equation_is_saturation(self, tmp_path, capsys):
-        # a 0.1 mV thermal voltage puts sinh of the +/-0.5 V bracket end
-        # beyond a double's range
+        # a 0.1 mV thermal voltage puts the half-width 0.5 V/(2*n*u_t)
+        # beyond the range of sinh
         code = main(
             [
                 "dc-sweep",
@@ -236,8 +236,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("u_t, code", [("1e-4", 3), ("3e-4", 0)])
     def test_thermal_voltage_verdict_agrees(self, tmp_path, u_t, code):
         # At 0.1 mV the 0.5 V half-width overflows sinh, so no command can
-        # solve the devices; at 0.3 mV only the +/-cap bracket ends do, and
-        # every command solves on the narrow bracket.
+        # solve the devices; at 0.3 mV it does not, and every command
+        # solves them.
         codes = [
             main(
                 [cmd, "--config", DEFAULT_INI, "--out", str(tmp_path / f"{cmd}.csv"), "--quiet"]
@@ -246,6 +246,15 @@ class TestExitCodes:
             for cmd in ("dc-sweep", "transient", "vf-curve")
         ]
         assert codes == [code] * 3
+
+    @pytest.mark.parametrize(
+        "command, config", [("dc-sweep", DEFAULT_INI), ("transient", TRIANGLE_INI)]
+    )
+    def test_tiny_drive_ratio_solves(self, tmp_path, command, config):
+        # the node root near 1e-300 takes about 1,050 halvings to close, in
+        # the scalar solve of dc-sweep and in the drive table of transient
+        args = [command, "--config", config, "--out", str(tmp_path / "o.csv"), "--quiet"]
+        assert main(args + ["--set", "transconductor.drive_ratio=1e-300"]) == 0
 
     def test_transient_over_the_step_budget(self, tmp_path, capsys):
         # about 5.6e9 steps: refused before the first one, not run for hours
@@ -659,6 +668,19 @@ class TestGoldenFiles:
             assert main(args) == 0
             printed.append(capsys.readouterr().out.replace(str(tmp_path), "OUT"))
         assert "".join(printed) == (GOLDEN / "summaries_default.txt").read_text()
+
+
+class TestThdEvenHarmonics:
+    def test_are_projection_noise(self, tmp_path):
+        # the transfer is odd, so a sine drive has no even harmonics; the
+        # even cells hold only the rounding of the Fourier projections
+        out = tmp_path / "t.csv"
+        assert main(["thd", "--config", DEFAULT_INI, "--out", str(out), "--quiet"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        amps = {int(k): float(a) for k, a in rows}
+        even = [amps[k] for k in amps if k % 2 == 0]
+        assert len(even) == 5
+        assert max(even) < 1e-12 * amps[1]
 
 
 class TestGrid:
