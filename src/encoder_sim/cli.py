@@ -50,18 +50,21 @@ __all__ = [
 
 _COMMANDS = ("dc-sweep", "transient", "vf-curve", "thd", "freq", "power", "tune")
 
-# A config field's SI unit: amperes, volts, farads or seconds. Its INI key is
-# the field's name plus this suffix (i_ref_a, c_m_f, t_rf_s); a field with no
-# unit is its own key.
+# A config field's SI unit: amperes, volts, farads, seconds or hertz. Its INI
+# key is the field's name plus this suffix (i_ref_a, c_m_f, t_rf_s); a field
+# with no unit is its own key.
 _UNITS = {
     **dict.fromkeys(("i_spec", "i_ref", "i_g", "i_r", "i_th", "i_reset"), "a"),
-    **dict.fromkeys(("u_t", "v_t0"), "v"),
+    **dict.fromkeys(("u_t", "v_t0", "amplitude", "offset"), "v"),
     **dict.fromkeys(("c_m", "input_pole_capacitance"), "f"),
     **dict.fromkeys(("t_rf", "dt", "event_tol"), "s"),
+    "frequency": "hz",
 }
 # a config field is a key when annotated with one of these: the key's parser
 _KINDS = {"float": float, "float | None": float, "str": str}
 _VOLTAGE_BIAS_KEYS = ("v_tu_v", "v_lk_v", "v_th_v")
+# [transient]'s keys beyond Waveform's fields: the run, and a pwl input's points
+_TRANSIENT_RUN_KEYS = {"t_end_s": float, "trace_every": int, "pwl_points": str}
 
 
 class UsageError(Exception):
@@ -130,11 +133,11 @@ def _keys(cls) -> dict[str, str]:
     return {_key(f): f for f, kind in cls.__annotations__.items() if kind in _KINDS}
 
 
-def _read_config(cp, name: str, cls, extra=()) -> dict:
-    """Keywords of ``cls`` from section [name]; the float keys ``extra`` keep their names."""
+def _read_config(cp, name: str, cls, extra=None, required=()) -> dict:
+    """Keywords of ``cls`` from section [name]; the ``extra`` keys {key: type} keep their names."""
     keys = _keys(cls)
     schema = {k: _KINDS[cls.__annotations__[f]] for k, f in keys.items()}
-    raw = _read_section(cp, name, schema | dict.fromkeys(extra, float), required=())
+    raw = _read_section(cp, name, schema | (extra or {}), required=required)
     return {keys.get(k, k): v for k, v in raw.items()}
 
 
@@ -142,7 +145,7 @@ def build_encoder(cp: configparser.ConfigParser) -> EncoderConfig:
     dev = DeviceParams(**_read_config(cp, "device", DeviceParams))
     tc = TransconductorConfig(dev=dev, **_read_config(cp, "transconductor", TransconductorConfig))
 
-    kw = _read_config(cp, "neuron", NeuronConfig, _VOLTAGE_BIAS_KEYS)
+    kw = _read_config(cp, "neuron", NeuronConfig, dict.fromkeys(_VOLTAGE_BIAS_KEYS, float))
     # The neuron's devices are the transconductor's: [device] sets n and
     # u_t for both, and EncoderConfig rejects a [neuron] value that differs.
     kw.setdefault("n", dev.n)
@@ -250,60 +253,37 @@ def _cmd_dc_sweep(cp, args) -> int:
     return 0
 
 
-def _waveform_from_section(sec: dict) -> Waveform:
-    kind = sec.get("kind", "dc")
-    if kind == "pwl":
-        raw = sec.get("pwl_points", "")
+def _build_waveform(cp) -> tuple[Waveform, float, int]:
+    """[transient]'s input, its end time and its trace decimation."""
+    kw = _read_config(cp, "transient", Waveform, _TRANSIENT_RUN_KEYS, required=("t_end_s",))
+    t_end, trace_every = kw.pop("t_end_s"), kw.pop("trace_every", 10)
+    points = kw.pop("pwl_points", "")
+    if kw.get("kind") == "pwl":  # only a pwl input reads its semicolon-separated t:v points
         breakpoints = []
-        for chunk in filter(None, (p.strip() for p in raw.split(";"))):
+        for chunk in filter(None, (p.strip() for p in points.split(";"))):
             t_raw, colon, v_raw = chunk.partition(":")
             if not colon:
                 raise ValueError(f"pwl point {chunk!r} is not of the form t:v")
             breakpoints.append((float(t_raw), float(v_raw)))
-        return Waveform(kind="pwl", breakpoints=tuple(breakpoints))
-    return Waveform(
-        kind=kind,
-        amplitude=sec.get("amplitude_v", 0.0),
-        offset=sec.get("offset_v", 0.0),
-        frequency=sec.get("frequency_hz", 0.0),
-    )
+        kw["breakpoints"] = tuple(breakpoints)
+    return Waveform(**kw), t_end, trace_every
 
 
 def _cmd_transient(cp, args) -> int:
     _load_numpy()  # for the drive blocks of a time-varying input
     enc = build_encoder(cp)
-    sec = _read_section(
-        cp,
-        "transient",
-        {
-            "kind": str,
-            "amplitude_v": float,
-            "offset_v": float,
-            "frequency_hz": float,
-            "t_end_s": float,
-            "trace_every": int,
-            "pwl_points": str,
-        },
-        required=("t_end_s",),
-    )
-    wave = _waveform_from_section(sec)
-    res = transient(
-        enc,
-        wave,
-        sec["t_end_s"],
-        solver=_build_solver(cp),
-        trace_every=sec.get("trace_every", 10),
-    )
+    wave, t_end, trace_every = _build_waveform(cp)
+    res = transient(enc, wave, t_end, solver=_build_solver(cp), trace_every=trace_every)
     out = _out_path(args)
     _write_csv(out, ("t_s", "v_id_v", "i_in_a", "i_mem_a"), res.trace)
     spikes_path = out.with_suffix(".spikes")
     times = res.spikes.times
     spikes_path.write_bytes(("%.8e\n" * len(times) % times).encode("ascii"))
     n = len(res.spikes)
-    mean_rate = n / sec["t_end_s"]
+    mean_rate = n / t_end
     _say(
         args,
-        f"transient: {n} spikes over {sec['t_end_s']:.4e} s "
+        f"transient: {n} spikes over {t_end:.4e} s "
         f"(mean rate {mean_rate:.4e} Hz) -> {out}, {spikes_path}",
     )
     return 0

@@ -49,8 +49,6 @@ class DeviceParams:
     ----------
     i_spec:
         Specific (characteristic) current in amperes for a unit W/L device.
-    w_over_l:
-        Aspect ratio multiplying ``i_spec``.
     n:
         Subthreshold slope factor, dimensionless, typically 1.1 to 1.5.
     u_t:
@@ -60,20 +58,17 @@ class DeviceParams:
     """
 
     i_spec: float = 1e-7
-    w_over_l: float = 1.0
     n: float = 1.2
     u_t: float = 0.025
     v_t0: float = 0.35
 
     def __post_init__(self) -> None:
-        for name in ("i_spec", "w_over_l", "n", "u_t", "v_t0"):
+        for name in ("i_spec", "n", "u_t", "v_t0"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"DeviceParams.{name} must be finite, got {value!r}")
         if self.i_spec <= 0.0:
             raise ValueError(f"i_spec must be positive, got {self.i_spec!r}")
-        if self.w_over_l <= 0.0:
-            raise ValueError(f"w_over_l must be positive, got {self.w_over_l!r}")
         if self.n <= 1.0:
             raise ValueError(f"n must exceed 1 (bulk effect vanishes otherwise), got {self.n!r}")
         if self.u_t <= 0.0:
@@ -82,8 +77,10 @@ class DeviceParams:
             raise ValueError(f"v_t0 must be positive, got {self.v_t0!r}")
 
 
-def drain_current(dev: DeviceParams, v_sg: float, v_sb: float = 0.0) -> float:
-    """Drain current magnitude at the given gate and bulk drive.
+def drain_current(
+    dev: DeviceParams, v_sg: float, v_sb: float = 0.0, w_over_l: float = 1.0
+) -> float:
+    """Drain current magnitude of a ``w_over_l`` device at the given gate and bulk drive.
 
     Raises ``ValueError`` for non-finite inputs and ``SaturationError`` when
     the normalized exponent magnitude exceeds 700 (the bias is outside the
@@ -97,4 +94,4 @@ def drain_current(dev: DeviceParams, v_sg: float, v_sb: float = 0.0) -> float:
             f"normalized bias exponent {exponent:.3g} exceeds +/-{_MAX_EXPONENT:g}; "
             "device is outside the weak-inversion model range"
         )
-    return dev.i_spec * dev.w_over_l * math.exp(exponent)
+    return dev.i_spec * w_over_l * math.exp(exponent)

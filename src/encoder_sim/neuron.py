@@ -28,7 +28,7 @@ reading instead of silently correcting either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .device_model import DeviceParams, drain_current
 
@@ -218,9 +218,9 @@ def neuron_biases_from_voltages(
     shared exponential model; only the aspect ratios differ per role. The
     returned tuple is (gain current, leak current, threshold current).
     """
-    i_g = drain_current(replace(dev, w_over_l=_W_OVER_L_GAIN), v_tu, 0.0)
-    i_r = drain_current(replace(dev, w_over_l=_W_OVER_L_LEAK), v_lk, 0.0)
-    i_th = drain_current(replace(dev, w_over_l=_W_OVER_L_THRESHOLD), v_th, 0.0)
+    i_g = drain_current(dev, v_tu, 0.0, _W_OVER_L_GAIN)
+    i_r = drain_current(dev, v_lk, 0.0, _W_OVER_L_LEAK)
+    i_th = drain_current(dev, v_th, 0.0, _W_OVER_L_THRESHOLD)
     return i_g, i_r, i_th
 
 

@@ -134,6 +134,10 @@ class Waveform:
     toward its positive peak at a quarter period). Piecewise-linear inputs
     hold the last breakpoint value beyond the final breakpoint but refuse
     times before the first one.
+
+    The 0.5 V supply bounds only the values a kind reads: a dc input's
+    |offset|, a sine's or triangle's |offset| + |amplitude|, and each pwl
+    breakpoint. Amplitude and offset must be finite for every kind.
     """
 
     kind: str = "dc"
@@ -147,12 +151,14 @@ class Waveform:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if not (math.isfinite(self.amplitude) and math.isfinite(self.offset)):
             raise ValueError("amplitude and offset must be finite")
-        if abs(self.offset) + abs(self.amplitude) > SUPPLY_V:
-            raise ValueError(
-                f"|offset| + |amplitude| exceeds the {SUPPLY_V} V supply: "
-                f"{self.offset!r}, {self.amplitude!r}"
-            )
+        if self.kind == "dc" and abs(self.offset) > SUPPLY_V:
+            raise ValueError(f"|offset| exceeds the {SUPPLY_V} V supply: {self.offset!r}")
         if self.kind in ("sine", "triangle"):
+            if abs(self.offset) + abs(self.amplitude) > SUPPLY_V:
+                raise ValueError(
+                    f"|offset| + |amplitude| exceeds the {SUPPLY_V} V supply: "
+                    f"{self.offset!r}, {self.amplitude!r}"
+                )
             if not (math.isfinite(self.frequency) and self.frequency > 0.0):
                 raise ValueError(f"periodic waveform needs frequency > 0, got {self.frequency!r}")
         if self.kind == "pwl":
@@ -778,8 +784,7 @@ def transient(
             i_mem = i_reset
             continue
 
-        # Initial condition at or above threshold, or a crossing that
-        # landed exactly on a step edge.
+        # Initial condition at or above threshold.
         if i_mem >= i_th:
             spikes.append(t)
             i_mem = i_reset

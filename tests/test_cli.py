@@ -26,7 +26,7 @@ from encoder_sim.cli import (
 )
 from encoder_sim.device_model import DeviceParams
 from encoder_sim.neuron import NeuronConfig, tau_m
-from encoder_sim.sim_engine import EncoderConfig, SolverConfig
+from encoder_sim.sim_engine import EncoderConfig, SolverConfig, Waveform
 from encoder_sim.transconductor import TransconductorConfig
 
 REPO = Path(__file__).resolve().parent.parent
@@ -225,8 +225,6 @@ class TestExitCodes:
                 "--set",
                 "transient.kind=dc",
                 "--set",
-                "transient.amplitude_v=0",
-                "--set",
                 f"transient.offset_v={v}",
             ]
         )
@@ -255,6 +253,25 @@ class TestExitCodes:
         # the scalar solve of dc-sweep and in the drive table of transient
         args = [command, "--config", config, "--out", str(tmp_path / "o.csv"), "--quiet"]
         assert main(args + ["--set", "transconductor.drive_ratio=1e-300"]) == 0
+
+    def test_dc_transient_ignores_the_amplitude(self, tmp_path):
+        # a dc input reads only its offset: the shipped 0.15 V amplitude
+        # does not push a 0.4 V bias past the supply
+        args = ["transient", "--config", DEFAULT_INI, "--quiet"]
+        args += ["--set", "transient.kind=dc", "--set", "transient.offset_v=0.4"]
+        assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
+        zero = ["--set", "transient.amplitude_v=0", "--out", str(tmp_path / "z.csv")]
+        assert main(args + zero) == 0
+        for suffix in (".csv", ".spikes"):
+            a, z = (tmp_path / (name + suffix) for name in ("a", "z"))
+            assert a.read_bytes() == z.read_bytes()
+
+    def test_unused_pwl_points_are_not_parsed(self, tmp_path):
+        # only a pwl input reads pwl_points, so the shipped sine runs past garbage
+        args = ["transient", "--config", DEFAULT_INI, "--out", str(tmp_path / "s.csv")]
+        args += ["--quiet", "--set", "transient.pwl_points=garbage"]
+        assert main(args + ["--set", "transient.t_end_s=1e-4"]) == 0
+        assert main(args + ["--set", "transient.kind=pwl"]) == 3
 
     def test_transient_over_the_step_budget(self, tmp_path, capsys):
         # about 5.6e9 steps: refused before the first one, not run for hours
@@ -442,11 +459,19 @@ class TestConfigHandling:
         assert code == 3
         assert "unknown keys ['epsilon']" in capsys.readouterr().err
 
+    def test_w_over_l_is_no_longer_a_key(self, tmp_path, capsys):
+        # the bias devices size themselves, so a device-wide ratio set nothing
+        cp = load_config(DEFAULT_INI)
+        cp.set("device", "w_over_l", "1.0")
+        code = main(["freq", "--config", str(written(cp, tmp_path)), "--quiet"])
+        assert code == 3
+        assert "unknown keys ['w_over_l']" in capsys.readouterr().err
+
 
 # the INI keys of each config class's section, spelled out: the keys derived
 # from the classes must be exactly these
 CONFIG_KEYS = {
-    "device": (DeviceParams, {"i_spec_a", "w_over_l", "n", "u_t_v", "v_t0_v"}),
+    "device": (DeviceParams, {"i_spec_a", "n", "u_t_v", "v_t0_v"}),
     "transconductor": (
         TransconductorConfig,
         {"i_ref_a", "mirror_to_branch", "mirror_to_output", "drive_ratio", "node_shunt_ratio"},
@@ -469,11 +494,11 @@ CONFIG_KEYS = {
     ),
     "encoder": (EncoderConfig, {"input_pole_capacitance_f"}),
     "solver": (SolverConfig, {"dt_s", "event_tol_s"}),
+    "transient": (Waveform, {"kind", "amplitude_v", "offset_v", "frequency_hz"}),
 }
 # a valid value of every key, unlike its default, and the value its field reads
 KEY_VALUES = {
     "i_spec_a": ("2e-7", 2e-7),
-    "w_over_l": ("2", 2.0),
     "u_t_v": ("0.026", 0.026),
     "v_t0_v": ("0.3", 0.3),
     "i_ref_a": ("4e-9", 4e-9),
@@ -494,6 +519,10 @@ KEY_VALUES = {
     "input_pole_capacitance_f": ("3e-11", 3e-11),
     "dt_s": ("2e-7", 2e-7),
     "event_tol_s": ("2e-9", 2e-9),
+    "kind": (" triangle ", "triangle"),
+    "amplitude_v": ("0.1", 0.1),
+    "offset_v": ("0.2", 0.2),
+    "frequency_hz": ("1e3", 1e3),
 }
 
 
@@ -501,6 +530,8 @@ def configured(cp, section: str):
     """The config object that section [section] of cp sets."""
     if section == "solver":
         return cli._build_solver(cp)
+    if section == "transient":
+        return cli._build_waveform(cp)[0]
     enc = build_encoder(cp)
     return {
         "device": enc.transconductor.dev,
@@ -517,12 +548,27 @@ class TestDerivedKeys:
             fields = cls.__annotations__
             keyed = set(cli._keys(cls).values())
             nested.update({f: kind for f, kind in fields.items() if f not in keyed})
-        # a field of any other annotation would be dropped from its section
+        # a field of any other annotation would be dropped from its section;
+        # a pwl input's breakpoints are read from the pwl_points key
         assert nested == {
             "dev": "DeviceParams",
             "transconductor": "TransconductorConfig",
             "neuron": "NeuronConfig",
+            "breakpoints": "tuple[tuple[float, float], ...]",
         }
+
+    def test_readme_unit_table_is_units(self):
+        # the table under the README's "stated once in `cli._UNITS`" lists
+        # exactly each suffix's fields
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        table = re.split(r"The\s+units,\s+stated\s+once\s+in\s+`cli\._UNITS`:\n\n", text)[1]
+        rows = re.findall(r"^\| `_(\w+)` \| \w+ \| (.*) \|$", table.split("\n\n")[0], re.M)
+        listed = {unit: set(re.findall(r"`(\w+)`", fields)) for unit, fields in rows}
+        units = {}
+        for field, unit in cli._UNITS.items():
+            units.setdefault(unit, set()).add(field)
+        assert len(rows) == len(listed)
+        assert listed == units
 
     @pytest.mark.parametrize("section", CONFIG_KEYS)
     def test_key_set_is_unchanged(self, section):
@@ -589,6 +635,8 @@ class TestCsvOutput:
         assert all(b > a for a, b in zip(spike_times, spike_times[1:]))
 
     def test_pwl_transient_via_overrides(self, tmp_path):
+        # a pwl input reads only its breakpoints: amplitude and offset past
+        # the supply do not refuse it
         out = tmp_path / "p.csv"
         code = main(
             [
@@ -604,6 +652,10 @@ class TestCsvOutput:
                 "transient.pwl_points=0:0.25; 2e-3:0.25",
                 "--set",
                 "transient.t_end_s=2e-3",
+                "--set",
+                "transient.amplitude_v=0.4",
+                "--set",
+                "transient.offset_v=0.4",
             ]
         )
         assert code == 0

@@ -14,7 +14,7 @@ DEV = DeviceParams()
 class TestDrainCurrent:
     def test_reference_point(self):
         # v_sg = v_t0, v_sb = 0 puts the exponent at zero exactly.
-        assert drain_current(DEV, DEV.v_t0, 0.0) == pytest.approx(DEV.i_spec * DEV.w_over_l)
+        assert drain_current(DEV, DEV.v_t0, 0.0) == pytest.approx(DEV.i_spec)
 
     def test_gate_doubling_voltage(self):
         # One factor of 2 in current per n*u_t*ln(2) of gate drive.
@@ -52,8 +52,7 @@ class TestDrainCurrent:
         assert math.log(i1 / i0) == pytest.approx(expected, abs=1e-12)
 
     def test_scales_with_aspect_ratio(self):
-        wide = DeviceParams(w_over_l=8.0)
-        assert drain_current(wide, 0.30, 0.0) == pytest.approx(
+        assert drain_current(DEV, 0.30, 0.0, 8.0) == pytest.approx(
             8.0 * drain_current(DEV, 0.30, 0.0), rel=1e-12
         )
 

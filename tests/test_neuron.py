@@ -1,6 +1,5 @@
 """Unit tests for the current-mode neuron dynamics and bias mapping."""
 
-import dataclasses
 import math
 
 import pytest
@@ -321,7 +320,7 @@ class TestBiasMapping:
         i_g, i_r, i_th = neuron_biases_from_voltages(self.DEV, 0.25, 0.10, 0.30)
         ratios = (neuron._W_OVER_L_GAIN, neuron._W_OVER_L_LEAK, neuron._W_OVER_L_THRESHOLD)
         for got, ratio, v in zip((i_g, i_r, i_th), ratios, (0.25, 0.10, 0.30)):
-            assert got == drain_current(dataclasses.replace(self.DEV, w_over_l=ratio), v, 0.0)
+            assert got == drain_current(self.DEV, v, 0.0, ratio)
 
     def test_monotone_in_gate_voltage(self):
         lo = neuron_biases_from_voltages(self.DEV, 0.25, 0.08, 0.25)

@@ -177,6 +177,24 @@ class TestWaveformValidation:
         with pytest.raises(ValueError, match="supply"):
             Waveform(kind="sine", amplitude=0.3, offset=0.3, frequency=10.0)
 
+    def test_supply_bounds_only_what_the_kind_reads(self):
+        # a dc input reads only its offset, so an amplitude never refuses it
+        Waveform(kind="dc", offset=0.4, amplitude=0.15)
+        for kind in ("sine", "triangle"):
+            with pytest.raises(ValueError, match="supply"):
+                Waveform(kind=kind, offset=0.4, amplitude=0.15, frequency=10.0)
+        with pytest.raises(ValueError, match="supply"):
+            Waveform(kind="dc", offset=-0.6)
+        # a pwl input reads only its breakpoints
+        Waveform(kind="pwl", amplitude=0.4, offset=0.4, breakpoints=((0.0, 0.5),))
+
+    @pytest.mark.parametrize("kind", ["dc", "sine", "triangle", "pwl"])
+    def test_every_kind_needs_a_finite_amplitude_and_offset(self, kind):
+        bp = ((0.0, 0.1),)
+        for bad in ({"amplitude": math.nan}, {"offset": math.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                Waveform(kind=kind, frequency=10.0, breakpoints=bp, **bad)
+
     def test_periodic_needs_frequency(self):
         with pytest.raises(ValueError, match="frequency"):
             Waveform(kind="sine", amplitude=0.1)
