@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from pathlib import Path
 
 from .analysis import power_estimate, small_signal, thd, vf_curve
 from .bias_tuner import _STEPS_PER_TAU, _TUNABLE, TuneSpec, tune
-from .device_model import DeviceParams
+from .device_model import DeviceParams, SaturationError
 from .neuron import NeuronConfig, neuron_biases_from_voltages
 from .sim_engine import (
     _DT_RANGE,
@@ -429,6 +430,9 @@ def _cmd_power(cp, args) -> int:
     if "c_dyn_f" in sec:
         kw["c_dyn"] = sec["c_dyn_f"]
     rows = [(f, power_estimate(enc, f, **kw)) for f in f_spikes]
+    for f, p in rows:
+        if not math.isfinite(p * 1e9):
+            raise SaturationError(f"power {p!r} W at {f!r} Hz overflows in nW")
     out = _out_path(args)
     _write_csv(out, ("f_spike_hz", "power_w"), rows)
     powers = [p for _, p in rows]

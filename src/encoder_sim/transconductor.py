@@ -17,13 +17,10 @@ KCL at the correction nodes in quiescent-normalized units gives
 whose left side is the diode-connected branch plus a linear shunt and whose
 right side is the driving pair. At b = |input_arg| the residual
 r(a) = sinh(a) + s*a - d*sinh(b - a) is strictly increasing, with
-r(0) <= 0 < r(b), so the root is unique and lies on [0, b]. Both node
-solvers apply one rule: bisect [0, b] until the ends are adjacent doubles,
-take their midpoint, and give it the input argument's sign. The scalar
-``_solve_node_arg`` does so with ``math.sinh``, the vectorized
-``solve_node_args`` with ``np.sinh``; the two may round sinh differently in
-the last bit, and their roots then differ by a few ulps. A device whose
-half-width 0.5 V/(2*n*u_t) or, in the scalar solve, whose b is past the
+r(0) <= 0 < r(b), so the root is unique and lies on [0, b]. One bisection,
+``_bisect_node``, finds it: it halves [0, b] until the ends are adjacent
+doubles and takes their midpoint; the root then takes the input argument's
+sign. A device whose half-width 0.5 V/(2*n*u_t), or whose b, is past the
 range of sinh raises ``SaturationError``. ``solve_operating_point`` returns
 the output pair's argument ``input_arg - node_arg``; the branch currents of
 the network are only checked for underflow, not returned.
@@ -33,14 +30,14 @@ solved transfer is odd to the last bit, not merely to solver tolerance.
 
 A time-varying transient needs the node argument at every integration
 stage, so ``node_arg_table`` builds, once per config, a cubic Hermite table
-of it over the full input range from the vectorized bisection
-``solve_node_args``; ``NodeArgTable.input_current`` is then a polynomial
-lookup instead of a scalar solve, and ``NodeArgTable.input_currents`` the
-same lookup over an array, bit for bit.
+of it over the full input range, its nodes solved by ``_bisect_node``;
+``NodeArgTable.input_current`` is then a polynomial lookup instead of a
+scalar solve, and ``NodeArgTable.input_currents`` the same lookup over an
+array, bit for bit.
 
-Only the table code imports numpy, inside ``solve_node_args``,
-``_hermite_coeffs``, ``node_arg_table`` and ``NodeArgTable.input_currents``;
-the operating point, ``dc_sweep`` and ``effective_gm`` run on floats.
+Only the table code imports numpy, inside ``_hermite_coeffs``,
+``node_arg_table`` and ``NodeArgTable.input_currents``; the operating point,
+``dc_sweep`` and ``effective_gm`` run on floats.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ __all__ = [
     "output_current",
     "neuron_input_current",
     "NodeArgTable",
-    "solve_node_args",
     "node_arg_table",
     "raw_pair_output_current",
     "effective_gm",
@@ -189,18 +185,27 @@ def _solve_node_arg(cfg: TransconductorConfig, input_arg: float) -> float:
 def _solve_normalized(s: float, d: float, n: float, u_t: float, input_arg: float, sign):
     """``_solve_node_arg`` from the numbers it reads; ``sign`` only keys the memo.
 
-    Bisects [0, |input_arg|] to adjacent doubles. The root takes the input
-    argument's sign only where that is negative, so an input argument of
-    -0.0 leaves the output argument -0.0 - 0.0 = -0.0.
+    The root takes the input argument's sign only where that is negative,
+    so an input argument of -0.0 leaves the output argument
+    -0.0 - 0.0 = -0.0.
     """
     b = abs(input_arg)
     _refuse_overflow(SUPPLY_V / (2.0 * n * u_t), "half-width argument")
     _refuse_overflow(b, "input argument")
+    a = _bisect_node(s, d, b)
+    return -a if input_arg < 0.0 else a
+
+
+def _bisect_node(s: float, d: float, b: float) -> float:
+    """Root of sinh(a) + s*a = d*sinh(b - a) for 0 <= b <= asinh(max double).
+
+    Bisects [0, b] to adjacent doubles and returns their midpoint.
+    """
     lo, hi = 0.0, b
     for _ in range(_MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            return -mid if input_arg < 0.0 else mid
+            return mid
         if math.sinh(mid) + s * mid - d * math.sinh(b - mid) <= 0.0:
             lo = mid
         else:
@@ -250,42 +255,6 @@ def neuron_input_current(cfg: TransconductorConfig, v_id: float) -> float:
     at zero (the mirror cannot pull current out of the node).
     """
     return max(cfg.output_quiescent + 0.5 * output_current(cfg, v_id), 0.0)
-
-
-def solve_node_args(cfg: TransconductorConfig, beta) -> np.ndarray:
-    """Node arguments for an array of input arguments, by bisection.
-
-    Solves sinh(a) + s*a = d*sinh(beta - a) elementwise by the module's
-    rule, with ``np.sinh``: bisection of [0, |beta|] to adjacent doubles,
-    with beta's sign restored afterwards, so the result is odd in ``beta``
-    bit for bit. A residual that overflows a double raises
-    ``SaturationError``.
-    """
-    import numpy as np
-
-    b = np.asarray(beta, dtype=float)
-    s = cfg.node_shunt_ratio
-    d = cfg.drive_ratio
-    b_abs = np.abs(b)
-    lo = np.zeros_like(b)
-    hi = b_abs
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_MAX_HALVINGS):
-            mid = 0.5 * (lo + hi)
-            if np.all((mid == lo) | (mid == hi)):
-                break
-            r = np.sinh(mid) + s * mid - d * np.sinh(b_abs - mid)
-            if not np.all(np.isfinite(r)):
-                raise SaturationError(
-                    f"node equation overflows for input arguments up to {np.max(b_abs):.4g}; "
-                    "device is outside the weak-inversion model range"
-                )
-            below = r <= 0.0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        else:
-            raise SolverError(f"node bisection did not close within {_MAX_HALVINGS} halvings")
-    return np.copysign(0.5 * (lo + hi), b)
 
 
 # Drive-table accuracy rule: the worst error of sinh(beta - alpha) at the
@@ -378,30 +347,39 @@ def node_arg_table(cfg: TransconductorConfig) -> NodeArgTable:
 
     Nodes are uniform in |beta|. Starting from 256 intervals, the count is
     doubled until the interpolant, checked at every interval midpoint
-    against ``solve_node_args``, gives sinh(beta - alpha) within 1e-10 of
+    against the root there, gives sinh(beta - alpha) within 1e-10 of
     max(1, |sinh(beta - alpha)|): within 1e-10 of ``output_quiescent`` in
     the neuron drive current, or of the half-swing where that is larger,
     since a double carries no absolute 1e-10 once sinh exceeds about 1e5.
-    Past 2**16 intervals it raises ``SolverError``; an overflowing node
-    equation, a device whose half-width 0.5 V/(2*n*u_t) overflows sinh
-    (which the scalar solve refuses too), or one whose input argument at
-    0.5 V is too narrow to split into 2**16 intervals raises
-    ``SaturationError``.
+    Every node and midpoint is solved by ``_bisect_node``, outside the
+    scalar solve's memo, so it holds the bits of ``_solve_node_arg`` there.
+    Past 2**16 intervals it raises ``SolverError``. A device that the
+    scalar solve refuses at 0.5 V, its half-width 0.5 V/(2*n*u_t) or its
+    input argument past the range of sinh, raises ``SaturationError`` with
+    the same message before any node is solved; so does an overflowing
+    interpolant, or an input argument at 0.5 V too narrow to split into
+    2**16 intervals.
     """
     import numpy as np
 
     _refuse_overflow(SUPPLY_V / (2.0 * cfg.dev.n * cfg.dev.u_t), "half-width argument")
     beta_max = _input_argument(cfg, SUPPLY_V)
+    _refuse_overflow(beta_max, "input argument")
     if beta_max < _TABLE_MAX_INTERVALS / sys.float_info.max:
         raise SaturationError(f"input argument {beta_max:.4g} at 0.5 V is too narrow to tabulate")
+    s, d = cfg.node_shunt_ratio, cfg.drive_ratio
+
+    def roots(betas):
+        return np.array([_bisect_node(s, d, b) for b in betas.tolist()])
+
     n = _TABLE_MIN_INTERVALS
     nodes = np.arange(n + 1) * (beta_max / n)
-    alpha = solve_node_args(cfg, nodes)
+    alpha = roots(nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             step = beta_max / n
             mids = np.arange(1, 2 * n, 2) * (beta_max / (2 * n))
-            alpha_mid = solve_node_args(cfg, mids)
+            alpha_mid = roots(mids)
             coeffs = _hermite_coeffs(cfg, nodes, alpha, step)
             c0, c1, c2, c3 = coeffs.T
             exact = np.sinh(mids - alpha_mid)

@@ -211,25 +211,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("v", ["0.5", "-0.5"])
     def test_mirror_inputs_saturate_alike(self, tmp_path, capsys, v):
-        code = main(
-            [
-                "transient",
-                "--config",
-                DEFAULT_INI,
-                "--out",
-                str(tmp_path / "t.csv"),
-                "--set",
-                "device.n=3",
-                "--set",
-                "device.u_t_v=2e-4",
-                "--set",
-                "transient.kind=dc",
-                "--set",
-                f"transient.offset_v={v}",
-            ]
+        # at n = 3 and 0.2 mV the input argument at 0.5 V, 833.3, is past
+        # sinh's range: a dc run there and a sine that reaches it, whose
+        # drive table spans +/-0.5 V, give the same refusal
+        def run(*sets):
+            args = ["transient", "--config", DEFAULT_INI, "--out", str(tmp_path / "t.csv")]
+            for item in ("device.n=3", "device.u_t_v=2e-4") + sets:
+                args += ["--set", item]
+            return main(args), capsys.readouterr().err
+
+        dc = run("transient.kind=dc", f"transient.offset_v={v}")
+        sine = run(
+            f"transient.offset_v={float(v) / 2}",
+            "transient.amplitude_v=0.25",
+            "transient.t_end_s=1e-4",
         )
-        assert code == 3
-        assert "overflows" in capsys.readouterr().err
+        assert dc[0] == 3
+        assert "overflows at the input argument 833.3" in dc[1]
+        assert sine == dc
 
     @pytest.mark.parametrize("u_t, code", [("1e-4", 3), ("3e-4", 0)])
     def test_thermal_voltage_verdict_agrees(self, tmp_path, u_t, code):
@@ -328,6 +327,14 @@ class TestExitCodes:
         args = ["freq", "--config", DEFAULT_INI, "--out", str(out)]
         assert main(args + ["--set", "transconductor.i_ref_a=1e300"]) == 3
         assert "small-signal figures overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_power_past_weak_inversion(self, tmp_path, capsys):
+        # 3.5e300 W is a double, but not in nW
+        out = tmp_path / "p.csv"
+        args = ["power", "--config", DEFAULT_INI, "--out", str(out)]
+        assert main(args + ["--set", "transconductor.i_ref_a=1e300"]) == 3
+        assert "power 3.5e+300 W at 0.0 Hz overflows in nW" in capsys.readouterr().err
         assert not out.exists()
 
     def test_tune_variable_that_is_not_tunable(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ residual scan, not by the solver under test.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from oracle import node_residual
 
 from encoder_sim import transconductor
+from encoder_sim.cli import build_encoder, load_config
 from encoder_sim.device_model import DeviceParams, SaturationError
 from encoder_sim.transconductor import (
     SolverError,
@@ -26,7 +28,6 @@ from encoder_sim.transconductor import (
     node_arg_table,
     output_current,
     raw_pair_output_current,
-    solve_node_args,
     solve_operating_point,
 )
 
@@ -34,6 +35,7 @@ CFG = TransconductorConfig()
 # Dimensionless linearity tolerance: the output-pair sinh argument is
 # "small enough" when its magnitude stays below this.
 EPSILON = 0.1
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _input_arg(cfg, v):
@@ -387,19 +389,14 @@ class TestNodeSolveMemo:
 
 
 def closing_bisection(b, s, d):
-    """The rule for the node root at b >= 0: bisect [0, b] to adjacent doubles.
-
-    Returns the root and every argument at which ``math.sinh`` was taken.
-    """
+    """The rule for the node root at b >= 0: bisect [0, b] to adjacent doubles."""
     lo, hi = 0.0, b
-    args = []
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        args += [mid, b - mid]
         if math.sinh(mid) + s * mid - d * math.sinh(b - mid) <= 0.0:
             lo = mid
         else:
             hi = mid
-    return mid, args
+    return mid
 
 
 class TestScalarNodeRoot:
@@ -426,23 +423,14 @@ class TestScalarNodeRoot:
         root = transconductor._solve_node_arg(cfg, beta)
         b, a = abs(beta), abs(root)
         assert root.hex() == (-a if beta < 0.0 else a).hex()  # beta's sign, if negative
-        assert a.hex() == closing_bisection(b, s, d)[0].hex()
+        assert a.hex() == closing_bisection(b, s, d).hex()
+        assert 0.0 <= a <= b  # the root lies on the bracket [0, |beta|]
         if b > 0.0:
             # the residual changes sign between the root and its neighbour
             # on the side it points to
             r = lambda x: math.sinh(x) + s * x - d * math.sinh(b - x)  # noqa: E731
             other = math.nextafter(a, b if r(a) <= 0.0 else 0.0)
             assert r(min(a, other)) <= 0.0 < r(max(a, other))
-        # the table's root is the same rule with np.sinh: the same bits
-        # unless the two sinh round some argument on the path differently.
-        # Each root is a tie of adjacent doubles, rounded to even, and the
-        # residual is flat over the doubles where it cancels to a few ulps
-        # of its terms, so parted paths end 2 or, in 4 of 20,000 random
-        # devices, 4 ulps apart.
-        table = abs(float(solve_node_args(cfg, np.array([beta]))[0]))
-        if table != a:
-            assert abs(table - a) <= 4 * math.ulp(a)
-            assert any(math.sinh(x) != np.sinh(x) for x in closing_bisection(b, s, d)[1])
 
 
 def table_node_arg(table, beta):
@@ -455,39 +443,57 @@ def table_node_arg(table, beta):
     return -a if beta < 0.0 else a
 
 
-class TestSolveNodeArgs:
-    def test_matches_scalar_solver_and_is_odd(self):
-        v = np.linspace(-0.5, 0.5, 41)
-        beta = _input_arg(CFG, v)
-        alpha = solve_node_args(CFG, beta)
-        assert np.array_equal(solve_node_args(CFG, -beta), -alpha)
-        assert alpha[20] == 0.0
-        for vk, bk, ak in zip(v, beta, alpha):
-            assert ak == pytest.approx(node_arg(CFG, float(vk)), rel=1e-9, abs=1e-15)
-            if bk:
-                assert 0.0 < ak / bk < 1.0  # the root lies between 0 and beta
-
-    def test_root_to_adjacent_doubles(self):
-        # bisection runs until the bracket cannot shrink, so the residual
-        # changes sign within one ulp of the returned root
-        beta = np.array([1e-6, 0.3, 1.7, 20.0])
-        alpha = solve_node_args(CFG, beta)
-        s, d = CFG.node_shunt_ratio, CFG.drive_ratio
-        for b, a in zip(beta, alpha):
-            lo, hi = np.nextafter(a, -np.inf), np.nextafter(a, np.inf)
-            r = lambda x: math.sinh(x) + s * x - d * math.sinh(b - x)  # noqa: E731
-            assert r(lo) <= 0.0 <= r(hi)
-
-    def test_overflow_is_saturation(self):
-        with pytest.raises(SaturationError, match="overflows"):
-            solve_node_args(CFG, np.array([0.1, 3000.0]))
-
-
 class TestNodeArgTable:
     def test_default_config_needs_the_starting_grid(self):
         table = node_arg_table(CFG)
         assert len(table.coeffs) == 256
         assert node_arg_table(CFG) is table
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            build_encoder(load_config(CONFIGS / "default.ini")).transconductor,
+            build_encoder(load_config(CONFIGS / "triangle_1na.ini")).transconductor,
+            TransconductorConfig(dev=DeviceParams(n=3.0, u_t=5e-3), drive_ratio=0.05),
+            TransconductorConfig(
+                dev=DeviceParams(n=3.0, u_t=5e-3), drive_ratio=200.0, node_shunt_ratio=100.0
+            ),
+            TransconductorConfig(dev=DeviceParams(n=2.5, u_t=5e-3)),
+            TransconductorConfig(
+                dev=DeviceParams(n=2.0, u_t=0.0234375), drive_ratio=1.0, node_shunt_ratio=0.0
+            ),
+        ],
+        ids=["default.ini", "triangle_1na.ini", "d=0.05", "d=200", "n=2.5", "no-shunt"],
+    )
+    def test_solves_are_the_scalar_roots(self, monkeypatch, cfg):
+        solved = []
+        bisect = transconductor._bisect_node
+
+        def recording(s, d, b):
+            a = bisect(s, d, b)
+            solved.append((b, a))
+            return a
+
+        monkeypatch.setattr(transconductor, "_bisect_node", recording)
+        table = node_arg_table.__wrapped__(cfg)
+        monkeypatch.undo()
+        n = len(table.coeffs)
+        beta_max = _input_arg(cfg, 0.5)
+        # once each, the nodes and the midpoints of the final grid
+        assert sorted(b for b, _ in solved) == [k * (beta_max / (2 * n)) for k in range(2 * n + 1)]
+        for b, a in solved:
+            assert a.hex() == transconductor._solve_node_arg(cfg, b).hex()
+        assert [c[0].hex() for c in table.coeffs] == [
+            transconductor._solve_node_arg(cfg, k * (beta_max / n)).hex() for k in range(n)
+        ]
+
+    def test_build_leaves_the_memo_alone(self):
+        memo = transconductor._solve_normalized
+        memo.cache_clear()
+        output_current(CFG, 0.25)
+        before = memo.cache_info()
+        node_arg_table.__wrapped__(CFG)
+        assert memo.cache_info() == before
 
     def test_drive_overflow_is_saturation(self):
         # n = 3 at 0.1 mV puts beta near 1667 at 0.5 V, and the root near
@@ -496,12 +502,26 @@ class TestNodeArgTable:
         with pytest.raises(SaturationError, match="overflows"):
             node_arg_table(cfg)
 
+    def test_input_argument_overflow_is_the_scalar_refusal(self, monkeypatch):
+        # at n = 3 and 0.2 mV the half-width 416.7 is within sinh's range,
+        # but the input argument at 0.5 V, 833.3, is not
+        cfg = TransconductorConfig(dev=DeviceParams(n=3.0, u_t=2e-4))
+        with pytest.raises(SaturationError, match="input argument 833.3;") as dc:
+            output_current(cfg, 0.5)
+        monkeypatch.setattr(transconductor, "_bisect_node", None)  # no node is solved
+        with pytest.raises(SaturationError) as table:
+            node_arg_table.__wrapped__(cfg)
+        assert str(table.value) == str(dc.value)
+
     def test_bound_never_met_is_solver_error(self, monkeypatch):
+        # a cap of 2**10 runs the doubling to its cap at a sixty-fourth of
+        # the scalar solves of the shipped 2**16
         monkeypatch.setattr(transconductor, "_TABLE_TOL", 0.0)
+        monkeypatch.setattr(transconductor, "_TABLE_MAX_INTERVALS", 2**10)
         cfg = TransconductorConfig(i_ref=7e-9)
         node_arg_table.cache_clear()
         try:
-            with pytest.raises(SolverError, match="65536 intervals"):
+            with pytest.raises(SolverError, match="1024 intervals"):
                 node_arg_table(cfg)
         finally:
             node_arg_table.cache_clear()
@@ -527,17 +547,17 @@ class TestNodeArgTable:
         )
         table = node_arg_table(cfg)
         i_q = cfg.output_quiescent
-        beta = _input_arg(cfg, np.array(v + [0.5, -0.5]))
-        exact = np.sinh(beta - solve_node_args(cfg, beta))
-        for vk, bk, ek in zip(v + [0.5, -0.5], beta.tolist(), exact.tolist()):
+        for vk in v + [0.5, -0.5]:
+            bk = _input_arg(cfg, vk)
+            ek = math.sinh(bk - transconductor._solve_node_arg(cfg, bk))
             a = table_node_arg(table, bk)
             # the hot-loop lookup is the Hermite interpolation, bit for bit
             got = table.input_current(vk)
             assert got == max(i_q + i_q * math.sinh(bk - a), 0.0)
             # odd to the last bit, in node argument
             assert table.input_current(-vk) == max(i_q + i_q * math.sinh(a - bk), 0.0)
-            # within the table's own bound of the vectorized root, and of
-            # the scalar solve, whose root is within an ulp of that one
+            # within the table's own bound of the root, which the scalar
+            # solve gives and the drive current forms with its own rounding
             scale = max(1.0, abs(ek))
             assert abs(math.sinh(bk - a) - ek) <= 1e-10 * scale
             assert abs(got - neuron_input_current(cfg, vk)) <= 2e-10 * i_q * scale
