@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import os
 import sys
@@ -66,6 +67,9 @@ _KINDS = {"float": float, "float | None": float, "str": str}
 _VOLTAGE_BIAS_KEYS = ("v_tu_v", "v_lk_v", "v_th_v")
 # [transient]'s keys beyond Waveform's fields: the run, and a pwl input's points
 _TRANSIENT_RUN_KEYS = {"t_end_s": float, "trace_every": int, "pwl_points": str}
+# Output files are formatted and written this many lines at a time, so that
+# writing a long trace holds no second copy of it.
+_CSV_CHUNK_ROWS = 1024
 
 
 class UsageError(Exception):
@@ -186,16 +190,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".8e")
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_lines(path: Path, lines) -> None:
+    """Write each line with an LF ending, ``_CSV_CHUNK_ROWS`` lines at a time."""
+    lines = iter(lines)
+    with open(path, "wb") as fh:
+        while chunk := list(itertools.islice(lines, _CSV_CHUNK_ROWS)):
+            fh.write(("\n".join(chunk) + "\n").encode("ascii"))
+
+
+def _csv_lines(header, rows):
+    """The header line, then one line per row."""
+    yield ",".join(header)
     # "%.8e" % x == _fmt(x) for every float, nan and inf included
     floats = ",".join(["%.8e"] * len(header))
-    lines = [",".join(header)]
     for row in rows:
         try:
-            lines.append(floats % tuple(row))
+            yield floats % tuple(row)
         except TypeError:  # a row holding a str
-            lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
-    path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+            yield ",".join(c if isinstance(c, str) else _fmt(c) for c in row)
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    _write_lines(path, _csv_lines(header, rows))
 
 
 def _out_path(args) -> Path:
@@ -278,8 +294,7 @@ def _cmd_transient(cp, args) -> int:
     out = _out_path(args)
     _write_csv(out, ("t_s", "v_id_v", "i_in_a", "i_mem_a"), res.trace)
     spikes_path = out.with_suffix(".spikes")
-    times = res.spikes.times
-    spikes_path.write_bytes(("%.8e\n" * len(times) % times).encode("ascii"))
+    _write_lines(spikes_path, map("%.8e".__mod__, res.spikes.times))
     n = len(res.spikes)
     mean_rate = n / t_end
     _say(

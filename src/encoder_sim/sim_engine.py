@@ -46,6 +46,10 @@ gives the bits of plain per-step RK4 under that drive:
   form, and hands the last periods to ``transient`` only where the step cut
   short by the window end can change the verdict. Its docstring states the
   tie rule at the window edges.
+
+A run's trace is a ``Trace``: ``full_steps`` and ``transient``'s event loop
+extend one flat ``array('d')`` by four doubles a row, so a row costs 32
+bytes and no row is ever a tuple until a reader asks for it.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ import functools
 import linecache
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -287,14 +292,52 @@ class SpikeTrain:
         return len(self.times)
 
 
+class Trace:
+    """A read-only sequence of (t, v_id, i_in, i_mem) rows, four doubles a row.
+
+    The rows live in one flat ``array('d')``, 32 bytes a row. Indexing
+    gives a row as a tuple of floats and a slice a tuple of rows. A trace
+    equals any sequence of equal rows and hashes as the tuple of its rows.
+    """
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, flat: array) -> None:
+        self._flat = flat
+
+    def __len__(self) -> int:
+        return len(self._flat) // 4
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        k = range(len(self))[k]
+        return tuple(self._flat[4 * k : 4 * k + 4])
+
+    def __iter__(self):
+        return zip(*[iter(self._flat)] * 4)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Trace):
+            return self._flat == other._flat
+        try:
+            return len(self) == len(other) and all(a == tuple(b) for a, b in zip(self, other))
+        except TypeError:
+            return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Decimated trace samples plus the spike train.
 
-    Trace rows are (t, v_id, i_in, i_mem) tuples.
+    ``trace`` is a ``Trace`` in a run's result: (t, v_id, i_in, i_mem)
+    rows held as four doubles each.
     """
 
-    trace: tuple[tuple[float, float, float, float], ...]
+    trace: Trace
     spikes: SpikeTrain
 
 
@@ -376,12 +419,13 @@ def _time_eps(t_end: float) -> float:
 #   stops when a block is empty, and before the first step that reaches
 #   i_th or is not finite, whose result is ``i_new`` (None otherwise). The
 #   caller's t must leave room for one full step. Before the step with
-#   index ``row``, and every ``every`` steps after it, it appends the row
-#   ``(t, input, drive, y)`` to ``trace`` (step 0's row is the caller's),
-#   and raises ``SimulationError`` past ``_BUDGET_OVERRUN * _TRACE_BUDGET``
-#   rows. Its steps are ``step``'s operations in order with ``t += dt``, so
-#   they give its bits; the first stage needs no clamp, as y is never
-#   negative, and each step's end drive is the next step's start drive.
+#   index ``row``, and every ``every`` steps after it, it extends the flat
+#   ``trace`` by the row's four doubles ``t, input, drive, y`` (step 0's
+#   row is the caller's), and raises ``SimulationError`` past
+#   ``_BUDGET_OVERRUN * _TRACE_BUDGET`` rows. Its steps are ``step``'s
+#   operations in order with ``t += dt``, so they give its bits; the first
+#   stage needs no clamp, as y is never negative, and each step's end
+#   drive is the next step's start drive.
 #   A call to the derivative per stage was about 15% slower.
 _KERNEL_TEXT = """\
 def make_deriv(CONSTANTS, **_):
@@ -407,10 +451,10 @@ def make_step(CONSTANTS, **_):
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return step
 
-def make_full_steps(i_th, row_cap, rows_overrun, CONSTANTS, **_):
-    args = (i_th, float("-inf"), row_cap, rows_overrun, CONSTANTS)
+def make_full_steps(i_th, trace_cap, rows_overrun, CONSTANTS, **_):
+    args = (i_th, float("-inf"), trace_cap, rows_overrun, CONSTANTS)
     def full_steps(take_block, dt, every, t, y, steps, row, trace):
-        i_th, neg_inf, row_cap, rows_overrun, CONSTANTS = args
+        i_th, neg_inf, trace_cap, rows_overrun, CONSTANTS = args
         half, sixth = 0.5 * dt, dt / 6.0
         taken = 0
         while taken < steps:
@@ -421,9 +465,9 @@ def make_full_steps(i_th, row_cap, rows_overrun, CONSTANTS, **_):
             i1 = at[first]
             for j in range(first, stop):
                 if j == due:
-                    trace.append((t, float(volts[j]), at[j], y))
-                    if len(trace) > row_cap:
-                        raise rows_overrun(len(trace), t=t)
+                    trace.extend((t, volts[j], at[j], y))
+                    if len(trace) > trace_cap:
+                        raise rows_overrun(len(trace) // 4, t=t)
                     due += every
                 k1 = F(y, i1)
                 im, i1 = mid[j], at[j + 1]
@@ -475,7 +519,7 @@ def _neuron_kernel(neuron: NeuronConfig, name: str):
     no variant reads.
     """
     variant, constants = derivative_variant(neuron)
-    built = dict(i_th=neuron.i_th, row_cap=_BUDGET_OVERRUN * _TRACE_BUDGET)
+    built = dict(i_th=neuron.i_th, trace_cap=4 * _BUDGET_OVERRUN * _TRACE_BUDGET)
     built["rows_overrun"] = functools.partial(_overrun, what="trace rows", budget=_TRACE_BUDGET)
     return _compile_kernel(variant, name)(**built, **constants)
 
@@ -522,10 +566,11 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
     when the previous step started or ended there.
 
     ``take_block(t, steps)`` hands ``full_steps`` a pending block's
-    entries, marked read; otherwise the one-step block of ``stage_drive(t,
-    dt)``, which may start a block, or none (j == stop) when the step from
-    t is not one the run takes whole. The next step after entries handed
-    out but not stepped calls ``drive``.
+    entries, marked read, or a new block's from its entry 0 when the run
+    has grown long enough to start one at t; otherwise the one-step block
+    of ``stage_drive(t, dt)``, or none (j == stop) when the step from t is
+    not one the run takes whole. The next step after entries handed out
+    but not stepped calls ``drive``.
 
     ``row_drive(t) -> (waveform_eval(wave, t), drive(t))`` reads a trace
     row from the block when t is its next entry, and the drive from the
@@ -552,11 +597,14 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
     t_stop, i_stop = math.nan, 0.0
 
     def refill(t: float) -> bool:
-        """A new block from t, as long as the run so far or half the last; returns True.
+        """Whether the full step from t, where the last step ended, starts a block.
 
-        The step from t must be one the run takes whole.
+        If so, refills the block from t, as long as the run so far or half
+        the last. The step from t must be one the run takes whole.
         """
         nonlocal times, volts, at, mid, n, j
+        if not (t - t_run >= min_span or n >= 2 * _DRIVE_BLOCK_MIN):
+            return False
         n = _whole_steps(t, min(max(int((t - t_run) / dt), n // 2), _DRIVE_BLOCK_STEPS), dt, t_end)
         steps = np.full(n + 1, dt)
         steps[0] = t
@@ -570,9 +618,7 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
     def stage_drive(t: float, h: float) -> tuple[float, float, float, float]:
         nonlocal j, t_run, t_start, i_start, t_stop, i_stop
         if h == dt and t == t_stop:
-            if (j < n and t == times[j]) or (
-                (t - t_run >= min_span or n >= 2 * _DRIVE_BLOCK_MIN) and refill(t)
-            ):
+            if (j < n and t == times[j]) or refill(t):
                 j += 1
                 t_stop, i_stop = times[j], at[j]
                 return at[j - 1], mid[j - 1], mid[j - 1], i_stop
@@ -589,15 +635,16 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
 
     def take_block(t: float, steps: int):
         nonlocal j, t_stop, i_stop
-        if t == t_stop and j < n and t == times[j]:
-            first = j
-            j = min(n, j + steps)
-            t_stop, i_stop = times[j], at[j]
-            return at, mid, volts, first, j
-        if not _whole_steps(t, 1, dt, t_end):
-            return (), (), (), 0, 0
-        i0, im, _, i1 = stage_drive(t, dt)
-        return (i0, i1), (im,), (waveform_eval(wave, t),), 0, 1
+        if not (t == t_stop and j < n and t == times[j]):
+            if not _whole_steps(t, 1, dt, t_end):
+                return (), (), (), 0, 0
+            if not (t == t_stop and refill(t)):
+                i0, im, _, i1 = stage_drive(t, dt)
+                return (i0, i1), (im,), (waveform_eval(wave, t),), 0, 1
+        first = j
+        j = min(n, j + steps)
+        t_stop, i_stop = times[j], at[j]
+        return at, mid, volts, first, j
 
     def row_drive(t: float) -> tuple[float, float]:
         if j < len(times) and t == times[j]:
@@ -754,20 +801,20 @@ def transient(
     t_rf = neuron.t_rf
     event_tol = solver.event_tol
 
-    trace: list[tuple[float, float, float, float]] = []
+    trace = array("d")  # four doubles a row
     spikes: list[float] = []
     t = 0.0
     step_index = 0
     time_eps = _time_eps(t_end)
 
     step_cap = _BUDGET_OVERRUN * _STEP_BUDGET
-    row_cap = _BUDGET_OVERRUN * _TRACE_BUDGET
+    trace_cap = 4 * _BUDGET_OVERRUN * _TRACE_BUDGET
 
     while t < t_end - time_eps:
         if step_index % trace_every == 0:
-            trace.append((t, *row_drive(t), i_mem))
-            if len(trace) > row_cap:
-                raise _overrun(len(trace), "trace rows", _TRACE_BUDGET, t)
+            trace.extend((t, *row_drive(t), i_mem))
+            if len(trace) > trace_cap:
+                raise _overrun(len(trace) // 4, "trace rows", _TRACE_BUDGET, t)
         step_index += 1
         if step_index > step_cap:
             raise _overrun(step_index, "loop steps", _STEP_BUDGET, t)
@@ -821,8 +868,8 @@ def transient(
             t += h
             i_mem = i_new if i_new > 0.0 else 0.0
 
-    trace.append((t_end, *row_drive(t_end), i_mem))
-    return SimResult(trace=tuple(trace), spikes=SpikeTrain(times=tuple(spikes)))
+    trace.extend((t_end, *row_drive(t_end), i_mem))
+    return SimResult(trace=Trace(trace), spikes=SpikeTrain(times=tuple(spikes)))
 
 
 def _silent_at_dc(neuron: NeuronConfig, i_in: float, dt: float) -> bool:

@@ -5,11 +5,14 @@ import ast
 import configparser
 import csv
 import importlib
+import math
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -675,6 +678,60 @@ class TestCsvOutput:
         assert lines[0] == "f_spike_hz,power_w"
         powers = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b > a for a, b in zip(powers, powers[1:]))
+
+
+def one_shot_csv(header, rows) -> bytes:
+    """A CSV formatted in one piece, each float cell with ``format(x, ".8e")``."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else format(c, ".8e") for c in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+class TestChunkedWriter:
+    """Files are written ``_CSV_CHUNK_ROWS`` lines at a time, with one-shot bytes."""
+
+    CHUNK = cli._CSV_CHUNK_ROWS
+    HEADER = ("t_s", "v_id_v", "i_in_a", "i_mem_a")
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_float_rows(self, tmp_path, n):
+        cells = (-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0)
+        rows = [(k * 1e-7, cells[k % 6], -cells[(k + 1) % 6], k + 0.5) for k in range(n)]
+        trace = sim_engine.Trace(array("d", [x for row in rows for x in row]))
+        for given_rows in (rows, trace):
+            cli._write_csv(tmp_path / "t.csv", self.HEADER, given_rows)
+            assert (tmp_path / "t.csv").read_bytes() == one_shot_csv(self.HEADER, rows)
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK, CHUNK + 1])
+    def test_str_cells(self, tmp_path, n):
+        rows = [(str(k), k * 0.25, '"a ""b"""', -k * 1e300) for k in range(n)]
+        header = ("evaluation", "x", "reason", "objective")
+        cli._write_csv(tmp_path / "s.csv", header, rows)
+        assert (tmp_path / "s.csv").read_bytes() == one_shot_csv(header, rows)
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK, CHUNK + 1])
+    def test_spike_lines(self, tmp_path, n):
+        times = tuple(k * 1.25e-5 + 1e-9 for k in range(n))
+        cli._write_lines(tmp_path / "x.spikes", map("%.8e".__mod__, times))
+        want = "".join(format(t, ".8e") + "\n" for t in times).encode("ascii")
+        assert (tmp_path / "x.spikes").read_bytes() == want
+
+    def test_dense_transient_holds_few_bytes_a_row(self, tmp_path):
+        # 8,902 trace rows; the trace takes 32 bytes a row and the writer a
+        # chunk, where tuples and a one-shot CSV took about 400
+        out = tmp_path / "dense.csv"
+        argv = ["transient", "--config", TRIANGLE_INI, "--out", str(out), "--quiet"]
+        argv += ["--set", "transient.trace_every=1", "--set", "transient.t_end_s=4e-3"]
+        assert main(argv) == 0  # warm: imports, kernels and the drive table
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = out.read_bytes().count(b"\n") - 1
+        assert rows == 8902
+        assert peak < 128 * rows
 
 
 class TestGoldenFiles:

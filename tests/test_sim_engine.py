@@ -15,6 +15,7 @@ import re
 import string
 import struct
 import warnings
+from array import array
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -47,6 +48,7 @@ from encoder_sim.sim_engine import (
     SimulationError,
     SolverConfig,
     SpikeTrain,
+    Trace,
     Waveform,
     _dc_drive,
     _make_stage_drive,
@@ -269,6 +271,54 @@ class TestSpikeTrain:
     def test_len(self):
         assert len(SpikeTrain()) == 0
         assert len(SpikeTrain(times=(1.0, 2.0))) == 2
+
+
+class TestTrace:
+    ROWS = (
+        (0.0, 0.1, 4e-9, 1e-12),
+        (1e-7, -0.0, math.nan, math.inf),
+        (2e-7, -math.inf, 5e-324, -1e-300),
+    )
+    FINITE = ((0.0, 0.1, 4e-9, 1e-12), (1e-7, -0.5, 5e-324, -1e-300), (2e-7, 0.2, 3e-9, 0.0))
+
+    def trace(self, rows=ROWS):
+        return Trace(array("d", [x for row in rows for x in row]))
+
+    def test_len_index_and_iteration(self):
+        trace = self.trace()
+        assert len(trace) == 3 and len(self.trace(())) == 0
+        assert trace[0] == self.ROWS[0] and trace[-1] == self.ROWS[2]
+        assert trace[-3] == self.ROWS[0]
+        for k in (3, -4):
+            with pytest.raises(IndexError):
+                trace[k]
+        assert all(type(row) is tuple and len(row) == 4 for row in trace)
+        assert [row[0] for row in trace] == [0.0, 1e-7, 2e-7]
+
+    def test_slices(self):
+        rows = self.FINITE
+        trace = self.trace(rows)
+        assert trace[1:] == rows[1:] and trace[::-2] == (rows[2], rows[0])
+        assert trace[5:] == () and trace[:] == rows
+        assert type(trace[:1]) is tuple
+
+    def test_equality_both_ways(self):
+        rows = self.FINITE
+        trace = self.trace(rows)
+        assert trace == rows and rows == trace and hash(trace) == hash(rows)
+        assert trace == list(map(list, rows)) and trace == self.trace(rows)
+        assert trace != rows[:2] and rows[:2] != trace
+        changed = (*rows[:2], (2e-7, 0.2, 3e-9, -0.0))
+        assert trace == changed  # -0.0 == 0.0, as between tuples
+        changed = (*rows[:2], (2e-7, 0.2, 3e-9, 1e-300))
+        assert trace != changed and changed != trace and trace != self.trace(changed)
+        assert trace != 3 and trace != "abcd"
+
+    def test_cells_keep_their_bits(self):
+        bits = [struct.pack("<d", x) for row in self.ROWS for x in row]
+        got = [struct.pack("<d", x) for row in self.trace() for x in row]
+        assert got == bits
+        assert [struct.pack("<d", x) for x in self.trace()[1]] == bits[4:8]
 
 
 class TestTransientLinear:
@@ -1012,14 +1062,15 @@ class TestFullStepsChangeNothing:
         # The first run takes _DRIVE_BLOCK_MIN one-step blocks before its
         # first block. A later run, with the last block at least twice that
         # long, takes its first step alone and starts a block of at least
-        # half the last one at its second (whose first entry is handed out
-        # alone), so its third handout reads that block.
+        # half the last one at its second, which its second handout reads
+        # whole from entry 0. No other handout is a one-step block.
         log = log_full_steps(monkeypatch)
         res = transient(FIRING, RAMPS, 3e-3, trace_every=10**9)
         min_block = sim_engine._DRIVE_BLOCK_MIN
         assert len(res.spikes) >= 10
         assert [length for _, length, _ in log[0].blocks[:min_block]] == [1] * min_block
-        assert all(call.blocks[2][1] >= min_block for call in log[1:])
+        assert all(call.blocks[1][0] == call.blocks[1][1] >= min_block for call in log[1:])
+        assert all([length for _, length, _ in call.blocks].count(1) == 1 for call in log[1:])
 
     def test_one_loop_call_per_stretch_between_events(self, monkeypatch):
         # the loop writes the trace rows itself, so the rows change no call
@@ -1201,24 +1252,25 @@ class TestFullStepsKernel:
         def take_block(t, steps):
             return at, mid, volts, 0, min(steps, n)
 
-        trace = []
+        # the kernel extends the flat trace by four doubles a row
+        trace = array("d")
         got = _neuron_kernel(neuron, "full_steps")(take_block, dt, every, 0.0, y0, n, row, trace)
         step = _neuron_kernel(neuron, "step")
-        t, y, rows, k = 0.0, y0, [], 0
+        t, y, rows, k = 0.0, y0, array("d"), 0
         while k < n:
             if k % every == row:
-                rows.append((t, volts[k], at[k], y))
+                rows.extend((t, volts[k], at[k], y))
             i_new = step(lambda t, h: (at[k], mid[k], mid[k], at[k + 1]), t, y, dt)
             if not -math.inf < i_new < neuron.i_th:
                 assert got[:3] == (t, y, k)
                 assert got[3] == i_new or math.isnan(got[3]) and math.isnan(i_new)
-                assert trace == rows
+                assert trace.tobytes() == rows.tobytes()
                 return
             t += dt
             y = i_new if i_new > 0.0 else 0.0
             k += 1
         assert got == (t, y, n, None)
-        assert trace == rows
+        assert trace.tobytes() == rows.tobytes()
 
     def test_step_budget_and_row_cap(self, monkeypatch):
         monkeypatch.setattr(sim_engine, "_TRACE_BUDGET", 2)
@@ -1234,10 +1286,11 @@ class TestFullStepsKernel:
 
         # the step budget is exact
         assert full_steps(0.0, 1e-12, 5, 10**9, [])[2] == 5
-        trace = [()] * 7
+        # 7 rows of four doubles
+        trace = [0.0] * 28
         with pytest.raises(SimulationError, match="9 trace rows overran 4 times the budget of 2"):
             full_steps(0.0, 1e-12, 40, 1, trace)
-        assert len(trace) == 9
+        assert len(trace) == 36
 
 
 def walked_steps(t, steps, dt, t_end):
