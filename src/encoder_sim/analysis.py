@@ -89,9 +89,8 @@ def thd(samples, f0: float, fs: float, n_harmonics: int = 9) -> ThdReport:
     be an integer multiple of f0 with margin above the highest requested
     harmonic, and the record must span whole periods. That turns the
     synthetic-signal tests into identities instead of leakage estimates.
+    Each projection is one ``math.fsum``, so the code alone fixes its bits.
     """
-    import numpy as np
-
     if not (f0 > 0.0 and fs > 0.0):
         raise ValueError("f0 and fs must be positive")
     if n_harmonics < 1:
@@ -105,20 +104,22 @@ def thd(samples, f0: float, fs: float, n_harmonics: int = 9) -> ThdReport:
             f"fs/f0 = {ratio_int} undersamples harmonic {n_harmonics + 1}; "
             f"need at least {2 * (n_harmonics + 1)}"
         )
-    s = np.asarray(samples, dtype=float)
-    if s.ndim != 1 or s.size == 0:
+    try:
+        s = [float(x) for x in samples]
+    except TypeError:  # a scalar, or rows of a 2-d array
+        s = []
+    if not s:
         raise ValueError("samples must be a nonempty 1-d array")
-    if s.size % ratio_int != 0:
+    n = len(s)
+    if n % ratio_int != 0:
         raise ValueError(
-            f"sample count {s.size} does not cover whole periods of fs/f0 = {ratio_int}"
+            f"sample count {n} does not cover whole periods of fs/f0 = {ratio_int}"
         )
-    n = s.size
-    m = np.arange(n)
     amplitudes = []
     for k in range(1, n_harmonics + 2):
-        angle = 2.0 * np.pi * k * m / ratio_int
-        a = 2.0 / n * float(np.dot(s, np.cos(angle)))
-        b = 2.0 / n * float(np.dot(s, np.sin(angle)))
+        angles = [2.0 * math.pi * k * m / ratio_int for m in range(n)]
+        a = 2.0 / n * math.fsum(x * math.cos(w) for x, w in zip(s, angles))
+        b = 2.0 / n * math.fsum(x * math.sin(w) for x, w in zip(s, angles))
         amplitudes.append(math.hypot(a, b))
     h1 = amplitudes[0]
     if h1 <= 0.0:

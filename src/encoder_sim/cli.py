@@ -225,19 +225,18 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _load_numpy():
-    """numpy, for the commands that work on arrays; call it before ``build_encoder``.
+def _load_numpy() -> None:
+    """Load numpy for a time-varying transient's drive blocks; call it before ``build_encoder``.
 
-    Loaded before the encoder is built, its import is start-up, and the
-    run from build to output holds only the experiment. No command makes a
-    BLAS call that threads would speed up, so OpenBLAS gets one thread
-    unless the environment says otherwise: a helper thread spins for about
-    50 ms of CPU after numpy loads, doing nothing.
+    Those blocks are the only code that uses numpy. Loaded before the
+    encoder is built, its import is start-up, and the run from build to
+    output holds only the experiment. No block makes a BLAS call that
+    threads would speed up, so OpenBLAS gets one thread unless the
+    environment says otherwise: a helper thread spins for about 50 ms of
+    CPU after numpy loads, doing nothing.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    import numpy
-
-    return numpy
+    import numpy  # noqa: F401
 
 
 def _grid(lo: float, hi: float, n: int) -> list[float]:
@@ -287,9 +286,10 @@ def _build_waveform(cp) -> tuple[Waveform, float, int]:
 
 
 def _cmd_transient(cp, args) -> int:
-    _load_numpy()  # for the drive blocks of a time-varying input
-    enc = build_encoder(cp)
     wave, t_end, trace_every = _build_waveform(cp)
+    if wave.kind != "dc":
+        _load_numpy()  # for the drive blocks of a time-varying input
+    enc = build_encoder(cp)
     res = transient(enc, wave, t_end, solver=_build_solver(cp), trace_every=trace_every)
     out = _out_path(args)
     _write_csv(out, ("t_s", "v_id_v", "i_in_a", "i_mem_a"), res.trace)
@@ -352,7 +352,6 @@ def _cmd_vf_curve(cp, args) -> int:
 
 
 def _cmd_thd(cp, args) -> int:
-    np = _load_numpy()
     enc = build_encoder(cp)
     _build_solver(cp)  # checked, though no step is taken
     sec = _read_section(
@@ -379,10 +378,9 @@ def _cmd_thd(cp, args) -> int:
 
     # The transfer is memoryless, so the drive frequency is immaterial;
     # normalize to f0 = 1 Hz and fs = points_per_period.
-    phase = np.arange(ppp * periods) / ppp
-    v_in = offset + amp * np.sin(2.0 * np.pi * phase)
-    linearized = [output_current(enc.transconductor, float(v)) for v in v_in]
-    raw = [raw_pair_output_current(enc.transconductor, float(v)) for v in v_in]
+    v_in = [offset + amp * math.sin(2.0 * math.pi * (m / ppp)) for m in range(ppp * periods)]
+    linearized = [output_current(enc.transconductor, v) for v in v_in]
+    raw = [raw_pair_output_current(enc.transconductor, v) for v in v_in]
     report = thd(linearized, 1.0, float(ppp), n_harmonics=n_harmonics)
     report_raw = thd(raw, 1.0, float(ppp), n_harmonics=n_harmonics)
 

@@ -18,11 +18,11 @@ gives the bits of plain per-step RK4 under that drive:
   in blocks of up to 256 steps. The block's step times are summed in
   sequence by ``np.add.accumulate``, exactly as the loop's ``t += h`` sums
   them, and the bulk evaluators (``_waveform_eval_bulk``,
-  ``NodeArgTable.input_currents``) repeat the scalar operations in the same
+  ``_input_currents_bulk``) repeat the scalar operations in the same
   order, with numpy only for what IEEE rounds correctly and sin and sinh
   taken per element with ``math``. A block holds only the steps the run
-  takes whole. Only block and table code imports numpy, so a dc run never
-  loads it.
+  takes whole. Only this block code imports numpy, so a dc run never
+  loads it, and neither does any other layer.
 - Generated kernels (``_neuron_kernel``, built once per neuron): the
   membrane derivative of each neuron variant is one expression string in
   ``neuron.DERIVATIVES``, written out in every stage of each kernel of
@@ -81,6 +81,8 @@ from .transconductor import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .transconductor import NodeArgTable
 
 __all__ = [
     "Waveform",
@@ -240,6 +242,29 @@ def _waveform_eval_bulk(w: Waveform, t: np.ndarray) -> np.ndarray:
     rise = 4.0 * phase
     shape = np.where(phase < 0.25, rise, np.where(phase < 0.75, 2.0 - rise, rise - 4.0))
     return w.offset + w.amplitude * shape
+
+
+def _input_currents_bulk(table: NodeArgTable, cols, v_id: np.ndarray) -> np.ndarray:
+    """``table.input_current`` at every element of ``v_id``, bit for bit.
+
+    ``cols`` holds ``table.coeffs`` as four numpy columns c0, c1, c2, c3.
+    Repeats its operations in the same order, with numpy only where IEEE
+    rounds correctly (arithmetic, comparisons, indexing) and sinh taken
+    per element with ``math.sinh``, because ``np.sinh`` may round
+    differently.
+    """
+    import numpy as np
+
+    beta = table.n1 * v_id / table.two_nut
+    x = np.abs(beta) * table.scale
+    k = np.minimum(x.astype(np.intp), len(table.coeffs) - 1)
+    u = x - k
+    c0, c1, c2, c3 = [col.take(k) for col in cols]
+    a = c0 + u * (c1 + u * (c2 + u * c3))
+    arg = np.where(beta < 0.0, beta + a, beta - a)
+    sinh = np.fromiter(map(math.sinh, arg.tolist()), float, arg.size)
+    i_q = table.output_quiescent
+    return np.maximum(i_q + i_q * sinh, 0.0)
 
 
 @dataclass(frozen=True)
@@ -556,7 +581,7 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
     a block: the input and drive at the next full steps, as many as the run
     so far or half the last block, whichever is more, and at most
     ``_DRIVE_BLOCK_STEPS``, from one ``_waveform_eval_bulk`` and one
-    ``input_currents`` call. A spike, which ends the run, thus wastes at
+    ``_input_currents_bulk`` call. A spike, which ends the run, thus wastes at
     most as many steps as the run had or half the last block. A block holds only
     the steps the run takes whole (``_whole_steps``). Its times come from
     ``np.add.accumulate``, which sums in sequence like the loop's ``t +=
@@ -579,7 +604,8 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
     import numpy as np
 
     table = node_arg_table(tc)
-    current, input_currents = table.input_current, table.input_currents
+    current = table.input_current
+    cols = [np.array(col) for col in zip(*table.coeffs)]
 
     def drive(t: float) -> float:
         return current(waveform_eval(wave, t))
@@ -611,7 +637,7 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
         steps = np.add.accumulate(steps)
         times, j = steps.tolist(), 0
         volts = _waveform_eval_bulk(wave, np.concatenate((steps, steps[:-1] + half_dt)))
-        currents = input_currents(volts).tolist()
+        currents = _input_currents_bulk(table, cols, volts).tolist()
         at, mid = currents[: n + 1], currents[n + 1 :]
         return True
 

@@ -32,12 +32,7 @@ A time-varying transient needs the node argument at every integration
 stage, so ``node_arg_table`` builds, once per config, a cubic Hermite table
 of it over the full input range, its nodes solved by ``_bisect_node``;
 ``NodeArgTable.input_current`` is then a polynomial lookup instead of a
-scalar solve, and ``NodeArgTable.input_currents`` the same lookup over an
-array, bit for bit.
-
-Only the table code imports numpy, inside ``_hermite_coeffs``,
-``node_arg_table`` and ``NodeArgTable.input_currents``; the operating point,
-``dc_sweep`` and ``effective_gm`` run on floats.
+scalar solve. Everything here runs on floats.
 """
 
 from __future__ import annotations
@@ -45,13 +40,9 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from .device_model import SUPPLY_V, DeviceParams, SaturationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "TransconductorConfig",
@@ -279,8 +270,6 @@ class NodeArgTable:
     output_quiescent: float
     scale: float  # intervals per unit of |beta|
     coeffs: tuple[tuple[float, float, float, float], ...]
-    # ``coeffs`` as four contiguous columns c0, c1, c2, c3
-    coeff_cols: tuple[np.ndarray, ...] = field(compare=False, repr=False)
 
     def input_current(self, v_id: float) -> float:
         """``neuron_input_current`` from the table; |v_id| <= 0.5 V, unchecked.
@@ -297,48 +286,20 @@ class NodeArgTable:
         i_q = self.output_quiescent
         return max(i_q + i_q * math.sinh(beta + a if beta < 0.0 else beta - a), 0.0)
 
-    def input_currents(self, v_id: np.ndarray) -> np.ndarray:
-        """``input_current`` at every element of ``v_id``, bit for bit.
 
-        Repeats its operations in the same order. numpy does only what
-        IEEE rounds correctly (arithmetic, comparisons, indexing); sinh is
-        taken per element with ``math.sinh``, because ``np.sinh`` may round
-        differently.
-        """
-        import numpy as np
-
-        beta = self.n1 * v_id / self.two_nut
-        x = np.abs(beta) * self.scale
-        k = np.minimum(x.astype(np.intp), len(self.coeffs) - 1)
-        u = x - k
-        c0, c1, c2, c3 = [col.take(k) for col in self.coeff_cols]
-        a = c0 + u * (c1 + u * (c2 + u * c3))
-        arg = np.where(beta < 0.0, beta + a, beta - a)
-        sinh = np.fromiter(map(math.sinh, arg.tolist()), float, arg.size)
-        i_q = self.output_quiescent
-        return np.maximum(i_q + i_q * sinh, 0.0)
-
-
-def _hermite_coeffs(cfg: TransconductorConfig, beta, alpha, step: float) -> np.ndarray:
-    """Per-interval Hermite coefficients, one row (c0, c1, c2, c3) each.
+def _hermite_coeffs(cfg: TransconductorConfig, beta, alpha, step: float) -> list[tuple]:
+    """Per-interval Hermite coefficients, one tuple (c0, c1, c2, c3) each.
 
     Node slopes come from the implicit derivative of the node equation,
     d alpha/d beta = d*cosh(beta - alpha)/(cosh(alpha) + s + d*cosh(beta - alpha)).
     """
-    import numpy as np
-
-    d = cfg.drive_ratio
-    pull = d * np.cosh(beta - alpha)
-    hm = step * pull / (np.cosh(alpha) + cfg.node_shunt_ratio + pull)
-    rise = np.diff(alpha)
-    return np.column_stack(
-        (
-            alpha[:-1],
-            hm[:-1],
-            3.0 * rise - 2.0 * hm[:-1] - hm[1:],
-            -2.0 * rise + hm[:-1] + hm[1:],
-        )
-    )
+    d, s = cfg.drive_ratio, cfg.node_shunt_ratio
+    pull = [d * math.cosh(b - a) for b, a in zip(beta, alpha)]
+    hm = [step * p / (math.cosh(a) + s + p) for a, p in zip(alpha, pull)]
+    return [
+        (a0, h0, 3.0 * (a1 - a0) - 2.0 * h0 - h1, -2.0 * (a1 - a0) + h0 + h1)
+        for a0, a1, h0, h1 in zip(alpha, alpha[1:], hm, hm[1:])
+    ]
 
 
 @functools.lru_cache(maxsize=8)
@@ -356,57 +317,50 @@ def node_arg_table(cfg: TransconductorConfig) -> NodeArgTable:
     Past 2**16 intervals it raises ``SolverError``. A device that the
     scalar solve refuses at 0.5 V, its half-width 0.5 V/(2*n*u_t) or its
     input argument past the range of sinh, raises ``SaturationError`` with
-    the same message before any node is solved; so does an overflowing
-    interpolant, or an input argument at 0.5 V too narrow to split into
-    2**16 intervals.
+    the same message before any node is solved; so does an interpolant
+    that overflows or is not finite, or an input argument at 0.5 V too
+    narrow to split into 2**16 intervals.
     """
-    import numpy as np
-
     _refuse_overflow(SUPPLY_V / (2.0 * cfg.dev.n * cfg.dev.u_t), "half-width argument")
     beta_max = _input_argument(cfg, SUPPLY_V)
     _refuse_overflow(beta_max, "input argument")
     if beta_max < _TABLE_MAX_INTERVALS / sys.float_info.max:
         raise SaturationError(f"input argument {beta_max:.4g} at 0.5 V is too narrow to tabulate")
     s, d = cfg.node_shunt_ratio, cfg.drive_ratio
-
-    def roots(betas):
-        return np.array([_bisect_node(s, d, b) for b in betas.tolist()])
-
     n = _TABLE_MIN_INTERVALS
-    nodes = np.arange(n + 1) * (beta_max / n)
-    alpha = roots(nodes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            step = beta_max / n
-            mids = np.arange(1, 2 * n, 2) * (beta_max / (2 * n))
-            alpha_mid = roots(mids)
-            coeffs = _hermite_coeffs(cfg, nodes, alpha, step)
-            c0, c1, c2, c3 = coeffs.T
-            exact = np.sinh(mids - alpha_mid)
-            err = np.abs(np.sinh(mids - (c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * c3)))) - exact)
-            worst = np.max(err / np.maximum(1.0, np.abs(exact)))
-            if not np.isfinite(worst):
-                raise SaturationError(
-                    f"drive table overflows at input argument {beta_max:.4g}; "
-                    "device is outside the weak-inversion model range"
-                )
-            if worst <= _TABLE_TOL:
-                break
-            if 2 * n > _TABLE_MAX_INTERVALS:
-                raise SolverError(f"drive table misses its {_TABLE_TOL:g} bound at {n} intervals")
-            # The midpoints of this grid are the odd nodes of the next one.
-            nodes = np.arange(2 * n + 1) * (beta_max / (2 * n))
-            merged = np.empty(2 * n + 1)
-            merged[0::2], merged[1::2] = alpha, alpha_mid
-            alpha = merged
-            n *= 2
+    nodes = [k * (beta_max / n) for k in range(n + 1)]
+    alpha = [_bisect_node(s, d, b) for b in nodes]
+    while True:
+        mids = [k * (beta_max / (2 * n)) for k in range(1, 2 * n, 2)]
+        alpha_mid = [_bisect_node(s, d, b) for b in mids]
+        try:
+            coeffs = _hermite_coeffs(cfg, nodes, alpha, beta_max / n)
+            errors = []
+            for b, a, (c0, c1, c2, c3) in zip(mids, alpha_mid, coeffs):
+                exact = math.sinh(b - a)
+                got = math.sinh(b - (c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * c3))))
+                errors.append(abs(got - exact) / max(1.0, abs(exact)))
+        except OverflowError:
+            errors = [math.inf]
+        if not all(map(math.isfinite, errors)):
+            raise SaturationError(
+                f"drive table overflows at input argument {beta_max:.4g}; "
+                "device is outside the weak-inversion model range"
+            )
+        if max(errors) <= _TABLE_TOL:
+            break
+        if 2 * n > _TABLE_MAX_INTERVALS:
+            raise SolverError(f"drive table misses its {_TABLE_TOL:g} bound at {n} intervals")
+        # The midpoints of this grid are the odd nodes of the next one.
+        nodes = [k * (beta_max / (2 * n)) for k in range(2 * n + 1)]
+        alpha = [a for pair in zip(alpha, alpha_mid) for a in pair] + alpha[-1:]
+        n *= 2
     return NodeArgTable(
         n1=cfg.dev.n - 1.0,
         two_nut=2.0 * cfg.dev.n * cfg.dev.u_t,
         output_quiescent=cfg.output_quiescent,
         scale=n / beta_max,
-        coeffs=tuple(map(tuple, coeffs.tolist())),
-        coeff_cols=tuple(np.ascontiguousarray(col) for col in coeffs.T),
+        coeffs=tuple(coeffs),
     )
 
 

@@ -90,6 +90,11 @@ class TestThd:
             thd(s[:100], 1000.0, 64000.0)
         with pytest.raises(ValueError, match="fundamental"):
             thd(np.zeros(128), 1000.0, 64000.0)
+        # a typed refusal, not a TypeError from the projections
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            thd([], 1000.0, 64000.0)
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            thd([[x] for x in s[:64].tolist()], 1000.0, 64000.0)
 
     def test_report_validation(self):
         with pytest.raises(ValueError):

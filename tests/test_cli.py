@@ -1048,14 +1048,15 @@ class TestImports:
         assert fresh_python(code, tmp_path).split() == ["False"]
 
     def test_dc_commands_leave_numpy_unloaded(self, tmp_path):
-        # every command but transient and thd runs on floats
-        commands = ["dc-sweep", "vf-curve", "freq", "power", "tune"]
+        # every command but a time-varying transient runs on floats
+        commands = ["dc-sweep", "vf-curve", "thd", "freq", "power", "tune", "transient"]
         code = (
             "import sys\n"
             "from encoder_sim.cli import main\n"
             f"for command in {commands!r}:\n"
             f"    args = [command, '--config', {DEFAULT_INI!r}, '--out', 'o.csv', '--quiet']\n"
             "    args += ['--set', 'tune.variables=i_th', '--set', 'tune.budget=6']\n"
+            "    args += ['--set', 'transient.kind=dc', '--set', 'transient.t_end_s=1e-4']\n"
             "    assert main(args) == 0, command\n"
             "    print(command, 'numpy' in sys.modules)\n"
         )
@@ -1063,10 +1064,42 @@ class TestImports:
             word for command in commands for word in (command, "False")
         ]
 
+    def test_numpy_is_imported_only_by_the_drive_blocks(self):
+        # the modules and functions of src/ that import numpy: a
+        # time-varying transient's block code, and the loader that the CLI
+        # calls for it; an import under TYPE_CHECKING only names types
+        found = set()
+
+        def imports_numpy(node):
+            if isinstance(node, ast.Import):
+                return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+            return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+        def visit(node, module, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, module, child.name)
+                elif isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+                    visit(child, module, "TYPE_CHECKING")
+                elif imports_numpy(child):
+                    found.add(f"{module}.{where}")
+                else:
+                    visit(child, module, where)
+
+        for path in (REPO / "src").rglob("*.py"):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+        assert found == {
+            "cli._load_numpy",
+            "sim_engine.TYPE_CHECKING",
+            "sim_engine._waveform_eval_bulk",
+            "sim_engine._input_currents_bulk",
+            "sim_engine._make_stage_drive",
+        }
+
     @pytest.mark.parametrize(
         "command, sets",
-        [("transient", ["transient.t_end_s=1e-4"]), ("thd", [])],
-        ids=["transient", "thd"],
+        [("transient", ["transient.t_end_s=1e-4"])],
+        ids=["transient"],
     )
     def test_array_commands_load_numpy_before_the_encoder(self, tmp_path, command, sets):
         # the run from the encoder's build to its output holds no import,

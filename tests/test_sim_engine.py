@@ -784,11 +784,14 @@ class TestDriveBlock:
         volts = sim_engine._waveform_eval_bulk(wave, times)
         assert volts.tolist() == [waveform_eval(wave, t) for t in times.tolist()]
         table = node_arg_table(tc)
+        cols = [np.array(col) for col in zip(*table.coeffs)]
         drive = scalar_drive(enc, wave)
-        assert table.input_currents(volts).tolist() == [drive(t) for t in times.tolist()]
-        # the table's array method at the supply ends, zero and inside
+        currents = sim_engine._input_currents_bulk(table, cols, volts)
+        assert currents.tolist() == [drive(t) for t in times.tolist()]
+        # the bulk lookup at the supply ends, zero and inside
         v = np.concatenate((volts, [0.5, -0.5, 0.0, -0.0, 5e-324, -1e-300]))
-        assert table.input_currents(v).tolist() == [table.input_current(x) for x in v.tolist()]
+        currents = sim_engine._input_currents_bulk(table, cols, v)
+        assert currents.tolist() == [table.input_current(x) for x in v.tolist()]
 
     def test_dc_has_no_block(self, monkeypatch):
         def no_block(w, times):
