@@ -1097,11 +1097,15 @@ class TestImports:
         }
 
     @pytest.mark.parametrize(
-        "command, sets",
-        [("transient", ["transient.t_end_s=1e-4"])],
-        ids=["transient"],
+        "command, sets, at_build",
+        [
+            ("transient", ["transient.t_end_s=1e-4"], ["True", "1"]),
+            # thd runs on floats: numpy is loaded neither before nor after
+            ("thd", [], ["False", "-"]),
+        ],
+        ids=["transient", "thd"],
     )
-    def test_array_commands_load_numpy_before_the_encoder(self, tmp_path, command, sets):
+    def test_array_commands_load_numpy_before_the_encoder(self, tmp_path, command, sets, at_build):
         # the run from the encoder's build to its output holds no import,
         # and OpenBLAS starts no helper thread to spin beside it
         code = (
@@ -1111,12 +1115,13 @@ class TestImports:
             "build = cli.build_encoder\n"
             "def marked(cp):\n"
             "    enc = build(cp)\n"
-            "    print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])\n"
+            "    print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS', '-'))\n"
             "    return enc\n"
             "cli.build_encoder = marked\n"
             f"args = [{command!r}, '--config', {DEFAULT_INI!r}, '--out', 'o.csv', '--quiet']\n"
             f"for item in {sets!r}:\n"
             "    args += ['--set', item]\n"
             "assert cli.main(args) == 0\n"
+            "print('numpy' in sys.modules)\n"
         )
-        assert fresh_python(code, tmp_path).split() == ["True", "1"]
+        assert fresh_python(code, tmp_path).split() == at_build + at_build[:1]
