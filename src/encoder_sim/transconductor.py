@@ -20,10 +20,13 @@ r(a) = sinh(a) + s*a - d*sinh(b - a) is strictly increasing, with
 r(0) <= 0 < r(b), so the root is unique and lies on [0, b]. One bisection,
 ``_bisect_node``, finds it: it halves [0, b] until the ends are adjacent
 doubles and takes their midpoint; the root then takes the input argument's
-sign. A device whose half-width 0.5 V/(2*n*u_t), or whose b, is past the
-range of sinh raises ``SaturationError``. ``solve_operating_point`` returns
-the output pair's argument ``input_arg - node_arg``; the branch currents of
-the network are only checked for underflow, not returned.
+sign. ``TransconductorConfig`` judges the device's range once, when it is
+built: a device whose half-width 0.5 V/(2*n*u_t), or whose input argument
+at 0.5 V, is past the range of sinh, or whose input argument at 0.5 V is
+too narrow to tabulate, raises ``SaturationError``. The input argument
+rises with |v_id| under rounding, so no later solve or table node passes
+the range of sinh. ``solve_operating_point`` returns the output pair's
+argument ``input_arg - node_arg``.
 
 The root is solved at |input_arg| and only then given its sign, so the
 solved transfer is odd to the last bit, not merely to solver tolerance.
@@ -80,11 +83,9 @@ class TransconductorConfig:
     dev:
         Shared weak-inversion parameters of the matched devices.
     i_ref:
-        Reference/tuning current in amperes; every internal branch current
-        is a fixed ratio of it.
-    mirror_to_branch:
-        Ratio mapping i_ref to the quiescent current of each linearization
-        branch (the correction-node diodes at zero input).
+        Reference/tuning current in amperes. The node equation is solved in
+        quiescent-normalized units, so of the currents the transconductor
+        forms, i_ref scales only the output pair's, by ``mirror_to_output``.
     mirror_to_output:
         Ratio mapping i_ref to the quiescent current of each output-pair
         device.
@@ -100,11 +101,15 @@ class TransconductorConfig:
     The two ratio defaults are calibrated jointly so that the small-signal
     gain lands in the published 1.56-22 nA/V band over i_ref in [2, 27] nA
     and the distortion of a 0.25 V sine stays in low single digits.
+
+    Building a config judges the device's range, the only place that does:
+    a half-width 0.5 V/(2*n*u_t) or an input argument at 0.5 V past the
+    range of sinh, or an input argument at 0.5 V too narrow to split into
+    the drive table's largest interval count, raises ``SaturationError``.
     """
 
     dev: DeviceParams = DeviceParams()
     i_ref: float = 8e-9
-    mirror_to_branch: float = 0.5
     mirror_to_output: float = 0.5
     drive_ratio: float = 6.368
     node_shunt_ratio: float = 1.0
@@ -112,8 +117,6 @@ class TransconductorConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.i_ref) and self.i_ref > 0.0):
             raise ValueError(f"i_ref must be positive and finite, got {self.i_ref!r}")
-        if not (math.isfinite(self.mirror_to_branch) and self.mirror_to_branch > 0.0):
-            raise ValueError(f"mirror_to_branch must be positive, got {self.mirror_to_branch!r}")
         if not (math.isfinite(self.mirror_to_output) and self.mirror_to_output > 0.0):
             raise ValueError(f"mirror_to_output must be positive, got {self.mirror_to_output!r}")
         if not (math.isfinite(self.drive_ratio) and self.drive_ratio > 0.0):
@@ -122,11 +125,13 @@ class TransconductorConfig:
             raise ValueError(
                 f"node_shunt_ratio must be nonnegative, got {self.node_shunt_ratio!r}"
             )
-
-    @property
-    def branch_quiescent(self) -> float:
-        """Quiescent current of each correction-node diode branch, A."""
-        return self.mirror_to_branch * self.i_ref
+        _refuse_overflow(SUPPLY_V / (2.0 * self.dev.n * self.dev.u_t), "half-width argument")
+        beta_max = _input_argument(self, SUPPLY_V)
+        _refuse_overflow(beta_max, "input argument")
+        if beta_max < _TABLE_MAX_INTERVALS / sys.float_info.max:
+            raise SaturationError(
+                f"input argument {beta_max:.4g} at 0.5 V is too narrow to tabulate"
+            )
 
     @property
     def output_quiescent(self) -> float:
@@ -158,32 +163,14 @@ def _refuse_overflow(arg: float, name: str) -> None:
 def _solve_node_arg(cfg: TransconductorConfig, input_arg: float) -> float:
     """Root of the normalized node equation, the node argument.
 
-    The equation reads the two ratios, n, u_t and the input argument, never
-    i_ref, which only scales the branch currents. So configs that differ
-    only in i_ref share their roots, and ``_solve_normalized`` keeps the
-    256 most recently used. Errors are not kept.
-    """
-    dev = cfg.dev
-    # 0.0 == -0.0 as a key, so the input's sign completes it; a shunt
-    # ratio of -0.0 solves to the bits of 0.0
-    sign = math.copysign(1.0, input_arg)
-    return _solve_normalized(
-        cfg.node_shunt_ratio, cfg.drive_ratio, dev.n, dev.u_t, input_arg, sign
-    )
-
-
-@functools.lru_cache(maxsize=256)
-def _solve_normalized(s: float, d: float, n: float, u_t: float, input_arg: float, sign):
-    """``_solve_node_arg`` from the numbers it reads; ``sign`` only keys the memo.
-
-    The root takes the input argument's sign only where that is negative,
-    so an input argument of -0.0 leaves the output argument
+    The root at |input_arg| reads only the two ratios, never i_ref, n or
+    u_t, so configs that share the ratios share their roots, and
+    ``_memo_node_root`` keeps the 256 most recently used. Errors are not
+    kept. The root takes the input argument's sign only where that is
+    negative, so an input argument of -0.0 leaves the output argument
     -0.0 - 0.0 = -0.0.
     """
-    b = abs(input_arg)
-    _refuse_overflow(SUPPLY_V / (2.0 * n * u_t), "half-width argument")
-    _refuse_overflow(b, "input argument")
-    a = _bisect_node(s, d, b)
+    a = _memo_node_root(cfg.node_shunt_ratio, cfg.drive_ratio, abs(input_arg))
     return -a if input_arg < 0.0 else a
 
 
@@ -204,29 +191,22 @@ def _bisect_node(s: float, d: float, b: float) -> float:
     raise SolverError(f"node bisection did not close within {_MAX_HALVINGS} halvings")
 
 
+# 0.0 == -0.0 as a key, and a shunt ratio of -0.0 solves to the bits of 0.0
+_memo_node_root = functools.lru_cache(maxsize=256)(_bisect_node)
+
+
 def solve_operating_point(cfg: TransconductorConfig, v_id: float) -> float:
     """The output pair's sinh argument at input ``v_id`` (differential volts).
 
     This is the input argument minus the node-tracking part; the
-    differential output is ``2 * output_quiescent * sinh`` of it. Of the
-    network's four branch currents only the smaller of each pair, at minus
-    the magnitude of its argument, is formed, to check that none underflows.
+    differential output is ``2 * output_quiescent * sinh`` of it.
 
-    Raises ``ValueError`` for invalid inputs, ``SaturationError`` if the
-    node equation overflows, and a ``ValueError`` if a branch current
-    underflows to zero (bias far outside the model's validity).
+    Raises ``ValueError`` for a ``v_id`` that is not finite or is past the
+    supply.
     """
     _check_v_id(v_id)
     input_arg = _input_argument(cfg, v_id)
-    node_arg = _solve_node_arg(cfg, input_arg)
-    out_arg = input_arg - node_arg
-
-    i_nd = cfg.branch_quiescent
-    # the smaller current of the node diodes and of the driving pair
-    smaller = (i_nd * math.exp(-abs(node_arg)), cfg.drive_ratio * i_nd * math.exp(-abs(out_arg)))
-    if min(smaller) <= 0.0:
-        raise ValueError(f"branch current underflow at v_id={v_id!r}; bias outside model range")
-    return out_arg
+    return input_arg - _solve_node_arg(cfg, input_arg)
 
 
 def output_current(cfg: TransconductorConfig, v_id: float) -> float:
@@ -314,18 +294,11 @@ def node_arg_table(cfg: TransconductorConfig) -> NodeArgTable:
     since a double carries no absolute 1e-10 once sinh exceeds about 1e5.
     Every node and midpoint is solved by ``_bisect_node``, outside the
     scalar solve's memo, so it holds the bits of ``_solve_node_arg`` there.
-    Past 2**16 intervals it raises ``SolverError``. A device that the
-    scalar solve refuses at 0.5 V, its half-width 0.5 V/(2*n*u_t) or its
-    input argument past the range of sinh, raises ``SaturationError`` with
-    the same message before any node is solved; so does an interpolant
-    that overflows or is not finite, or an input argument at 0.5 V too
-    narrow to split into 2**16 intervals.
+    Past 2**16 intervals it raises ``SolverError``; an interpolant that
+    overflows or is not finite raises ``SaturationError``. The device's
+    range was judged when ``cfg`` was built.
     """
-    _refuse_overflow(SUPPLY_V / (2.0 * cfg.dev.n * cfg.dev.u_t), "half-width argument")
     beta_max = _input_argument(cfg, SUPPLY_V)
-    _refuse_overflow(beta_max, "input argument")
-    if beta_max < _TABLE_MAX_INTERVALS / sys.float_info.max:
-        raise SaturationError(f"input argument {beta_max:.4g} at 0.5 V is too narrow to tabulate")
     s, d = cfg.node_shunt_ratio, cfg.drive_ratio
     n = _TABLE_MIN_INTERVALS
     nodes = [k * (beta_max / n) for k in range(n + 1)]

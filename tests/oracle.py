@@ -7,8 +7,9 @@ it is orders of magnitude slower and not meant for production runs. It
 lives with the tests, outside the package, so no production path can
 come to share its code.
 
-``node_residual`` evaluates the transconductor's node equation in amperes
-over scalars or arrays, for dense scans against the node solvers.
+``node_residual`` evaluates the transconductor's node equation in units of
+the node diodes' quiescent current over scalars or arrays, for dense scans
+against the node solver.
 
 ``analytic_rate`` is the closed-form firing rate of the linear-mode neuron
 under a dc drive; it shares no code with RK4 or with the Euler oracle.
@@ -33,7 +34,7 @@ from encoder_sim.transconductor import TransconductorConfig
 
 
 def node_residual(cfg: TransconductorConfig, v_id, v_node_diff):
-    """KCL imbalance at the correction nodes, in amperes.
+    """KCL imbalance at the correction nodes, in units of the diodes' quiescent current.
 
     Positive residual means the diode-plus-shunt side sinks more than the
     driving pair supplies at the trial node differential ``v_node_diff``.
@@ -41,10 +42,9 @@ def node_residual(cfg: TransconductorConfig, v_id, v_node_diff):
     trial points at once.
     """
     dev = cfg.dev
-    i_nd = cfg.branch_quiescent
     node_arg = np.asarray(v_node_diff) / (2.0 * dev.n * dev.u_t)
     input_arg = (dev.n - 1.0) * np.asarray(v_id) / (2.0 * dev.n * dev.u_t)
-    residual = i_nd * (
+    residual = (
         np.sinh(node_arg)
         + cfg.node_shunt_ratio * node_arg
         - cfg.drive_ratio * np.sinh(input_arg - node_arg)

@@ -233,6 +233,32 @@ class TestExitCodes:
         assert "overflows at the input argument 833.3" in dc[1]
         assert sine == dc
 
+    @pytest.mark.parametrize(
+        "device",
+        [
+            ("device.n=3", "device.u_t_v=2e-4"),  # input argument 833.3 at 0.5 V
+            ("device.u_t_v=1e-4",),  # half-width 2083
+            ("device.n=1.000000000001", "device.u_t_v=1.7e293"),  # too narrow to tabulate
+        ],
+        ids=["input-argument", "half-width", "narrow"],
+    )
+    def test_one_verdict_for_a_device_out_of_range(self, tmp_path, capsys, device):
+        # the device's range is judged once, when the transconductor config
+        # is built, so every command refuses it with one message, and so
+        # does a dc transient whose bias is well inside the supply
+        sets = [arg for item in device for arg in ("--set", item)]
+        dc = ["--set", "transient.kind=dc", "--set", "transient.offset_v=0.3"]
+        verdicts = set()
+        for command, extra in [(c, []) for c in COMMANDS] + [("transient", dc)]:
+            args = [command, "--config", DEFAULT_INI, "--out", str(tmp_path / "o.csv"), "--quiet"]
+            code = main(args + sets + extra)
+            verdicts.add((code, capsys.readouterr().err))
+        assert len(verdicts) == 1
+        code, err = verdicts.pop()
+        assert code == 3
+        refusal = r"invalid configuration: (node equation overflows|input argument) .*\n"
+        assert re.fullmatch(refusal, err)
+
     @pytest.mark.parametrize("u_t, code", [("1e-4", 3), ("3e-4", 0)])
     def test_thermal_voltage_verdict_agrees(self, tmp_path, u_t, code):
         # At 0.1 mV the 0.5 V half-width overflows sinh, so no command can
@@ -477,6 +503,15 @@ class TestConfigHandling:
         assert code == 3
         assert "unknown keys ['w_over_l']" in capsys.readouterr().err
 
+    def test_mirror_to_branch_is_no_longer_a_key(self, tmp_path, capsys):
+        # the node equation is solved in normalized units, so no output read
+        # the branch scale
+        cp = load_config(DEFAULT_INI)
+        cp.set("transconductor", "mirror_to_branch", "0.5")
+        code = main(["freq", "--config", str(written(cp, tmp_path)), "--quiet"])
+        assert code == 3
+        assert "unknown keys ['mirror_to_branch']" in capsys.readouterr().err
+
 
 # the INI keys of each config class's section, spelled out: the keys derived
 # from the classes must be exactly these
@@ -484,7 +519,7 @@ CONFIG_KEYS = {
     "device": (DeviceParams, {"i_spec_a", "n", "u_t_v", "v_t0_v"}),
     "transconductor": (
         TransconductorConfig,
-        {"i_ref_a", "mirror_to_branch", "mirror_to_output", "drive_ratio", "node_shunt_ratio"},
+        {"i_ref_a", "mirror_to_output", "drive_ratio", "node_shunt_ratio"},
     ),
     "neuron": (
         NeuronConfig,
@@ -512,7 +547,6 @@ KEY_VALUES = {
     "u_t_v": ("0.026", 0.026),
     "v_t0_v": ("0.3", 0.3),
     "i_ref_a": ("4e-9", 4e-9),
-    "mirror_to_branch": ("0.6", 0.6),
     "mirror_to_output": ("0.4", 0.4),
     "drive_ratio": ("5", 5.0),
     "node_shunt_ratio": ("0.5", 0.5),
@@ -601,6 +635,62 @@ class TestDerivedKeys:
                 build_encoder(cp)
             cp.set("device", key, raw)
         assert getattr(configured(cp, section), cli._keys(cls)[key]) == value
+
+
+def changed(value: str) -> str:
+    """A shipped INI value changed: a number times 1.1, or 0.1 where it is 0; a text flipped."""
+    flipped = {
+        "nonlinear": "linear",
+        "linear": "nonlinear",
+        "derived": "printed",
+        "printed": "derived",
+    }
+    if value in flipped:
+        return flipped[value]
+    return repr(float(value) * 1.1 or 0.1)
+
+
+# The shipped keys that move no output byte, each behind a gate the config
+# leaves shut: [device] i_spec_a and v_t0_v are read only to turn the [neuron]
+# voltage trio into currents, and gain_convention only in linear mode.
+GATED = {
+    DEFAULT_INI: ["device.i_spec_a", "device.v_t0_v", "neuron.gain_convention"],
+    TRIANGLE_INI: ["neuron.gain_convention"],
+}
+
+
+class TestKeyEffect:
+    @pytest.mark.parametrize(
+        "config, run",
+        [
+            (DEFAULT_INI, []),
+            # half the triangle's period still fires enough to show every key
+            (TRIANGLE_INI, ["--set", "transient.t_end_s=10e-3"]),
+        ],
+        ids=["default.ini", "triangle_1na.ini"],
+    )
+    def test_every_key_moves_an_output_unless_gated(self, tmp_path, capsys, config, run):
+        # a key that changes no output file, stderr line or exit code of any
+        # command simulates nothing; tune is left out for its run time
+        def outcome(command, sets):
+            for path in tmp_path.glob("o.*"):
+                path.unlink()
+            args = [command, "--config", config, "--out", str(tmp_path / "o.csv"), "--quiet"]
+            code = main(args + run + sets)
+            files = sorted((path.name, path.read_bytes()) for path in tmp_path.glob("o.*"))
+            return code, capsys.readouterr().err, files
+
+        commands = ("dc-sweep", "freq", "power", "thd", "vf-curve", "transient")
+        shipped = {command: outcome(command, []) for command in commands}
+        cp = load_config(config)
+        inert = []
+        for section in ("device", "transconductor", "neuron"):
+            for key, value in cp[section].items():
+                sets = ["--set", f"{section}.{key}={changed(value)}"]
+                # all() stops at the first command that moves
+                if all(outcome(command, sets) == shipped[command] for command in commands):
+                    inert.append(f"{section}.{key}")
+        assert inert == GATED[config]
 
 
 class TestCsvOutput:
@@ -922,7 +1012,7 @@ class TestTuneCommand:
         assert f"{len(rows) - 1} evaluations failed" in capsys.readouterr().out
 
     def test_i_ref_tune_solves_each_normalized_point_once(self, tmp_path, monkeypatch):
-        # i_ref scales the branch currents only, so 40 evaluations of the
+        # the node equation does not read i_ref, so 40 evaluations of the
         # 7-point linearity grid solve 7 node equations
         cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
         cp.read(DEFAULT_INI, encoding="utf-8")
@@ -938,7 +1028,7 @@ class TestTuneCommand:
             return transconductor.neuron_input_current(cfg, v_id)
 
         monkeypatch.setattr(sim_engine, "neuron_input_current", counted)
-        memo = transconductor._solve_normalized
+        memo = transconductor._memo_node_root
         memo.cache_clear()
         args = ["tune", "--config", str(config), "--out", str(tmp_path / "t.csv"), "--quiet"]
         assert main(args) == 0

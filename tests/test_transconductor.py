@@ -79,15 +79,37 @@ class TestConfigValidation:
             {"i_ref": 0.0},
             {"i_ref": -1e-9},
             {"i_ref": math.nan},
-            {"mirror_to_branch": 0.0},
             {"mirror_to_output": -0.5},
             {"drive_ratio": 0.0},
+            {"drive_ratio": math.inf},
             {"node_shunt_ratio": -0.1},
         ],
     )
     def test_bad_ratios_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TransconductorConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "dev, message",
+        [
+            # a 0.1 mV thermal voltage puts the half-width 0.5 V/(2*n*u_t)
+            # far past the range of sinh
+            (DeviceParams(u_t=1e-4), "at the half-width argument 2083; "),
+            # at n = 3 and 0.2 mV the half-width 416.7 is within sinh's
+            # range, but the input argument at 0.5 V, 833.3, is not
+            (DeviceParams(n=3.0, u_t=2e-4), "at the input argument 833.3; "),
+            # the input argument at 0.5 V, 1.5e-306, splits into no 2**16
+            # intervals of nonzero width
+            (DeviceParams(n=1.000000000001, u_t=1.7e293), "1.471e-306 at 0.5 V is too narrow"),
+        ],
+        ids=["half-width", "input-argument", "narrow"],
+    )
+    def test_device_out_of_range(self, monkeypatch, dev, message):
+        # the range is judged when the config is built, before any root
+        monkeypatch.setattr(transconductor, "_bisect_node", None)
+        monkeypatch.setattr(transconductor, "_memo_node_root", None)
+        with pytest.raises(SaturationError, match=message):
+            TransconductorConfig(dev=dev)
 
 
 class TestSolveOperatingPoint:
@@ -116,7 +138,7 @@ class TestSolveOperatingPoint:
             x = node_voltage(CFG, float(v))
             r = node_residual(CFG, float(v), x)
             a = x / (2.0 * CFG.dev.n * CFG.dev.u_t)
-            scale = CFG.branch_quiescent * (
+            scale = (
                 abs(math.sinh(a))
                 + CFG.node_shunt_ratio * abs(a)
                 + CFG.drive_ratio * abs(math.sinh(_input_arg(CFG, float(v)) - a))
@@ -153,36 +175,8 @@ class TestSolveOperatingPoint:
         cfg = TransconductorConfig(dev=DeviceParams(u_t=3e-4))
         assert output_current(cfg, -v) == -output_current(cfg, v)
         assert 0.0 < node_arg(cfg, v) < _input_arg(cfg, v)
-        assert abs(node_residual(cfg, v, node_voltage(cfg, v))) <= 1e-9 * cfg.branch_quiescent * (
-            math.sinh(node_arg(cfg, v)) * cfg.drive_ratio
-        )
-
-    @pytest.mark.parametrize("v", [0.5, -0.5, 0.0])
-    def test_overflowing_node_equation_is_saturation(self, v):
-        # a 0.1 mV thermal voltage puts the +/-0.5 V bracket end far past
-        # the range of sinh
-        cfg = TransconductorConfig(dev=DeviceParams(u_t=1e-4))
-        with pytest.raises(SaturationError, match="overflows"):
-            solve_operating_point(cfg, v)
-
-    def test_branch_current_past_the_range_of_exp_is_underflow(self):
-        # the output pair's argument, about 710, is past where exp overflows,
-        # and the driving pair's smaller current underflows to 0
-        cfg = TransconductorConfig(dev=DeviceParams(n=2.0, u_t=1.7603e-4), drive_ratio=5e-324)
-        with pytest.raises(ValueError, match="branch current underflow"):
-            output_current(cfg, 0.5)
-
-    @given(v=st.floats(min_value=-0.5, max_value=0.5), i_ref=st.floats(min_value=1e-10, max_value=1e-7))
-    @settings(max_examples=150, deadline=None)
-    def test_branch_currents_always_positive(self, v, i_ref):
-        # the node diodes carry i_nd*exp(+/-node_arg), the driving pair
-        # i_drv*exp(+/-alpha)
-        cfg = TransconductorConfig(i_ref=i_ref)
-        alpha, a = solve_operating_point(cfg, v), node_arg(cfg, v)
-        i_nd = cfg.branch_quiescent
-        assert i_nd * math.exp(a) > 0 and i_nd * math.exp(-a) > 0
-        i_drv = cfg.drive_ratio * i_nd
-        assert i_drv * math.exp(alpha) > 0 and i_drv * math.exp(-alpha) > 0
+        residual = node_residual(cfg, v, node_voltage(cfg, v))
+        assert abs(residual) <= 1e-9 * math.sinh(node_arg(cfg, v)) * cfg.drive_ratio
 
 
 class TestOutputCurrent:
@@ -327,7 +321,7 @@ class TestDcSweep:
         swept = dc_sweep(CFG, grid)
         alone = []
         for v in grid:
-            transconductor._solve_normalized.cache_clear()
+            transconductor._memo_node_root.cache_clear()
             alone.append(dc_sweep(CFG, [v])[0])
         assert [tuple(map(float.hex, p)) for p in swept] == [
             tuple(map(float.hex, p)) for p in alone
@@ -356,35 +350,38 @@ class TestNodeSolveMemo:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     def test_hit_is_the_uncached_solve(self, v, i_refs, drive_ratio, shunts):
         # configs that differ only in i_ref, or in the sign of a zero shunt
-        # ratio, share the normalized root
-        memo = transconductor._solve_normalized
+        # ratio, share the normalized root, and so do mirror inputs
+        memo = transconductor._memo_node_root
         a, b = (
             TransconductorConfig(i_ref=i_ref, drive_ratio=drive_ratio, node_shunt_ratio=s)
             for i_ref, s in zip(i_refs, shunts)
         )
         memo.cache_clear()
         solve_operating_point(a, v)
-        hit = solve_operating_point(b, v)
+        hit = solve_operating_point(b, -v)
         assert memo.cache_info()[:2] == (1, 1)
         memo.cache_clear()
-        assert hit.hex() == solve_operating_point(b, v).hex()
+        assert hit.hex() == solve_operating_point(b, -v).hex()
 
     @pytest.mark.parametrize("first", [0.0, -0.0])
     def test_signed_zero_keeps_its_sign(self, first):
-        memo = transconductor._solve_normalized
+        # the memo is keyed on |input_arg|, so both zeros share one root and
+        # the sign is applied after the lookup
+        memo = transconductor._memo_node_root
         memo.cache_clear()
         output_current(CFG, first)
         assert output_current(CFG, 0.0).hex() == "0x0.0p+0"
         assert output_current(CFG, -0.0).hex() == "-0x0.0p+0"
-        assert memo.cache_info().currsize == 2
+        assert memo.cache_info()[:2] == (2, 1)
 
-    def test_errors_are_not_kept(self):
-        dev = DeviceParams(u_t=1e-4)  # its half-width overflows sinh
-        memo = transconductor._solve_normalized
+    def test_errors_are_not_kept(self, monkeypatch):
+        # one halving cannot close the bracket [0, |beta|] at 0.3 V
+        monkeypatch.setattr(transconductor, "_MAX_HALVINGS", 1)
+        memo = transconductor._memo_node_root
         memo.cache_clear()
         for _ in range(2):
-            with pytest.raises(SaturationError):
-                output_current(TransconductorConfig(dev=dev), 0.3)
+            with pytest.raises(SolverError, match="within 1 halvings"):
+                output_current(CFG, 0.3)
         assert memo.cache_info()[1:] == (2, 256, 0)
 
 
@@ -488,30 +485,12 @@ class TestNodeArgTable:
         ]
 
     def test_build_leaves_the_memo_alone(self):
-        memo = transconductor._solve_normalized
+        memo = transconductor._memo_node_root
         memo.cache_clear()
         output_current(CFG, 0.25)
         before = memo.cache_info()
         node_arg_table.__wrapped__(CFG)
         assert memo.cache_info() == before
-
-    def test_drive_overflow_is_saturation(self):
-        # n = 3 at 0.1 mV puts beta near 1667 at 0.5 V, and the root near
-        # beta/2 is past sinh's range
-        cfg = TransconductorConfig(dev=DeviceParams(n=3.0, u_t=1e-4))
-        with pytest.raises(SaturationError, match="overflows"):
-            node_arg_table(cfg)
-
-    def test_input_argument_overflow_is_the_scalar_refusal(self, monkeypatch):
-        # at n = 3 and 0.2 mV the half-width 416.7 is within sinh's range,
-        # but the input argument at 0.5 V, 833.3, is not
-        cfg = TransconductorConfig(dev=DeviceParams(n=3.0, u_t=2e-4))
-        with pytest.raises(SaturationError, match="input argument 833.3;") as dc:
-            output_current(cfg, 0.5)
-        monkeypatch.setattr(transconductor, "_bisect_node", None)  # no node is solved
-        with pytest.raises(SaturationError) as table:
-            node_arg_table.__wrapped__(cfg)
-        assert str(table.value) == str(dc.value)
 
     def test_bound_never_met_is_solver_error(self, monkeypatch):
         # a cap of 2**10 runs the doubling to its cap at a sixty-fourth of
