@@ -178,6 +178,16 @@ class TestSolveOperatingPoint:
         residual = node_residual(cfg, v, node_voltage(cfg, v))
         assert abs(residual) <= 1e-9 * math.sinh(node_arg(cfg, v)) * cfg.drive_ratio
 
+    @pytest.mark.parametrize("v", [0.5, -0.5, 0.0])
+    def test_overflowing_node_equation_is_saturation(self, monkeypatch, v):
+        # a 0.1 mV thermal voltage puts the +/-0.5 V bracket end far past
+        # the range of sinh; the config is refused when it is built, so no
+        # v reaches a root
+        monkeypatch.setattr(transconductor, "_bisect_node", None)
+        monkeypatch.setattr(transconductor, "_memo_node_root", None)
+        with pytest.raises(SaturationError, match="overflows"):
+            solve_operating_point(TransconductorConfig(dev=DeviceParams(u_t=1e-4)), v)
+
 
 class TestOutputCurrent:
     def test_zero_at_zero(self):
@@ -491,6 +501,14 @@ class TestNodeArgTable:
         before = memo.cache_info()
         node_arg_table.__wrapped__(CFG)
         assert memo.cache_info() == before
+
+    def test_drive_overflow_is_saturation(self, monkeypatch):
+        # n = 3 at 0.1 mV puts the half-width near 833, past sinh's range;
+        # the config is refused when it is built, before the table solves
+        # any node
+        monkeypatch.setattr(transconductor, "_bisect_node", None)
+        with pytest.raises(SaturationError, match="overflows"):
+            node_arg_table(TransconductorConfig(dev=DeviceParams(n=3.0, u_t=1e-4)))
 
     def test_bound_never_met_is_solver_error(self, monkeypatch):
         # a cap of 2**10 runs the doubling to its cap at a sixty-fourth of
