@@ -260,12 +260,6 @@ _OBJECTIVE_FNS = {
 }
 
 
-def _template_value(template: EncoderConfig, name: str) -> float:
-    if name == "i_ref":
-        return template.transconductor.i_ref
-    return getattr(template.neuron, name)
-
-
 def _apply_point(template: EncoderConfig, point: dict[str, float]) -> EncoderConfig:
     tc = template.transconductor
     if "i_ref" in point:
@@ -306,38 +300,6 @@ def _centroid(rows):
     return tuple(x / len(rows) for x in total)
 
 
-class _Evaluator:
-    """Budgeted objective wrapper: clips, logs, and absorbs failures."""
-
-    def __init__(self, template, names, lo, span, frozen, objective_fn, budget):
-        self.template = template
-        self.names = names
-        self.lo = lo
-        self.span = span
-        self.frozen = frozen
-        self.objective_fn = objective_fn
-        self.budget = budget
-        self.trace: list[tuple[dict[str, float], float]] = []
-        self.failures: list[tuple[int, dict[str, float], str]] = []
-
-    def __call__(self, z: tuple[float, ...]) -> float:
-        if len(self.trace) >= self.budget:
-            raise _BudgetExhausted
-        point = {
-            name: float(self.frozen[name]) if name in self.frozen else lo + x * span
-            for name, lo, x, span in zip(self.names, self.lo, _clip(z), self.span)
-        }
-        try:
-            value = float(self.objective_fn(_apply_point(self.template, point)))
-            if math.isnan(value):
-                raise ValueError("objective returned NaN")
-        except (ValueError, RuntimeError, OverflowError) as exc:
-            self.failures.append((len(self.trace), point, repr(exc)))
-            value = math.inf
-        self.trace.append((point, value))
-        return value
-
-
 def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> TuneResult:
     """Bounded Nelder-Mead over the spec's box, seeded and deterministic.
 
@@ -359,30 +321,50 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
     free = [k for k in range(len(names)) if span[k] > 0.0]
     frozen = {names[k]: lo[k] for k in range(len(names)) if span[k] == 0.0}
 
-    evaluate = _Evaluator(
-        encoder_template, names, lo, span, frozen, objective_fn, spec.budget
-    )
+    trace: list[tuple[dict[str, float], float]] = []
+    failures: list[tuple[int, dict[str, float], str]] = []
+
+    def evaluate(z: tuple[float, ...]) -> float:
+        """The objective at z clipped into the box; a failure is logged and scores +inf."""
+        if len(trace) >= spec.budget:
+            raise _BudgetExhausted
+        point = {
+            name: float(frozen[name]) if name in frozen else a + x * s
+            for name, a, x, s in zip(names, lo, _clip(z), span)
+        }
+        try:
+            value = float(objective_fn(_apply_point(encoder_template, point)))
+            if math.isnan(value):
+                raise ValueError("objective returned NaN")
+        except (ValueError, RuntimeError, OverflowError) as exc:
+            failures.append((len(trace), point, repr(exc)))
+            value = math.inf
+        trace.append((point, value))
+        return value
+
     uniforms = _pcg64_uniforms(spec.seed)
 
-    # a frozen dimension divides by 1.0, not by its zero span
+    # i_ref is the transconductor's, the rest the neuron's; a frozen
+    # dimension divides by 1.0, not by its zero span
+    tc, neuron = encoder_template.transconductor, encoder_template.neuron
     z0_full = _clip(
-        (_template_value(encoder_template, n) - a) / (s if s > 0.0 else 1.0)
+        ((tc.i_ref if n == "i_ref" else getattr(neuron, n)) - a) / (s if s > 0.0 else 1.0)
         for n, a, s in zip(names, lo, span)
     )
 
     def finish() -> TuneResult:
-        if not evaluate.trace:
+        if not trace:
             raise TunerError("search ended before any evaluation")
-        best_point, best_value = min(evaluate.trace, key=lambda entry: entry[1])
+        best_point, best_value = min(trace, key=lambda entry: entry[1])
         if not math.isfinite(best_value):
-            log = "; ".join(f"{p} -> {msg}" for _, p, msg in evaluate.failures[:8])
-            raise TunerError(f"all {len(evaluate.trace)} evaluations failed: {log}")
+            log = "; ".join(f"{p} -> {msg}" for _, p, msg in failures[:8])
+            raise TunerError(f"all {len(trace)} evaluations failed: {log}")
         return TuneResult(
             best_point=dict(best_point),
             best_objective=best_value,
-            evaluations=len(evaluate.trace),
-            trace=tuple((dict(p), f) for p, f in evaluate.trace),
-            failures=tuple((k, dict(p), msg) for k, p, msg in evaluate.failures),
+            evaluations=len(trace),
+            trace=tuple((dict(p), f) for p, f in trace),
+            failures=tuple((k, dict(p), msg) for k, p, msg in failures),
         )
 
     d = len(free)

@@ -73,7 +73,7 @@ _CSV_CHUNK_ROWS = 1024
 
 
 class UsageError(Exception):
-    """Malformed invocation: bad flags, missing file, unparseable config."""
+    """Malformed invocation: bad flags, unreadable or unparseable config, unwritable output."""
 
 
 def load_config(path) -> configparser.ConfigParser:
@@ -83,7 +83,7 @@ def load_config(path) -> configparser.ConfigParser:
             cp.read_file(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"config parse error in {path!r}: {exc}") from exc
     return cp
 
@@ -193,9 +193,12 @@ def _fmt(x: float) -> str:
 def _write_lines(path: Path, lines) -> None:
     """Write each line with an LF ending, ``_CSV_CHUNK_ROWS`` lines at a time."""
     lines = iter(lines)
-    with open(path, "wb") as fh:
-        while chunk := list(itertools.islice(lines, _CSV_CHUNK_ROWS)):
-            fh.write(("\n".join(chunk) + "\n").encode("ascii"))
+    try:
+        with open(path, "wb") as fh:
+            while chunk := list(itertools.islice(lines, _CSV_CHUNK_ROWS)):
+                fh.write(("\n".join(chunk) + "\n").encode("ascii"))
+    except OSError as exc:
+        raise UsageError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
 def _csv_lines(header, rows):
@@ -286,14 +289,16 @@ def _build_waveform(cp) -> tuple[Waveform, float, int]:
 
 
 def _cmd_transient(cp, args) -> int:
+    out = _out_path(args)
+    if not out.name or out.suffix == ".spikes":
+        raise UsageError(f"--out {args.out!r} must name a file, with a suffix other than .spikes")
+    spikes_path = out.with_suffix(".spikes")
     wave, t_end, trace_every = _build_waveform(cp)
     if wave.kind != "dc":
         _load_numpy()  # for the drive blocks of a time-varying input
     enc = build_encoder(cp)
     res = transient(enc, wave, t_end, solver=_build_solver(cp), trace_every=trace_every)
-    out = _out_path(args)
     _write_csv(out, ("t_s", "v_id_v", "i_in_a", "i_mem_a"), res.trace)
-    spikes_path = out.with_suffix(".spikes")
     _write_lines(spikes_path, map("%.8e".__mod__, res.spikes.times))
     n = len(res.spikes)
     mean_rate = n / t_end
@@ -357,28 +362,20 @@ def _cmd_thd(cp, args) -> int:
     sec = _read_section(
         cp,
         "thd",
-        {
-            "amplitude_v": float,
-            "offset_v": float,
-            "points_per_period": int,
-            "n_periods": int,
-            "n_harmonics": int,
-        },
+        {"amplitude_v": float, "offset_v": float, "points_per_period": int, "n_harmonics": int},
         required=("amplitude_v", "points_per_period"),
     )
     amp = sec["amplitude_v"]
     offset = sec.get("offset_v", 0.0)
     ppp = sec["points_per_period"]
-    periods = sec.get("n_periods", 1)
     n_harmonics = sec.get("n_harmonics", 9)
-    if ppp < 2 or periods < 1:
-        raise ValueError("points_per_period must be >= 2 and n_periods >= 1")
-    if ppp * periods > _TRACE_BUDGET:
-        raise ValueError(f"points_per_period * n_periods must be at most {_TRACE_BUDGET}")
+    if not 2 <= ppp <= _TRACE_BUDGET:
+        raise ValueError(f"points_per_period must be in 2..{_TRACE_BUDGET}, got {ppp}")
 
-    # The transfer is memoryless, so the drive frequency is immaterial;
-    # normalize to f0 = 1 Hz and fs = points_per_period.
-    v_in = [offset + amp * math.sin(2.0 * math.pi * (m / ppp)) for m in range(ppp * periods)]
+    # The transfer is memoryless, so one period holds every harmonic and the
+    # drive frequency is immaterial: sample one period at f0 = 1 Hz and
+    # fs = points_per_period.
+    v_in = [offset + amp * math.sin(2.0 * math.pi * (m / ppp)) for m in range(ppp)]
     linearized = [output_current(enc.transconductor, v) for v in v_in]
     raw = [raw_pair_output_current(enc.transconductor, v) for v in v_in]
     report = thd(linearized, 1.0, float(ppp), n_harmonics=n_harmonics)
@@ -510,14 +507,19 @@ def _cmd_tune(cp, args) -> int:
         f"tune: best objective {result.best_objective:.6f} after "
         f"{result.evaluations} evaluations at {best} -> {out}",
     )
+    failed = out.with_name(out.name + ".failures")
     if result.failures:
-        failed = out.with_name(out.name + ".failures")
         rows = [
             (str(k), *(point[name] for name in order), '"' + reason.replace('"', '""') + '"')
             for k, point, reason in result.failures
         ]
         _write_csv(failed, ("evaluation", *order, "reason"), rows)
         _say(args, f"tune: {len(result.failures)} evaluations failed -> {failed}")
+    else:
+        try:  # a list left by an earlier search to the same --out
+            failed.unlink(missing_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot remove {str(failed)!r}: {exc}") from exc
     return 0
 
 

@@ -19,10 +19,6 @@ Spiking is abstracted to a threshold test on the membrane current plus an
 instantaneous reset to ``i_reset`` and a fixed refractory period ``t_rf``,
 all applied by the simulation engine; the regenerative spike waveform
 itself is not modeled.
-
-The saturated DPI gain is ``i_g/i_r`` as the derivation gives it. Some
-treatments print the reciprocal; ``gain_convention="printed"`` selects that
-reading instead of silently correcting either way.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ __all__ = [
 ]
 
 _MODES = ("nonlinear", "linear")
-_GAIN_CONVENTIONS = ("derived", "printed")
 
 
 @dataclass(frozen=True)
@@ -80,8 +75,6 @@ class NeuronConfig:
         Dimensionless positive-feedback strength in nonlinear mode. The
         default 0 reflects that the feedback is negligible during
         integration and only matters in the (unmodeled) spike itself.
-    gain_convention:
-        "derived" for gain = i_g/i_r, "printed" for the reciprocal.
     """
 
     c_m: float = 0.6e-12
@@ -94,7 +87,6 @@ class NeuronConfig:
     u_t: float = 0.025
     mode: str = "nonlinear"
     i_pf_gain: float = 0.0
-    gain_convention: str = "derived"
 
     def __post_init__(self) -> None:
         for name in ("c_m", "i_g", "i_r", "i_th", "i_reset"):
@@ -117,10 +109,6 @@ class NeuronConfig:
             )
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.gain_convention not in _GAIN_CONVENTIONS:
-            raise ValueError(
-                f"gain_convention must be one of {_GAIN_CONVENTIONS}, got {self.gain_convention!r}"
-            )
         if not (math.isfinite(self.i_pf_gain) and self.i_pf_gain >= 0.0):
             raise ValueError(f"i_pf_gain must be nonnegative, got {self.i_pf_gain!r}")
         if not 0.0 < tau_m(self) < math.inf:
@@ -128,10 +116,8 @@ class NeuronConfig:
 
     @property
     def gain(self) -> float:
-        """Saturated DPI current gain applied to the input."""
-        if self.gain_convention == "derived":
-            return self.i_g / self.i_r
-        return self.i_r / self.i_g
+        """Saturated DPI current gain i_g/i_r applied to the input."""
+        return self.i_g / self.i_r
 
 
 @dataclass(frozen=True)

@@ -598,8 +598,7 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
     but not stepped calls ``drive``.
 
     ``row_drive(t) -> (waveform_eval(wave, t), drive(t))`` reads a trace
-    row from the block when t is its next entry, and the drive from the
-    last step when t is where that step ended.
+    row's drive from the last step when t is where that step ended.
     """
     import numpy as np
 
@@ -673,8 +672,6 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
         return at, mid, volts, first, j
 
     def row_drive(t: float) -> tuple[float, float]:
-        if j < len(times) and t == times[j]:
-            return float(volts[j]), at[j]
         return waveform_eval(wave, t), i_stop if t == t_stop else drive(t)
 
     return stage_drive, take_block, row_drive

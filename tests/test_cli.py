@@ -101,7 +101,7 @@ class TestExitCodes:
         "section, key",
         [
             *[(s, "n_points") for s in ("dc-sweep", "vf-curve")],
-            *[("thd", k) for k in ("points_per_period", "n_periods", "n_harmonics")],
+            *[("thd", k) for k in ("points_per_period", "n_harmonics")],
             ("power", "k_static"),
             ("transient", "trace_every"),
             *[("tune", k) for k in ("budget", "seed")],
@@ -110,7 +110,7 @@ class TestExitCodes:
     def test_a_400_digit_integer_exits_by_the_contract(self, tmp_path, section, key):
         # every integer key: grid and sample counts past the trace budget and
         # a k_static past the largest double are refused before any allocation
-        refused = {"n_points", "points_per_period", "n_periods", "n_harmonics", "k_static"}
+        refused = {"n_points", "points_per_period", "n_harmonics", "k_static"}
         args = [section, "--config", DEFAULT_INI, "--out", str(tmp_path / "o.csv"), "--quiet"]
         args += ["--set", f"{section}.{key}={'9' * 400}", "--set", "transient.t_end_s=1e-4"]
         assert main(args) == (3 if key in refused else 0)
@@ -122,6 +122,32 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["dc-sweep", "--config", "/no/such/file.ini"]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        ini = tmp_path / "latin1.ini"
+        ini.write_bytes(Path(DEFAULT_INI).read_bytes() + b"# \xff\n")
+        assert main(["dc-sweep", "--config", str(ini), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "config parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unwritable_output_path(self, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "x.csv" if where == "missing-directory" else tmp_path
+        assert main(["freq", "--config", DEFAULT_INI, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["x.spikes", "/"])
+    def test_transient_out_that_is_its_own_spike_list(self, tmp_path, capsys, name):
+        # refused before the run: x.spikes would be overwritten by its spike
+        # list, and "/" has no name to give the spike list a suffix
+        out = tmp_path / name
+        args = ["transient", "--config", DEFAULT_INI, "--out", str(out)]
+        assert main(args + ["--set", "transient.t_end_s=1e-4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --out") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_override(self, capsys):
         code = main(["dc-sweep", "--config", DEFAULT_INI, "--set", "garbage"])
@@ -487,30 +513,28 @@ class TestConfigHandling:
         with pytest.raises(ValueError, match="unknown keys"):
             build_encoder(cp)
 
-    def test_epsilon_is_no_longer_a_key(self, tmp_path, capsys):
-        # no code reads a linearity tolerance, so a config may not state one
+    @pytest.mark.parametrize(
+        "section, key, command",
+        [
+            # no code reads a linearity tolerance
+            ("transconductor", "epsilon", "freq"),
+            # the bias devices size themselves, so a device-wide ratio set nothing
+            ("device", "w_over_l", "freq"),
+            # the node equation is solved in normalized units, so no output
+            # read the branch scale
+            ("transconductor", "mirror_to_branch", "freq"),
+            # the saturated DPI gain is i_g/i_r, below 1 since i_g < i_r
+            ("neuron", "gain_convention", "freq"),
+            # the transfer is memoryless, so one period holds every harmonic
+            ("thd", "n_periods", "thd"),
+        ],
+    )
+    def test_a_removed_key_is_unknown(self, tmp_path, capsys, section, key, command):
         cp = load_config(DEFAULT_INI)
-        cp.set("transconductor", "epsilon", "0.1")
-        code = main(["freq", "--config", str(written(cp, tmp_path)), "--quiet"])
-        assert code == 3
-        assert "unknown keys ['epsilon']" in capsys.readouterr().err
-
-    def test_w_over_l_is_no_longer_a_key(self, tmp_path, capsys):
-        # the bias devices size themselves, so a device-wide ratio set nothing
-        cp = load_config(DEFAULT_INI)
-        cp.set("device", "w_over_l", "1.0")
-        code = main(["freq", "--config", str(written(cp, tmp_path)), "--quiet"])
-        assert code == 3
-        assert "unknown keys ['w_over_l']" in capsys.readouterr().err
-
-    def test_mirror_to_branch_is_no_longer_a_key(self, tmp_path, capsys):
-        # the node equation is solved in normalized units, so no output read
-        # the branch scale
-        cp = load_config(DEFAULT_INI)
-        cp.set("transconductor", "mirror_to_branch", "0.5")
-        code = main(["freq", "--config", str(written(cp, tmp_path)), "--quiet"])
-        assert code == 3
-        assert "unknown keys ['mirror_to_branch']" in capsys.readouterr().err
+        cp.set(section, key, "1")
+        args = [command, "--config", str(written(cp, tmp_path)), "--out", str(tmp_path / "o.csv")]
+        assert main(args) == 3
+        assert f"unknown keys [{key!r}]" in capsys.readouterr().err
 
 
 # the INI keys of each config class's section, spelled out: the keys derived
@@ -534,7 +558,6 @@ CONFIG_KEYS = {
             "u_t_v",
             "mode",
             "i_pf_gain",
-            "gain_convention",
         },
     ),
     "encoder": (EncoderConfig, {"input_pole_capacitance_f"}),
@@ -559,7 +582,6 @@ KEY_VALUES = {
     "n": ("1.3", 1.3),
     "mode": (" linear ", "linear"),
     "i_pf_gain": ("0.5", 0.5),
-    "gain_convention": ("printed", "printed"),
     "input_pole_capacitance_f": ("3e-11", 3e-11),
     "dt_s": ("2e-7", 2e-7),
     "event_tol_s": ("2e-9", 2e-9),
@@ -639,12 +661,7 @@ class TestDerivedKeys:
 
 def changed(value: str) -> str:
     """A shipped INI value changed: a number times 1.1, or 0.1 where it is 0; a text flipped."""
-    flipped = {
-        "nonlinear": "linear",
-        "linear": "nonlinear",
-        "derived": "printed",
-        "printed": "derived",
-    }
+    flipped = {"nonlinear": "linear", "linear": "nonlinear"}
     if value in flipped:
         return flipped[value]
     return repr(float(value) * 1.1 or 0.1)
@@ -652,10 +669,10 @@ def changed(value: str) -> str:
 
 # The shipped keys that move no output byte, each behind a gate the config
 # leaves shut: [device] i_spec_a and v_t0_v are read only to turn the [neuron]
-# voltage trio into currents, and gain_convention only in linear mode.
+# voltage trio into currents.
 GATED = {
-    DEFAULT_INI: ["device.i_spec_a", "device.v_t0_v", "neuron.gain_convention"],
-    TRIANGLE_INI: ["neuron.gain_convention"],
+    DEFAULT_INI: ["device.i_spec_a", "device.v_t0_v"],
+    TRIANGLE_INI: [],
 }
 
 
@@ -993,8 +1010,9 @@ class TestTuneCommand:
         args = ["tune", "--config", DEFAULT_INI, "--out", str(out)]
         for key, value in (("variables", "i_th"), ("i_th_lo_a", "50e-12"), ("budget", "12")):
             args += ["--set", f"tune.{key}={value}"]
-        assert main(args) == 0
         failed = tmp_path / "t.csv.failures"
+        failed.write_text("a list left by an earlier search\n")
+        assert main(args) == 0
         assert failed.exists() == poisoned
         if not poisoned:
             assert "evaluations failed" not in capsys.readouterr().out

@@ -75,8 +75,10 @@ class TestLinearMode:
         assert d == -state.i_mem / tau_m(LIN)
 
     def test_steady_state_matches_gain_times_input(self):
-        # Integrate far past the transient; the fixed point is gain * i_in.
+        # Integrate far past the transient; the fixed point is gain * i_in,
+        # with the saturated DPI gain i_g/i_r.
         i_in = 5e-9
+        assert LIN.gain == LIN.i_g / LIN.i_r
         target = LIN.gain * i_in
         tau = tau_m(LIN)
         dt = tau / 20.0
@@ -88,20 +90,6 @@ class TestLinearMode:
             k4 = membrane_derivative(LIN, NeuronState(i_mem=i_mem + dt * k3), i_in)
             i_mem += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         assert i_mem == pytest.approx(target, rel=1e-4)
-
-    def test_gain_conventions_are_reciprocal(self):
-        printed = NeuronConfig(
-            c_m=0.6e-12,
-            i_g=10e-12,
-            i_r=1e-9,
-            i_th=50e-12,
-            i_reset=1e-12,
-            mode="linear",
-            gain_convention="printed",
-        )
-        assert LIN.gain == LIN.i_g / LIN.i_r
-        assert printed.gain == printed.i_r / printed.i_g
-        assert LIN.gain * printed.gain == pytest.approx(1.0, rel=1e-12)
 
 
 class TestNonlinearMode:
@@ -286,8 +274,6 @@ class TestConfigValidation:
     def test_mode_strings(self):
         with pytest.raises(ValueError, match="mode"):
             NeuronConfig(mode="adaptive")
-        with pytest.raises(ValueError, match="gain_convention"):
-            NeuronConfig(gain_convention="both")
 
     def test_scalar_bounds(self):
         with pytest.raises(ValueError):

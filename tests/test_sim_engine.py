@@ -1978,7 +1978,6 @@ def accepted_configs(draw):
             u_t=dev.u_t,
             mode=draw(st.sampled_from(["nonlinear", "linear"])),
             i_pf_gain=draw(near_or_zero(0.1)),
-            gain_convention=draw(st.sampled_from(["derived", "printed"])),
         )
         enc = EncoderConfig(tc, neuron, draw(st.none() | near(20e-12)))
         dt = draw(st.none() | near(1.8e-7))
