@@ -316,10 +316,10 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
         objective_fn = _OBJECTIVE_FNS[spec.objective]
 
     names = sorted(spec.variables)
-    lo = tuple(spec.variables[n][0] for n in names)
-    span = tuple(spec.variables[n][1] - spec.variables[n][0] for n in names)
-    free = [k for k in range(len(names)) if span[k] > 0.0]
-    frozen = {names[k]: lo[k] for k in range(len(names)) if span[k] == 0.0}
+    frozen = {n: float(lo) for n, (lo, hi) in spec.variables.items() if lo == hi}
+    free = [n for n in names if n not in frozen]
+    lo = tuple(spec.variables[n][0] for n in free)
+    span = tuple(spec.variables[n][1] - spec.variables[n][0] for n in free)
 
     trace: list[tuple[dict[str, float], float]] = []
     failures: list[tuple[int, dict[str, float], str]] = []
@@ -328,10 +328,8 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
         """The objective at z clipped into the box; a failure is logged and scores +inf."""
         if len(trace) >= spec.budget:
             raise _BudgetExhausted
-        point = {
-            name: float(frozen[name]) if name in frozen else a + x * s
-            for name, a, x, s in zip(names, lo, _clip(z), span)
-        }
+        moved = {name: a + x * s for name, a, x, s in zip(free, lo, _clip(z), span)}
+        point = dict(sorted({**frozen, **moved}.items()))
         try:
             value = float(objective_fn(_apply_point(encoder_template, point)))
             if math.isnan(value):
@@ -344,12 +342,11 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
 
     uniforms = _pcg64_uniforms(spec.seed)
 
-    # i_ref is the transconductor's, the rest the neuron's; a frozen
-    # dimension divides by 1.0, not by its zero span
+    # i_ref is the transconductor's, the rest the neuron's
     tc, neuron = encoder_template.transconductor, encoder_template.neuron
-    z0_full = _clip(
-        ((tc.i_ref if n == "i_ref" else getattr(neuron, n)) - a) / (s if s > 0.0 else 1.0)
-        for n, a, s in zip(names, lo, span)
+    z0 = _clip(
+        ((tc.i_ref if n == "i_ref" else getattr(neuron, n)) - a) / s
+        for n, a, s in zip(free, lo, span)
     )
 
     def finish() -> TuneResult:
@@ -368,18 +365,6 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
         )
 
     d = len(free)
-    if d == 0:
-        try:
-            evaluate(z0_full)
-        except _BudgetExhausted:
-            pass
-        return finish()
-
-    def lift(z_free: tuple[float, ...]) -> tuple[float, ...]:
-        z = list(z0_full)
-        for k, x in zip(free, z_free):
-            z[k] = x
-        return tuple(z)
 
     def initial_simplex(center: tuple[float, ...]) -> list[tuple[float, ...]]:
         verts = [center]
@@ -392,30 +377,33 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
 
     restarted = False
     try:
-        verts = initial_simplex(tuple(z0_full[k] for k in free))
-        values = [evaluate(lift(z)) for z in verts]
+        verts = initial_simplex(z0)
+        values = [evaluate(z) for z in verts]
         while True:
             order = sorted(range(d + 1), key=lambda k: (values[k], k))
             verts = [verts[k] for k in order]
             values = [values[k] for k in order]
 
-            diameter = max(abs(x - y) for a in verts for b in verts for x, y in zip(a, b))
+            # with no free variable the simplex is its one vertex, collapsed
+            diameter = max(
+                (abs(x - y) for a in verts for b in verts for x, y in zip(a, b)), default=0.0
+            )
             if diameter < _COLLAPSE_FRACTION:
                 if restarted:
                     break
                 restarted = True
                 verts = initial_simplex(verts[0])
-                values = [values[0]] + [evaluate(lift(z)) for z in verts[1:]]
+                values = [values[0]] + [evaluate(z) for z in verts[1:]]
                 continue
 
             centroid = _centroid(verts[:-1])
             reflected = _reflect(centroid, verts[-1])
-            f_r = evaluate(lift(reflected))
+            f_r = evaluate(reflected)
             if values[0] <= f_r < values[-2]:
                 verts[-1], values[-1] = reflected, f_r
             elif f_r < values[0]:
                 expanded = _toward(centroid, reflected, 2.0)
-                f_e = evaluate(lift(expanded))
+                f_e = evaluate(expanded)
                 if f_e < f_r:
                     verts[-1], values[-1] = expanded, f_e
                 else:
@@ -423,13 +411,13 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
             else:
                 inner = reflected if f_r < values[-1] else verts[-1]
                 contracted = _toward(centroid, inner, 0.5)
-                f_c = evaluate(lift(contracted))
+                f_c = evaluate(contracted)
                 if f_c < min(f_r, values[-1]):
                     verts[-1], values[-1] = contracted, f_c
                 else:
                     for k in range(1, d + 1):
                         verts[k] = _toward(verts[0], verts[k], 0.5)
-                        values[k] = evaluate(lift(verts[k]))
+                        values[k] = evaluate(verts[k])
     except _BudgetExhausted:
         pass
     return finish()

@@ -11,9 +11,9 @@ simplest in the current variable. Two dynamics modes are provided:
   sits well above ``i_g``: a plain RC-style relaxation toward ``gain*i_in``.
 
 The expression strings of ``DERIVATIVES`` state the membrane derivative
-once per variant; the simulation engine compiles every RK4 kernel and
-``membrane_derivative`` from them (only the tests' Euler oracle keeps a
-copy).
+once per variant; the simulation engine compiles both RK4 kernels from
+them, and ``membrane_derivative`` evaluates them here (only the tests'
+Euler oracle keeps a copy).
 
 Spiking is abstracted to a threshold test on the membrane current plus an
 instantaneous reset to ``i_reset`` and a fixed refractory period ``t_rf``,
@@ -23,6 +23,7 @@ itself is not modeled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -174,12 +175,20 @@ def membrane_derivative(cfg: NeuronConfig, state: NeuronState, i_in: float) -> f
     I_mem = i_g and saturates at the gain i_g/i_r; the loss term is the
     plain leak minus the optional positive feedback. Linear mode is the
     saturated-regime approximation. Evaluates cfg's ``DERIVATIVES``
-    expression as the engine compiles it. No command calls it; the tests
-    and ``perfbench`` do.
+    expression as the engine's kernels do, to their bits. No command
+    calls it; the tests and ``perfbench`` do.
     """
     if not math.isfinite(i_in) or i_in < 0.0:
         raise ValueError(f"i_in must be nonnegative and finite, got {i_in!r}")
-    return _engine._neuron_kernel(cfg, "deriv")(state.i_mem, i_in)
+    variant, constants = derivative_variant(cfg)
+    return _derivative(variant)(state.i_mem, i_in, **constants)
+
+
+@functools.cache
+def _derivative(variant: str):
+    """``DERIVATIVES[variant]`` as a function of (m, i_in, *DERIVATIVE_CONSTANTS)."""
+    args = ", ".join(("m", "i_in", *DERIVATIVE_CONSTANTS))
+    return eval(f"lambda {args}: " + DERIVATIVES[variant].format(m="m", i_in="i_in"))
 
 
 # Aspect ratios of the bias-generating devices, one per neuron role. The
@@ -209,6 +218,3 @@ def neuron_biases_from_voltages(
     i_th = drain_current(dev, v_th, 0.0, _W_OVER_L_THRESHOLD)
     return i_g, i_r, i_th
 
-
-# The engine imports this module, so it is imported once every name above exists.
-from . import sim_engine as _engine  # noqa: E402

@@ -25,12 +25,12 @@ gives the bits of plain per-step RK4 under that drive:
   loads it, and neither does any other layer.
 - Generated kernels (``_neuron_kernel``, built once per neuron): the
   membrane derivative of each neuron variant is one expression string in
-  ``neuron.DERIVATIVES``, written out in every stage of each kernel of
-  ``_KERNEL_TEXT``. Every full step of a run without an input pole runs in
-  the loop ``full_steps``, which returns to ``transient``'s event loop only
-  for the step t_end cuts short, a step that reaches threshold or is not
-  finite, and a used-up step budget. A crossing is bisected with ``step``
-  (``_crossing``).
+  ``neuron.DERIVATIVES``, written out in every stage of the two RK4
+  kernels of ``_KERNEL_TEXT``. Every full step of a run without an input
+  pole runs in the loop ``full_steps``, which returns to ``transient``'s
+  event loop only for the step t_end cuts short, a step that reaches
+  threshold or is not finite, and a used-up step budget. A crossing is
+  bisected with ``step`` (``_crossing``).
 - The input pole (``_make_pole_drive``) is a filter f' = omega*(drive - f)
   that never reads the membrane, so its four RK4 stage values, clamped at
   zero, are the scalar step's stage drives, and the same event loop runs
@@ -46,6 +46,11 @@ gives the bits of plain per-step RK4 under that drive:
   form, and hands the last periods to ``transient`` only where the step cut
   short by the window end can change the verdict. Its docstring states the
   tie rule at the window edges.
+
+A run refuses, before its first step, a step dt that RK4 cannot take: one
+rule (``_check_stable``) holds rate*dt within RK4's real-axis stability
+limit for the membrane leak, rate 1/tau_m, and for an input pole, rate
+omega. A sine or triangle needs at least two steps a period.
 
 A run's trace is a ``Trace``: ``full_steps`` and ``transient``'s event loop
 extend one flat ``array('d')`` by four doubles a row, so a row costs 32
@@ -201,13 +206,12 @@ def waveform_eval(w: Waveform, t: float) -> float:
         else:
             shape = 4.0 * phase - 4.0
         return w.offset + w.amplitude * shape
-    # pwl
-    times = [bp[0] for bp in w.breakpoints]
-    if t < times[0]:
-        raise ValueError(f"t={t!r} precedes the first pwl breakpoint at {times[0]!r}")
-    if t >= times[-1]:
+    # pwl: times strictly increase, so (t, inf) sorts after a breakpoint at t
+    if t < w.breakpoints[0][0]:
+        raise ValueError(f"t={t!r} precedes the first pwl breakpoint at {w.breakpoints[0][0]!r}")
+    if t >= w.breakpoints[-1][0]:
         return w.breakpoints[-1][1]
-    k = _bisect.bisect_right(times, t) - 1
+    k = _bisect.bisect_right(w.breakpoints, (t, math.inf)) - 1
     t0, v0 = w.breakpoints[k]
     t1, v1 = w.breakpoints[k + 1]
     return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
@@ -414,6 +418,25 @@ def _check_budget(t_end: float, dt: float, trace_every: int) -> None:
         )
 
 
+def _check_stable(rate: float, dt: float, what: str, value: float) -> None:
+    """Refuse a run whose rate*dt, named by what formatted with value, passes RK4's limit.
+
+    Past ``_RK4_STABLE``, RK4 steps y' = -rate*y with growing amplitude.
+    """
+    if rate * dt > _RK4_STABLE:
+        raise SimulationError(
+            f"{what.format(value)} = {rate * dt:.4g} at dt = {dt!r} s, past RK4's "
+            f"stability limit {_RK4_STABLE:.4f}",
+            0.0,
+        )
+
+
+def _check_membrane_stable(neuron: NeuronConfig, dt: float) -> None:
+    """Refuse a step that RK4 cannot take across the membrane leak, rate 1/tau_m."""
+    tau = tau_m(neuron)
+    _check_stable(1.0 / tau, dt, "tau_m = {!r} s puts the membrane leak at dt/tau_m", tau)
+
+
 def _overrun(count: int, what: str, budget: int, t: float) -> SimulationError:
     """The error of a run whose loop steps or trace rows overran the budget."""
     return SimulationError(
@@ -421,17 +444,26 @@ def _overrun(count: int, what: str, budget: int, t: float) -> SimulationError:
     )
 
 
+def _trace_cap() -> int:
+    """Doubles in a trace's flat array, four a row, past which its rows overran the budget."""
+    return 4 * _BUDGET_OVERRUN * _TRACE_BUDGET
+
+
+def _rows_overrun(rows: int, t: float) -> SimulationError:
+    """The error of a run whose trace rows passed ``_trace_cap``."""
+    return _overrun(rows, "trace rows", _TRACE_BUDGET, t)
+
+
 def _time_eps(t_end: float) -> float:
     """Time below which a leftover refractory period or step is dropped."""
     return 1e-15 * max(t_end, 1.0)
 
 
-# The RK4 kernels of a neuron variant, each F(m, i_in) its ``DERIVATIVES``
+# The two RK4 kernels of a neuron variant, each F(m, i_in) its ``DERIVATIVES``
 # expression written out with the stage's clamps at zero. ``_neuron_kernel``
 # builds each once per neuron, with the constants of ``DERIVATIVE_CONSTANTS``
 # as arguments, never as text; a run's drive comes in at every call.
 #
-# - ``deriv(m, i_in)``: the derivative; both arguments already clamped.
 # - ``step(stage_drive, t, y, h)``: one RK4 step from y at t under the
 #   drives ``stage_drive(t, h) -> (i0, i2, i3, i1)`` of stages 1 to 4;
 #   ``_crossing`` bisects every crossing with it.
@@ -446,18 +478,13 @@ def _time_eps(t_end: float) -> float:
 #   caller's t must leave room for one full step. Before the step with
 #   index ``row``, and every ``every`` steps after it, it extends the flat
 #   ``trace`` by the row's four doubles ``t, input, drive, y`` (step 0's
-#   row is the caller's), and raises ``SimulationError`` past
-#   ``_BUDGET_OVERRUN * _TRACE_BUDGET`` rows. Its steps are ``step``'s
+#   row is the caller's), and raises ``_rows_overrun`` once the trace
+#   holds more than ``_trace_cap()`` doubles. Its steps are ``step``'s
 #   operations in order with ``t += dt``, so they give its bits; the first
 #   stage needs no clamp, as y is never negative, and each step's end
 #   drive is the next step's start drive.
 #   A call to the derivative per stage was about 15% slower.
 _KERNEL_TEXT = """\
-def make_deriv(CONSTANTS, **_):
-    def deriv(m, i_in):
-        return F(m, i_in)
-    return deriv
-
 def make_step(CONSTANTS, **_):
     def step(stage_drive, t, y, h):
         half = 0.5 * h
@@ -544,8 +571,7 @@ def _neuron_kernel(neuron: NeuronConfig, name: str):
     no variant reads.
     """
     variant, constants = derivative_variant(neuron)
-    built = dict(i_th=neuron.i_th, trace_cap=4 * _BUDGET_OVERRUN * _TRACE_BUDGET)
-    built["rows_overrun"] = functools.partial(_overrun, what="trace rows", budget=_TRACE_BUDGET)
+    built = dict(i_th=neuron.i_th, trace_cap=_trace_cap(), rows_overrun=_rows_overrun)
     return _compile_kernel(variant, name)(**built, **constants)
 
 
@@ -776,8 +802,9 @@ def transient(
     keeps every ``trace_every``-th loop step plus the final time point. A
     run whose nominal step count ceil(t_end/dt), or the trace rows it
     implies, is over budget raises ``SimulationError`` before its first
-    step, as does a time-varying input through an input pole that RK4
-    cannot integrate at dt.
+    step, as does a dt past RK4's stability limit for the membrane leak
+    or for an input pole under a time-varying input, and a sine or
+    triangle with fewer than two steps a period.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be positive, got {t_end!r}")
@@ -789,6 +816,7 @@ def transient(
 
     dt = solver.dt
     _check_budget(t_end, dt, trace_every)
+    _check_membrane_stable(neuron, dt)
 
     advance = None
     if input_wave.kind == "dc":
@@ -796,19 +824,20 @@ def transient(
         i_dc = neuron_input_current(encoder.transconductor, input_wave.offset)
         stage_drive, take_block, row_drive = _dc_drive(i_dc, input_wave.offset, dt, t_end)
     else:
+        # a step edge's pwl breakpoints may lie closer than dt
+        if input_wave.kind != "pwl" and input_wave.frequency * dt > 0.5:
+            raise SimulationError(
+                f"frequency = {input_wave.frequency!r} Hz at dt = {dt!r} s leaves fewer "
+                "than two steps a period",
+                0.0,
+            )
         stage_drive, take_block, row_drive = _make_stage_drive(
             encoder.transconductor, input_wave, dt, t_end
         )
         c = encoder.input_pole_capacitance
         if c is not None:
             omega = effective_gm(encoder.transconductor) / c
-            if omega * dt > _RK4_STABLE:
-                raise SimulationError(
-                    f"input_pole_capacitance = {c!r} F puts its pole at omega*dt = "
-                    f"{omega * dt:.4g} at dt = {dt!r} s, past RK4's stability limit "
-                    f"{_RK4_STABLE:.4f}",
-                    0.0,
-                )
+            _check_stable(omega, dt, "input_pole_capacitance = {!r} F puts its pole at omega*dt", c)
             stage_drive, advance, row_drive = _make_pole_drive(
                 stage_drive, row_drive, omega, row_drive(0.0)[1]
             )
@@ -831,13 +860,13 @@ def transient(
     time_eps = _time_eps(t_end)
 
     step_cap = _BUDGET_OVERRUN * _STEP_BUDGET
-    trace_cap = 4 * _BUDGET_OVERRUN * _TRACE_BUDGET
+    trace_cap = _trace_cap()
 
     while t < t_end - time_eps:
         if step_index % trace_every == 0:
             trace.extend((t, *row_drive(t), i_mem))
             if len(trace) > trace_cap:
-                raise _overrun(len(trace) // 4, "trace rows", _TRACE_BUDGET, t)
+                raise _rows_overrun(len(trace) // 4, t)
         step_index += 1
         if step_index > step_cap:
             raise _overrun(step_index, "loop steps", _STEP_BUDGET, t)
@@ -978,8 +1007,9 @@ def spike_count_dc(
     window, starting at i_reset with no refractory time pending, with work
     proportional to one firing interval rather than to the window:
 
-    - A t_rf/dt that overflows a double is too many steps to count, and
-      raises ``SimulationError`` before any step, whatever the bias.
+    - A dt past RK4's stability limit for the membrane leak, and a
+      t_rf/dt that overflows a double, which is too many steps to count,
+      raise ``SimulationError`` before any step, whatever the bias.
     - A silent bias returns 0 without a step: its dc equilibrium lies
       below i_th*(1 - 1e-9) and dt is small enough that RK4 cannot step
       past it (``_silent_at_dc``).
@@ -1023,6 +1053,7 @@ def spike_count_dc(
     i_dc = neuron_input_current(encoder.transconductor, v)
     t_rf = neuron.t_rf
     dt = solver.dt
+    _check_membrane_stable(neuron, dt)
     rf_steps = t_rf / dt
     if rf_steps == math.inf:
         raise SimulationError(

@@ -4,6 +4,7 @@ byte-exact CSV output against committed golden files."""
 import ast
 import configparser
 import csv
+import graphlib
 import importlib
 import math
 import os
@@ -445,6 +446,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "input_pole_capacitance" in err and "dt = " in err
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command", ["transient", "vf-curve"])
+    def test_membrane_leak_past_the_rk4_stability_limit(self, tmp_path, capsys, command):
+        # tau_m = 60 ps under the 1 ns step floor: RK4 would throw the
+        # membrane into its zero trap state and report a silent neuron
+        out = tmp_path / "o.csv"
+        args = [command, "--config", DEFAULT_INI, "--out", str(out)]
+        args += ["--set", "neuron.c_m_f=1e-18", "--set", "transient.t_end_s=1e-4"]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: tau_m = 6e-11 s") and err.count("\n") == 1
+        assert "past RK4's stability limit" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frequency", ["1e300", "5.56e6"])
+    def test_periodic_input_faster_than_the_step(self, tmp_path, capsys, frequency):
+        # fewer than two steps a period would sample another input
+        out = tmp_path / "t.csv"
+        args = ["transient", "--config", DEFAULT_INI, "--out", str(out)]
+        assert main(args + ["--set", f"transient.frequency_hz={frequency}"]) == 4
+        err = capsys.readouterr().err
+        assert "fewer than two steps a period" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestConfigHandling:
@@ -1135,8 +1159,20 @@ class TestImports:
                     if called == "_neuron_kernel" and isinstance(name, ast.Constant):
                         requested.add(name.value)
         kernels = re.findall(r"^def make_(\w+)\(", sim_engine._KERNEL_TEXT, re.MULTILINE)
-        assert sorted(kernels) == ["deriv", "full_steps", "step"]
+        assert sorted(kernels) == ["full_steps", "step"]
         assert set(kernels) <= requested
+
+    def test_package_imports_form_no_cycle(self):
+        # every relative import of src/, in a function or under TYPE_CHECKING too
+        graph = {}
+        for path in (REPO / "src" / "encoder_sim").glob("*.py"):
+            imported = graph.setdefault(path.stem, set())
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.level > 0:
+                    imported.update([node.module] if node.module else [a.name for a in node.names])
+        assert set(LAYERS) <= set(graph)
+        # raises CycleError on a cycle
+        assert sorted(graphlib.TopologicalSorter(graph).static_order()) == sorted(graph)
 
     def test_cli_imports_every_layer(self, tmp_path):
         # a traced run wraps all seven layers once the CLI is imported

@@ -11,8 +11,10 @@ from oracle import analytic_rate
 from encoder_sim import neuron, sim_engine
 from encoder_sim.device_model import DeviceParams, drain_current
 from encoder_sim.neuron import (
+    DERIVATIVES,
     NeuronConfig,
     NeuronState,
+    derivative_variant,
     membrane_derivative,
     neuron_biases_from_voltages,
     tau_m,
@@ -97,16 +99,18 @@ class TestNonlinearMode:
     @pytest.mark.parametrize("first", [0.0, -0.0])
     def test_signed_zero_feedback_gives_the_same_bits(self, mode, first):
         # configs differing only in the sign of a zero i_pf_gain compare
-        # equal and share one cached derivative, whichever came first
-        sim_engine._neuron_kernel.cache_clear()
+        # equal and give the bits of their DERIVATIVES expression, whichever
+        # was evaluated first
         membrane_derivative(NeuronConfig(mode=mode, i_pf_gain=first), NeuronState(1e-12), 1e-9)
         for pf in (0.0, -0.0):
             cfg = NeuronConfig(mode=mode, i_pf_gain=pf)
-            uncached = sim_engine._neuron_kernel.__wrapped__(cfg, "deriv")
+            variant, constants = derivative_variant(cfg)
+            assert variant == ("linear" if mode == "linear" else "nonlinear_no_feedback")
             for i_mem, i_in in ((0.0, 0.0), (1e-12, 1e-9), (5e-11, 3e-9), (1e-9, 0.0)):
+                expression = DERIVATIVES[variant].format(m="i_mem", i_in="i_in")
+                want = eval(expression, dict(constants, i_mem=i_mem, i_in=i_in))
                 got = membrane_derivative(cfg, NeuronState(i_mem), i_in)
-                assert got.hex() == uncached(i_mem, i_in).hex()
-        assert sim_engine._neuron_kernel.cache_info().currsize == 1
+                assert got.hex() == want.hex()
 
     def test_matches_linear_deep_in_saturation(self):
         # Once the membrane sits far above the gain current the input term

@@ -1346,8 +1346,9 @@ class TestTakeBlock:
 
 
 def variant_deriv(variant, neuron):
-    """The compiled derivative of ``variant`` under the neuron's constants."""
-    return sim_engine._compile_kernel(variant, "deriv")(**derivative_variant(neuron)[1])
+    """``DERIVATIVES[variant]`` as a function of (m, i_in) under the neuron's constants."""
+    expression = DERIVATIVES[variant].format(m="m", i_in="i_in")
+    return eval(f"lambda m, i_in: {expression}", derivative_variant(neuron)[1])
 
 
 def same_bits(a, b):
@@ -1379,7 +1380,7 @@ class TestGeneratedKernels:
         neuron = NeuronConfig(c_m=c_m, i_r=i_r, i_g=g_over_r * i_r, i_pf_gain=pf)
         m = neuron.i_th if m == "i_th" else m
         assert derivative_variant(neuron)[0] == "nonlinear_no_feedback"
-        folded = _neuron_kernel(neuron, "deriv")
+        folded = variant_deriv("nonlinear_no_feedback", neuron)
         assert same_bits(folded(m, i_in), variant_deriv("nonlinear", neuron)(m, i_in))
 
     @pytest.mark.parametrize("variant", sorted(VARIANT_NEURONS))
@@ -1397,11 +1398,10 @@ class TestGeneratedKernels:
         transient(enc, SINE, 1e-5)
         assert [k.__code__.co_filename for k in built] == [f"<rk4 step: {variant}>"]
         assert derivative_variant(neuron)[0] == variant
-        names = ("deriv", "step", "full_steps")
+        names = ("step", "full_steps")
         kernels = {name: _neuron_kernel(neuron, name) for name in names}
         # the derivative written out with each kernel's argument names
         arguments = {
-            "deriv": [("m", "i_in")],
             "step": [("m", i_in) for i_in in ("i0", "i2", "i3", "i1")],
             "full_steps": [("y", "i1"), ("m", "im"), ("m", "i1")],
         }
@@ -1742,6 +1742,7 @@ class TestSpikeCountDc:
     @example("linear", 30e-12, 0.0, 0.0, None, False, 0.0, 1e-3, 0.0, 1)  # t_rf = 0, t0 = 0
     @example("nonlinear", 72e-12, 2.0, 20e-6, 1e-12, True, 0.3, 1.2e-3, 0.98, 1)  # pole, short
     @example("nonlinear", 72e-12, 0.0, 20e-6, None, False, 0.0, 1e-3, 0.2, 300)  # silent, coarse
+    @example("nonlinear", 72e-12, 0.0, 20e-6, None, True, 0.25, 1e-3, 0.0, 300)  # 3 tau_m
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_matches_stepping_loop(
         self, mode, i_th, i_pf_gain, t_rf, pole, cheap, v, t1, t0_frac, dt_scale
@@ -1751,6 +1752,12 @@ class TestSpikeCountDc:
         base = _cheap_solver(neuron) if cheap else default_solver_config(neuron)
         solver = SolverConfig(dt=base.dt * dt_scale, event_tol=base.event_tol)
         t0 = t0_frac * t1
+        if solver.dt / tau_m(neuron) > sim_engine._RK4_STABLE:
+            # the cheap step at 300 times is 3 tau_m: both refuse before a step
+            for count in (spike_count_dc, stepped_count):
+                with pytest.raises(SimulationError, match="past RK4's stability limit"):
+                    count(enc, v, t0, t1, solver)
+            return
         assert spike_count_dc(enc, v, t0, t1, solver) == stepped_count(enc, v, t0, t1, solver)
 
     def test_silent_bias_counts_zero(self):
