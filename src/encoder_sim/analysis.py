@@ -40,33 +40,36 @@ _C_DYN_DEFAULT = 0.1e-12
 
 @dataclass(frozen=True)
 class ThdReport:
-    """Single-bin harmonic analysis of one sampled signal."""
+    """Single-bin harmonic analysis of one sampled signal; harmonic k + 2 is at index k."""
 
     fundamental_amplitude: float
     harmonic_amplitudes: tuple[float, ...]
-    thd_fraction: float
 
     def __post_init__(self) -> None:
-        if self.fundamental_amplitude < 0.0 or any(h < 0.0 for h in self.harmonic_amplitudes):
+        if self.fundamental_amplitude <= 0.0:
+            raise ValueError("fundamental amplitude is not positive; THD undefined")
+        if any(h < 0.0 for h in self.harmonic_amplitudes):
             raise ValueError("amplitudes must be nonnegative")
-        if self.thd_fraction < 0.0:
-            raise ValueError("thd_fraction must be nonnegative")
+
+    @property
+    def thd_fraction(self) -> float:
+        return math.sqrt(sum(h * h for h in self.harmonic_amplitudes)) / self.fundamental_amplitude
 
 
 @dataclass(frozen=True)
 class VFCurve:
     """Firing rate versus dc input with a least-squares linearity fit.
 
-    ``max_deviation_fraction`` is the largest distance of a fitted point
-    from the line, normalized by the line at the window top. ``flagged``
-    lists the in-window input voltages whose runs produced too few spikes
-    for a trustworthy rate; they are excluded from the fit and from the
-    deviation but kept in ``points``. With fewer than two fitted points
-    the slope and intercept are NaN and the deviation is 0.
+    The fit covers the window its measurement was given, which the curve
+    does not keep. ``max_deviation_fraction`` is the largest distance of a
+    fitted point from the line, normalized by the line at the window top.
+    ``flagged`` lists the in-window input voltages whose runs produced too
+    few spikes for a trustworthy rate; they are excluded from the fit and
+    from the deviation but kept in ``points``. With fewer than two fitted
+    points the slope and intercept are NaN and the deviation is 0.
     """
 
     points: tuple[tuple[float, float], ...]
-    window: tuple[float, float]
     fit_slope: float
     fit_intercept: float
     max_deviation_fraction: float
@@ -76,8 +79,6 @@ class VFCurve:
         vs = [p[0] for p in self.points]
         if any(b <= a for a, b in zip(vs, vs[1:])):
             raise ValueError("points must be sorted by strictly increasing v_in")
-        if not self.window[0] < self.window[1]:
-            raise ValueError(f"window must satisfy v_lo < v_hi, got {self.window!r}")
         if self.max_deviation_fraction < 0.0:
             raise ValueError("max_deviation_fraction must be nonnegative")
 
@@ -121,16 +122,7 @@ def thd(samples, f0: float, fs: float, n_harmonics: int = 9) -> ThdReport:
         a = 2.0 / n * math.fsum(x * math.cos(w) for x, w in zip(s, angles))
         b = 2.0 / n * math.fsum(x * math.sin(w) for x, w in zip(s, angles))
         amplitudes.append(math.hypot(a, b))
-    h1 = amplitudes[0]
-    if h1 <= 0.0:
-        raise ValueError("zero fundamental amplitude; THD undefined")
-    rest = amplitudes[1:]
-    fraction = math.sqrt(sum(h * h for h in rest)) / h1
-    return ThdReport(
-        fundamental_amplitude=h1,
-        harmonic_amplitudes=tuple(rest),
-        thd_fraction=fraction,
-    )
+    return ThdReport(amplitudes[0], tuple(amplitudes[1:]))
 
 
 def _fit_line(vs: list[float], rates: list[float]) -> tuple[float, float]:
@@ -183,7 +175,6 @@ def _curve_from_rates(
 
     return VFCurve(
         points=tuple(zip(grid, rates)),
-        window=(v_lo, v_hi),
         fit_slope=slope,
         fit_intercept=intercept,
         max_deviation_fraction=max_dev,

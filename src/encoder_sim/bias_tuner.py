@@ -58,7 +58,11 @@ _STEPS_PER_TAU = 100.0  # an objective evaluation steps at tau_m over this
 
 
 class TunerError(RuntimeError):
-    """No evaluation produced a usable objective value."""
+    """No evaluation produced a usable objective value; ``failures`` is as ``TuneResult``'s."""
+
+    def __init__(self, message: str, failures: tuple = ()) -> None:
+        super().__init__(message)
+        self.failures = failures
 
 
 @dataclass(frozen=True)
@@ -102,25 +106,32 @@ class TuneSpec:
 
 @dataclass(frozen=True)
 class TuneResult:
-    """Best point found plus the full evaluation record.
+    """The full evaluation record, and the best point it holds.
 
+    ``trace`` holds (point, objective) for every evaluation, in order.
     ``failures`` holds (evaluation index, point, reason) for every
-    evaluation that failed and scored +inf in the trace.
+    evaluation that failed and scored +inf in the trace. ``best_point`` is
+    the first point of least objective.
     """
 
-    best_point: dict[str, float]
-    best_objective: float
-    evaluations: int
     trace: tuple[tuple[dict[str, float], float], ...]
     failures: tuple[tuple[int, dict[str, float], str], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.evaluations != len(self.trace):
-            raise ValueError("evaluations must equal the trace length")
         if not self.trace:
             raise ValueError("trace must be nonempty")
-        if self.best_objective != min(f for _, f in self.trace):
-            raise ValueError("best_objective must be the minimum over the trace")
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def best_objective(self) -> float:
+        return min(f for _, f in self.trace)
+
+    @property
+    def best_point(self) -> dict[str, float]:
+        return min(self.trace, key=lambda entry: entry[1])[0]
 
 
 _M32 = 0xFFFFFFFF
@@ -230,8 +241,6 @@ def objective_negative_linear_range(encoder: EncoderConfig) -> float:
     n = len(_RANGE_GRID)
     for i in range(n):
         for j in range(i + 2, n):
-            if any(c < 5 for c in counts[i : j + 1]):
-                continue
             try:
                 sub = _curve_from_rates(
                     list(_RANGE_GRID[i : j + 1]),
@@ -243,7 +252,7 @@ def objective_negative_linear_range(encoder: EncoderConfig) -> float:
                 # undersampled midpoint or a degenerate fit disqualifies
                 # the span without poisoning the whole evaluation
                 continue
-            if sub.max_deviation_fraction <= _MAX_DEVIATION:
+            if not sub.flagged and sub.max_deviation_fraction <= _MAX_DEVIATION:
                 best = max(best, _RANGE_GRID[j] - _RANGE_GRID[i])
     return -best
 
@@ -325,10 +334,10 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
     failures: list[tuple[int, dict[str, float], str]] = []
 
     def evaluate(z: tuple[float, ...]) -> float:
-        """The objective at z clipped into the box; a failure is logged and scores +inf."""
+        """The objective at z, a point in the box; a failure is logged and scores +inf."""
         if len(trace) >= spec.budget:
             raise _BudgetExhausted
-        moved = {name: a + x * s for name, a, x, s in zip(free, lo, _clip(z), span)}
+        moved = {name: a + x * s for name, a, x, s in zip(free, lo, z, span)}
         point = dict(sorted({**frozen, **moved}.items()))
         try:
             value = float(objective_fn(_apply_point(encoder_template, point)))
@@ -350,19 +359,11 @@ def tune(encoder_template: EncoderConfig, spec: TuneSpec, objective_fn=None) -> 
     )
 
     def finish() -> TuneResult:
-        if not trace:
-            raise TunerError("search ended before any evaluation")
-        best_point, best_value = min(trace, key=lambda entry: entry[1])
-        if not math.isfinite(best_value):
+        result = TuneResult(trace=tuple(trace), failures=tuple(failures))
+        if not math.isfinite(result.best_objective):
             log = "; ".join(f"{p} -> {msg}" for _, p, msg in failures[:8])
-            raise TunerError(f"all {len(trace)} evaluations failed: {log}")
-        return TuneResult(
-            best_point=dict(best_point),
-            best_objective=best_value,
-            evaluations=len(trace),
-            trace=tuple((dict(p), f) for p, f in trace),
-            failures=tuple((k, dict(p), msg) for k, p, msg in failures),
-        )
+            raise TunerError(f"all {len(trace)} evaluations failed: {log}", result.failures)
+        return result
 
     d = len(free)
 

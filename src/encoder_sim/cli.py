@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .analysis import power_estimate, small_signal, thd, vf_curve
-from .bias_tuner import _STEPS_PER_TAU, _TUNABLE, TuneSpec, tune
+from .bias_tuner import _STEPS_PER_TAU, _TUNABLE, TunerError, TuneSpec, tune
 from .device_model import DeviceParams, SaturationError
 from .neuron import NeuronConfig, neuron_biases_from_voltages
 from .sim_engine import (
@@ -129,6 +129,11 @@ def _read_section(cp, name: str, schema: dict[str, type], required=None) -> dict
     return out
 
 
+def _given(sec: dict, **keys: str) -> dict:
+    """{parameter: sec[key]} for the keys the section sets; a library default holds for the rest."""
+    return {param: sec[key] for param, key in keys.items() if key in sec}
+
+
 def _key(field: str) -> str:
     return f"{field}_{_UNITS[field]}" if field in _UNITS else field
 
@@ -217,6 +222,14 @@ def _write_csv(path: Path, header, rows) -> None:
     _write_lines(path, _csv_lines(header, rows))
 
 
+def _remove(path: Path) -> None:
+    """Remove the file at path, if there is one."""
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot remove {str(path)!r}: {exc}") from exc
+
+
 def _out_path(args) -> Path:
     if args.out:
         return Path(args.out)
@@ -272,10 +285,11 @@ def _cmd_dc_sweep(cp, args) -> int:
     return 0
 
 
-def _build_waveform(cp) -> tuple[Waveform, float, int]:
-    """[transient]'s input, its end time and its trace decimation."""
+def _build_waveform(cp) -> tuple[Waveform, float, dict]:
+    """[transient]'s input, its end time and the ``transient`` keywords it sets."""
     kw = _read_config(cp, "transient", Waveform, _TRANSIENT_RUN_KEYS, required=("t_end_s",))
-    t_end, trace_every = kw.pop("t_end_s"), kw.pop("trace_every", 10)
+    t_end = kw.pop("t_end_s")
+    run = {"trace_every": kw.pop("trace_every")} if "trace_every" in kw else {}
     points = kw.pop("pwl_points", "")
     if kw.get("kind") == "pwl":  # only a pwl input reads its semicolon-separated t:v points
         breakpoints = []
@@ -285,7 +299,7 @@ def _build_waveform(cp) -> tuple[Waveform, float, int]:
                 raise ValueError(f"pwl point {chunk!r} is not of the form t:v")
             breakpoints.append((float(t_raw), float(v_raw)))
         kw["breakpoints"] = tuple(breakpoints)
-    return Waveform(**kw), t_end, trace_every
+    return Waveform(**kw), t_end, run
 
 
 def _cmd_transient(cp, args) -> int:
@@ -293,11 +307,11 @@ def _cmd_transient(cp, args) -> int:
     if not out.name or out.suffix == ".spikes":
         raise UsageError(f"--out {args.out!r} must name a file, with a suffix other than .spikes")
     spikes_path = out.with_suffix(".spikes")
-    wave, t_end, trace_every = _build_waveform(cp)
+    wave, t_end, run = _build_waveform(cp)
     if wave.kind != "dc":
         _load_numpy()  # for the drive blocks of a time-varying input
     enc = build_encoder(cp)
-    res = transient(enc, wave, t_end, solver=_build_solver(cp), trace_every=trace_every)
+    res = transient(enc, wave, t_end, solver=_build_solver(cp), **run)
     _write_csv(out, ("t_s", "v_id_v", "i_in_a", "i_mem_a"), res.trace)
     _write_lines(spikes_path, map("%.8e".__mod__, res.spikes.times))
     n = len(res.spikes)
@@ -368,7 +382,7 @@ def _cmd_thd(cp, args) -> int:
     amp = sec["amplitude_v"]
     offset = sec.get("offset_v", 0.0)
     ppp = sec["points_per_period"]
-    n_harmonics = sec.get("n_harmonics", 9)
+    harmonics = _given(sec, n_harmonics="n_harmonics")
     if not 2 <= ppp <= _TRACE_BUDGET:
         raise ValueError(f"points_per_period must be in 2..{_TRACE_BUDGET}, got {ppp}")
 
@@ -378,8 +392,8 @@ def _cmd_thd(cp, args) -> int:
     v_in = [offset + amp * math.sin(2.0 * math.pi * (m / ppp)) for m in range(ppp)]
     linearized = [output_current(enc.transconductor, v) for v in v_in]
     raw = [raw_pair_output_current(enc.transconductor, v) for v in v_in]
-    report = thd(linearized, 1.0, float(ppp), n_harmonics=n_harmonics)
-    report_raw = thd(raw, 1.0, float(ppp), n_harmonics=n_harmonics)
+    report = thd(linearized, 1.0, float(ppp), **harmonics)
+    report_raw = thd(raw, 1.0, float(ppp), **harmonics)
 
     rows = [("1", report.fundamental_amplitude)]
     rows += [
@@ -434,11 +448,7 @@ def _cmd_power(cp, args) -> int:
         raise ValueError(f"power.f_spikes_hz: {exc}") from exc
     if not f_spikes:
         raise ValueError("power.f_spikes_hz lists no frequencies")
-    kw = {}
-    if "k_static" in sec:
-        kw["k_static"] = sec["k_static"]
-    if "c_dyn_f" in sec:
-        kw["c_dyn"] = sec["c_dyn_f"]
+    kw = _given(sec, k_static="k_static", c_dyn="c_dyn_f")
     rows = [(f, power_estimate(enc, f, **kw)) for f in f_spikes]
     for f, p in rows:
         if not math.isfinite(p * 1e9):
@@ -489,17 +499,32 @@ def _cmd_tune(cp, args) -> int:
         variables[name] = (sec[lo_key], sec[hi_key])
     spec = TuneSpec(
         variables=variables,
-        objective=sec.get("objective", "linearity_error"),
         budget=sec["budget"],
-        seed=sec.get("seed", 0),
+        **_given(sec, objective="objective", seed="seed"),
     )
-    result = tune(enc, spec)
     order = sorted(variables)
+    out = _out_path(args)
+    failed = out.with_name(out.name + ".failures")
+
+    def write_failures(failures) -> None:
+        rows = [
+            (str(k), *(point[name] for name in order), '"' + reason.replace('"', '""') + '"')
+            for k, point, reason in failures
+        ]
+        _write_csv(failed, ("evaluation", *order, "reason"), rows)
+        _say(args, f"tune: {len(failures)} evaluations failed -> {failed}")
+
+    # files an earlier search to the same --out left are removed or rewritten
+    try:
+        result = tune(enc, spec)
+    except TunerError as exc:
+        _remove(out)
+        write_failures(exc.failures)
+        raise
     rows = [
         (str(k), *(point[name] for name in order), value)
         for k, (point, value) in enumerate(result.trace)
     ]
-    out = _out_path(args)
     _write_csv(out, ("evaluation", *order, "objective"), rows)
     best = ", ".join(f"{name}={result.best_point[name]:.4e}" for name in order)
     _say(
@@ -507,19 +532,10 @@ def _cmd_tune(cp, args) -> int:
         f"tune: best objective {result.best_objective:.6f} after "
         f"{result.evaluations} evaluations at {best} -> {out}",
     )
-    failed = out.with_name(out.name + ".failures")
     if result.failures:
-        rows = [
-            (str(k), *(point[name] for name in order), '"' + reason.replace('"', '""') + '"')
-            for k, point, reason in result.failures
-        ]
-        _write_csv(failed, ("evaluation", *order, "reason"), rows)
-        _say(args, f"tune: {len(result.failures)} evaluations failed -> {failed}")
+        write_failures(result.failures)
     else:
-        try:  # a list left by an earlier search to the same --out
-            failed.unlink(missing_ok=True)
-        except OSError as exc:
-            raise UsageError(f"cannot remove {str(failed)!r}: {exc}") from exc
+        _remove(failed)
     return 0
 
 

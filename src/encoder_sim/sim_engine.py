@@ -15,14 +15,15 @@ so the drive is a pure function of t. Everything that makes a run fast
 gives the bits of plain per-step RK4 under that drive:
 
 - Drive blocks: a run of consecutive full steps reads its input and drive
-  in blocks of up to 256 steps. The block's step times are summed in
-  sequence by ``np.add.accumulate``, exactly as the loop's ``t += h`` sums
-  them, and the bulk evaluators (``_waveform_eval_bulk``,
-  ``_input_currents_bulk``) repeat the scalar operations in the same
-  order, with numpy only for what IEEE rounds correctly and sin and sinh
-  taken per element with ``math``. A block holds only the steps the run
-  takes whole. Only this block code imports numpy, so a dc run never
-  loads it, and neither does any other layer.
+  in blocks of up to 256 steps, which ``take_block`` alone hands out: to
+  ``full_steps``, and a step at a time to an input pole's filter. The
+  block's step times are summed in sequence by ``np.add.accumulate``,
+  exactly as the loop's ``t += h`` sums them, and the bulk evaluators
+  (``_waveform_eval_bulk``, ``_input_currents_bulk``) repeat the scalar
+  operations in the same order, with numpy only for what IEEE rounds
+  correctly and sin and sinh taken per element with ``math``. A block
+  holds only the steps the run takes whole. Only this block code imports
+  numpy, so a dc run never loads it, and neither does any other layer.
 - Generated kernels (``_neuron_kernel``, built once per neuron): the
   membrane derivative of each neuron variant is one expression string in
   ``neuron.DERIVATIVES``, written out in every stage of the two RK4
@@ -119,7 +120,7 @@ _DRIVE_BLOCK_STEPS = 256
 # or the trace rows that implies exceed these, instead of running for
 # hours or filling memory. Spikes add steps beyond the nominal count, so
 # a run also stops once its loop steps or trace rows pass
-# _BUDGET_OVERRUN times these.
+# _BUDGET_OVERRUN times these, or its spikes that many trace rows.
 _STEP_BUDGET = 2**26
 _TRACE_BUDGET = 2**20
 _BUDGET_OVERRUN = 4
@@ -438,7 +439,7 @@ def _check_membrane_stable(neuron: NeuronConfig, dt: float) -> None:
 
 
 def _overrun(count: int, what: str, budget: int, t: float) -> SimulationError:
-    """The error of a run whose loop steps or trace rows overran the budget."""
+    """The error of a run whose loop steps, trace rows or spikes overran the budget."""
     return SimulationError(
         f"{count} {what} overran {_BUDGET_OVERRUN} times the budget of {budget}", t
     )
@@ -545,22 +546,23 @@ def make_full_steps(i_th, trace_cap, rows_overrun, CONSTANTS, **_):
 
 
 @functools.cache
-def _compile_kernel(variant: str, name: str):
-    """``make_<name>`` of ``_KERNEL_TEXT`` for a neuron variant, compiled on first use.
+def _compile_kernels(variant: str) -> dict:
+    """The ``make_<name>`` functions of ``_KERNEL_TEXT`` for a neuron variant, compiled once.
 
     The text goes into ``linecache`` under its ``<...>`` filename, so that
     profiles, ``inspect.getsource`` and ``traceback`` show its lines.
     """
-    f = DERIVATIVES[variant]
-    # kernels are separated by a blank line and have none inside
-    text = next(k for k in _KERNEL_TEXT.split("\n\n") if k.startswith(f"def make_{name}("))
-    text = re.sub(r"F\((\w+), (\w+)\)", lambda c: f.format(m=c[1], i_in=c[2]), text)
-    text = text.replace("CONSTANTS", ", ".join(DERIVATIVE_CONSTANTS))
-    filename = f"<rk4 {name}: {variant}>"
+    f, constants = DERIVATIVES[variant], ", ".join(DERIVATIVE_CONSTANTS)
+    text = re.sub(
+        r"F\((\w+), (\w+)\)|CONSTANTS",
+        lambda c: f.format(m=c[1], i_in=c[2]) if c[1] else constants,
+        _KERNEL_TEXT,
+    )
+    filename = f"<rk4: {variant}>"
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
     namespace = {"__name__": __name__}
     exec(compile(text, filename, "exec"), namespace)
-    return namespace[f"make_{name}"]
+    return namespace
 
 
 @functools.lru_cache(maxsize=128)
@@ -572,7 +574,7 @@ def _neuron_kernel(neuron: NeuronConfig, name: str):
     """
     variant, constants = derivative_variant(neuron)
     built = dict(i_th=neuron.i_th, trace_cap=_trace_cap(), rows_overrun=_rows_overrun)
-    return _compile_kernel(variant, name)(**built, **constants)
+    return _compile_kernels(variant)[f"make_{name}"](**built, **constants)
 
 
 def _whole_steps(t: float, n: int, dt: float, t_end: float) -> int:
@@ -598,11 +600,14 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
     """The drive of a time-varying input at the four stages of an RK4 step, and its blocks.
 
     The drive is ``node_arg_table(tc)``'s current at ``waveform_eval(wave,
-    t)``. Returns ``(stage_drive, take_block, row_drive)``, with
-    ``stage_drive(t, h) -> (drive(t), mid, mid, drive(t + h))`` and
-    ``mid = drive(t + h/2)``, the drive of stages 2 and 3.
-    Full steps (h == dt) that each start where the previous step ended form
-    a run. Once a run is ``_DRIVE_BLOCK_MIN`` steps long, or from its second
+    t)``. Returns ``(stage_drive, take_block, row_drive)``.
+
+    ``take_block(t, steps)`` alone moves the block cursor. It hands out a
+    pending block's entries, marked read, or a new block's from its entry
+    0; otherwise the one-step block of ``stage_drive(t, dt)``, or none (j
+    == stop) when the step from t is not one the run takes whole. Full
+    steps (h == dt) that each start where the previous step ended form a
+    run. Once a run is ``_DRIVE_BLOCK_MIN`` steps long, or from its second
     step when the last block held at least twice that, its next steps read
     a block: the input and drive at the next full steps, as many as the run
     so far or half the last block, whichever is more, and at most
@@ -612,16 +617,13 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
     the steps the run takes whole (``_whole_steps``). Its times come from
     ``np.add.accumulate``, which sums in sequence like the loop's ``t +=
     h``, so they and its values are the loop's bit for bit.
-    Any other step (a bisection substep, the step cut short at t_end, a
-    step early in its run) calls ``drive``, reusing the value at its start
-    when the previous step started or ended there.
 
-    ``take_block(t, steps)`` hands ``full_steps`` a pending block's
-    entries, marked read, or a new block's from its entry 0 when the run
-    has grown long enough to start one at t; otherwise the one-step block
-    of ``stage_drive(t, dt)``, or none (j == stop) when the step from t is
-    not one the run takes whole. The next step after entries handed out
-    but not stepped calls ``drive``.
+    ``stage_drive(t, h) -> (drive(t), mid, mid, drive(t + h))``, with
+    ``mid = drive(t + h/2)``, reads no block: any other step (a bisection
+    substep, the step cut short at t_end) and a one-step block call
+    ``drive``, reusing the value at its start when the previous step
+    started or ended there. Any step but the run's next full step starts
+    a new run.
 
     ``row_drive(t) -> (waveform_eval(wave, t), drive(t))`` reads a trace
     row's drive from the last step when t is where that step ended.
@@ -667,13 +669,8 @@ def _make_stage_drive(tc: TransconductorConfig, wave: Waveform, dt: float, t_end
         return True
 
     def stage_drive(t: float, h: float) -> tuple[float, float, float, float]:
-        nonlocal j, t_run, t_start, i_start, t_stop, i_stop
-        if h == dt and t == t_stop:
-            if (j < n and t == times[j]) or refill(t):
-                j += 1
-                t_stop, i_stop = times[j], at[j]
-                return at[j - 1], mid[j - 1], mid[j - 1], i_stop
-        else:
+        nonlocal t_run, t_start, i_start, t_stop, i_stop
+        if h != dt or t != t_stop:
             t_run = t
         if t == t_stop:
             t_start, i_start = t, i_stop
@@ -719,7 +716,7 @@ def _dc_drive(i_dc: float, v: float, dt: float, t_end: float):
     return (lambda t, h: stages), take_block, (lambda t: (v, i_dc))
 
 
-def _make_pole_drive(stage_drive, row_drive, omega: float, f0: float):
+def _make_pole_drive(stage_drive, take_block, row_drive, dt: float, omega: float, f0: float):
     """The input pole as a filter f' = omega*(drive - f) on the stage drives.
 
     The filter never reads the membrane, so the RK4 stage values of f over
@@ -728,8 +725,9 @@ def _make_pole_drive(stage_drive, row_drive, omega: float, f0: float):
     the current f, for ``step``; ``advance(t, h)`` moves f over a
     step the loop took, and raises ``SimulationError`` when f is not
     finite; ``row(t)`` is ``row_drive``'s trace row with f as its drive.
-    f starts at f0. ``stage_drive`` and ``row_drive`` are
-    ``_make_stage_drive``'s.
+    f starts at f0. ``stage_drive``, ``take_block`` and ``row_drive`` are
+    ``_make_stage_drive``'s: a full step, which a run takes whole, reads
+    ``take_block(t, 1)``, and any other step ``stage_drive``.
     """
     f = f0
     last = (math.nan, math.nan, f0)  # (t, h, f after h) of the last stages call
@@ -737,7 +735,11 @@ def _make_pole_drive(stage_drive, row_drive, omega: float, f0: float):
     def stages(t: float, h: float) -> tuple[float, float, float, float]:
         nonlocal last
         half = 0.5 * h
-        i_start, i_mid, _, i_stop = stage_drive(t, h)
+        if h == dt:
+            at, mid, _, j, _ = take_block(t, 1)
+            i_start, i_mid, i_stop = at[j], mid[j], at[j + 1]
+        else:
+            i_start, i_mid, _, i_stop = stage_drive(t, h)
         k1 = omega * (i_start - f)
         f2 = f + half * k1
         k2 = omega * (i_mid - f2)
@@ -804,7 +806,8 @@ def transient(
     implies, is over budget raises ``SimulationError`` before its first
     step, as does a dt past RK4's stability limit for the membrane leak
     or for an input pole under a time-varying input, and a sine or
-    triangle with fewer than two steps a period.
+    triangle with fewer than two steps a period. A run whose loop steps,
+    trace rows or spikes overrun the budget raises it where they do.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be positive, got {t_end!r}")
@@ -839,7 +842,7 @@ def transient(
             omega = effective_gm(encoder.transconductor) / c
             _check_stable(omega, dt, "input_pole_capacitance = {!r} F puts its pole at omega*dt", c)
             stage_drive, advance, row_drive = _make_pole_drive(
-                stage_drive, row_drive, omega, row_drive(0.0)[1]
+                stage_drive, take_block, row_drive, dt, omega, row_drive(0.0)[1]
             )
     step = _neuron_kernel(neuron, "step")
     # a pole run takes scalar steps only, each one moving the filter
@@ -861,6 +864,7 @@ def transient(
 
     step_cap = _BUDGET_OVERRUN * _STEP_BUDGET
     trace_cap = _trace_cap()
+    spike_cap = _BUDGET_OVERRUN * _TRACE_BUDGET
 
     while t < t_end - time_eps:
         if step_index % trace_every == 0:
@@ -883,42 +887,36 @@ def transient(
             i_mem = i_reset
             continue
 
-        # Initial condition at or above threshold.
-        if i_mem >= i_th:
-            spikes.append(t)
-            i_mem = i_reset
-            refr = t_rf
-            continue
-
-        h = min(dt, t_end - t)
-        if h == dt and full_steps is not None:
-            # full steps, and their trace rows, up to the next event
-            row = trace_every - (step_index - 1) % trace_every
-            t, i_mem, taken, i_new = full_steps(
-                take_block, dt, trace_every, t, i_mem, step_cap - step_index + 1, row, trace
-            )
-            if i_new is None:
-                step_index += taken - 1
-                continue
-            step_index += taken
-        else:
-            i_new = step(stage_drive, t, i_mem, h)
-        if not math.isfinite(i_new):
-            raise SimulationError("non-finite membrane current after step", t)
-
-        if i_new >= i_th:
-            hi = _crossing(step, stage_drive, t, i_mem, h, event_tol, i_th)
-            if advance is not None:
-                advance(t, hi)
-            t += hi
-            spikes.append(t)
-            i_mem = i_reset
-            refr = t_rf
-        else:
+        # an initial condition at or above threshold spikes at once
+        if i_mem < i_th:
+            h = min(dt, t_end - t)
+            if h == dt and full_steps is not None:
+                # full steps, and their trace rows, up to the next event
+                row = trace_every - (step_index - 1) % trace_every
+                t, i_mem, taken, i_new = full_steps(
+                    take_block, dt, trace_every, t, i_mem, step_cap - step_index + 1, row, trace
+                )
+                if i_new is None:
+                    step_index += taken - 1
+                    continue
+                step_index += taken
+            else:
+                i_new = step(stage_drive, t, i_mem, h)
+            if not math.isfinite(i_new):
+                raise SimulationError("non-finite membrane current after step", t)
+            if i_new >= i_th:  # the step ends at its located crossing
+                h = _crossing(step, stage_drive, t, i_mem, h, event_tol, i_th)
             if advance is not None:
                 advance(t, h)
             t += h
-            i_mem = i_new if i_new > 0.0 else 0.0
+            if i_new < i_th:
+                i_mem = i_new if i_new > 0.0 else 0.0
+                continue
+        spikes.append(t)
+        if len(spikes) > spike_cap:
+            raise _overrun(len(spikes), "spikes", _TRACE_BUDGET, t)
+        i_mem = i_reset
+        refr = t_rf
 
     trace.extend((t_end, *row_drive(t_end), i_mem))
     return SimResult(trace=Trace(trace), spikes=SpikeTrain(times=tuple(spikes)))

@@ -97,16 +97,17 @@ class TestThd:
             thd([[x] for x in s[:64].tolist()], 1000.0, 64000.0)
 
     def test_report_validation(self):
-        with pytest.raises(ValueError):
-            ThdReport(fundamental_amplitude=-1.0, harmonic_amplitudes=(), thd_fraction=0.0)
-        with pytest.raises(ValueError):
-            ThdReport(fundamental_amplitude=1.0, harmonic_amplitudes=(-0.1,), thd_fraction=0.1)
+        for h1 in (-1.0, 0.0, -0.0):
+            with pytest.raises(ValueError, match="fundamental"):
+                ThdReport(fundamental_amplitude=h1, harmonic_amplitudes=())
+        with pytest.raises(ValueError, match="nonnegative"):
+            ThdReport(fundamental_amplitude=1.0, harmonic_amplitudes=(-0.1,))
+        assert ThdReport(2.0, (0.3, 0.4)).thd_fraction == 0.25
 
 
-def make_curve(points, window):
+def make_curve(points):
     nan = float("nan")
-    return VFCurve(points=tuple(points), window=window, fit_slope=nan, fit_intercept=nan,
-                   max_deviation_fraction=0.0)
+    return VFCurve(points=tuple(points), fit_slope=nan, fit_intercept=nan, max_deviation_fraction=0.0)
 
 
 def curve_of(points, window, dead=()):
@@ -242,9 +243,10 @@ class TestFitLine:
 class TestVfCurveValidation:
     def test_curve_type_invariants(self):
         with pytest.raises(ValueError, match="sorted"):
-            make_curve([(0.2, 1.0), (0.1, 2.0)], (0.1, 0.4))
+            make_curve([(0.2, 1.0), (0.1, 2.0)])
+        # the curve keeps no window: its measurement checks it
         with pytest.raises(ValueError, match="window"):
-            make_curve([(0.1, 1.0), (0.2, 2.0)], (0.4, 0.1))
+            vf_curve(EncoderConfig(), [0.1, 0.25, 0.4], 1e-3, 6e-3, (0.4, 0.1))
 
     def test_grid_validation(self):
         enc = EncoderConfig()

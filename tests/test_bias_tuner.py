@@ -142,27 +142,15 @@ class TestSimplexArithmetic:
 
 
 class TestTuneResultValidation:
-    def test_trace_length_mismatch(self):
-        with pytest.raises(ValueError, match="trace length"):
-            TuneResult(
-                best_point={"i_g": 1e-11},
-                best_objective=0.5,
-                evaluations=2,
-                trace=(({"i_g": 1e-11}, 0.5),),
-            )
-
-    def test_best_must_be_min(self):
-        with pytest.raises(ValueError, match="minimum"):
-            TuneResult(
-                best_point={"i_g": 1e-11},
-                best_objective=0.7,
-                evaluations=1,
-                trace=(({"i_g": 1e-11}, 0.5),),
-            )
-
     def test_empty_trace(self):
         with pytest.raises(ValueError, match="nonempty"):
-            TuneResult(best_point={}, best_objective=0.0, evaluations=0, trace=())
+            TuneResult(trace=())
+
+    def test_best_is_the_first_minimum_of_the_trace(self):
+        trace = (({"i_g": 1e-11}, 0.5), ({"i_g": 2e-11}, 0.25), ({"i_g": 3e-11}, 0.25))
+        result = TuneResult(trace=trace)
+        assert result.evaluations == 3
+        assert (result.best_point, result.best_objective) == ({"i_g": 2e-11}, 0.25)
 
 
 class TestCollapsedBox:

@@ -1053,6 +1053,31 @@ class TestTuneCommand:
         assert sum(row[2] == "inf" for row in trace) == len(rows) - 1
         assert f"{len(rows) - 1} evaluations failed" in capsys.readouterr().out
 
+    def test_a_search_leaves_no_file_of_an_earlier_one(self, tmp_path, capsys):
+        out, failed = tmp_path / "t.csv", tmp_path / "t.csv.failures"
+        args = ["tune", "--config", DEFAULT_INI, "--out", str(out), "--quiet"]
+        args += ["--set", "tune.i_g_hi_a=2e-9"]
+        assert main(args + ["--set", "tune.budget=13"]) == 0
+        assert out.exists() and failed.exists()
+        # a search in which every evaluation fails
+        for key, value in (("variables", "i_g"), ("i_g_lo_a", "1e-9"), ("budget", "5")):
+            args += ["--set", f"tune.{key}={value}"]
+        capsys.readouterr()
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: all 5 evaluations failed: ")
+        assert err.count("\n") == 1
+        # the failed search's every evaluation, and no trace of the first search
+        assert not out.exists()
+        rows = list(csv.reader(failed.open(encoding="utf-8")))
+        assert rows[0] == ["evaluation", "i_g", "reason"]
+        assert [row[0] for row in rows[1:]] == ["0", "1", "2", "3", "4"]
+        # a stale file that cannot be removed is a usage error
+        out.mkdir()
+        (out / "kept").touch()
+        assert main(args) == 2
+        assert "cannot remove" in capsys.readouterr().err
+
     def test_i_ref_tune_solves_each_normalized_point_once(self, tmp_path, monkeypatch):
         # the node equation does not read i_ref, so 40 evaluations of the
         # 7-point linearity grid solve 7 node equations

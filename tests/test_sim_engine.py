@@ -465,8 +465,22 @@ class TestTransientLinear:
         monkeypatch.setattr(sim_engine, "_TRACE_BUDGET", 11)
         # kernels built under the patched budget, past the cache
         monkeypatch.setattr(sim_engine, "_neuron_kernel", sim_engine._neuron_kernel.__wrapped__)
+        # 11 rows nominal; at trace_every 1 every spike adds a row, so the
+        # rows overrun before the spikes do
         with pytest.raises(SimulationError, match="trace rows overran 4 times the budget of 11"):
-            transient(enc, wave, 100 * dt, solver, trace_every=10)  # 11 rows nominal
+            transient(enc, wave, 10 * dt, solver, trace_every=1)
+
+    def test_spike_budget(self, monkeypatch):
+        # t_rf = 0 fires many spikes per dt and adds few trace rows; the
+        # spikes count against four times the trace budget
+        enc, wave = lin_encoder(replace(LIN, i_th=1.5e-12)), Waveform(kind="dc", offset=0.0)
+        dt = 2.0**-18
+        solver = SolverConfig(dt=dt, event_tol=dt / 64)
+        monkeypatch.setattr(sim_engine, "_TRACE_BUDGET", 100)
+        over = "^401 spikes overran 4 times the budget of 100$"
+        with pytest.raises(SimulationError, match=over) as err:
+            transient(enc, wave, 100 * dt, solver, trace_every=10**9)
+        assert 0.0 < err.value.t < 100 * dt
 
     @pytest.mark.parametrize(
         "wave",
@@ -673,8 +687,8 @@ class TestDrive:
             assert step(stage_drive, t, y, h) == rk4(t, y, h)
 
     def test_block_step_is_plain_rk4(self):
-        # runs long enough to read blocks, bisection substeps inside a
-        # block, a jump in t and a final step cut short
+        # a long run of full steps, bisection substeps after it, a jump in
+        # t and a final step cut short
         neuron = NeuronConfig(i_pf_gain=0.5)
         enc = EncoderConfig(transconductor=TC, neuron=neuron)
         wave = Waveform(kind="triangle", amplitude=0.3, offset=0.1, frequency=4e3)
@@ -1220,6 +1234,26 @@ class TestPolePathChangesNothing:
         assert got.trace == want.trace
         assert len(want.spikes) >= 3
 
+    def test_reads_the_blocks_of_the_run_without_a_pole(self, monkeypatch):
+        # a silent run takes every step but the last whole, so with or
+        # without the pole its full steps form the same runs and blocks
+        bulk = sim_engine._waveform_eval_bulk
+        blocks = []
+
+        def logged(w, times):
+            blocks.append(times.tolist())
+            return bulk(w, times)
+
+        monkeypatch.setattr(sim_engine, "_waveform_eval_bulk", logged)
+        wave = Waveform(kind="sine", amplitude=0.15, offset=-0.25, frequency=2000.0)
+        read = []
+        for pole in (None, 20e-12):
+            blocks.clear()
+            assert not transient(EncoderConfig(input_pole_capacitance=pole), wave, 1e-3).spikes
+            read.append(list(blocks))
+        assert len(read[0]) > 10
+        assert read[1] == read[0]
+
 
 class TestFullStepsKernel:
     @pytest.mark.parametrize(
@@ -1396,7 +1430,7 @@ class TestGeneratedKernels:
         monkeypatch.setattr(sim_engine, "_neuron_kernel", recorded)
         enc = EncoderConfig(transconductor=TC, neuron=neuron, input_pole_capacitance=3e-13)
         transient(enc, SINE, 1e-5)
-        assert [k.__code__.co_filename for k in built] == [f"<rk4 step: {variant}>"]
+        assert [k.__name__ for k in built] == ["step"]
         assert derivative_variant(neuron)[0] == variant
         names = ("step", "full_steps")
         kernels = {name: _neuron_kernel(neuron, name) for name in names}
@@ -1406,15 +1440,16 @@ class TestGeneratedKernels:
             "full_steps": [("y", "i1"), ("m", "im"), ("m", "i1")],
         }
         f = DERIVATIVES[variant]
+        # one text, compiled once, holds both kernels
+        filename = f"<rk4: {variant}>"
+        text = "".join(linecache.getlines(filename))
         for name, kernel in kernels.items():
-            filename = kernel.__code__.co_filename
-            assert filename == f"<rk4 {name}: {variant}>"
+            assert kernel.__code__.co_filename == filename
             source = inspect.getsource(kernel)
             for m, i_in in arguments[name]:
                 assert f.format(m=m, i_in=i_in) in source
-            text = "".join(linecache.getlines(filename))
             assert source in text
-            assert text.startswith(f"def make_{name}(")
+            assert f"def make_{name}(" in text
         # only the variant with feedback writes pf out
         assert (re.search(r"\bpf\b", f) is None) == (variant != "nonlinear")
 
@@ -1449,10 +1484,7 @@ class TestGeneratedKernels:
             compiled.append(filename)
             return compile(source, filename, mode)
 
-        def kernels(*names):
-            return sorted(f"<rk4 {name}: {v}>" for v in VARIANT_NEURONS for name in names)
-
-        sim_engine._compile_kernel.cache_clear()
+        sim_engine._compile_kernels.cache_clear()
         sim_engine._neuron_kernel.cache_clear()
         monkeypatch.setattr(sim_engine, "compile", counted, raising=False)
         vf_curve(EncoderConfig(), [0.1, 0.25, 0.4], 1e-3, 6e-3, (0.1, 0.4))
@@ -1461,8 +1493,8 @@ class TestGeneratedKernels:
             neuron = replace(list(VARIANT_NEURONS.values())[k % 3], c_m=rng.uniform(5e-13, 7e-13))
             enc = EncoderConfig(transconductor=TC, neuron=neuron)
             assert spike_count_dc(enc, 0.25, 0.0, 1e-3) > 0
-        # dc counts compile the full-step loop and the scalar step they bisect with
-        assert sorted(compiled) == kernels("full_steps", "step")
+        # dc counts compile the kernel text, full-step loop and scalar step, once a variant
+        assert sorted(compiled) == sorted(f"<rk4: {v}>" for v in VARIANT_NEURONS)
         compiled.clear()
         for neuron in VARIANT_NEURONS.values():
             for pole in (3e-13, None):
@@ -1473,14 +1505,18 @@ class TestGeneratedKernels:
 
     def test_one_encoder_builds_its_dc_kernels_once(self, monkeypatch):
         built = []
-        compile_kernel = sim_engine._compile_kernel
+        compile_kernels = sim_engine._compile_kernels
 
-        def logged(variant, name):
-            make = compile_kernel(variant, name)
-            return lambda **constants: built.append(name) or make(**constants)
+        def logged(variant):
+            makers = compile_kernels(variant)
+
+            def maker(name):
+                return lambda **constants: built.append(name) or makers[f"make_{name}"](**constants)
+
+            return {f"make_{name}": maker(name) for name in ("step", "full_steps")}
 
         sim_engine._neuron_kernel.cache_clear()
-        monkeypatch.setattr(sim_engine, "_compile_kernel", logged)
+        monkeypatch.setattr(sim_engine, "_compile_kernels", logged)
         enc = EncoderConfig(transconductor=TC, neuron=NeuronConfig(c_m=0.61e-12))
         biases = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
         assert all(spike_count_dc(enc, v, 0.0, 2e-3) > 0 for v in biases)
