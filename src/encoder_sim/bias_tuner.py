@@ -41,9 +41,9 @@ __all__ = [
 _TUNABLE = ("i_ref", "i_g", "i_r", "i_th", "t_rf")
 
 # Standard linearity window and measurement grid. The 10 ms gate keeps a
-# single objective evaluation cheap enough for a few hundred of them;
-# rate quantization at that gate is 100 Hz, well under the deviations
-# the search needs to resolve.
+# single objective evaluation cheap enough for a few hundred of them, but
+# counts rates in 100 Hz steps, too coarse to rank: 13 of the 40 rows of
+# tests/golden/tune_default.csv score exactly 0 (ROADMAP item 2).
 _LINEARITY_WINDOW = (0.1, 0.4)
 _LINEARITY_GRID = tuple(0.1 + 0.05 * k for k in range(7))
 _RANGE_GRID = tuple(0.05 * k for k in range(1, 11))

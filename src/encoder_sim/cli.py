@@ -156,10 +156,6 @@ def build_encoder(cp: configparser.ConfigParser) -> EncoderConfig:
     tc = TransconductorConfig(dev=dev, **_read_config(cp, "transconductor", TransconductorConfig))
 
     kw = _read_config(cp, "neuron", NeuronConfig, dict.fromkeys(_VOLTAGE_BIAS_KEYS, float))
-    # The neuron's devices are the transconductor's: [device] sets n and
-    # u_t for both, and EncoderConfig rejects a [neuron] value that differs.
-    kw.setdefault("n", dev.n)
-    kw.setdefault("u_t", dev.u_t)
     voltage_keys = [k for k in _VOLTAGE_BIAS_KEYS if k in kw]
     if voltage_keys:
         if len(voltage_keys) != len(_VOLTAGE_BIAS_KEYS):
@@ -175,7 +171,7 @@ def build_encoder(cp: configparser.ConfigParser) -> EncoderConfig:
             )
         volts = [kw.pop(k) for k in _VOLTAGE_BIAS_KEYS]
         kw.update(zip(currents, neuron_biases_from_voltages(dev, *volts)))
-    neuron = NeuronConfig(**kw)
+    neuron = NeuronConfig(dev=dev, **kw)
     return EncoderConfig(
         transconductor=tc, neuron=neuron, **_read_config(cp, "encoder", EncoderConfig)
     )

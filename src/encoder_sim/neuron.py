@@ -66,9 +66,6 @@ class NeuronConfig:
         trap state of the multiplicative nonlinear dynamics.
     t_rf:
         Refractory period in seconds; bounds the firing rate by 1/t_rf.
-    n, u_t:
-        Device slope factor and thermal voltage shared with the rest of
-        the encoder.
     mode:
         "nonlinear" (full DPI dynamics) or "linear" (first-order
         approximation).
@@ -76,6 +73,8 @@ class NeuronConfig:
         Dimensionless positive-feedback strength in nonlinear mode. The
         default 0 reflects that the feedback is negligible during
         integration and only matters in the (unmodeled) spike itself.
+    dev:
+        The neuron's devices, the transconductor's in an ``EncoderConfig``.
     """
 
     c_m: float = 0.6e-12
@@ -84,10 +83,9 @@ class NeuronConfig:
     i_th: float = 72e-12
     i_reset: float = 1e-12
     t_rf: float = 20e-6
-    n: float = 1.2
-    u_t: float = 0.025
     mode: str = "nonlinear"
     i_pf_gain: float = 0.0
+    dev: DeviceParams = DeviceParams()
 
     def __post_init__(self) -> None:
         for name in ("c_m", "i_g", "i_r", "i_th", "i_reset"):
@@ -96,10 +94,6 @@ class NeuronConfig:
                 raise ValueError(f"NeuronConfig.{name} must be positive and finite, got {value!r}")
         if not (math.isfinite(self.t_rf) and self.t_rf >= 0.0):
             raise ValueError(f"t_rf must be nonnegative, got {self.t_rf!r}")
-        if not (math.isfinite(self.n) and self.n > 1.0):
-            raise ValueError(f"n must exceed 1, got {self.n!r}")
-        if not (math.isfinite(self.u_t) and self.u_t > 0.0):
-            raise ValueError(f"u_t must be positive, got {self.u_t!r}")
         if self.i_reset >= self.i_th:
             raise ValueError(
                 f"i_reset must lie below i_th, got {self.i_reset!r} >= {self.i_th!r}"
@@ -138,8 +132,8 @@ class NeuronState:
 
 
 def tau_m(cfg: NeuronConfig) -> float:
-    """Membrane time constant n*u_t*c_m/i_r, seconds."""
-    return cfg.n * cfg.u_t * cfg.c_m / cfg.i_r
+    """Membrane time constant n*u_t*c_m/i_r of cfg's devices, seconds."""
+    return cfg.dev.n * cfg.dev.u_t * cfg.c_m / cfg.i_r
 
 
 # The membrane derivative, A/s, once per variant: a Python expression in

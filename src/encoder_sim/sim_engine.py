@@ -373,8 +373,9 @@ class SimResult:
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """The full encoder: transconductor feeding the neuron.
+    """The full encoder: transconductor feeding a neuron of the same devices.
 
+    ``neuron.dev`` must equal ``transconductor.dev``.
     ``input_pole_capacitance`` optionally inserts a single-pole low-pass on
     the injected current (pole at effective_gm/(2*pi*C)) to study output
     loading; None keeps the quasi-static treatment. With a pole, the drive
@@ -388,15 +389,11 @@ class EncoderConfig:
     input_pole_capacitance: float | None = None
 
     def __post_init__(self) -> None:
-        dev = self.transconductor.dev
-        # (field, config key)
-        for name, key in (("n", "n"), ("u_t", "u_t_v")):
-            if getattr(self.neuron, name) != getattr(dev, name):
-                raise ValueError(
-                    f"neuron.{key} = {getattr(self.neuron, name)!r} differs from "
-                    f"device.{key} = {getattr(dev, name)!r}: the neuron shares the "
-                    "transconductor's devices"
-                )
+        if self.neuron.dev != self.transconductor.dev:
+            raise ValueError(
+                f"neuron.dev = {self.neuron.dev!r} differs from transconductor.dev = "
+                f"{self.transconductor.dev!r}: the neuron shares the transconductor's devices"
+            )
         if self.input_pole_capacitance is not None:
             c = self.input_pole_capacitance
             if not (math.isfinite(c) and c > 0.0):

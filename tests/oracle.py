@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from encoder_sim.device_model import SaturationError
-from encoder_sim.neuron import NeuronConfig, tau_m
+from encoder_sim.neuron import NeuronConfig
 from encoder_sim.sim_engine import (
     EncoderConfig,
     SimResult,
@@ -66,10 +66,11 @@ def analytic_rate(cfg: NeuronConfig, i_in: float) -> float:
         raise ValueError("analytic_rate applies to linear mode only")
     if not math.isfinite(i_in) or i_in < 0.0:
         raise ValueError(f"i_in must be nonnegative and finite, got {i_in!r}")
-    target = cfg.gain * i_in
+    target = cfg.i_g / cfg.i_r * i_in
     if target <= cfg.i_th:
         return 0.0
-    t_int = tau_m(cfg) * math.log((target - cfg.i_reset) / (target - cfg.i_th))
+    tau = cfg.dev.n * cfg.dev.u_t * cfg.c_m / cfg.i_r
+    t_int = tau * math.log((target - cfg.i_reset) / (target - cfg.i_th))
     return 1.0 / (cfg.t_rf + t_int)
 
 
@@ -169,10 +170,10 @@ def oracle_transient(
     wave_v = _waveform_eval_array(input_wave, clipped)
     drive = drive_arr.tolist()
 
-    tau = tau_m(neuron)
     i_g = neuron.i_g
     i_r = neuron.i_r
-    gain = neuron.gain
+    tau = neuron.dev.n * neuron.dev.u_t * neuron.c_m / i_r
+    gain = i_g / i_r
     pf = neuron.i_pf_gain
     i_th = neuron.i_th
     i_reset = neuron.i_reset

@@ -514,22 +514,9 @@ class TestConfigHandling:
         args = ["transient", "--config", DEFAULT_INI, "--out", str(tmp_path / "t.csv")]
         args += ["--quiet", "--set", "transient.t_end_s=1e-4"]
         assert main(args + ["--set", "device.n=1.3", "--set", "device.u_t_v=0.03"]) == 0
-        neuron = built[0].neuron
-        assert (neuron.n, neuron.u_t) == (1.3, 0.03)
-        assert tau_m(neuron) == tau_m(NeuronConfig(n=1.3, u_t=0.03))
-
-    def test_neuron_device_conflict(self, tmp_path, capsys):
-        ini = tmp_path / "shared.ini"
-        text = Path(DEFAULT_INI).read_text()
-        ini.write_text(text.replace("[neuron]\n", "[neuron]\nn = 1.2\nu_t_v = 0.025\n"))
-        out = ["--out", str(tmp_path / "d.csv"), "--quiet"]
-        # repeating the device values is allowed
-        assert main(["dc-sweep", "--config", str(ini)] + out) == 0
-        for key, value in (("n", 1.3), ("u_t_v", 0.03)):
-            code = main(["dc-sweep", "--config", str(ini), "--set", f"device.{key}={value}"] + out)
-            assert code == 3
-            # the message names the config key
-            assert f"neuron.{key} = " in capsys.readouterr().err
+        enc = built[0]
+        assert enc.neuron.dev is enc.transconductor.dev
+        assert tau_m(enc.neuron) == 1.3 * 0.03 * enc.neuron.c_m / enc.neuron.i_r
 
     def test_unknown_section_key_rejected(self):
         cp = load_config(DEFAULT_INI)
@@ -551,6 +538,9 @@ class TestConfigHandling:
             ("neuron", "gain_convention", "freq"),
             # the transfer is memoryless, so one period holds every harmonic
             ("thd", "n_periods", "thd"),
+            # the neuron's devices are [device]'s, so a copy could only repeat it
+            ("neuron", "n", "freq"),
+            ("neuron", "u_t_v", "freq"),
         ],
     )
     def test_a_removed_key_is_unknown(self, tmp_path, capsys, section, key, command):
@@ -578,8 +568,6 @@ CONFIG_KEYS = {
             "i_th_a",
             "i_reset_a",
             "t_rf_s",
-            "n",
-            "u_t_v",
             "mode",
             "i_pf_gain",
         },
@@ -675,11 +663,6 @@ class TestDerivedKeys:
             cp.read_dict({section: UNSHIPPED[section]})
         raw, value = KEY_VALUES[key]
         cp.set(section, key, raw)
-        if section == "neuron" and key in ("n", "u_t_v"):
-            # the neuron may only repeat the device's value
-            with pytest.raises(ValueError, match=f"neuron.{key} = {value!r} differs"):
-                build_encoder(cp)
-            cp.set("device", key, raw)
         assert getattr(configured(cp, section), cli._keys(cls)[key]) == value
 
 
@@ -1198,6 +1181,16 @@ class TestImports:
         assert set(LAYERS) <= set(graph)
         # raises CycleError on a cycle
         assert sorted(graphlib.TopologicalSorter(graph).static_order()) == sorted(graph)
+
+    def test_oracle_imports_only_types(self):
+        # the Euler oracle reads the configs' fields but calls no production code
+        imported = []
+        for node in ast.walk(ast.parse((REPO / "tests" / "oracle.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "encoder_sim":
+                module = importlib.import_module(node.module)
+                imported += [(node.module, a.name, getattr(module, a.name)) for a in node.names]
+        assert imported
+        assert [(m, name) for m, name, obj in imported if not isinstance(obj, type)] == []
 
     def test_cli_imports_every_layer(self, tmp_path):
         # a traced run wraps all seven layers once the CLI is imported

@@ -285,8 +285,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             NeuronConfig(t_rf=-1e-6)
         with pytest.raises(ValueError):
-            NeuronConfig(n=1.0)
-        with pytest.raises(ValueError):
             NeuronConfig(i_pf_gain=-0.1)
 
     def test_state_bounds(self):

@@ -425,13 +425,16 @@ class TestTransientLinear:
         with pytest.raises(ValueError, match="input_pole_capacitance"):
             EncoderConfig(transconductor=TC, neuron=LIN, input_pole_capacitance=0.0)
 
-    @pytest.mark.parametrize("field, key, value", [("n", "n", 1.3), ("u_t", "u_t_v", 0.026)])
-    def test_neuron_shares_the_device(self, field, key, value):
-        # the message names the config key
+    @pytest.mark.parametrize(
+        "field, value", [("i_spec", 2e-7), ("n", 1.3), ("u_t", 0.026), ("v_t0", 0.3)]
+    )
+    def test_neuron_shares_the_device(self, field, value):
         tc = TransconductorConfig(dev=DeviceParams(**{field: value}))
-        with pytest.raises(ValueError, match=rf"neuron\.{key} = .* differs from device\.{key} = "):
+        differs = r"neuron\.dev = .* differs from transconductor\.dev = "
+        with pytest.raises(ValueError, match=differs):
             EncoderConfig(transconductor=tc, neuron=LIN)
-        EncoderConfig(transconductor=tc, neuron=replace(LIN, **{field: value}))
+        # an equal device is the same device, whichever object holds it
+        EncoderConfig(transconductor=tc, neuron=replace(LIN, dev=DeviceParams(**{field: value})))
 
     def test_step_and_trace_budget(self, monkeypatch):
         enc, wave = lin_encoder(), Waveform(kind="dc", offset=0.0)
@@ -545,7 +548,7 @@ class TestOracleAgreement:
         # n = 3 puts the node root for |v| near 0.5 V past 0.5 V/(2*n*u_t)
         for n in (1.2, 3.0):
             tc = TransconductorConfig(dev=DeviceParams(n=n))
-            enc = EncoderConfig(transconductor=tc, neuron=replace(LIN, n=n))
+            enc = EncoderConfig(transconductor=tc, neuron=replace(LIN, dev=tc.dev))
             wave = Waveform(kind="pwl", breakpoints=((0.0, -0.5), (1.0, 0.5)))
             times = np.linspace(0.0, 1.0, 21)
             drive = _vectorized_input_current(enc, wave, times)
@@ -558,7 +561,7 @@ class TestOracleAgreement:
         # about 0.1 V, but not at the 0.5 V half-width: both solvers then
         # bracket on [min(0, b), max(0, b)]
         tc = TransconductorConfig(dev=DeviceParams(u_t=3e-4))
-        enc = EncoderConfig(transconductor=tc, neuron=replace(LIN, u_t=3e-4))
+        enc = EncoderConfig(transconductor=tc, neuron=replace(LIN, dev=tc.dev))
         wave = Waveform(kind="pwl", breakpoints=((0.0, -0.5), (1.0, 0.5)))
         times = np.linspace(0.0, 1.0, 21)
         drive = _vectorized_input_current(enc, wave, times)
@@ -572,7 +575,7 @@ class TestOracleAgreement:
         # ratio of 1e300 times its sinh overflows inside the oracle's
         # bisection; that must be a typed error, not a numpy warning
         tc = TransconductorConfig(dev=DeviceParams(u_t=1e-3), drive_ratio=1e300)
-        enc = EncoderConfig(transconductor=tc, neuron=replace(LIN, u_t=1e-3))
+        enc = EncoderConfig(transconductor=tc, neuron=replace(LIN, dev=tc.dev))
         wave = Waveform(kind="sine", amplitude=0.2, offset=0.0, frequency=1e4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -785,7 +788,7 @@ class TestDriveBlock:
             drive_ratio=drive_ratio,
             node_shunt_ratio=node_shunt_ratio,
         )
-        enc = EncoderConfig(transconductor=tc, neuron=replace(LIN, n=n, u_t=u_t))
+        enc = EncoderConfig(transconductor=tc, neuron=replace(LIN, dev=tc.dev))
         times = block_times(t0, dt, steps)
         if kind == "pwl":
             # times exactly on every breakpoint and past the last one
@@ -2017,8 +2020,7 @@ def accepted_configs(draw):
             i_th=i_th,
             i_reset=i_reset,
             t_rf=draw(near_or_zero(20e-6)),
-            n=dev.n,
-            u_t=dev.u_t,
+            dev=dev,
             mode=draw(st.sampled_from(["nonlinear", "linear"])),
             i_pf_gain=draw(near_or_zero(0.1)),
         )
